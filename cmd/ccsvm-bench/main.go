@@ -33,7 +33,12 @@
 // within a tight threshold (-alloc-threshold, default 5% plus a few-alloc
 // slack), and events_per_sec may drop only within a lenient threshold
 // (-threshold, default 30%) because wall clock is noisy on shared runners.
-// Any violation, or a baseline series missing from the current run, exits 1.
+// The events/sec tier only applies between runs on one machine class: when
+// the baseline's gomaxprocs or CPU model differs from the current host (the
+// -input file's, in file-vs-file mode), it is skipped and the report says
+// "skipped: host differs"; the other two tiers are machine-independent and
+// always enforced. Any violation, or a baseline series missing from the
+// current run, exits 1.
 //
 // The series list mirrors bench_test.go (the `go test -bench` harness): the
 // same (workload, system, size) points the paper's figures use, resolved
@@ -167,32 +172,25 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ccsvm-bench: %v\n", err)
 			os.Exit(2)
 		}
-		var cur []record
+		var cur baseline
 		if *inputPath != "" {
-			in, err := readBaseline(*inputPath)
+			cur, err = readBaseline(*inputPath)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ccsvm-bench: %v\n", err)
 				os.Exit(2)
 			}
-			cur = in.Series
 		} else {
-			cur = mustRunAll(*iters, workerCounts, *cpuProfile, *memProfile)
+			cur = thisHost(*date)
+			cur.Series = mustRunAll(*iters, workerCounts, *cpuProfile, *memProfile)
 		}
-		if !compare(os.Stdout, base.Series, cur, *evThreshold, *allocThreshold) {
+		if !compare(os.Stdout, base, cur, *evThreshold, *allocThreshold) {
 			fmt.Fprintf(os.Stderr, "ccsvm-bench: regression against %s\n", *comparePath)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "ccsvm-bench: no regression against %s\n", *comparePath)
 		return
 	}
-	b := baseline{
-		Date:       *date,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPU:        cpuModel(),
-	}
+	b := thisHost(*date)
 	b.Series = mustRunAll(*iters, workerCounts, *cpuProfile, *memProfile)
 
 	doc, err := json.MarshalIndent(b, "", "  ")
@@ -213,6 +211,18 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	if *toStdout {
 		os.Stdout.Write(doc)
+	}
+}
+
+// thisHost returns an empty baseline document describing the current host.
+func thisHost(date string) baseline {
+	return baseline{
+		Date:       date,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpuModel(),
 	}
 }
 
@@ -356,14 +366,20 @@ const allocSlack = 16
 // compare diffs cur against base series-by-series (matched by name), writes
 // one line per series to w, and reports whether the gate passes. The tiers
 // are documented in the package comment: exact simulated time, event counts
-// and trace hash, tight allocs/op, lenient events/sec.
-func compare(w io.Writer, base, cur []record, evThreshold, allocThreshold float64) bool {
-	curByName := make(map[string]record, len(cur))
-	for _, r := range cur {
+// and trace hash, tight allocs/op, and lenient events/sec — the last only
+// when both documents were measured on the same host class.
+func compare(w io.Writer, base, cur baseline, evThreshold, allocThreshold float64) bool {
+	wallClock := base.GOMAXPROCS == cur.GOMAXPROCS && base.CPU == cur.CPU
+	if !wallClock {
+		fmt.Fprintf(w, "events/sec tier skipped: host differs (baseline gomaxprocs %d, cpu %q; current gomaxprocs %d, cpu %q)\n",
+			base.GOMAXPROCS, base.CPU, cur.GOMAXPROCS, cur.CPU)
+	}
+	curByName := make(map[string]record, len(cur.Series))
+	for _, r := range cur.Series {
 		curByName[r.Name] = r
 	}
 	ok := true
-	for _, b := range base {
+	for _, b := range base.Series {
 		c, found := curByName[b.Name]
 		if !found {
 			fmt.Fprintf(w, "%-28s MISSING: series in baseline but not in this run\n", b.Name)
@@ -385,7 +401,7 @@ func compare(w io.Writer, base, cur []record, evThreshold, allocThreshold float6
 		if c.AllocsPerOp > allocLimit {
 			problems = append(problems, fmt.Sprintf("allocs/op %d > limit %d (baseline %d)", c.AllocsPerOp, allocLimit, b.AllocsPerOp))
 		}
-		if b.EventsPerSec > 0 {
+		if wallClock && b.EventsPerSec > 0 {
 			evLimit := b.EventsPerSec * (1 - evThreshold)
 			if c.EventsPerSec < evLimit {
 				problems = append(problems, fmt.Sprintf("events/sec %.0f < limit %.0f (baseline %.0f)", c.EventsPerSec, evLimit, b.EventsPerSec))
@@ -396,14 +412,17 @@ func compare(w io.Writer, base, cur []record, evThreshold, allocThreshold float6
 			ok = false
 			continue
 		}
-		fmt.Fprintf(w, "%-28s ok: %+.1f%% events/sec, %+d allocs/op\n",
-			b.Name, 100*(c.EventsPerSec/b.EventsPerSec-1), int64(c.AllocsPerOp)-int64(b.AllocsPerOp))
+		events := "events/sec skipped"
+		if wallClock {
+			events = fmt.Sprintf("%+.1f%% events/sec", 100*(c.EventsPerSec/b.EventsPerSec-1))
+		}
+		fmt.Fprintf(w, "%-28s ok: %s, %+d allocs/op\n", b.Name, events, int64(c.AllocsPerOp)-int64(b.AllocsPerOp))
 	}
 	// New series are fine — they have no baseline yet — but say so, since a
 	// rename shows up as one missing plus one new. Matched entries were
 	// deleted above, so whatever is left in curByName is new; iterate cur to
 	// keep the output order deterministic.
-	for _, r := range cur {
+	for _, r := range cur.Series {
 		if _, isNew := curByName[r.Name]; isNew {
 			fmt.Fprintf(w, "%-28s new: no baseline entry\n", r.Name)
 		}

@@ -40,7 +40,8 @@ func newHierRig(t *testing.T, n int) *hierRig {
 			L1Hit: 1 * sim.Nanosecond,
 			L2Hit: 3 * sim.Nanosecond,
 		}
-		r.hiers = append(r.hiers, NewPrivateHierarchy(r.engine, cfg, r.dram, filter, r.reg, name))
+		l1, l2 := cache.NewArray(cfg.L1), cache.NewArray(cfg.L2)
+		r.hiers = append(r.hiers, NewPrivateHierarchy(r.engine, cfg, l1, l2, r.dram, filter, r.reg, name))
 	}
 	return r
 }
@@ -188,12 +189,13 @@ func gpuRig(t *testing.T, bufLines int) (*sim.Engine, *GPUMemory, *stats.Registr
 	engine := sim.NewEngine()
 	reg := stats.NewRegistry("test")
 	d := dram.NewController(engine, dram.DefaultAPUConfig(), reg, "dram")
+	rdcache := cache.NewArray(cache.Config{SizeBytes: 4 * mem.LineSize, Assoc: 2, Name: "gpu.rdcache"})
 	g := NewGPUMemory(engine, GPUMemConfig{
 		ReadCacheBytes:   4 * mem.LineSize,
 		ReadCacheAssoc:   2,
 		ReadHit:          2 * sim.Nanosecond,
 		WriteBufferLines: bufLines,
-	}, d, reg)
+	}, rdcache, d, reg)
 	return engine, g, reg
 }
 

@@ -55,12 +55,14 @@ func DefaultGPUMemConfig() GPUMemConfig {
 	}
 }
 
-// NewGPUMemory builds the GPU memory path.
-func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, d *dram.Controller, reg *stats.Registry) *GPUMemory {
+// NewGPUMemory builds the GPU memory path around an empty read-cache tag
+// array of cfg's ReadCacheBytes and ReadCacheAssoc, built by the caller as
+// for NewPrivateHierarchy.
+func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, readCache *cache.Array, d *dram.Controller, reg *stats.Registry) *GPUMemory {
 	g := &GPUMemory{
 		engine:      engine,
 		dram:        d,
-		readCache:   cache.NewArray(cache.Config{SizeBytes: cfg.ReadCacheBytes, Assoc: cfg.ReadCacheAssoc, Name: "gpu.rdcache"}),
+		readCache:   readCache,
 		readHit:     cfg.ReadHit,
 		writeBuf:    make(map[mem.LineAddr]int),
 		writeBufMax: cfg.WriteBufferLines,

@@ -3,6 +3,7 @@ package apu
 import (
 	"fmt"
 
+	"ccsvm/internal/cache"
 	"ccsvm/internal/cpu"
 	"ccsvm/internal/dram"
 	"ccsvm/internal/exec"
@@ -190,20 +191,23 @@ type Machine struct {
 	// runs under (see exec.Gate); RunThreads drives the engine through it.
 	gate *exec.Gate
 
-	// arena, when non-nil, receives the engine and physical memory back at
-	// Shutdown so the worker's next machine reuses them.
+	// arena, when non-nil, receives the engine, physical memory and cache
+	// tag arrays back at Shutdown so the worker's next machine reuses them.
 	arena *simarena.Arena
+	// arrays is every tag array the machine drew (see array).
+	arrays []*cache.Array
 }
 
 // NewMachine builds an APU. When the configuration carries an arena
-// (Config.InArena), the engine and physical memory come from it; reuse is
-// observation-equivalent to fresh construction.
+// (Config.InArena), the engine, physical memory and cache tag arrays come
+// from it; reuse is observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
 		Engine: cfg.arena.Engine(),
 		Stats:  stats.NewRegistry("apu"),
 		arena:  cfg.arena,
+		arrays: make([]*cache.Array, 0, 2*cfg.NumCPUs+1),
 	}
 	// Always-on event-trace fingerprint, surfaced as sim.trace_hash_hi/lo
 	// (see core.NewMachine).
@@ -225,13 +229,14 @@ func NewMachine(cfg Config) *Machine {
 		hcfg := cfg.CPUCaches
 		hcfg.L1.Name = name + ".l1"
 		hcfg.L2.Name = name + ".l2"
-		hier := NewPrivateHierarchy(m.Engine, hcfg, m.DRAM, filter, m.Stats, name)
+		hier := NewPrivateHierarchy(m.Engine, hcfg, m.array(hcfg.L1), m.array(hcfg.L2), m.DRAM, filter, m.Stats, name)
 		m.CPUMem = append(m.CPUMem, hier)
 		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, hier, nil, m.Phys, m.kernel, m.Stats)
 		m.CPUs = append(m.CPUs, core)
 	}
 
-	m.GPUMem = NewGPUMemory(m.Engine, cfg.GPUMem, m.DRAM, m.Stats)
+	rdcache := m.array(cache.Config{SizeBytes: cfg.GPUMem.ReadCacheBytes, Assoc: cfg.GPUMem.ReadCacheAssoc, Name: "gpu.rdcache"})
+	m.GPUMem = NewGPUMemory(m.Engine, cfg.GPUMem, rdcache, m.DRAM, m.Stats)
 	issueWidth := cfg.GPULanes * cfg.GPUVLIWOpsPerInstr
 	for i := 0; i < cfg.GPUSIMDUnits; i++ {
 		unit := mttop.New(m.Engine, mttop.Config{
@@ -243,6 +248,14 @@ func NewMachine(cfg Config) *Machine {
 		m.GPUUnits = append(m.GPUUnits, unit)
 	}
 	return m
+}
+
+// array draws a tag array from the machine's arena (a fresh one without an
+// arena) and records it for Shutdown to hand back.
+func (m *Machine) array(cfg cache.Config) *cache.Array {
+	arr := m.arena.Array(cfg)
+	m.arrays = append(m.arrays, arr)
+	return arr
 }
 
 // Malloc reserves heap space in the flat, identity-mapped address space.
@@ -413,6 +426,12 @@ func (m *Machine) Shutdown() {
 		return
 	}
 	m.arena = nil
+	for i := range m.arrays {
+		arr := m.arrays[i]
+		m.arrays[i] = nil
+		a.RecycleArray(arr)
+	}
+	m.arrays = nil
 	a.RecycleEngine(m.Engine)
 	a.RecyclePhysical(m.Phys)
 }

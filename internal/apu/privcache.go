@@ -119,14 +119,16 @@ func DefaultHierarchyConfig(name string) HierarchyConfig {
 	}
 }
 
-// NewPrivateHierarchy builds a hierarchy.
-func NewPrivateHierarchy(engine *sim.Engine, cfg HierarchyConfig, d *dram.Controller,
+// NewPrivateHierarchy builds a hierarchy around empty L1 and L2 tag arrays of
+// cfg's geometries. The caller builds the arrays, so a machine can draw them
+// from a simarena.Arena; the hierarchy owns them from then on.
+func NewPrivateHierarchy(engine *sim.Engine, cfg HierarchyConfig, l1, l2 *cache.Array, d *dram.Controller,
 	filter *snoopFilter, reg *stats.Registry, name string) *PrivateHierarchy {
 	h := &PrivateHierarchy{
 		engine: engine,
 		name:   name,
-		l1:     cache.NewArray(cfg.L1),
-		l2:     cache.NewArray(cfg.L2),
+		l1:     l1,
+		l2:     l2,
 		l1Hit:  cfg.L1Hit,
 		l2Hit:  cfg.L2Hit,
 		dram:   d,

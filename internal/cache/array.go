@@ -6,19 +6,20 @@ import (
 	"ccsvm/internal/mem"
 )
 
-// Line is one cache line's bookkeeping in a set-associative array.
+// Line is one cache line's bookkeeping in a set-associative array. The field
+// order packs it into 24 bytes.
 type Line struct {
-	// Valid marks an allocated way (any state other than an empty slot).
-	Valid bool
 	// Addr is the line address of the block held in this way.
 	Addr mem.LineAddr
+	// lru is the logical timestamp of the last touch.
+	lru uint64
+	// Valid marks an allocated way (any state other than an empty slot).
+	Valid bool
 	// State is the coherence state (used by the L1s and, with a narrower
 	// set of states, the L2 data array where Dirty matters).
 	State State
 	// Dirty marks an L2 block newer than DRAM.
 	Dirty bool
-	// lru is the logical timestamp of the last touch.
-	lru uint64
 }
 
 // Config describes a set-associative array.
@@ -43,25 +44,47 @@ func (c Config) NumSets() int {
 // Array is a set-associative structure with LRU replacement. It stores no
 // data, only tags and state; functional data lives in mem.Physical.
 //
+// Set i is lines[i*Assoc:(i+1)*Assoc] of one flat, pointer-free slice, so an
+// array parked across runs (see internal/simarena) costs the garbage
+// collector nothing to scan. The array also remembers which sets Allocate has
+// written since it was built or Reset — Allocate is the only call that makes
+// a set non-zero — so Reset costs O(sets used), not O(capacity).
+//
 //ccsvm:state
 type Array struct {
 	cfg     Config
-	sets    [][]Line
+	lines   []Line
 	numSets int
 	tick    uint64
+
+	// used is a bitmap over sets written since the last Reset; usedSets
+	// lists the same sets in first-write order.
+	used     []uint64
+	usedSets []int
 }
 
-// NewArray builds an array from the configuration. The per-set slices share
-// one flat backing array: a machine builds dozens of these, and one large
-// allocation per array beats thousands of tiny per-set ones.
+// NewArray builds an empty array from the configuration.
 func NewArray(cfg Config) *Array {
 	numSets := cfg.NumSets()
-	flat := make([]Line, numSets*cfg.Assoc)
-	sets := make([][]Line, numSets)
-	for i := range sets {
-		sets[i] = flat[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	return &Array{
+		cfg:     cfg,
+		lines:   make([]Line, numSets*cfg.Assoc),
+		numSets: numSets,
+		used:    make([]uint64, (numSets+63)/64),
 	}
-	return &Array{cfg: cfg, sets: sets, numSets: numSets}
+}
+
+// Reset empties the array and renames it, leaving it indistinguishable from
+// NewArray of the same geometry under the new name. Only the sets written
+// since the last reset are cleared.
+func (a *Array) Reset(name string) {
+	for _, s := range a.usedSets {
+		clear(a.set(s))
+		a.used[s/64] = 0
+	}
+	a.usedSets = a.usedSets[:0]
+	a.tick = 0
+	a.cfg.Name = name
 }
 
 // Config returns the array configuration.
@@ -72,10 +95,14 @@ func (a *Array) SetIndex(addr mem.LineAddr) int {
 	return int(uint64(addr) % uint64(a.numSets))
 }
 
+func (a *Array) set(i int) []Line {
+	return a.lines[i*a.cfg.Assoc : (i+1)*a.cfg.Assoc]
+}
+
 // Lookup returns the line holding addr, or nil if it is not present.
 // Lookup does not update LRU state; use Touch for accesses.
 func (a *Array) Lookup(addr mem.LineAddr) *Line {
-	set := a.sets[a.SetIndex(addr)]
+	set := a.set(a.SetIndex(addr))
 	for i := range set {
 		if set[i].Valid && set[i].Addr == addr {
 			return &set[i]
@@ -107,7 +134,8 @@ func (a *Array) Allocate(addr mem.LineAddr) (line *Line, victim Line, evicted bo
 	if l := a.Lookup(addr); l != nil {
 		panic(fmt.Sprintf("cache: %s allocate of already-present %v", a.cfg.Name, addr))
 	}
-	set := a.sets[a.SetIndex(addr)]
+	s := a.SetIndex(addr)
+	set := a.set(s)
 	// Prefer an empty way.
 	var candidate *Line
 	for i := range set {
@@ -132,6 +160,10 @@ func (a *Array) Allocate(addr mem.LineAddr) (line *Line, victim Line, evicted bo
 		victim = *candidate
 		evicted = true
 	}
+	if bit := uint64(1) << (s % 64); a.used[s/64]&bit == 0 {
+		a.used[s/64] |= bit
+		a.usedSets = append(a.usedSets, s)
+	}
 	a.tick++
 	*candidate = Line{Valid: true, Addr: addr, State: Invalid, lru: a.tick}
 	return candidate, victim, evicted, true
@@ -147,24 +179,20 @@ func (a *Array) Invalidate(addr mem.LineAddr) {
 // Occupancy reports how many valid lines the array currently holds.
 func (a *Array) Occupancy() int {
 	n := 0
-	for _, set := range a.sets {
-		for i := range set {
-			if set[i].Valid {
-				n++
-			}
+	for i := range a.lines {
+		if a.lines[i].Valid {
+			n++
 		}
 	}
 	return n
 }
 
-// ForEach calls fn on every valid line. Mutating the line through the pointer
-// is allowed.
+// ForEach calls fn on every valid line in set-index order. Mutating the line
+// through the pointer is allowed.
 func (a *Array) ForEach(fn func(l *Line)) {
-	for _, set := range a.sets {
-		for i := range set {
-			if set[i].Valid {
-				fn(&set[i])
-			}
+	for i := range a.lines {
+		if a.lines[i].Valid {
+			fn(&a.lines[i])
 		}
 	}
 }

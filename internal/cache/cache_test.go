@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,5 +197,118 @@ func TestArrayLRUProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// arrayEvent is one observable outcome of an operation on an array: the
+// returned line (with its LRU stamp), the victim, and the flags.
+type arrayEvent struct {
+	op            byte
+	addr          mem.LineAddr
+	found         bool
+	line, victim  Line
+	evicted, ok   bool
+	occupancyThen int
+}
+
+// driveArray applies ops random operations to a and returns every outcome,
+// the final occupancy and the ForEach order. Addresses concentrate on a few
+// hot sets with more tags than ways, and state edits often leave lines
+// transient, so evictions and all-transient sets (Allocate ok=false) occur.
+func driveArray(a *Array, rng *rand.Rand, ops int) []arrayEvent {
+	sets := a.Config().NumSets()
+	states := []State{Shared, Exclusive, Owned, Modified, ISD, IMAD, SMAD, MIA}
+	var log []arrayEvent
+	for i := 0; i < ops; i++ {
+		set := rng.Intn(sets)
+		if rng.Intn(4) != 0 {
+			set = rng.Intn(2)
+		}
+		addr := mem.LineAddr(set + sets*rng.Intn(2*a.Config().Assoc))
+		ev := arrayEvent{addr: addr}
+		switch r := rng.Intn(10); {
+		case r < 4:
+			ev.op = 'a'
+			if a.Lookup(addr) != nil {
+				ev.found = true
+				break
+			}
+			l, victim, evicted, ok := a.Allocate(addr)
+			ev.victim, ev.evicted, ev.ok = victim, evicted, ok
+			if ok {
+				ev.line = *l
+				l.State = states[rng.Intn(len(states))]
+				l.Dirty = rng.Intn(2) == 0
+			}
+		case r < 6:
+			ev.op = 't'
+			if l := a.Touch(addr); l != nil {
+				ev.found, ev.line = true, *l
+			}
+		case r < 7:
+			ev.op = 'i'
+			a.Invalidate(addr)
+		case r < 9:
+			ev.op = 's'
+			if l := a.Lookup(addr); l != nil {
+				ev.found, ev.line = true, *l
+				l.State = states[rng.Intn(len(states))]
+			}
+		default:
+			// Drop every stable line's valid bit without zeroing it, as
+			// GPUMemory.InvalidateAll does.
+			ev.op = 'f'
+			a.ForEach(func(l *Line) {
+				if l.State.Stable() {
+					l.Valid = false
+				}
+			})
+		}
+		ev.occupancyThen = a.Occupancy()
+		log = append(log, ev)
+	}
+	a.ForEach(func(l *Line) { log = append(log, arrayEvent{op: 'e', line: *l}) })
+	return log
+}
+
+// Property: an array Reset after any history is indistinguishable from
+// NewArray of the same geometry — every outcome, LRU stamp, victim,
+// occupancy and the ForEach order of a second random sequence match.
+func TestArrayResetProperty(t *testing.T) {
+	refused := 0
+	for _, cfg := range []Config{testConfig(), {SizeBytes: 2048, Assoc: 2, Name: "test2"}} {
+		f := func(first, second int64) bool {
+			reused := NewArray(cfg)
+			driveArray(reused, rand.New(rand.NewSource(first)), 400)
+			reused.Reset("renamed")
+			fresh := NewArray(Config{SizeBytes: cfg.SizeBytes, Assoc: cfg.Assoc, Name: "renamed"})
+			if reused.Config() != fresh.Config() {
+				t.Logf("config after reset %+v, want %+v", reused.Config(), fresh.Config())
+				return false
+			}
+			got := driveArray(reused, rand.New(rand.NewSource(second)), 400)
+			want := driveArray(fresh, rand.New(rand.NewSource(second)), 400)
+			for _, ev := range want {
+				if ev.op == 'a' && !ev.found && !ev.ok {
+					refused++
+				}
+			}
+			if !slices.Equal(got, want) {
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Logf("event %d: reset array %+v, fresh array %+v", i, got[i], want[i])
+						break
+					}
+				}
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no Allocate met an all-transient set; the property never covered ok=false")
 	}
 }

@@ -72,9 +72,10 @@ func (e *dirEntry) sharerList(except noc.NodeID) []noc.NodeID {
 
 // BankConfig describes one L2/directory bank.
 type BankConfig struct {
-	// L2 is this bank's slice of the shared, inclusive L2 (1 MB 16-way per
-	// bank for the Table 2 chip).
-	L2 cache.Config
+	// L2 is the empty tag array of this bank's slice of the shared,
+	// inclusive L2 (1 MB 16-way per bank for the Table 2 chip), built by the
+	// caller as for L1Config.Cache.
+	L2 *cache.Array
 	// AccessLatency is the L2/directory access latency charged per request.
 	AccessLatency sim.Duration
 	// Protocol selects the coherence protocol tables this bank executes; nil
@@ -133,7 +134,7 @@ func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg Ba
 		net:     net,
 		cfg:     cfg,
 		proto:   proto,
-		l2:      cache.NewArray(cfg.L2),
+		l2:      cfg.L2,
 		memory:  memory,
 		entries: make(map[mem.LineAddr]*dirEntry),
 	}

@@ -12,9 +12,11 @@ import (
 
 // L1Config describes one private L1 data cache and its controller.
 type L1Config struct {
-	// Cache is the array geometry (64 KB 4-way for CPU cores, 16 KB 4-way
-	// for MTTOP cores in Table 2).
-	Cache cache.Config
+	// Cache is the controller's empty tag array (64 KB 4-way for CPU cores,
+	// 16 KB 4-way for MTTOP cores in Table 2). The caller builds it, so a
+	// machine can draw it from a simarena.Arena; the controller owns it from
+	// then on.
+	Cache *cache.Array
 	// HitLatency is the load-to-use latency of a hit (2 CPU cycles for CPU
 	// cores, 1 MTTOP cycle for MTTOP cores).
 	HitLatency sim.Duration
@@ -112,7 +114,7 @@ func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks B
 		banks:     banks,
 		cfg:       cfg,
 		proto:     proto,
-		array:     cache.NewArray(cfg.Cache),
+		array:     cfg.Cache,
 		checker:   checker,
 		mshrs:     make(map[mem.LineAddr]*mshr),
 		evictions: make(map[mem.LineAddr]*evictEntry),

@@ -59,7 +59,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 	s := &testSystem{engine: engine, torus: torus, memory: memory, checker: checker, reg: reg}
 	for i := 0; i < numL1; i++ {
 		cfg := L1Config{
-			Cache:      cache.Config{SizeBytes: 4096, Assoc: 4, Name: fmt.Sprintf("l1.%d", i)},
+			Cache:      cache.NewArray(cache.Config{SizeBytes: 4096, Assoc: 4, Name: fmt.Sprintf("l1.%d", i)}),
 			HitLatency: 690 * sim.Picosecond,
 			Name:       fmt.Sprintf("l1.%d", i),
 			Protocol:   proto,
@@ -68,7 +68,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 	}
 	for i := 0; i < numBanks; i++ {
 		cfg := BankConfig{
-			L2:            cache.Config{SizeBytes: 64 * 1024, Assoc: 16, Name: fmt.Sprintf("l2.%d", i)},
+			L2:            cache.NewArray(cache.Config{SizeBytes: 64 * 1024, Assoc: 16, Name: fmt.Sprintf("l2.%d", i)}),
 			AccessLatency: 3400 * sim.Picosecond,
 			Name:          fmt.Sprintf("l2.%d", i),
 			Protocol:      proto,

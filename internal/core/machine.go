@@ -42,20 +42,24 @@ type Machine struct {
 	l1s   []*coherence.L1Controller
 	banks []*coherence.DirectoryBank
 	torus *noc.Torus
+	// arrays is every cache tag array the machine drew (see array), handed
+	// back to the arena at Shutdown.
+	arrays []*cache.Array
 
 	// gate is the cooperative scheduler every software thread of this machine
 	// runs under (see exec.Gate); RunProgram drives the engine through it.
 	gate *exec.Gate
 
-	// arena, when non-nil, receives the engine, physical memory and message
-	// populations back at Shutdown so the worker's next machine reuses them.
+	// arena, when non-nil, receives the engine, physical memory, tag arrays
+	// and message populations back at Shutdown so the worker's next machine
+	// reuses them.
 	arena *simarena.Arena
 }
 
 // NewMachine builds and wires a CCSVM chip from the configuration. When the
 // configuration carries an arena (Config.InArena), the engine, physical
-// memory, and message-pool populations come from it; reuse is observation-
-// equivalent to fresh construction.
+// memory, cache tag arrays and message-pool populations come from it; reuse
+// is observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -65,6 +69,7 @@ func NewMachine(cfg Config) *Machine {
 		Engine: cfg.arena.Engine(),
 		Stats:  stats.NewRegistry("ccsvm"),
 		arena:  cfg.arena,
+		arrays: make([]*cache.Array, 0, cfg.NumCPUs+cfg.NumMTTOPs+cfg.L2Banks),
 	}
 	// The trace hash is always on: it costs two integer multiplies per event
 	// and gives every run a fingerprint of its exact event order, surfaced
@@ -115,7 +120,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	for i, id := range bankIDs {
 		bank := coherence.NewDirectoryBank(m.Engine, id, m.torus, coherence.BankConfig{
-			L2:            cache.Config{SizeBytes: cfg.L2BankBytes, Assoc: cfg.L2Assoc, Name: fmt.Sprintf("l2.%d", i)},
+			L2:            m.array(cache.Config{SizeBytes: cfg.L2BankBytes, Assoc: cfg.L2Assoc, Name: fmt.Sprintf("l2.%d", i)}),
 			AccessLatency: cfg.L2Latency,
 			Protocol:      proto,
 			Name:          fmt.Sprintf("l2.%d", i),
@@ -143,7 +148,7 @@ func NewMachine(cfg Config) *Machine {
 		l1cfg := cfg.CPUL1
 		l1cfg.Name = name + ".l1"
 		l1 := coherence.NewL1Controller(m.Engine, noc.NodeID(i), m.torus, mapper, coherence.L1Config{
-			Cache:      l1cfg,
+			Cache:      m.array(l1cfg),
 			HitLatency: cfg.CPUL1Hit,
 			Protocol:   proto,
 			Name:       name + ".l1",
@@ -163,7 +168,7 @@ func NewMachine(cfg Config) *Machine {
 		l1cfg := cfg.MTTOPL1
 		l1cfg.Name = name + ".l1"
 		l1 := coherence.NewL1Controller(m.Engine, node, m.torus, mapper, coherence.L1Config{
-			Cache:      l1cfg,
+			Cache:      m.array(l1cfg),
 			HitLatency: cfg.MTTOPL1Hit,
 			Protocol:   proto,
 			Name:       name + ".l1",
@@ -192,6 +197,14 @@ func NewMachine(cfg Config) *Machine {
 		c.MMU().SetRoot(m.Process.Root())
 	}
 	return m
+}
+
+// array draws a tag array from the machine's arena (a fresh one without an
+// arena) and records it for Shutdown to hand back.
+func (m *Machine) array(cfg cache.Config) *cache.Array {
+	arr := m.arena.Array(cfg)
+	m.arrays = append(m.arrays, arr)
+	return arr
 }
 
 // handleSyscall is the machine's OS syscall dispatcher; the MIFD driver's
@@ -288,6 +301,12 @@ func (m *Machine) Shutdown() {
 	m.arena = nil
 	a.RecycleCohMsgs(coherence.DrainFreeLists(m.l1s, m.banks))
 	a.RecycleNocMsgs(m.torus.DrainFreeList())
+	for i := range m.arrays {
+		arr := m.arrays[i]
+		m.arrays[i] = nil
+		a.RecycleArray(arr)
+	}
+	m.arrays = nil
 	a.RecycleEngine(m.Engine)
 	a.RecyclePhysical(m.Phys)
 }

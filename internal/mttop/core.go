@@ -32,8 +32,9 @@ type Config struct {
 
 // hwContext is one hardware thread context. A context runs one operation at
 // a time, so the in-flight op's state lives here and the per-op callbacks
-// (translateCb, accessCb) are bound once at core construction — the hot
-// issue/translate/access path allocates nothing per operation.
+// (translateCb, accessCb) are bound once, when the first thread lands on the
+// context — the hot issue/translate/access path allocates nothing per
+// operation, and a run pays only for the contexts it uses.
 type hwContext struct {
 	idx int
 	//ccsvm:stateok // goroutine-backed thread handle; software threads are re-launched on restore
@@ -48,11 +49,11 @@ type hwContext struct {
 	// when the cache access for the op is globally performed; stepFn is the
 	// resume continuation handed to Thread.TryNext.
 	//
-	//ccsvm:stateok // bound once at core construction; rebound on restore
+	//ccsvm:stateok // bound once when the context is built; rebound on restore
 	translateCb func(mem.PAddr, *vm.Fault)
-	//ccsvm:stateok // bound once at core construction; rebound on restore
+	//ccsvm:stateok // bound once when the context is built; rebound on restore
 	accessCb func()
-	//ccsvm:stateok // bound once at core construction; rebound on restore
+	//ccsvm:stateok // bound once when the context is built; rebound on restore
 	stepFn func()
 }
 
@@ -67,7 +68,9 @@ type Core struct {
 	phys   *mem.Physical
 	faults FaultHandler
 
-	contexts []hwContext
+	// contexts[i] stays nil until StartThread first lands on context i;
+	// free is the stack of idle context indices.
+	contexts []*hwContext
 	free     []int
 	// issueFree is the shared issue-bandwidth bucket: each operation reserves
 	// 1/IssueWidth of a cycle.
@@ -101,15 +104,11 @@ func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.P
 		mmu:      mmu,
 		phys:     phys,
 		faults:   faults,
-		contexts: make([]hwContext, cfg.NumContexts),
+		contexts: make([]*hwContext, cfg.NumContexts),
+		free:     make([]int, cfg.NumContexts),
 	}
-	for i := range c.contexts {
-		h := &c.contexts[i]
-		h.idx = i
-		h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
-		h.accessCb = func() { c.accessDone(h) }
-		h.stepFn = func() { c.stepContext(h) }
-		c.free = append(c.free, i)
+	for i := range c.free {
+		c.free[i] = i
 	}
 	c.completeFn = func(a any) { c.completeOp(a.(*hwContext), exec.Result{}) }
 	c.memIssueFn = func(a any) { c.memAccess(a.(*hwContext)) }
@@ -147,7 +146,10 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 	}
 	idx := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
-	h := &c.contexts[idx]
+	h := c.contexts[idx]
+	if h == nil {
+		h = c.newContext(idx)
+	}
 	h.thread = t
 	h.onDone = onDone
 	h.busy = false
@@ -161,6 +163,16 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 	}
 	t.Start()
 	c.stepContext(h)
+}
+
+// newContext builds hardware context idx and binds its callbacks.
+func (c *Core) newContext(idx int) *hwContext {
+	h := &hwContext{idx: idx}
+	h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
+	h.accessCb = func() { c.accessDone(h) }
+	h.stepFn = func() { c.stepContext(h) }
+	c.contexts[idx] = h
+	return h
 }
 
 // BusyContexts reports how many contexts are currently running threads.

@@ -2,24 +2,31 @@
 // simulated machine across runs: the discrete-event engine (whose event free
 // list and calendar backing arrays are the hottest allocations in a sweep),
 // the physical memory (whose lazily materialized frames dominate resident
-// bytes), and the harvested free lists of the coherence and network message
-// pools.
+// bytes), every cache tag array (the L1s, L2/directory banks, APU private
+// caches and GPU read cache — most of the bytes a machine allocates), and the
+// harvested free lists of the coherence and network message pools.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
 // machine execution model. A worker that runs many simulations back to back
 // builds its first machine from scratch, and every later machine draws the
 // recycled parts, so steady-state sweep throughput stops paying construction
-// and garbage-collection cost per run.
+// and garbage-collection cost per run. A recycled tag array is reset in time
+// proportional to the sets the previous run wrote, so building a machine
+// costs what the last run touched rather than the chip's capacity. Parked
+// arrays are kept per geometry; a worker that sweeps several cache sizes
+// keeps one machine's worth of arrays for each.
 //
 // Reuse is observation-equivalent to fresh construction: every recycled part
 // is reset to fresh-machine semantics (engine at time zero with an empty
-// queue, memory all-zero at the requested capacity, messages indistinguishable
-// from pool-miss allocations), so a sweep over a reused arena produces
-// bit-identical Results — the runner's byte-identity test enforces this.
+// queue, memory all-zero at the requested capacity, tag arrays empty with
+// their LRU clock at zero, messages indistinguishable from pool-miss
+// allocations), so a sweep over a reused arena produces bit-identical
+// Results — the runner's byte-identity test enforces this.
 package simarena
 
 import (
+	"ccsvm/internal/cache"
 	"ccsvm/internal/coherence"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/noc"
@@ -35,6 +42,8 @@ type Stats struct {
 	EngineReuses, EngineBuilds uint64
 	// PhysicalReuses/PhysicalBuilds count Physical() calls likewise.
 	PhysicalReuses, PhysicalBuilds uint64
+	// ArrayReuses/ArrayBuilds count Array() calls likewise.
+	ArrayReuses, ArrayBuilds uint64
 	// CohMsgs/NocMsgs count protocol and network messages currently parked on
 	// the arena between machines.
 	CohMsgs, NocMsgs int
@@ -46,6 +55,7 @@ type Stats struct {
 type Arena struct {
 	engines []*sim.Engine
 	phys    []*mem.Physical
+	arrays  map[geometry][]*cache.Array
 	cohMsgs []*coherence.Msg
 	nocMsgs []*noc.Message
 	stats   Stats
@@ -115,6 +125,48 @@ func (a *Arena) RecyclePhysical(p *mem.Physical) {
 		return
 	}
 	a.phys = append(a.phys, p)
+}
+
+// geometry is the shape a parked tag array can be reused for.
+type geometry struct{ sizeBytes, assoc int }
+
+// Array returns an empty tag array of cfg's geometry named cfg.Name: a
+// recycled one of equal SizeBytes and Assoc when the arena has one parked
+// (Reset, which clears only the sets its last run wrote), otherwise a new
+// one.
+//
+//ccsvm:pooled get
+func (a *Arena) Array(cfg cache.Config) *cache.Array {
+	if a != nil {
+		g := geometry{cfg.SizeBytes, cfg.Assoc}
+		if parked := a.arrays[g]; len(parked) > 0 {
+			arr := parked[len(parked)-1]
+			parked[len(parked)-1] = nil
+			a.arrays[g] = parked[:len(parked)-1]
+			arr.Reset(cfg.Name)
+			a.stats.ArrayReuses++
+			return arr
+		}
+		a.stats.ArrayBuilds++
+	}
+	return cache.NewArray(cfg)
+}
+
+// RecycleArray parks a tag array for the next machine. The reset happens at
+// the next Array() call, which also knows the name the next machine wants.
+// No-op on a nil arena or array.
+//
+//ccsvm:pooled put
+func (a *Arena) RecycleArray(arr *cache.Array) {
+	if a == nil || arr == nil {
+		return
+	}
+	if a.arrays == nil {
+		a.arrays = make(map[geometry][]*cache.Array)
+	}
+	c := arr.Config()
+	g := geometry{c.SizeBytes, c.Assoc}
+	a.arrays[g] = append(a.arrays[g], arr)
 }
 
 // TakeCohMsgs hands the parked coherence-protocol messages to the caller

@@ -117,7 +117,10 @@ func (t *TLB) InvalidatePage(va mem.VAddr) {
 // Flush empties the TLB (the conservative shootdown used for MTTOP cores).
 func (t *TLB) Flush() {
 	t.flushes.Inc()
-	t.entries = make(map[mem.PageNumber]*tlbEntry, t.cfg.Entries)
+	// Clearing in place keeps the map's buckets: MTTOP TLBs are flushed on
+	// every shootdown. Eviction picks the unique minimum lru, so the map's
+	// iteration order cannot affect results.
+	clear(t.entries)
 	t.last = nil
 }
 

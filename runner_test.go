@@ -168,36 +168,70 @@ func TestResultsBitIdenticalAcrossRuns(t *testing.T) {
 // produce byte-identical JSONL — every simulated time, metric and trace hash
 // — to a fresh-machine-per-run sweep, at any Parallel setting. Fresh machines
 // are expressed as a brand-new arena per spec, so no run inherits another's
-// engine, memory, or message populations.
+// engine, memory, tag arrays or message populations. The presets list is
+// every pair on every registered preset at N=8: one worker then cycles
+// through tag arrays of different geometries and both coherence protocols.
 func TestRunnerArenaReuse(t *testing.T) {
-	specs := ccsvm.Pairs(ccsvm.DefaultParams())
-	sweep := func(parallel int, freshPerRun bool) string {
-		t.Helper()
-		batch := make([]ccsvm.RunSpec, len(specs))
-		copy(batch, specs)
-		if freshPerRun {
-			for i := range batch {
-				batch[i].System.Arena = ccsvm.NewArena()
+	lists := []struct {
+		name  string
+		specs []ccsvm.RunSpec
+	}{
+		{"pairs", ccsvm.Pairs(ccsvm.DefaultParams())},
+		{"presets", presetPairs(t, ccsvm.Params{N: 8, Density: 0.1, Seed: 42})},
+	}
+	for _, list := range lists {
+		t.Run(list.name, func(t *testing.T) {
+			sweep := func(parallel int, freshPerRun bool) string {
+				t.Helper()
+				batch := make([]ccsvm.RunSpec, len(list.specs))
+				copy(batch, list.specs)
+				if freshPerRun {
+					for i := range batch {
+						batch[i].System.Arena = ccsvm.NewArena()
+					}
+				}
+				var buf bytes.Buffer
+				r := &ccsvm.Runner{Parallel: parallel, Sinks: []ccsvm.Sink{ccsvm.NewJSONLSink(&buf)}}
+				if _, err := r.Run(batch); err != nil {
+					t.Fatalf("sweep (parallel=%d, fresh=%v): %v", parallel, freshPerRun, err)
+				}
+				return buf.String()
+			}
+
+			fresh := sweep(1, true)
+			if fresh == "" {
+				t.Fatal("fresh sweep produced no JSONL; the comparison would prove nothing")
+			}
+			for _, parallel := range []int{1, 4, 8} {
+				if got := sweep(parallel, false); got != fresh {
+					t.Errorf("arena-reuse sweep at parallel=%d differs from fresh-machine sweep:\n--- fresh\n%s\n--- reused\n%s",
+						parallel, fresh, got)
+				}
+			}
+		})
+	}
+}
+
+// presetPairs builds every runnable (workload, system) pair on every
+// registered preset with the given params, in registry order.
+func presetPairs(t *testing.T, p ccsvm.Params) []ccsvm.RunSpec {
+	t.Helper()
+	var specs []ccsvm.RunSpec
+	for _, pr := range ccsvm.Presets() {
+		for _, kind := range pr.Kinds() {
+			for _, w := range ccsvm.Workloads() {
+				if !w.Supports(kind) {
+					continue
+				}
+				spec, err := ccsvm.BuildSpec(w.Name, kind, pr.Name, nil, p)
+				if err != nil {
+					t.Fatalf("BuildSpec %s/%s@%s: %v", w.Name, kind, pr.Name, err)
+				}
+				specs = append(specs, spec)
 			}
 		}
-		var buf bytes.Buffer
-		r := &ccsvm.Runner{Parallel: parallel, Sinks: []ccsvm.Sink{ccsvm.NewJSONLSink(&buf)}}
-		if _, err := r.Run(batch); err != nil {
-			t.Fatalf("sweep (parallel=%d, fresh=%v): %v", parallel, freshPerRun, err)
-		}
-		return buf.String()
 	}
-
-	fresh := sweep(1, true)
-	if fresh == "" {
-		t.Fatal("fresh sweep produced no JSONL; the comparison would prove nothing")
-	}
-	for _, parallel := range []int{1, 4, 8} {
-		if got := sweep(parallel, false); got != fresh {
-			t.Errorf("arena-reuse sweep at parallel=%d differs from fresh-machine sweep:\n--- fresh\n%s\n--- reused\n%s",
-				parallel, fresh, got)
-		}
-	}
+	return specs
 }
 
 // TestRunnerCacheByteIdentityAllPairs is the service acceptance criterion
