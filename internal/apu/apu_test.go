@@ -283,3 +283,47 @@ func TestGPUReadCacheHitMiss(t *testing.T) {
 		t.Fatalf("write_lines = %d, want 2 (buffer dropped by InvalidateAll)", got)
 	}
 }
+
+// TestMemoryPathAllocatesNothing: once warm, CPU misses to DRAM, snoop
+// invalidations and GPU read misses and writes allocate nothing — miss
+// carriers are recycled and holder sets are bitmasks.
+func TestMemoryPathAllocatesNothing(t *testing.T) {
+	r := newHierRig(t, 2)
+	engine, g, _ := gpuRig(t, 2)
+	done := func() {}
+	run := func() {
+		for i := 0; i < 8; i++ {
+			r.hiers[0].Access(mem.Request{Type: mem.Read, Addr: line(i), Size: 8}, done)
+			r.hiers[1].Access(mem.Request{Type: mem.Write, Addr: line(i), Size: 8}, done)
+			r.engine.Run()
+			g.Access(mem.Request{Type: mem.Read, Addr: line(i), Size: 8}, done)
+			g.Access(mem.Request{Type: mem.Write, Addr: line(i), Size: 8}, done)
+			engine.Run()
+		}
+	}
+	// Warm up until the engine's calendar buckets, the carrier pools and the
+	// holder map have reached their high-water capacity.
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("memory path allocated %.1f objects per pass, want 0", n)
+	}
+	if r.counter(t, "cpu0.misses") == 0 {
+		t.Fatal("rig produced no DRAM misses")
+	}
+}
+
+// TestValidateCapsNumCPUs: the snoop filter's per-line holder bitmask has
+// room for 64 cores.
+func TestValidateCapsNumCPUs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumCPUs = 64
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("64 CPUs rejected: %v", err)
+	}
+	cfg.NumCPUs = 65
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("65 CPUs accepted")
+	}
+}

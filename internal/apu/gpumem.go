@@ -23,9 +23,11 @@ type GPUMemory struct {
 	// writeBuf holds lines with pending partial writes, mapped to their
 	// insertion sequence so eviction is FIFO (and deterministic); a full or
 	// evicted line costs one DRAM write.
-	writeBuf     map[mem.LineAddr]int
-	writeSeq     int
-	writeBufMax  int
+	writeBuf    map[mem.LineAddr]int
+	writeSeq    int
+	writeBufMax int
+	// freeMisses recycles read-miss carriers (see gpuReadMiss).
+	freeMisses   []*gpuReadMiss
 	combinedWr   *stats.Counter
 	readHits     *stats.Counter
 	readMisses   *stats.Counter
@@ -102,15 +104,40 @@ func (g *GPUMemory) Access(req mem.Request, done func()) {
 		return
 	}
 	g.readMisses.Inc()
-	g.dram.Read(line, func() {
-		// Another in-flight miss to the same line may already have filled it.
-		if g.readCache.Lookup(line) == nil {
-			if l, _, _, ok := g.readCache.Allocate(line); ok {
-				l.State = cache.Shared
-			}
+	var r *gpuReadMiss
+	if n := len(g.freeMisses); n > 0 {
+		r = g.freeMisses[n-1]
+		g.freeMisses = g.freeMisses[:n-1]
+	} else {
+		r = &gpuReadMiss{g: g}
+		r.fillFn = r.fill
+	}
+	r.line, r.done = line, done
+	g.dram.Read(line, r.fillFn)
+}
+
+// gpuReadMiss carries one read miss to DRAM and back. Carriers are recycled
+// through GPUMemory.freeMisses and their fill callback is bound once, so a
+// miss allocates nothing in steady state.
+type gpuReadMiss struct {
+	g      *GPUMemory
+	line   mem.LineAddr
+	done   func()
+	fillFn func()
+}
+
+// fill installs the line in the read cache and completes the access.
+func (r *gpuReadMiss) fill() {
+	g, line, done := r.g, r.line, r.done
+	r.done = nil
+	g.freeMisses = append(g.freeMisses, r)
+	// Another in-flight miss to the same line may already have filled it.
+	if g.readCache.Lookup(line) == nil {
+		if l, _, _, ok := g.readCache.Allocate(line); ok {
+			l.State = cache.Shared
 		}
-		g.engine.Schedule(g.readHit, done)
-	})
+	}
+	g.engine.Schedule(g.readHit, done)
 }
 
 func (g *GPUMemory) flushOneLine() {
@@ -131,7 +158,7 @@ func (g *GPUMemory) flushOneLine() {
 // InvalidateAll drops the read cache and write buffer (between kernels).
 func (g *GPUMemory) InvalidateAll() {
 	g.readCache.ForEach(func(l *cache.Line) { l.Valid = false })
-	g.writeBuf = make(map[mem.LineAddr]int)
+	clear(g.writeBuf)
 }
 
 var _ mem.Port = (*GPUMemory)(nil)

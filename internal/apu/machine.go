@@ -96,13 +96,14 @@ func DefaultOpenCLOverheads() OpenCLOverheads {
 
 // Validate checks the configuration for structural problems, including the
 // VLIW packing factor the machine model only defines for 1..4 ops per
-// instruction.
+// instruction and the 64-core ceiling of the CPU snoop filter.
 func (c Config) Validate() error {
 	checks := []struct {
 		ok   bool
 		name string
 	}{
-		{c.NumCPUs > 0, "NumCPUs"},
+		// The CPU snoop filter keeps one bit per core in a uint64.
+		{c.NumCPUs > 0 && c.NumCPUs <= 64, "NumCPUs"},
 		{c.CPUClockHz > 0, "CPUClockHz"},
 		{c.CPUCPI > 0, "CPUCPI"},
 		{c.GPUSIMDUnits > 0, "GPUSIMDUnits"},

@@ -16,7 +16,7 @@
 package apu
 
 import (
-	"sort"
+	"math/bits"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/dram"
@@ -31,52 +31,43 @@ import (
 // is free), which is the direction the paper's methodology deliberately errs
 // in.
 type snoopFilter struct {
-	holders map[mem.LineAddr]map[*PrivateHierarchy]struct{}
-	nextID  int
+	// holders is one bitmask per line, bit i set while hierarchy i may hold
+	// it; Config.Validate caps NumCPUs at 64 so the ids fit.
+	holders map[mem.LineAddr]uint64
+	// hiers is indexed by hierarchy id.
+	hiers []*PrivateHierarchy
 }
 
 func newSnoopFilter() *snoopFilter {
-	return &snoopFilter{holders: make(map[mem.LineAddr]map[*PrivateHierarchy]struct{})}
+	return &snoopFilter{holders: make(map[mem.LineAddr]uint64)}
 }
 
 // register hands the hierarchy the stable ID that orders snoop
 // invalidations.
 func (s *snoopFilter) register(h *PrivateHierarchy) {
-	h.id = s.nextID
-	s.nextID++
+	h.id = len(s.hiers)
+	s.hiers = append(s.hiers, h)
 }
 
 func (s *snoopFilter) touch(h *PrivateHierarchy, line mem.LineAddr) {
-	set := s.holders[line]
-	if set == nil {
-		set = make(map[*PrivateHierarchy]struct{})
-		s.holders[line] = set
-	}
-	set[h] = struct{}{}
+	s.holders[line] |= 1 << h.id
 }
 
-// invalidateOthers drops every other hierarchy's copy of line. Holders are
-// visited in registration order: each invalidation only touches that
-// hierarchy's own arrays, so the effects commute, but a fixed order keeps
-// same-seed runs bit-identical (iterating the pointer-keyed map directly
-// varies with allocation addresses).
+// invalidateOthers drops every other hierarchy's copy of line, in ascending
+// id (registration) order. Each invalidation only touches that hierarchy's
+// own arrays, so the effects commute, but a fixed order keeps same-seed runs
+// bit-identical.
 func (s *snoopFilter) invalidateOthers(h *PrivateHierarchy, line mem.LineAddr) {
+	self := uint64(1) << h.id
 	set := s.holders[line]
-	if len(set) == 0 {
+	others := set &^ self
+	if others == 0 {
 		return
 	}
-	others := make([]*PrivateHierarchy, 0, len(set))
-	//ccsvm:orderinvariant
-	for other := range set {
-		if other != h {
-			others = append(others, other)
-		}
+	for ; others != 0; others &= others - 1 {
+		s.hiers[bits.TrailingZeros64(others)].invalidateLine(line)
 	}
-	sort.Slice(others, func(i, j int) bool { return others[i].id < others[j].id })
-	for _, other := range others {
-		other.invalidateLine(line)
-		delete(set, other)
-	}
+	s.holders[line] = set & self
 }
 
 // PrivateHierarchy is one CPU core's private L1+L2 cache hierarchy backed by
@@ -91,6 +82,8 @@ type PrivateHierarchy struct {
 	l2Hit  sim.Duration
 	dram   *dram.Controller
 	filter *snoopFilter
+	// freeMisses recycles DRAM-miss carriers (see dramMiss).
+	freeMisses []*dramMiss
 
 	l1Hits   *stats.Counter
 	l2Hits   *stats.Counter
@@ -169,12 +162,38 @@ func (h *PrivateHierarchy) Access(req mem.Request, done func()) {
 	}
 	// Miss to DRAM.
 	h.misses.Inc()
-	h.dram.Read(line, func() {
-		h.fillL2(line)
-		h.fillL1(line, write)
-		h.filter.touch(h, line)
-		h.engine.Schedule(h.l1Hit+h.l2Hit, done)
-	})
+	var r *dramMiss
+	if n := len(h.freeMisses); n > 0 {
+		r = h.freeMisses[n-1]
+		h.freeMisses = h.freeMisses[:n-1]
+	} else {
+		r = &dramMiss{h: h}
+		r.fillFn = r.fill
+	}
+	r.line, r.write, r.done = line, write, done
+	h.dram.Read(line, r.fillFn)
+}
+
+// dramMiss carries one L2 miss to DRAM and back. Carriers are recycled
+// through PrivateHierarchy.freeMisses and their fill callback is bound once,
+// so a miss allocates nothing in steady state.
+type dramMiss struct {
+	h      *PrivateHierarchy
+	line   mem.LineAddr
+	write  bool
+	done   func()
+	fillFn func()
+}
+
+// fill installs the line in both levels and completes the access.
+func (r *dramMiss) fill() {
+	h, line, write, done := r.h, r.line, r.write, r.done
+	r.done = nil
+	h.freeMisses = append(h.freeMisses, r)
+	h.fillL2(line)
+	h.fillL1(line, write)
+	h.filter.touch(h, line)
+	h.engine.Schedule(h.l1Hit+h.l2Hit, done)
 }
 
 func (h *PrivateHierarchy) fillL1(line mem.LineAddr, dirty bool) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"ccsvm/internal/mem"
@@ -527,5 +529,68 @@ func TestHangDetection(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected a hang to be reported")
+	}
+}
+
+// coroutines counts the goroutines parked in a coroutine switch: the exec
+// threads' coroutines. It is exact where runtime.NumGoroutine is not, since
+// the previous test's runner goroutine may still be exiting when a test
+// starts.
+func coroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), " [coroutine")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: every workload thread is a coroutine, and
+// none may outlive its machine — neither after a program whose threads all
+// return, nor after a hung one whose spinning CPU and MTTOP threads are torn
+// down by the budget check and Shutdown.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	const workers = 8
+	before := coroutines()
+	run := func(hang bool) error {
+		cfg := SmallConfig()
+		cfg.MaxSimulatedTime = 200 * sim.Microsecond
+		m := NewMachine(cfg)
+		defer m.Shutdown()
+		kernel := m.RegisterKernel(func(ctx *xthreads.MTTOPContext) {
+			flag := mem.VAddr(ctx.Load64(ctx.Args()))
+			for hang && ctx.Load32(flag) == 0 {
+				ctx.Compute(16)
+			}
+			ctx.SignalSlot(mem.VAddr(ctx.Load64(ctx.Args()+8)), 0)
+		})
+		_, err := m.RunProgram(func(ctx *xthreads.CPUContext) {
+			flag := ctx.Malloc(4)
+			done := ctx.Malloc(4 * workers)
+			args := ctx.Malloc(16)
+			ctx.Store32(flag, 0)
+			for i := 0; i < workers; i++ {
+				ctx.Store32(done+mem.VAddr(4*i), xthreads.CondIdle)
+			}
+			ctx.Store64(args, uint64(flag))
+			ctx.Store64(args+8, uint64(done))
+			ctx.CreateMThreads(kernel, args, 0, workers-1)
+			ctx.Wait(done, 0, workers-1)
+		})
+		return err
+	}
+	if err := run(false); err != nil {
+		t.Fatal(err)
+	}
+	if n := coroutines(); n != before {
+		t.Fatalf("%d coroutines after a finished program, want %d", n, before)
+	}
+	if err := run(true); err == nil {
+		t.Fatal("spinning program did not exceed its budget")
+	}
+	if n := coroutines(); n != before {
+		t.Fatalf("%d coroutines after a hung program's shutdown, want %d", n, before)
 	}
 }

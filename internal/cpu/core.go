@@ -62,9 +62,9 @@ type Core struct {
 	//ccsvm:stateok // installed by the machine at boot; rebound on restore
 	syscall SyscallHandler
 
-	//ccsvm:stateok // goroutine-backed thread handle; software threads are re-launched on restore
+	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
 	current *exec.Thread
-	//ccsvm:stateok // goroutine-backed thread handles; software threads are re-launched on restore
+	//ccsvm:stateok // coroutine-backed thread handles; software threads are re-launched on restore
 	runQueue   []*exec.Thread
 	interrupts []Interrupt
 	busy       bool
@@ -191,7 +191,7 @@ func (c *Core) Idle() bool {
 // pending interrupts are considered. When the thread has not published it
 // yet, the fetch registers step itself as the resume continuation and
 // returns: the thread's between-ops Go code runs — fully serialized with the
-// engine, under the gate's baton — when its pending activation comes up, and
+// engine, on the thread's coroutine — when its pending activation comes up, and
 // re-enters step with the operation published. Simulated timing is
 // unchanged: the buffered operation still executes only after pending
 // interrupts are drained.

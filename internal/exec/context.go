@@ -16,71 +16,54 @@ type Context struct {
 }
 
 // do publishes one operation to the owning core and waits for its
-// completion — cooperatively, not by parking. The thread writes the op into
-// its slot and invokes the core's resume continuation itself (the core
-// consumes the op and schedules its events on this goroutine), then keeps
-// the baton and drives the engine until its own result arrives. It parks
-// only to hand the baton to another thread whose completion is older, or
-// back to the host when the engine cannot advance. A thread whose operation
-// completes while it is driving never switches goroutines at all.
+// completion. The thread writes the op into its slot and invokes the core's
+// resume continuation itself (the core consumes the op and schedules its
+// events on this coroutine). The holder then keeps dispatching until its own
+// result arrives; a nested activation yields straight back to its activator.
+// The first operation has no resume continuation yet: the launching core is
+// waiting in Thread.launch to consume it.
 //
-// The first operation takes the rendezvous branch instead: the launching
-// core is blocked in Thread.launch waiting to consume it, so there is no
-// resume continuation yet.
+// The resume continuation is core code, not the workload's, so it runs with
+// no thread recorded as running: a panic it raises reaches Drive.
 func (c *Context) do(op Op) Result {
 	t := c.thread
+	g := t.gate
 	t.op, t.hasOp = op, true
 	if r := t.resume; r != nil {
 		t.resume = nil
+		g.running = nil
 		r()
-		if t.nested {
-			// Nested activation (Gate.Drain): the operation is published and
-			// its events are scheduled; hand the baton straight back to the
-			// event handler that completed us and park for the next result.
-			t.nested = false
-			t.park(t.gate.drainReturn)
-		} else {
-			t.drive()
-		}
+		g.running = t
+	}
+	if t == g.holder {
+		t.drive()
 	} else {
-		t.park(t.handoff)
+		t.park()
 	}
-	if t.killed {
-		panic(killSignal{})
-	}
-	t.hasResult = false
 	return t.result
 }
 
-// drive advances the simulation while this thread's operation is in flight:
-// pending completions are activated in completion order, then engine events
-// are dispatched. The thread discovers its own completion by popping itself
-// from the queue front — the zero-switch fast path — and every hand-off of
-// the baton (to an older completion, or to the host when the engine stalls)
-// parks the thread until some driver pops it, which always means its result
-// has been delivered or the machine is tearing it down.
+// drive advances the simulation while the holder's operation is in flight:
+// it dispatches engine events until a completion is pending. When the oldest
+// pending completion is its own it pops itself and returns — the zero-switch
+// fast path. Otherwise, or when the engine cannot advance, it yields to
+// Drive, which activates the older completion or finds the engine stalled;
+// the thread is activated again only once its result has been delivered.
 //
 //ccsvm:hotpath
 func (t *Thread) drive() {
 	g := t.gate
-	for {
-		if t.killed {
-			return
-		}
-		if n := g.pop(); n != nil {
-			if n == t {
-				// Our own completion is the oldest pending activation: keep
-				// running, no goroutine switch.
-				return
-			}
-			t.park(n.wake)
-			return
-		}
+	for g.head == len(g.pending) {
 		if !g.dispatch() {
-			t.park(g.hostWake)
+			t.park()
 			return
 		}
 	}
+	if g.pending[g.head] == t {
+		g.pop()
+		return
+	}
+	t.park()
 }
 
 // ThreadID reports the software thread's identifier (the xthreads tid).

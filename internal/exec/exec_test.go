@@ -8,8 +8,8 @@ import (
 
 // microQ is a minimal stand-in for the sim engine's event queue: a FIFO of
 // thunks the gate's Drive loop dispatches one at a time. It exercises the
-// cooperative baton protocol without pulling the full engine into the
-// package's unit tests.
+// cooperative schedule without pulling the full engine into the package's
+// unit tests.
 type microQ struct{ q []func() }
 
 func (e *microQ) at(f func()) { e.q = append(e.q, f) }

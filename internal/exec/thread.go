@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"iter"
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
@@ -128,26 +129,32 @@ const (
 	NextDone
 )
 
-// killSignal is panicked inside a workload goroutine when the machine tears
+// killSignal is panicked inside a workload coroutine when the machine tears
 // the thread down before it finished.
 type killSignal struct{}
 
 // Gate is the cooperative scheduler shared by every software thread of one
-// machine. Exactly one goroutine — the host inside Drive, or one workload
-// goroutine — holds the "baton" at any instant and is the only runner; every
-// other goroutine is parked. The baton holder advances the simulation itself:
-// it activates threads from the pending queue (threads whose operation
-// completed and whose between-ops Go code must run before the next event),
-// and when the queue is empty it dispatches the next engine event via the
-// step function installed by Drive.
+// machine. Each thread is an iter.Pull coroutine, so exactly one piece of
+// code runs at any instant — Drive's loop or one thread — and control moves
+// between them by direct coroutine switches, never through the Go
+// scheduler's run queues.
 //
-// This is what lets a simulated operation complete without any goroutine
-// switch: when a thread's own operation completes while that thread is
-// driving, Complete queues it, and the thread finds itself at the front of
-// its own queue — it just keeps running. A cross-thread completion costs one
-// switch (activate + park) where the old channel rendezvous cost two.
+// The holder is the thread Drive activated last. While its operation is in
+// flight it dispatches engine events itself through the step function
+// installed by Drive. Pending threads — threads whose operation completed and
+// whose between-ops Go code must run before the next event — run in
+// completion order:
 //
-// The gate is not safe for concurrent use; the baton discipline is the
+//   - A completion of its own operation switches nothing: the holder pops
+//     itself from the pending queue and keeps running.
+//   - When another thread's completion comes up, the holder yields to Drive,
+//     which activates that thread and makes it the holder: two coroutine
+//     switches.
+//   - Drain and a thread's first TryNext activate a parked thread nested, by
+//     calling its next directly; the thread yields straight back as soon as
+//     it has published its next operation.
+//
+// The gate is not safe for concurrent use; the coroutine hand-over is the
 // synchronization. Machines must not share gates.
 type Gate struct {
 	// step dispatches one engine event under the host's run policy; installed
@@ -159,18 +166,21 @@ type Gate struct {
 	// the historical blocking-handoff one.
 	pending []*Thread
 	head    int
-	// hostWake re-activates the host when a driving thread finds the engine
-	// unable to advance (out of events, or the run policy said stop).
-	hostWake chan struct{}
-	// drainReturn hands the baton back from a nested activation (see Drain);
-	// draining guards against reentry from the activated thread's own
+	// holder is the thread Drive activated last, nil while Drive dispatches
+	// itself. It is the only thread that can be pending without being parked:
+	// its completion was delivered by an event it is dispatching.
+	holder *Thread
+	// running is the thread whose own code runs now, nil for engine and core
+	// code. A thread's recovery uses it to tell its workload's panics from
+	// panics it merely unwinds.
+	running *Thread
+	// draining guards Drain against reentry from the activated thread's own
 	// scheduling, and inHandler restricts draining to schedules made inside
 	// an event handler — a thread's own between-ops code schedules before
 	// later completions activate, exactly as when it ran nested under the
 	// completing handler.
-	drainReturn chan struct{}
-	draining    bool
-	inHandler   bool
+	draining  bool
+	inHandler bool
 	// eng is the engine whose schedule hook this gate arms while completions
 	// are pending (see Bind); armed mirrors the engine-side flag so enqueue
 	// pays one store, not a call, in the common already-armed case.
@@ -179,9 +189,7 @@ type Gate struct {
 }
 
 // NewGate returns the scheduler for one machine's software threads.
-func NewGate() *Gate {
-	return &Gate{hostWake: make(chan struct{}, 1), drainReturn: make(chan struct{})}
-}
+func NewGate() *Gate { return &Gate{} }
 
 // Bind installs the gate's drain as eng's schedule hook. The hook stays
 // disarmed — a single predicted branch on the engine's schedule path — except
@@ -228,6 +236,19 @@ func (g *Gate) pop() *Thread {
 	return t
 }
 
+// activate switches into t's coroutine and returns when t yields or exits,
+// with t recorded as the running code meanwhile. A panic skips the restore on
+// purpose: every recovery it unwinds through then sees that the panic was not
+// its own thread's.
+//
+//ccsvm:hotpath
+func (g *Gate) activate(t *Thread) {
+	prev := g.running
+	g.running = t
+	t.next()
+	g.running = prev
+}
+
 // Drain activates, in completion order, every pending thread that is parked:
 // each runs its between-ops code, publishes its next operation and schedules
 // that operation's consequences before control returns to the caller.
@@ -235,23 +256,19 @@ func (g *Gate) pop() *Thread {
 // that completes operations and then schedules more events observes the same
 // event-creation order as the historical blocking design, where Complete
 // handed control to the thread and the handler resumed only after its next
-// publication. A pending thread that is not parked is the baton holder
-// itself — its completion was delivered by an event it is dispatching, and
-// it cannot be activated from under its own handler frame — so the drain
-// stops there to preserve completion order and leaves the rest to the drive
-// loop.
+// publication. The holder is the one pending thread that is not parked — its
+// completion was delivered by an event it is dispatching, and it cannot be
+// activated from under its own handler frame — so the drain stops there to
+// preserve completion order and leaves the rest to the holder.
 //
 //ccsvm:hotpath
 func (g *Gate) Drain() {
-	if !g.inHandler || g.draining || g.head == len(g.pending) || !g.pending[g.head].parked {
+	if !g.inHandler || g.draining || g.head == len(g.pending) || g.pending[g.head] == g.holder {
 		return
 	}
 	g.draining = true
-	for g.head != len(g.pending) && g.pending[g.head].parked {
-		t := g.pop()
-		t.nested = true
-		t.wake <- struct{}{}
-		<-g.drainReturn
+	for g.head != len(g.pending) && g.pending[g.head] != g.holder {
+		g.activate(g.pop())
 	}
 	g.draining = false
 }
@@ -261,25 +278,30 @@ func (g *Gate) Drain() {
 //
 //ccsvm:hotpath
 func (g *Gate) dispatch() bool {
+	prev := g.running
+	g.running = nil
 	g.inHandler = true
 	ok := g.step()
 	g.inHandler = false
+	g.running = prev
 	return ok
 }
 
-// Drive runs the simulation to completion: it drains pending thread
-// activations, then repeatedly calls step to dispatch events, handing the
-// baton to workload goroutines as their operations complete and parking
-// until it returns. Drive returns when step reports false with no
-// activations outstanding — every workload goroutine is parked (or finished)
-// at that point, so the caller may inspect and tear down machine state
-// freely.
+// Drive runs the simulation to completion. It activates the oldest pending
+// thread as the holder, which dispatches events until it yields, and
+// dispatches events itself while no completion is pending. Drive returns when
+// step reports false with no activations outstanding — every workload
+// coroutine is parked (or finished) at that point, so the caller may inspect
+// and tear down machine state freely. A panic that is not a workload's own
+// (one raised by an event handler or by a core's thread-exit processing)
+// propagates out of Drive with its original value.
 func (g *Gate) Drive(step func() bool) {
 	g.step = step
 	for {
 		if t := g.pop(); t != nil {
-			t.wake <- struct{}{}
-			<-g.hostWake
+			g.holder = t
+			g.activate(t)
+			g.holder = nil
 			continue
 		}
 		if !g.dispatch() {
@@ -291,56 +313,39 @@ func (g *Gate) Drive(step func() bool) {
 
 // Thread is the host-side handle for one software thread.
 //
-// The op/result handoff is a single-slot publication guarded by the gate's
-// baton, not a channel rendezvous: the workload goroutine writes its next Op
-// into the slot and calls the core's registered resume function itself, then
-// keeps the baton and drives the engine until its own result arrives
-// (Complete). Only when some other thread's activation comes up does it hand
-// the baton over and park. The historical design parked the workload on
-// every operation and woke the host to consume it — two goroutine switches
-// per simulated operation, which dominated the sweep profile; here a
-// self-completing operation costs zero switches and a cross-thread
-// completion costs one.
+// The op/result handoff is a single-slot publication, not a channel
+// rendezvous: the workload coroutine writes its next Op into the slot and
+// calls the core's registered resume function itself. The holder then keeps
+// dispatching until its own result arrives (Complete), so a self-completing
+// operation costs zero switches; a nested activation yields straight back.
 type Thread struct {
 	id   int
 	name string
 	fn   func(*Context)
 	gate *Gate
+	ctx  Context
 
-	// op/hasOp is the publication slot the workload fills; result/hasResult
-	// carries the completion value back. Both are baton-guarded.
-	op        Op
-	hasOp     bool
-	result    Result
-	hasResult bool
+	// op/hasOp is the publication slot the workload fills; result carries the
+	// completion value back.
+	op     Op
+	hasOp  bool
+	result Result
 	// resume is the core's continuation for consuming the next published op,
 	// registered by TryNext when the op was not ready (NextWait).
 	resume func()
 
-	// wake activates a parked workload goroutine (baton handoff); handoff
-	// reports the first publication back to the launching core; dead is
-	// closed when the goroutine exits, which Kill waits on.
-	wake    chan struct{}
-	handoff chan struct{}
-	dead    chan struct{}
+	// next runs the coroutine until it yields (its next op is published or it
+	// handed the holder role back to Drive) or returns; stop unwinds a parked
+	// coroutine; yield is the coroutine's side of next. All three come from
+	// iter.Pull at launch.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	// parked is true while the goroutine is blocked on wake; Drain reads it
-	// (under the baton — the write happens before the baton handoff) to tell
-	// an activatable thread from the running holder. nested is set by Drain
-	// before waking the thread and tells its next publication to hand the
-	// baton back through drainReturn instead of driving.
-	parked bool
-	nested bool
-
-	// killed is only ever set while the goroutine is parked (the killer holds
-	// the baton), so a plain bool is race-free: the wake that follows
-	// publishes it.
-	killed   bool
 	started  bool
 	launched bool
-	// done flips when fn returns; finished additionally covers threads killed
-	// or discarded before launch.
-	done     bool
+	// finished flips when fn returns, or when the thread is killed or
+	// discarded before launch.
 	finished bool
 	err      any
 }
@@ -350,15 +355,9 @@ type Thread struct {
 //
 //ccsvm:threadentry
 func NewThread(g *Gate, id int, name string, fn func(*Context)) *Thread {
-	return &Thread{
-		gate:    g,
-		id:      id,
-		name:    name,
-		fn:      fn,
-		wake:    make(chan struct{}, 1),
-		handoff: make(chan struct{}, 1),
-		dead:    make(chan struct{}),
-	}
+	t := &Thread{gate: g, id: id, name: name, fn: fn}
+	t.ctx.thread = t
+	return t
 }
 
 // ID reports the thread's identifier.
@@ -368,7 +367,7 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Name() string { return t.name }
 
 // Start marks the thread runnable. It must be called exactly once, before
-// the first TryNext. The workload goroutine itself launches lazily on the
+// the first TryNext. The workload coroutine itself launches lazily on the
 // first TryNext: this way the Go code a thread runs before its first
 // operation is serialized with the engine exactly like the code between
 // operations, instead of racing whatever else runs between Start and the
@@ -381,20 +380,16 @@ func (t *Thread) Start() {
 	t.started = true
 }
 
-// launch spawns the workload goroutine and blocks until it has either
-// published its first operation or returned. The synchronous rendezvous is
-// deliberate: cores start threads from event handlers and from other
-// threads' between-ops code, and in both places the new thread's prologue
-// (and the scheduling of its first operation) must complete before the
-// caller proceeds, exactly as it did when the op fetch was a blocking
-// receive.
-//
-//ccsvm:launchpath
+// launch creates the workload coroutine and runs it nested until it has
+// either published its first operation or returned. Cores start threads from
+// event handlers and from other threads' between-ops code, and in both places
+// the new thread's prologue (and the scheduling of its first operation) must
+// complete before the caller proceeds, exactly as it did when the op fetch
+// was a blocking receive.
 func (t *Thread) launch() (Op, NextStatus) {
 	t.launched = true
-	ctx := &Context{thread: t}
-	go t.wrapper(ctx)
-	<-t.handoff
+	t.next, t.stop = iter.Pull(t.body)
+	t.gate.activate(t)
 	if t.hasOp {
 		t.hasOp = false
 		return t.op, NextOp
@@ -402,80 +397,67 @@ func (t *Thread) launch() (Op, NextStatus) {
 	return Op{}, NextDone
 }
 
-// wrapper is the workload goroutine's body: the thread function plus the
-// exit protocol that reports completion to the owning core and passes the
-// baton on.
-func (t *Thread) wrapper(ctx *Context) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, wasKill := r.(killSignal); !wasKill {
-				t.err = r
-			}
-		}
-		t.done = true
-		t.finished = true
-		if t.killed {
-			// The killer holds the baton and waits on dead; do not touch the
-			// gate or the core.
-			close(t.dead)
-			return
-		}
-		if t.resume == nil {
-			// Returned before issuing a single operation: the launching core
-			// is still blocked in the rendezvous.
-			t.handoff <- struct{}{}
-			return
-		}
-		// Tell the owning core the thread is finished (it observes NextDone
-		// and runs its exit processing), then hand the baton on and die: back
-		// to the drainer when this was a nested activation, otherwise to the
-		// next pending thread or the host.
-		r := t.resume
-		t.resume = nil
-		r()
-		if t.nested {
-			t.nested = false
-			t.gate.drainReturn <- struct{}{}
-			return
-		}
-		t.handback()
-	}()
-	t.fn(ctx)
-}
-
-// park hands the baton away on ch and blocks until this thread is next
-// woken, which always means its result was delivered (or the machine is
-// tearing it down).
-func (t *Thread) park(ch chan struct{}) {
-	t.parked = true
-	ch <- struct{}{}
-	<-t.wake
-	t.parked = false
-}
-
-// handback passes the baton from an exiting goroutine: to the next pending
-// thread if there is one, otherwise back to the host.
-func (t *Thread) handback() {
-	g := t.gate
-	if n := g.pop(); n != nil {
-		n.wake <- struct{}{}
+// body is the coroutine: the thread function, then the exit path that tells
+// the owning core the thread is finished (it observes NextDone and runs its
+// exit processing). Returning hands control back to whoever activated the
+// thread: Drive, which carries on with the next pending thread or event, or
+// the nested activator. A killed thread unwinds without touching the core.
+func (t *Thread) body(yield func(struct{}) bool) {
+	t.yield = yield
+	if killed := t.run(); killed {
 		return
 	}
-	g.hostWake <- struct{}{}
+	t.finished = true
+	if r := t.resume; r != nil {
+		t.resume = nil
+		r()
+	}
+}
+
+// run calls the thread function and keeps a panic of the workload's own in
+// err. Any other panic — raised by an event handler the thread dispatched,
+// or by another thread's exit path it activated — is re-panicked with its
+// original value so it reaches Drive. run reports whether the thread was
+// killed.
+func (t *Thread) run() (killed bool) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, killed = r.(killSignal); killed {
+			return
+		}
+		if t.gate.running != t {
+			panic(r)
+		}
+		t.err = r
+	}()
+	t.fn(&t.ctx)
+	return false
+}
+
+// park yields the coroutine. It returns when the thread is next activated,
+// which always means its result was delivered; a false yield means the
+// machine is tearing the thread down.
+func (t *Thread) park() {
+	if !t.yield(struct{}{}) {
+		panic(killSignal{})
+	}
 }
 
 // TryNext fetches the thread's next operation without blocking. On NextWait
 // the resume function is recorded and will be invoked — on the workload
-// goroutine, under the baton — as soon as the thread publishes its next
-// operation; the core must simply return to the event loop. The first
-// TryNext after Start launches the workload goroutine and waits for its
-// first publication (see launch).
+// coroutine — as soon as the thread publishes its next operation; the core
+// must simply return to the event loop. The first TryNext after Start
+// launches the workload coroutine and waits for its first publication (see
+// launch).
 func (t *Thread) TryNext(resume func()) (Op, NextStatus) {
 	if t.hasOp {
 		t.hasOp = false
 		return t.op, NextOp
 	}
-	if t.done || t.finished {
+	if t.finished {
 		return Op{}, NextDone
 	}
 	if !t.launched {
@@ -494,27 +476,25 @@ func (t *Thread) TryNext(resume func()) (Op, NextStatus) {
 // the next event.
 func (t *Thread) Complete(r Result) {
 	t.result = r
-	t.hasResult = true
 	t.gate.enqueue(t)
 }
 
-// Kill tears the thread down. It must be called with the baton held and the
-// thread parked (machines call it after Drive has returned): the goroutine
-// is woken into the kill check, unwinds with an internal panic, and Kill
-// waits for it to exit. Safe to call on finished threads.
+// Kill tears the thread down. It must be called with the thread parked
+// (machines call it after Drive has returned): the coroutine's stop unwinds
+// it with an internal panic. Safe to call on finished threads and on threads
+// that never launched, which have no coroutine to unwind.
 func (t *Thread) Kill() {
 	if t.finished {
 		return
 	}
-	if !t.launched {
-		// No workload goroutine exists yet (never started, or started but
-		// never fetched from), so there is nothing to unwind.
-		t.finished = true
-		return
+	if t.launched {
+		g := t.gate
+		prev := g.running
+		g.running = t
+		t.stop()
+		g.running = prev
 	}
-	t.killed = true
-	t.wake <- struct{}{}
-	<-t.dead
+	t.finished = true
 }
 
 // Finished reports whether the thread function has returned.

@@ -9,7 +9,8 @@ import (
 
 // Determinism reports nondeterminism hazards in packages annotated
 // //ccsvm:deterministic: wall-clock reads, use of the global math/rand
-// source, goroutine launches outside a //ccsvm:launchpath function, and
+// source, any goroutine launch (workload threads are exec's iter.Pull
+// coroutines, so no go statement is needed anywhere in simulated code), and
 // iteration over maps whose loop body has side effects (which then occur in
 // Go's randomized map order). Same-seed runs of the simulator must be
 // bit-identical — the determinism contract of ARCHITECTURE.md — and each of
@@ -38,42 +39,20 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
-		var funcStack []*ast.FuncDecl
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
+		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				funcStack = append(funcStack, n)
-				if n.Body != nil {
-					ast.Inspect(n.Body, walk)
-				}
-				funcStack = funcStack[:len(funcStack)-1]
-				return false
 			case *ast.GoStmt:
-				if !enclosingHas(pass, ann, funcStack, DirLaunchPath) {
-					pass.Reportf(n.Pos(), "goroutine launched in a deterministic package outside a "+
-						"//ccsvm:launchpath function; simulated code must stay on the engine's thread")
-				}
+				pass.Reportf(n.Pos(), "goroutine launched in a deterministic package; "+
+					"simulated code must stay on the engine's thread")
 			case *ast.Ident:
 				checkDeterminismIdent(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, ann, n)
 			}
 			return true
-		}
-		ast.Inspect(file, walk)
+		})
 	}
 	return nil, nil
-}
-
-// enclosingHas reports whether the innermost enclosing declared function
-// carries the given directive.
-func enclosingHas(pass *analysis.Pass, ann *Annotations, stack []*ast.FuncDecl, kind string) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	obj := pass.TypesInfo.Defs[stack[len(stack)-1].Name]
-	return ann.Has(obj, kind)
 }
 
 // checkDeterminismIdent flags references to wall-clock and global-rand

@@ -53,13 +53,6 @@ func Spawn(fn func()) {
 	fn()
 }
 
-// Launch is the blessed goroutine launch point.
-//
-//ccsvm:launchpath
-func Launch(fn func()) {
-	go fn()
-}
-
 // Drain is on the hot path and iterates a map whose effects commute.
 //
 //ccsvm:hotpath

@@ -37,7 +37,7 @@ type Config struct {
 // operation, and a run pays only for the contexts it uses.
 type hwContext struct {
 	idx int
-	//ccsvm:stateok // goroutine-backed thread handle; software threads are re-launched on restore
+	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
 	thread *exec.Thread
 	//ccsvm:stateok // task completion callback; re-registered when tasks are re-issued on restore
 	onDone func()
@@ -181,8 +181,8 @@ func (c *Core) BusyContexts() int { return c.cfg.NumContexts - len(c.free) }
 // stepContext pulls and executes the next operation of one context's thread.
 // When the thread has not published it yet (NextWait), the fetch registers
 // stepContext itself as the resume continuation: the thread's between-ops
-// code runs under the gate's baton and re-enters here with the operation
-// published.
+// code runs when the gate activates its coroutine and re-enters here with the
+// operation published.
 //
 //ccsvm:hotpath
 func (c *Core) stepContext(h *hwContext) {

@@ -87,6 +87,8 @@ func TestSetTypedErrors(t *testing.T) {
 		{"out of range zero", "ccsvm.NumCPUs", "0", false, ErrOutOfRange},
 		{"out of range negative", "ccsvm.NumMTTOPs", "-3", false, ErrOutOfRange},
 		{"out of range vliw", "apu.GPUVLIWOpsPerInstr", "9", true, ErrOutOfRange},
+		// The APU snoop filter tracks holders in one uint64 per line.
+		{"out of range apu cpus", "apu.NumCPUs", "65", true, ErrOutOfRange},
 		// A negative latency would schedule engine events in the past.
 		{"out of range negative latency", "ccsvm.DRAM.Latency", "-100ns", false, ErrOutOfRange},
 		{"out of range negative overhead", "apu.OpenCL.KernelLaunch", "-1us", true, ErrOutOfRange},
