@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/mem"
@@ -13,8 +14,10 @@ import (
 // enough to stay enabled in normal runs and is the backbone of the protocol's
 // property-based stress tests.
 type Checker struct {
-	// lines maps each line to the stable state held by each cache.
-	lines map[mem.LineAddr]map[noc.NodeID]cache.State
+	// lines holds the record of every line some cache holds.
+	lines map[mem.LineAddr]*holderRecord
+	// free recycles the records of lines every holder dropped.
+	free []*holderRecord
 	// Violations collects human-readable descriptions of invariant
 	// violations; tests assert this stays empty.
 	Violations []string
@@ -22,9 +25,16 @@ type Checker struct {
 	enabled bool
 }
 
+// holderRecord is the stable state each cache holds one line in: bit i of
+// holders is set while L1 node i holds the line, in states[i].
+type holderRecord struct {
+	holders uint64
+	states  [MaxL1s]cache.State
+}
+
 // NewChecker returns an enabled checker.
 func NewChecker() *Checker {
-	return &Checker{lines: make(map[mem.LineAddr]map[noc.NodeID]cache.State), enabled: true}
+	return &Checker{lines: make(map[mem.LineAddr]*holderRecord), enabled: true}
 }
 
 // SetEnabled turns checking on or off.
@@ -32,7 +42,9 @@ func (c *Checker) SetEnabled(on bool) { c.enabled = on }
 
 // Record notes that the cache at node now holds addr in the given stable
 // state (Invalid removes the entry) and re-checks the invariant for that
-// line.
+// line. Node IDs must be below MaxL1s.
+//
+//ccsvm:hotpath
 func (c *Checker) Record(node noc.NodeID, addr mem.LineAddr, st cache.State) {
 	if c == nil || !c.enabled {
 		return
@@ -40,31 +52,49 @@ func (c *Checker) Record(node noc.NodeID, addr mem.LineAddr, st cache.State) {
 	if !st.Stable() {
 		return
 	}
-	holders := c.lines[addr]
-	if holders == nil {
+	if node < 0 || node >= MaxL1s {
+		panic(fmt.Sprintf("coherence: checker node %d outside [0, %d)", node, MaxL1s))
+	}
+	r := c.lines[addr]
+	if r == nil {
 		if st == cache.Invalid {
 			return
 		}
-		holders = make(map[noc.NodeID]cache.State)
-		c.lines[addr] = holders
+		if n := len(c.free); n > 0 {
+			r = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+		} else {
+			r = new(holderRecord) //ccsvm:allocok // free-list miss; grows to the most lines ever held at once
+		}
+		c.lines[addr] = r
 	}
 	if st == cache.Invalid {
-		delete(holders, node)
-		if len(holders) == 0 {
+		r.holders &^= nodeBit(node)
+		if r.holders == 0 {
+			// No holder left, so nothing to check; the stale states are
+			// masked off until the record is reused.
 			delete(c.lines, addr)
+			c.free = append(c.free, r) //ccsvm:allocok // free list returns to its high-water mark
+			return
 		}
 	} else {
-		holders[node] = st
+		r.holders |= nodeBit(node)
+		r.states[node] = st
 	}
-	c.check(addr, holders)
+	c.check(addr, r)
 }
 
-func (c *Checker) check(addr mem.LineAddr, holders map[noc.NodeID]cache.State) {
+// check counts the line's writers, readers and owner-state holders and
+// reports any violation.
+//
+//ccsvm:hotpath
+func (c *Checker) check(addr mem.LineAddr, r *holderRecord) {
 	writers := 0
 	readers := 0
 	owners := 0
-	//ccsvm:orderinvariant
-	for _, st := range holders {
+	for set := r.holders; set != 0; set &= set - 1 {
+		st := r.states[bits.TrailingZeros64(set)]
 		if st.CanWrite() {
 			writers++
 		}
@@ -75,6 +105,15 @@ func (c *Checker) check(addr mem.LineAddr, holders map[noc.NodeID]cache.State) {
 			owners++
 		}
 	}
+	if writers > 1 || writers == 1 && readers > 1 || owners > 1 {
+		c.report(addr, r, writers, readers, owners)
+	}
+}
+
+// report appends the violation messages for one line; the holder map prints
+// in ascending node order.
+func (c *Checker) report(addr mem.LineAddr, r *holderRecord, writers, readers, owners int) {
+	holders := r.holderMap()
 	if writers > 1 {
 		c.Violations = append(c.Violations,
 			fmt.Sprintf("SWMR: %v has %d writers: %v", addr, writers, holders))
@@ -89,14 +128,22 @@ func (c *Checker) check(addr mem.LineAddr, holders map[noc.NodeID]cache.State) {
 	}
 }
 
-// Holders returns a copy of the stable holders of a line, for tests.
-func (c *Checker) Holders(addr mem.LineAddr) map[noc.NodeID]cache.State {
-	out := make(map[noc.NodeID]cache.State)
-	//ccsvm:orderinvariant
-	for n, s := range c.lines[addr] {
-		out[n] = s
+// holderMap returns the record's holders as a fresh map.
+func (r *holderRecord) holderMap() map[noc.NodeID]cache.State {
+	out := make(map[noc.NodeID]cache.State, bits.OnesCount64(r.holders))
+	for set := r.holders; set != 0; set &= set - 1 {
+		n := bits.TrailingZeros64(set)
+		out[noc.NodeID(n)] = r.states[n]
 	}
 	return out
+}
+
+// Holders returns a copy of the stable holders of a line, for tests.
+func (c *Checker) Holders(addr mem.LineAddr) map[noc.NodeID]cache.State {
+	if r := c.lines[addr]; r != nil {
+		return r.holderMap()
+	}
+	return make(map[noc.NodeID]cache.State)
 }
 
 // Ok reports whether no violation has been observed.

@@ -2,7 +2,8 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/dram"
@@ -46,9 +47,11 @@ func (s DirState) String() string {
 
 // dirEntry is the directory's bookkeeping for one line.
 type dirEntry struct {
-	state   DirState
-	owner   noc.NodeID
-	sharers map[noc.NodeID]struct{}
+	state DirState
+	owner noc.NodeID
+	// sharers has bit i set while L1 node i is on the line's sharer list
+	// (node IDs are below MaxL1s).
+	sharers uint64
 	// busy blocks the entry while an owner forward or a DRAM fill is in
 	// flight; queued requests are serviced in order afterwards.
 	busy    bool
@@ -56,19 +59,8 @@ type dirEntry struct {
 	queue   []*Msg
 }
 
-func (e *dirEntry) sharerList(except noc.NodeID) []noc.NodeID {
-	out := make([]noc.NodeID, 0, len(e.sharers))
-	//ccsvm:orderinvariant
-	for s := range e.sharers {
-		if s != except {
-			out = append(out, s)
-		}
-	}
-	// Map iteration order is random; invalidations must go out in a fixed
-	// order or simulated timing wobbles between runs.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// nodeBit is node's bit in a sharer or holder set.
+func nodeBit(node noc.NodeID) uint64 { return 1 << uint(node) }
 
 // BankConfig describes one L2/directory bank.
 type BankConfig struct {
@@ -81,6 +73,9 @@ type BankConfig struct {
 	// Protocol selects the coherence protocol tables this bank executes; nil
 	// selects MOESI. It must match the L1 controllers' protocol.
 	Protocol *Protocol
+	// Pool is the protocol-message pool shared by every controller of the
+	// memory system (see MsgPool). Required.
+	Pool *MsgPool
 	// Name prefixes this bank's statistics.
 	Name string
 }
@@ -101,12 +96,18 @@ type DirectoryBank struct {
 
 	entries map[mem.LineAddr]*dirEntry
 
-	// pool recycles protocol messages (see msgPool for the ownership rules);
-	// processFn is the post-access-latency continuation bound once so the
-	// per-message Receive path schedules without allocating a closure.
-	pool msgPool
+	// pool is the memory system's shared message pool (see MsgPool for the
+	// ownership rules); processFn is the post-access-latency continuation
+	// bound once so the per-message Receive path schedules without
+	// allocating a closure.
+	pool *MsgPool
 	//ccsvm:stateok // bound once at construction; rebound on restore
 	processFn func(any)
+	// fillFree recycles the carriers that park an owed response across a
+	// DRAM read (see withL2Data).
+	fillFree []*l2Fill
+	// sharerBuf is the reused buffer of one invalidation round's targets.
+	sharerBuf []noc.NodeID
 
 	// skipInvs is the fault-injection budget armed by
 	// InjectSkipInvalidations; zero in normal operation.
@@ -128,6 +129,9 @@ func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg Ba
 	if proto == nil {
 		proto = ProtocolMOESI
 	}
+	if cfg.Pool == nil {
+		panic(fmt.Sprintf("%s: BankConfig.Pool is nil", cfg.Name))
+	}
 	b := &DirectoryBank{
 		engine:  engine,
 		id:      id,
@@ -137,6 +141,7 @@ func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg Ba
 		l2:      cfg.L2,
 		memory:  memory,
 		entries: make(map[mem.LineAddr]*dirEntry),
+		pool:    cfg.Pool,
 	}
 	b.processFn = func(a any) { b.process(a.(*Msg)) }
 	b.requests = reg.Counter(cfg.Name + ".requests")
@@ -158,7 +163,7 @@ func (b *DirectoryBank) Entry(addr mem.LineAddr) (DirState, noc.NodeID, []noc.No
 	if !ok {
 		return DirInvalid, 0, nil
 	}
-	return e.state, e.owner, e.sharerList(-1)
+	return e.state, e.owner, slices.Clone(b.sharerList(e, -1))
 }
 
 // InjectSkipInvalidations arms a deliberate protocol bug for the memtest
@@ -169,8 +174,24 @@ func (b *DirectoryBank) Entry(addr mem.LineAddr) (DirState, noc.NodeID, []noc.No
 // cross-check must both catch the violation; the stress tests prove they do.
 func (b *DirectoryBank) InjectSkipInvalidations(n int) { b.skipInvs = n }
 
+// sharerList lists e's sharers other than except in ascending node order,
+// the fixed order invalidations go out in, in a buffer the bank reuses: the
+// list is valid until the next call.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) sharerList(e *dirEntry, except noc.NodeID) []noc.NodeID {
+	out := b.sharerBuf[:0]
+	for set := e.sharers; set != 0; set &= set - 1 {
+		if s := noc.NodeID(bits.TrailingZeros64(set)); s != except {
+			out = append(out, s) //ccsvm:allocok // the buffer grows to the most sharers one line ever had
+		}
+	}
+	b.sharerBuf = out
+	return out
+}
+
 // maybeDropSharer applies the armed fault injection to one invalidation
-// round's sharer list.
+// round's sharer list: it drops the highest ID.
 func (b *DirectoryBank) maybeDropSharer(sharers []noc.NodeID) []noc.NodeID {
 	if b.skipInvs > 0 && len(sharers) > 0 {
 		b.skipInvs--
@@ -194,7 +215,7 @@ func (b *DirectoryBank) Busy() bool {
 func (b *DirectoryBank) entryOf(addr mem.LineAddr) *dirEntry {
 	e, ok := b.entries[addr]
 	if !ok {
-		e = &dirEntry{state: DirInvalid, sharers: make(map[noc.NodeID]struct{})}
+		e = &dirEntry{state: DirInvalid}
 		b.entries[addr] = e
 	}
 	return e
@@ -253,24 +274,17 @@ func (b *DirectoryBank) handleRequest(e *dirEntry, m *Msg) {
 }
 
 func (b *DirectoryBank) handleGetS(e *dirEntry, m *Msg) {
-	// The L2-fill continuations capture the request's fields, not the
-	// request: m is released when dispatchRequest returns, which can be
-	// before a DRAM fill completes.
+	// The owed responses copy the request's fields, not the request: m is
+	// released when dispatchRequest returns, which can be before a DRAM fill
+	// completes.
 	addr, req := m.Addr, m.Requestor
 	switch e.state {
 	case DirInvalid:
 		// No cache holds the line: grant Exclusive, as x86-style protocols do
 		// for the first reader.
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(MsgDataExcl, addr, req))
-			e.state = DirExclusive
-			e.owner = req
-		})
+		b.withL2Data(e, l2Reply{kind: grantExclusive, addr: addr, req: req})
 	case DirShared:
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(MsgData, addr, req))
-			e.sharers[req] = struct{}{}
-		})
+		b.withL2Data(e, l2Reply{kind: grantShared, addr: addr, req: req})
 	case DirExclusive, DirOwned:
 		e.busy = true
 		e.pending = m
@@ -280,18 +294,14 @@ func (b *DirectoryBank) handleGetS(e *dirEntry, m *Msg) {
 }
 
 func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
-	// As in handleGetS, the L2-fill continuation captures fields, not m.
+	// As in handleGetS, the owed responses copy fields, not m.
 	addr, req := m.Addr, m.Requestor
 	switch e.state {
 	case DirInvalid:
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(MsgDataExcl, addr, req))
-			e.state = DirExclusive
-			e.owner = req
-		})
+		b.withL2Data(e, l2Reply{kind: grantExclusive, addr: addr, req: req})
 	case DirShared:
-		others := b.maybeDropSharer(e.sharerList(req))
-		_, wasSharer := e.sharers[req]
+		others := b.maybeDropSharer(b.sharerList(e, req))
+		wasSharer := e.sharers&nodeBit(req) != 0
 		for _, s := range others {
 			b.invsSent.Inc()
 			send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
@@ -302,17 +312,9 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 			send(b.net, b.id, req, ackc)
 			e.state = DirExclusive
 			e.owner = req
-			e.sharers = make(map[noc.NodeID]struct{})
+			e.sharers = 0
 		} else {
-			acks := len(others)
-			b.withL2Data(e, addr, func() {
-				excl := b.pool.get(MsgDataExcl, addr, req)
-				excl.AckCount = acks
-				send(b.net, b.id, req, excl)
-				e.state = DirExclusive
-				e.owner = req
-				e.sharers = make(map[noc.NodeID]struct{})
-			})
+			b.withL2Data(e, l2Reply{kind: grantExclusive, addr: addr, req: req, acks: len(others)})
 		}
 	case DirExclusive:
 		if e.owner == req {
@@ -323,7 +325,7 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 		b.forwards.Inc()
 		send(b.net, b.id, e.owner, b.pool.get(MsgFwdGetM, addr, req))
 	case DirOwned:
-		others := b.maybeDropSharer(e.sharerList(req))
+		others := b.maybeDropSharer(b.sharerList(e, req))
 		for _, s := range others {
 			b.invsSent.Inc()
 			send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
@@ -333,7 +335,7 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 			ackc.AckCount = len(others)
 			send(b.net, b.id, req, ackc)
 			e.state = DirExclusive
-			e.sharers = make(map[noc.NodeID]struct{})
+			e.sharers = 0
 			return
 		}
 		e.busy = true
@@ -360,7 +362,7 @@ func (b *DirectoryBank) handlePut(e *dirEntry, m *Msg) {
 		e.owner = 0
 	case DirOwned:
 		e.owner = 0
-		if len(e.sharers) == 0 {
+		if e.sharers == 0 {
 			e.state = DirInvalid
 		} else {
 			e.state = DirShared
@@ -397,13 +399,13 @@ func (b *DirectoryBank) handleFwdDone(m *Msg) {
 		e.owner = 0
 	}
 	if act.clearSharers {
-		e.sharers = make(map[noc.NodeID]struct{})
+		e.sharers = 0
 	}
 	if act.addOldOwner {
-		e.sharers[oldOwner] = struct{}{}
+		e.sharers |= nodeBit(oldOwner)
 	}
 	if act.addRequestor {
-		e.sharers[req] = struct{}{}
+		e.sharers |= nodeBit(req)
 	}
 	e.busy = false
 	e.pending = nil
@@ -413,37 +415,125 @@ func (b *DirectoryBank) handleFwdDone(m *Msg) {
 		// refetched from DRAM below if the clean copy was evicted), and the
 		// directory answers the requestor itself. The forward only came from
 		// a single-owner entry, so a write collects no invalidation acks.
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(act.data, addr, req))
-		})
+		b.withL2Data(e, l2Reply{kind: respond, addr: addr, req: req, data: act.data})
 	}
 	b.drainQueue(e)
 }
 
+// drainQueue services the entry's queued requests in arrival order until
+// one blocks it again. Popping shifts the queue down in place, so its
+// backing array is reused.
 func (b *DirectoryBank) drainQueue(e *dirEntry) {
 	for !e.busy && len(e.queue) > 0 {
 		next := e.queue[0]
-		e.queue = e.queue[1:]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
 		b.dispatchRequest(e, next)
 	}
 }
 
-// withL2Data runs fn once the bank has the line's data available in the L2
-// (fetching it from DRAM on a miss, evicting an L2 victim if necessary).
-func (b *DirectoryBank) withL2Data(e *dirEntry, addr mem.LineAddr, fn func()) {
-	if b.l2.Touch(addr) != nil {
+// replyKind names the response a bank owes a requestor once the line's data
+// is in its L2.
+type replyKind uint8
+
+const (
+	// grantExclusive sends DataExcl carrying the number of invalidation acks
+	// to collect (none for a line no cache holds), makes the requestor the
+	// exclusive owner and empties the sharer list.
+	grantExclusive replyKind = iota
+	// grantShared sends Data and adds the requestor to the sharers.
+	grantShared
+	// respond sends the dirDone table's data type and changes no state (the
+	// FwdDone resolution already did).
+	respond
+)
+
+// l2Reply is the response a bank owes once the line's data is in its L2: a
+// small value, so it rides a DRAM fill in a pooled carrier instead of a
+// closure.
+type l2Reply struct {
+	kind replyKind
+	addr mem.LineAddr
+	req  noc.NodeID
+	// acks is the invalidation-ack count of grantExclusive.
+	acks int
+	// data is the message type of respond.
+	data MsgType
+}
+
+// l2Fill carries an owed response across a DRAM read. Carriers are recycled
+// through DirectoryBank.fillFree; fillDone is their continuation.
+type l2Fill struct {
+	b *DirectoryBank
+	e *dirEntry
+	r l2Reply
+}
+
+// fillDone is the DRAM-read continuation of every bank's L2 fills (see
+// DirectoryBank.fill); the carrier names its bank.
+func fillDone(a any) {
+	f := a.(*l2Fill)
+	f.b.fill(f)
+}
+
+// withL2Data sends r once the bank has the line's data available in the L2:
+// at once on an L2 hit, after a DRAM read (which blocks the entry and may
+// evict an L2 victim) on a miss.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) withL2Data(e *dirEntry, r l2Reply) {
+	if b.l2.Touch(r.addr) != nil {
 		b.l2Hits.Inc()
-		fn()
+		b.reply(e, r)
 		return
 	}
 	b.l2Misses.Inc()
 	e.busy = true
-	b.memory.Read(addr, func() {
-		b.installL2(addr, false)
-		e.busy = false
-		fn()
-		b.drainQueue(e)
-	})
+	var f *l2Fill
+	if n := len(b.fillFree); n > 0 {
+		f = b.fillFree[n-1]
+		b.fillFree[n-1] = nil
+		b.fillFree = b.fillFree[:n-1]
+	} else {
+		f = &l2Fill{b: b} //ccsvm:allocok // free-list miss; grows to the most DRAM fills ever in flight
+	}
+	f.e, f.r = e, r
+	b.memory.ReadArg(r.addr, fillDone, f)
+}
+
+// fill is the DRAM-read continuation of withL2Data: it installs the line,
+// unblocks the entry, sends the owed response and services queued requests.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) fill(f *l2Fill) {
+	e, r := f.e, f.r
+	f.e = nil
+	b.fillFree = append(b.fillFree, f) //ccsvm:allocok // free list returns to its high-water mark
+	b.installL2(r.addr, false)
+	e.busy = false
+	b.reply(e, r)
+	b.drainQueue(e)
+}
+
+// reply sends an owed response and applies its directory-state change.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) reply(e *dirEntry, r l2Reply) {
+	switch r.kind {
+	case grantExclusive:
+		excl := b.pool.get(MsgDataExcl, r.addr, r.req)
+		excl.AckCount = r.acks
+		send(b.net, b.id, r.req, excl)
+		e.state = DirExclusive
+		e.owner = r.req
+		e.sharers = 0
+	case grantShared:
+		send(b.net, b.id, r.req, b.pool.get(MsgData, r.addr, r.req))
+		e.sharers |= nodeBit(r.req)
+	case respond:
+		send(b.net, b.id, r.req, b.pool.get(r.data, r.addr, r.req))
+	}
 }
 
 // installL2 places (or refreshes) a line in the L2 data array, writing back

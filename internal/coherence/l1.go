@@ -24,9 +24,17 @@ type L1Config struct {
 	// executes; nil selects MOESI, the paper's baseline. Every controller in
 	// a machine must run the same protocol.
 	Protocol *Protocol
+	// Pool is the protocol-message pool shared by every controller of the
+	// memory system (see MsgPool). Required.
+	Pool *MsgPool
 	// Name prefixes this controller's statistics.
 	Name string
 }
+
+// MaxL1s is the number of L1 controllers one memory system supports: the
+// directory's sharer sets and the SWMR checker's holder sets are one bit per
+// L1 node in a uint64, so L1 node IDs run from 0 to MaxL1s-1.
+const MaxL1s = 64
 
 // pendingAccess is a core request waiting inside the controller.
 type pendingAccess struct {
@@ -35,7 +43,9 @@ type pendingAccess struct {
 	done func()
 }
 
-// mshr tracks one outstanding transaction for one line.
+// mshr tracks one outstanding transaction for one line. MSHRs are recycled
+// through L1Controller.mshrFree, keeping the capacity of their secondary and
+// deferred lists.
 type mshr struct {
 	addr      mem.LineAddr
 	wantWrite bool
@@ -51,13 +61,6 @@ type mshr struct {
 	acksReceived int
 	haveData     bool
 	deferred     []*Msg
-}
-
-// evictEntry is a line that has been evicted from the array but whose
-// writeback (Put) has not been acknowledged yet; it can still supply data to
-// forwarded requests.
-type evictEntry struct {
-	state cache.State
 }
 
 // L1Controller is the coherence controller of one private L1 data cache. It
@@ -77,12 +80,18 @@ type L1Controller struct {
 	array   *cache.Array
 	checker *Checker
 
-	mshrs     map[mem.LineAddr]*mshr
-	evictions map[mem.LineAddr]*evictEntry
+	mshrs map[mem.LineAddr]*mshr
+	// mshrFree recycles MSHRs (see newMSHR and recycleMSHR).
+	mshrFree []*mshr
+	// evictions maps each line evicted from the array whose writeback (Put)
+	// has not been acknowledged yet to its eviction-buffer state; such a line
+	// can still supply data to forwarded requests.
+	evictions map[mem.LineAddr]cache.State
 	stalled   []pendingAccess
 
-	// pool recycles protocol messages (see msgPool for the ownership rules).
-	pool msgPool
+	// pool is the memory system's shared message pool (see MsgPool for the
+	// ownership rules).
+	pool *MsgPool
 	// paFree recycles the carriers that ride core requests through the
 	// tag-latency delay, and handleFn is that continuation bound once, so
 	// Access schedules without allocating (see Engine.ScheduleArg).
@@ -107,6 +116,12 @@ func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks B
 	if proto == nil {
 		proto = ProtocolMOESI
 	}
+	if id < 0 || id >= MaxL1s {
+		panic(fmt.Sprintf("%s: L1 node id %d outside [0, %d)", cfg.Name, id, MaxL1s))
+	}
+	if cfg.Pool == nil {
+		panic(fmt.Sprintf("%s: L1Config.Pool is nil", cfg.Name))
+	}
 	c := &L1Controller{
 		engine:    engine,
 		id:        id,
@@ -117,7 +132,8 @@ func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks B
 		array:     cfg.Cache,
 		checker:   checker,
 		mshrs:     make(map[mem.LineAddr]*mshr),
-		evictions: make(map[mem.LineAddr]*evictEntry),
+		evictions: make(map[mem.LineAddr]cache.State),
+		pool:      cfg.Pool,
 	}
 	c.handleFn = func(a any) {
 		pa := a.(*pendingAccess)
@@ -233,13 +249,40 @@ func (c *L1Controller) startTransaction(p pendingAccess, line *cache.Line, needW
 	}
 	fromOwned := initial == cache.SMAD && line.State == cache.Owned
 	line.State = initial
-	m := &mshr{addr: addr, wantWrite: needWrite, fromOwned: fromOwned, primary: p, acksNeeded: -1}
+	m := c.newMSHR()
+	m.addr, m.wantWrite, m.fromOwned, m.primary, m.acksNeeded = addr, needWrite, fromOwned, p, -1
 	c.mshrs[addr] = m
 	typ := MsgGetS
 	if needWrite {
 		typ = MsgGetM
 	}
 	send(c.net, c.id, c.banks(addr), c.pool.get(typ, addr, c.id))
+}
+
+// newMSHR takes an MSHR from the free list; every field is zero except the
+// retained capacity of its secondary and deferred lists.
+//
+//ccsvm:hotpath
+func (c *L1Controller) newMSHR() *mshr {
+	if n := len(c.mshrFree); n > 0 {
+		m := c.mshrFree[n-1]
+		c.mshrFree[n-1] = nil
+		c.mshrFree = c.mshrFree[:n-1]
+		return m
+	}
+	return new(mshr) //ccsvm:allocok // free-list miss; grows to the most transactions ever outstanding
+}
+
+// recycleMSHR returns a finished MSHR to the free list. Only complete and
+// completeAndInvalidate call it, as their last step: a transaction the
+// primary's done() starts on the same line must get a different MSHR.
+//
+//ccsvm:hotpath
+func (c *L1Controller) recycleMSHR(m *mshr) {
+	clear(m.secondary)
+	clear(m.deferred)
+	*m = mshr{secondary: m.secondary[:0], deferred: m.deferred[:0]}
+	c.mshrFree = append(c.mshrFree, m) //ccsvm:allocok // free list returns to its high-water mark
 }
 
 // evictLine handles a victim chosen by the replacement policy, following the
@@ -260,7 +303,7 @@ func (c *L1Controller) evictLine(victim cache.Line) {
 	if act.silent {
 		return
 	}
-	c.evictions[victim.Addr] = &evictEntry{state: act.next}
+	c.evictions[victim.Addr] = act.next
 	put := c.pool.get(act.put, victim.Addr, c.id)
 	put.Dirty = act.dirty
 	send(c.net, c.id, c.banks(victim.Addr), put)
@@ -352,14 +395,14 @@ func (c *L1Controller) complete(ms *mshr, line *cache.Line, final cache.State) {
 	c.checker.Record(c.id, ms.addr, final)
 	delete(c.mshrs, ms.addr)
 
-	var unsatisfied []pendingAccess
+	// Stores the granted state cannot satisfy are reissued below, after the
+	// deferred forwards.
+	canWrite := final.CanWrite()
 	ms.primary.done()
 	for _, s := range ms.secondary {
-		if s.req.Type.NeedsExclusive() && !final.CanWrite() {
-			unsatisfied = append(unsatisfied, s)
-			continue
+		if canWrite || !s.req.Type.NeedsExclusive() {
+			s.done()
 		}
-		s.done()
 	}
 	// An Exclusive line written by a coalesced store upgrades silently.
 	if final == cache.Exclusive {
@@ -373,15 +416,16 @@ func (c *L1Controller) complete(ms *mshr, line *cache.Line, final cache.State) {
 			}
 		}
 	}
-	deferred := ms.deferred
-	ms.deferred = nil
-	for _, f := range deferred {
+	for _, f := range ms.deferred {
 		c.handleFwd(f)
 	}
-	for _, u := range unsatisfied {
-		c.handle(u)
+	for _, s := range ms.secondary {
+		if !canWrite && s.req.Type.NeedsExclusive() {
+			c.handle(s)
+		}
 	}
 	c.retryStalled()
+	c.recycleMSHR(ms)
 }
 
 // completeAndInvalidate finishes an IS_D_I transaction: loads are satisfied
@@ -389,23 +433,23 @@ func (c *L1Controller) complete(ms *mshr, line *cache.Line, final cache.State) {
 func (c *L1Controller) completeAndInvalidate(ms *mshr, line *cache.Line) {
 	delete(c.mshrs, ms.addr)
 	ms.primary.done()
-	var reissue []pendingAccess
+	// Coalesced stores are reissued below, after the deferred forwards.
 	for _, s := range ms.secondary {
-		if s.req.Type.NeedsExclusive() {
-			reissue = append(reissue, s)
-		} else {
+		if !s.req.Type.NeedsExclusive() {
 			s.done()
 		}
 	}
 	c.array.Invalidate(ms.addr)
-	deferred := ms.deferred
-	for _, f := range deferred {
+	for _, f := range ms.deferred {
 		c.handleFwd(f)
 	}
-	for _, r := range reissue {
-		c.handle(r)
+	for _, s := range ms.secondary {
+		if s.req.Type.NeedsExclusive() {
+			c.handle(s)
+		}
 	}
 	c.retryStalled()
+	c.recycleMSHR(ms)
 }
 
 // handleFwd owns the incoming forward: every path releases it except the
@@ -429,8 +473,8 @@ func (c *L1Controller) handleFwd(m *Msg) {
 		ms.deferred = append(ms.deferred, m)
 		return
 	}
-	if ev := c.evictions[m.Addr]; ev != nil {
-		c.fwdFromEviction(m, ev)
+	if st, ok := c.evictions[m.Addr]; ok {
+		c.fwdFromEviction(m, st)
 		c.pool.put(m)
 		return
 	}
@@ -499,10 +543,10 @@ func (c *L1Controller) fwdWhileUpgrading(m *Msg, ms *mshr, line *cache.Line) {
 // fwdFromEviction services a forward for a line that sits in the eviction
 // buffer (its Put has not been acknowledged yet, so this cache is still the
 // owner from the directory's point of view).
-func (c *L1Controller) fwdFromEviction(m *Msg, ev *evictEntry) {
-	act := c.fwdAction(ev.state, m)
+func (c *L1Controller) fwdFromEviction(m *Msg, st cache.State) {
+	act := c.fwdAction(st, m)
 	c.answerFwd(m, act)
-	ev.state = act.next
+	c.evictions[m.Addr] = act.next
 	c.sendFwdDone(m.Addr, act.kept, act.dirty)
 }
 

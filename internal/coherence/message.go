@@ -11,6 +11,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/mem"
@@ -108,8 +109,7 @@ type Msg struct {
 	// is newer than the L2/memory copy.
 	Dirty bool
 	// pooled marks a message currently sitting on a free list; put uses it to
-	// detect double releases (the flag travels with the object even when it
-	// migrates between controllers' pools).
+	// detect double releases.
 	pooled bool
 }
 
@@ -132,52 +132,64 @@ func (m *Msg) sizeBytes() int {
 	return CtrlMsgBytes
 }
 
-// msgPool is a free list of protocol messages. Every controller owns one:
-// senders allocate from their own pool and the receiving controller releases
-// into its own, so objects migrate between pools but the total stays bounded
-// and parallel runs share no mutable state.
+// MsgPool is the free list of protocol messages shared by every controller
+// of one memory system: a machine builds one and hands it to all its L1
+// controllers and directory banks. A sender takes a message from the pool
+// and the receiving controller releases it back into the same pool, so the
+// population is the system's high-water mark of messages in flight, and
+// runs on separate machines share no mutable state. Pools per controller
+// would drift apart, since messages travel from sender to receiver: seeding
+// one of them with a recycled population would not stop the others
+// allocating.
 //
 // Ownership: a *Msg handed to send belongs to the receiver from delivery on.
 // The receiver releases it once the message is fully handled; messages it
 // retains (a directory's pending/queued requests, an L1's deferred forwards)
 // are released when that later processing completes. Code that runs after the
 // handler returns (DRAM-fill continuations) must copy the fields it needs
-// rather than capture the message.
-type msgPool struct {
+// rather than keep the message.
+//
+// The zero value is an empty pool ready to use.
+type MsgPool struct {
 	free  []*Msg
 	stats PoolStats
 }
 
-// PoolStats is one controller's message-pool accounting: Gets counts
-// allocations from the pool, Puts releases into it, and DoubleReleases
-// releases of a message already sitting on a free list. Messages migrate
-// between pools (a requestor allocates, the receiver releases), so the
-// numbers are only meaningful summed across a whole system: see SumPoolStats.
+// PoolStats is a message pool's accounting: Gets counts allocations from the
+// pool, Puts releases into it, and DoubleReleases releases of a message
+// already sitting on the free list.
 type PoolStats struct {
 	Gets, Puts, DoubleReleases uint64
 }
 
-// InFlight reports allocated-minus-released. For a single controller it can
-// be negative (it released messages others allocated); summed across a
-// system at quiesce it must be zero, or a handler leaked a message.
+// InFlight reports allocated-minus-released. At quiesce it must be zero, or
+// a handler leaked a message.
 func (s PoolStats) InFlight() int64 { return int64(s.Gets) - int64(s.Puts) }
 
-// add accumulates another controller's stats.
+// add accumulates another pool's stats.
 func (s PoolStats) add(o PoolStats) PoolStats {
 	return PoolStats{s.Gets + o.Gets, s.Puts + o.Puts, s.DoubleReleases + o.DoubleReleases}
 }
 
 // SumPoolStats aggregates message-pool accounting across the controllers of
-// one memory system. At quiesce the sum must satisfy InFlight() == 0 and
-// DoubleReleases == 0; the memtest subsystem and the coherence tests assert
-// both.
+// one memory system, counting each distinct pool once. At quiesce the sum
+// must satisfy InFlight() == 0 and DoubleReleases == 0; the memtest subsystem
+// and the coherence tests assert both.
 func SumPoolStats(l1s []*L1Controller, banks []*DirectoryBank) PoolStats {
-	var total PoolStats
+	pools := make([]*MsgPool, 0, 1)
 	for _, c := range l1s {
-		total = total.add(c.pool.stats)
+		if !slices.Contains(pools, c.pool) {
+			pools = append(pools, c.pool)
+		}
 	}
 	for _, b := range banks {
-		total = total.add(b.pool.stats)
+		if !slices.Contains(pools, b.pool) {
+			pools = append(pools, b.pool)
+		}
+	}
+	var total PoolStats
+	for _, p := range pools {
+		total = total.add(p.stats)
 	}
 	return total
 }
@@ -186,7 +198,7 @@ func SumPoolStats(l1s []*L1Controller, banks []*DirectoryBank) PoolStats {
 //
 //ccsvm:pooled get
 //ccsvm:hotpath
-func (p *msgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
+func (p *MsgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 	p.stats.Gets++
 	var m *Msg
 	if n := len(p.free); n > 0 {
@@ -211,7 +223,7 @@ func (p *msgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 //
 //ccsvm:pooled put
 //ccsvm:hotpath
-func (p *msgPool) put(m *Msg) {
+func (p *MsgPool) put(m *Msg) {
 	if m.pooled {
 		p.stats.DoubleReleases++
 		return
@@ -221,51 +233,33 @@ func (p *msgPool) put(m *Msg) {
 	p.free = append(p.free, m) //ccsvm:allocok // free list returns to its high-water mark
 }
 
-// drain moves every free message into out and empties the free list, keeping
-// its backing array for reuse. The messages stay flagged pooled, exactly as
-// they sat on the free list.
-func (p *msgPool) drain(out []*Msg) []*Msg {
-	out = append(out, p.free...)
-	for i := range p.free {
-		p.free[i] = nil
-	}
-	p.free = p.free[:0]
-	return out
-}
-
-// seed appends previously drained messages to the free list. Seeding is not a
-// release: the pool's Puts accounting is untouched, so the system-wide
-// InFlight()==0 quiesce invariant holds regardless of how many messages a
-// pool starts with.
-func (p *msgPool) seed(ms []*Msg) {
-	p.free = append(p.free, ms...)
-}
-
-// DrainFreeLists removes and returns every message parked on the free lists
-// of the given controllers. A sweep worker calls it on a machine being torn
-// down and seeds the next machine with the result (see SeedFreeList), so the
-// steady-state message population survives across runs instead of being
-// reallocated.
+// DrainFreeList removes and returns every message parked on the pool's free
+// list. It hands over the free list's own slice, copying nothing: a sweep
+// worker drains a machine being torn down and seeds the next machine's pool
+// with the result (see SeedFreeList), so the message population survives
+// across runs instead of being reallocated. The messages stay flagged
+// pooled, exactly as they sat on the free list.
 //
 //ccsvm:pooled get
-func DrainFreeLists(l1s []*L1Controller, banks []*DirectoryBank) []*Msg {
-	var out []*Msg
-	for _, c := range l1s {
-		out = c.pool.drain(out)
-	}
-	for _, b := range banks {
-		out = b.pool.drain(out)
-	}
-	return out
+func (p *MsgPool) DrainFreeList() []*Msg {
+	ms := p.free
+	p.free = nil
+	return ms
 }
 
-// SeedFreeList hands previously drained messages to this controller's pool.
-// Messages migrate between pools during a run (a requestor allocates, the
-// receiver releases), so seeding a single controller is enough: the
-// population redistributes with traffic.
+// SeedFreeList hands previously drained messages to the pool. An empty pool
+// adopts the slice itself. Seeding is not a release: the Puts accounting is
+// untouched, so the InFlight()==0 quiesce invariant holds regardless of how
+// many messages a pool starts with.
 //
 //ccsvm:pooled put
-func (c *L1Controller) SeedFreeList(ms []*Msg) { c.pool.seed(ms) }
+func (p *MsgPool) SeedFreeList(ms []*Msg) {
+	if len(p.free) == 0 {
+		p.free = ms
+		return
+	}
+	p.free = append(p.free, ms...)
+}
 
 // send wraps the protocol message in a pooled network message and sends it;
 // the network recycles its envelope after delivery.

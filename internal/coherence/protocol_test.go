@@ -3,6 +3,8 @@ package coherence
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ccsvm/internal/cache"
@@ -55,6 +57,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 		bankIDs[i] = noc.NodeID(numL1 + i)
 	}
 	mapper := InterleaveBanks(bankIDs)
+	pool := new(MsgPool)
 
 	s := &testSystem{engine: engine, torus: torus, memory: memory, checker: checker, reg: reg}
 	for i := 0; i < numL1; i++ {
@@ -63,6 +66,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 			HitLatency: 690 * sim.Picosecond,
 			Name:       fmt.Sprintf("l1.%d", i),
 			Protocol:   proto,
+			Pool:       pool,
 		}
 		s.l1s = append(s.l1s, NewL1Controller(engine, noc.NodeID(i), torus, mapper, cfg, checker, reg))
 	}
@@ -72,6 +76,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 			AccessLatency: 3400 * sim.Picosecond,
 			Name:          fmt.Sprintf("l2.%d", i),
 			Protocol:      proto,
+			Pool:          pool,
 		}
 		s.banks = append(s.banks, NewDirectoryBank(engine, bankIDs[i], torus, cfg, memory, reg))
 	}
@@ -480,29 +485,117 @@ func TestRandomStressFewLines(t *testing.T) {
 	}
 }
 
+// checkerRecord is one Checker.Record call.
+type checkerRecord struct {
+	node noc.NodeID
+	st   cache.State
+}
+
+// TestCheckerDetectsViolations drives the SWMR checker through record
+// sequences on one line and checks which invariant each one breaks, the
+// holders left behind, and the text of the first violation, which
+// RunProgram returns as the run's error.
 func TestCheckerDetectsViolations(t *testing.T) {
-	c := NewChecker()
-	c.Record(0, 0x40, cache.Modified)
-	c.Record(1, 0x40, cache.Modified)
-	if c.Ok() {
-		t.Fatal("checker should flag two simultaneous writers")
+	const addr = mem.LineAddr(0x40)
+	cases := []struct {
+		name    string
+		records []checkerRecord
+		// want lists the expected violations by their leading word
+		// ("SWMR", "ownership"), in order.
+		want    []string
+		holders map[noc.NodeID]cache.State
+		// first, when set, pins the first violation's text.
+		first string
+	}{
+		{
+			name:    "two writers",
+			records: []checkerRecord{{0, cache.Modified}, {1, cache.Modified}},
+			want:    []string{"SWMR", "ownership"},
+			holders: map[noc.NodeID]cache.State{0: cache.Modified, 1: cache.Modified},
+			first:   "SWMR: line(0x1000) has 2 writers: map[0:M 1:M]",
+		},
+		{
+			name:    "writer and reader",
+			records: []checkerRecord{{0, cache.Modified}, {1, cache.Shared}},
+			want:    []string{"SWMR"},
+			holders: map[noc.NodeID]cache.State{0: cache.Modified, 1: cache.Shared},
+		},
+		{
+			name:    "exclusive and shared",
+			records: []checkerRecord{{0, cache.Exclusive}, {1, cache.Shared}},
+			want:    []string{"SWMR"},
+			holders: map[noc.NodeID]cache.State{0: cache.Exclusive, 1: cache.Shared},
+		},
+		{
+			// Owned grants no write permission, so only the ownership check
+			// sees two owners.
+			name:    "two owned",
+			records: []checkerRecord{{2, cache.Owned}, {5, cache.Owned}},
+			want:    []string{"ownership"},
+			holders: map[noc.NodeID]cache.State{2: cache.Owned, 5: cache.Owned},
+			first:   "ownership: line(0x1000) has 2 owner-state holders: map[2:O 5:O]",
+		},
+		{
+			name:    "legal sharing",
+			records: []checkerRecord{{0, cache.Shared}, {1, cache.Shared}, {0, cache.Invalid}},
+			holders: map[noc.NodeID]cache.State{1: cache.Shared},
+		},
+		{
+			name:    "owned with sharers",
+			records: []checkerRecord{{0, cache.Owned}, {1, cache.Shared}, {2, cache.Shared}},
+			holders: map[noc.NodeID]cache.State{0: cache.Owned, 1: cache.Shared, 2: cache.Shared},
+		},
+		{
+			// Every holder drops the line, so its record is recycled; the
+			// dropped holders' states must not come back with it.
+			name: "recorded again after every holder dropped it",
+			records: []checkerRecord{
+				{0, cache.Shared}, {1, cache.Shared}, {0, cache.Invalid}, {1, cache.Invalid},
+				{2, cache.Modified}, {3, cache.Modified},
+			},
+			want:    []string{"SWMR", "ownership"},
+			holders: map[noc.NodeID]cache.State{2: cache.Modified, 3: cache.Modified},
+			first:   "SWMR: line(0x1000) has 2 writers: map[2:M 3:M]",
+		},
+		{
+			name:    "highest node",
+			records: []checkerRecord{{63, cache.Modified}, {0, cache.Invalid}},
+			holders: map[noc.NodeID]cache.State{63: cache.Modified},
+		},
 	}
-	c2 := NewChecker()
-	c2.Record(0, 0x40, cache.Modified)
-	c2.Record(1, 0x40, cache.Shared)
-	if c2.Ok() {
-		t.Fatal("checker should flag writer+reader")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewChecker()
+			for _, r := range tc.records {
+				c.Record(r.node, addr, r.st)
+			}
+			if len(c.Violations) != len(tc.want) {
+				t.Fatalf("violations %q, want %d starting %q", c.Violations, len(tc.want), tc.want)
+			}
+			for i, w := range tc.want {
+				if !strings.HasPrefix(c.Violations[i], w+":") {
+					t.Errorf("violation %d is %q, want a %s violation", i, c.Violations[i], w)
+				}
+			}
+			if tc.first != "" && c.Violations[0] != tc.first {
+				t.Errorf("first violation %q, want %q", c.Violations[0], tc.first)
+			}
+			if c.Ok() != (len(tc.want) == 0) {
+				t.Errorf("Ok() = %v with violations %q", c.Ok(), c.Violations)
+			}
+			if got := c.Holders(addr); !reflect.DeepEqual(got, tc.holders) {
+				t.Errorf("holders %v, want %v", got, tc.holders)
+			}
+		})
 	}
-	c3 := NewChecker()
-	c3.Record(0, 0x40, cache.Shared)
-	c3.Record(1, 0x40, cache.Shared)
-	c3.Record(0, 0x40, cache.Invalid)
-	if !c3.Ok() {
-		t.Fatalf("legal sharing flagged: %v", c3.Violations)
-	}
-	if len(c3.Holders(0x40)) != 1 {
-		t.Fatal("holder bookkeeping wrong")
-	}
+	t.Run("node 64 panics", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("recording node 64 did not panic")
+			}
+		}()
+		NewChecker().Record(64, addr, cache.Shared)
+	})
 }
 
 func TestInterleaveBanks(t *testing.T) {

@@ -219,6 +219,11 @@ func (c Config) Validate() error {
 	// every node, or placement would panic inside NewMachine. (With one or
 	// both dimensions zero, NewMachine derives the rest from the node
 	// count, which always fits.)
+	// The directory's sharer sets and the SWMR checker's holder sets have one
+	// bit per L1.
+	if l1s := c.NumCPUs + c.NumMTTOPs; l1s > coherence.MaxL1s {
+		return &ConfigError{Field: fmt.Sprintf("NumCPUs+NumMTTOPs (%d L1s, at most %d)", l1s, coherence.MaxL1s)}
+	}
 	w, h := c.Torus.Width, c.Torus.Height
 	if w > 0 && h > 0 && w*h < c.NumCPUs+c.NumMTTOPs+c.L2Banks {
 		return &ConfigError{Field: fmt.Sprintf("Torus.Width/Height (%dx%d grid cannot hold %d nodes)",

@@ -41,6 +41,8 @@ type Machine struct {
 
 	l1s   []*coherence.L1Controller
 	banks []*coherence.DirectoryBank
+	// msgs is the protocol-message pool every L1 and bank shares.
+	msgs  coherence.MsgPool
 	torus *noc.Torus
 	// arrays is every cache tag array the machine drew (see array), handed
 	// back to the arena at Shutdown.
@@ -106,6 +108,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	m.torus = noc.NewTorus(m.Engine, torusCfg, placement, m.Stats)
 	m.torus.SeedFreeList(cfg.arena.TakeNocMsgs())
+	m.msgs.SeedFreeList(cfg.arena.TakeCohMsgs())
 
 	// L2/directory banks.
 	bankIDs := make([]noc.NodeID, cfg.L2Banks)
@@ -123,6 +126,7 @@ func NewMachine(cfg Config) *Machine {
 			L2:            m.array(cache.Config{SizeBytes: cfg.L2BankBytes, Assoc: cfg.L2Assoc, Name: fmt.Sprintf("l2.%d", i)}),
 			AccessLatency: cfg.L2Latency,
 			Protocol:      proto,
+			Pool:          &m.msgs,
 			Name:          fmt.Sprintf("l2.%d", i),
 		}, m.DRAM, m.Stats)
 		m.banks = append(m.banks, bank)
@@ -151,6 +155,7 @@ func NewMachine(cfg Config) *Machine {
 			Cache:      m.array(l1cfg),
 			HitLatency: cfg.CPUL1Hit,
 			Protocol:   proto,
+			Pool:       &m.msgs,
 			Name:       name + ".l1",
 		}, m.Checker, m.Stats)
 		m.l1s = append(m.l1s, l1)
@@ -171,6 +176,7 @@ func NewMachine(cfg Config) *Machine {
 			Cache:      m.array(l1cfg),
 			HitLatency: cfg.MTTOPL1Hit,
 			Protocol:   proto,
+			Pool:       &m.msgs,
 			Name:       name + ".l1",
 		}, m.Checker, m.Stats)
 		m.l1s = append(m.l1s, l1)
@@ -184,10 +190,6 @@ func NewMachine(cfg Config) *Machine {
 		m.MTTOPs = append(m.MTTOPs, core)
 		m.MIFD.AttachUnits(core)
 	}
-
-	// Recycled protocol messages all seed the first controller's pool; they
-	// migrate between pools with traffic, exactly as in-flight messages do.
-	m.l1s[0].SeedFreeList(cfg.arena.TakeCohMsgs())
 
 	// TLB shootdowns initiated by a CPU flush every MTTOP TLB via the MIFD.
 	m.Kernel.SetShootdownHook(m.MIFD.FlushAllTLBs)
@@ -299,7 +301,7 @@ func (m *Machine) Shutdown() {
 		return
 	}
 	m.arena = nil
-	a.RecycleCohMsgs(coherence.DrainFreeLists(m.l1s, m.banks))
+	a.RecycleCohMsgs(m.msgs.DrainFreeList())
 	a.RecycleNocMsgs(m.torus.DrainFreeList())
 	for i := range m.arrays {
 		arr := m.arrays[i]

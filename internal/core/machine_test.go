@@ -61,6 +61,21 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateCapsL1Count: the directory's sharer sets and the SWMR
+// checker's holder sets have one bit per L1, so a chip has at most 64 cores.
+func TestValidateCapsL1Count(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumCPUs, cfg.NumMTTOPs = 4, 60
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("64 L1s rejected: %v", err)
+	}
+	NewMachine(cfg).Shutdown()
+	cfg.NumMTTOPs = 61
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("65 L1s accepted")
+	}
+}
+
 // TestVectorAddXthreads is the paper's Figure 4 program: the CPU allocates
 // three vectors, spawns one MTTOP thread per element, waits on per-thread
 // done flags, and the sums must be correct. It exercises the full stack: the

@@ -78,19 +78,21 @@ func (p *msgPool) put(m *Message) {
 	p.free = append(p.free, m) //ccsvm:allocok // free list returns to its high-water mark
 }
 
-// drain moves every free message into out and empties the free list, keeping
-// its backing array.
-func (p *msgPool) drain(out []*Message) []*Message {
-	out = append(out, p.free...)
-	for i := range p.free {
-		p.free[i] = nil
-	}
-	p.free = p.free[:0]
-	return out
+// drain removes and returns every free message, handing over the free
+// list's own slice rather than copying it.
+func (p *msgPool) drain() []*Message {
+	ms := p.free
+	p.free = nil
+	return ms
 }
 
-// seed appends previously drained messages to the free list.
+// seed hands previously drained messages to the free list; an empty pool
+// adopts the slice itself.
 func (p *msgPool) seed(ms []*Message) {
+	if len(p.free) == 0 {
+		p.free = ms
+		return
+	}
 	p.free = append(p.free, ms...)
 }
 

@@ -130,12 +130,14 @@ func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, r
 func (t *Torus) NewMessage() *Message { return t.pool.get() }
 
 // DrainFreeList removes and returns the network's parked message envelopes,
-// for recycling into the next machine's torus (see SeedFreeList).
+// for recycling into the next machine's torus (see SeedFreeList). It hands
+// over the free list's own slice, copying nothing.
 //
 //ccsvm:pooled get
-func (t *Torus) DrainFreeList() []*Message { return t.pool.drain(nil) }
+func (t *Torus) DrainFreeList() []*Message { return t.pool.drain() }
 
-// SeedFreeList hands previously drained envelopes to this network's pool.
+// SeedFreeList hands previously drained envelopes to this network's pool; an
+// empty pool adopts the slice itself.
 //
 //ccsvm:pooled put
 func (t *Torus) SeedFreeList(ms []*Message) { t.pool.seed(ms) }

@@ -170,8 +170,8 @@ func (a *Arena) RecycleArray(arr *cache.Array) {
 }
 
 // TakeCohMsgs hands the parked coherence-protocol messages to the caller
-// (typically to seed a new machine's first controller pool) and empties the
-// arena's list. Returns nil when the arena is nil or empty.
+// (typically to seed a new machine's message pool) and empties the arena's
+// list. Returns nil when the arena is nil or empty.
 //
 //ccsvm:pooled get
 func (a *Arena) TakeCohMsgs() []*coherence.Msg {

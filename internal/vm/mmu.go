@@ -36,6 +36,8 @@ type MMU struct {
 	phys   *mem.Physical
 	root   mem.PAddr
 	hasCR3 bool
+	// walkFree recycles page-walk carriers (see pageWalk).
+	walkFree []*pageWalk
 
 	walks  *stats.Counter
 	faults *stats.Counter
@@ -86,36 +88,72 @@ func (m *MMU) Translate(va mem.VAddr, write bool, done func(pa mem.PAddr, fault 
 	m.walk(va, write, done)
 }
 
-// walk performs the two dependent PTE reads of the hardware walker through
-// the cache hierarchy.
-func (m *MMU) walk(va mem.VAddr, write bool, done func(pa mem.PAddr, fault *Fault)) {
-	m.walks.Inc()
-	l1Addr := L1EntryAddr(m.root, va)
-	m.readPTE(l1Addr, func(l1 PTE) {
-		if !l1.Present() {
-			m.faults.Inc()
-			done(0, &Fault{VA: va, Write: write, Root: m.root})
-			return
-		}
-		l2Addr := L2EntryAddr(l1.Frame().Addr(), va)
-		m.readPTE(l2Addr, func(pte PTE) {
-			if !pte.Present() {
-				m.faults.Inc()
-				done(0, &Fault{VA: va, Write: write, Root: m.root})
-				return
-			}
-			m.tlb.Insert(va, pte.Frame(), pte.Writable())
-			done(mem.Translate(pte.Frame(), va), nil)
-		})
-	})
+// pageWalk is one page walk in flight. Carriers are recycled through
+// MMU.walkFree and their step callback is bound once, so a walk allocates
+// nothing in steady state.
+type pageWalk struct {
+	m     *MMU
+	va    mem.VAddr
+	write bool
+	// pte is the entry being read; leaf is set once it is the second-level
+	// entry.
+	pte  mem.PAddr
+	leaf bool
+	//ccsvm:stateok // the translation's completion callback; cores re-issue quiesced accesses on restore
+	done func(pa mem.PAddr, fault *Fault)
+	//ccsvm:stateok // bound once when the carrier is built; rebound on restore
+	stepFn func()
 }
 
-// readPTE issues a timed read of one PTE through the cache port; the value is
-// read functionally when the access completes.
-func (m *MMU) readPTE(addr mem.PAddr, use func(PTE)) {
-	m.port.Access(mem.Request{Type: mem.Read, Addr: addr, Size: 8}, func() {
-		use(PTE(m.phys.ReadUint64(addr)))
-	})
+// walk performs the two dependent PTE reads of the hardware walker through
+// the cache hierarchy.
+//
+//ccsvm:hotpath
+func (m *MMU) walk(va mem.VAddr, write bool, done func(pa mem.PAddr, fault *Fault)) {
+	m.walks.Inc()
+	var w *pageWalk
+	if n := len(m.walkFree); n > 0 {
+		w = m.walkFree[n-1]
+		m.walkFree[n-1] = nil
+		m.walkFree = m.walkFree[:n-1]
+	} else {
+		w = &pageWalk{m: m} //ccsvm:allocok // free-list miss; grows to the most walks ever in flight
+		w.stepFn = w.step
+	}
+	w.va, w.write, w.done = va, write, done
+	w.pte, w.leaf = L1EntryAddr(m.root, va), false
+	m.port.Access(mem.Request{Type: mem.Read, Addr: w.pte, Size: 8}, w.stepFn)
+}
+
+// step runs when a PTE read completes: the value is read functionally, then
+// the walk faults, reads the second-level entry, or fills the TLB. The
+// carrier is recycled before done runs, so done may start another walk.
+//
+//ccsvm:hotpath
+func (w *pageWalk) step() {
+	m := w.m
+	pte := PTE(m.phys.ReadUint64(w.pte))
+	if pte.Present() && !w.leaf {
+		w.pte, w.leaf = L2EntryAddr(pte.Frame().Addr(), w.va), true
+		m.port.Access(mem.Request{Type: mem.Read, Addr: w.pte, Size: 8}, w.stepFn)
+		return
+	}
+	va, write, done := w.va, w.write, w.done
+	w.done = nil
+	m.walkFree = append(m.walkFree, w) //ccsvm:allocok // free list returns to its high-water mark
+	if !pte.Present() {
+		m.faults.Inc()
+		done(0, m.fault(va, write))
+		return
+	}
+	m.tlb.Insert(va, pte.Frame(), pte.Writable())
+	done(mem.Translate(pte.Frame(), va), nil)
+}
+
+// fault builds the page fault a walk raises. A fault is the walker's slow
+// path, serviced by the OS, so its allocation stays out of the hot-path step.
+func (m *MMU) fault(va mem.VAddr, write bool) *Fault {
+	return &Fault{VA: va, Write: write, Root: m.root}
 }
 
 // Walks reports how many page walks this MMU performed.

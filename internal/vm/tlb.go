@@ -76,7 +76,10 @@ func (t *TLB) Lookup(va mem.VAddr) (mem.FrameNumber, bool, bool) {
 	return e.frame, e.writable, true
 }
 
-// Insert caches a translation, evicting the LRU entry if the TLB is full.
+// Insert caches a translation, evicting the LRU entry if the TLB is full; the
+// new translation reuses the victim's entry.
+//
+//ccsvm:hotpath
 func (t *TLB) Insert(va mem.VAddr, frame mem.FrameNumber, writable bool) {
 	page := mem.PageOf(va)
 	if e, ok := t.entries[page]; ok {
@@ -85,22 +88,23 @@ func (t *TLB) Insert(va mem.VAddr, frame mem.FrameNumber, writable bool) {
 		t.last = e
 		return
 	}
+	var e *tlbEntry
 	if len(t.entries) >= t.cfg.Entries {
-		var victim mem.PageNumber
+		var victim *tlbEntry
 		var oldest uint64 = ^uint64(0)
-		for p, e := range t.entries {
-			if e.lru < oldest {
-				oldest = e.lru
-				victim = p
+		for _, v := range t.entries {
+			if v.lru < oldest {
+				oldest = v.lru
+				victim = v
 			}
 		}
-		delete(t.entries, victim)
-		if t.last != nil && t.last.page == victim {
-			t.last = nil
-		}
+		delete(t.entries, victim.page)
+		e = victim
+	} else {
+		e = new(tlbEntry) //ccsvm:allocok // grows to the TLB's capacity; a full TLB reuses its victim's entry
 	}
 	t.tick++
-	e := &tlbEntry{page: page, frame: frame, writable: writable, lru: t.tick}
+	*e = tlbEntry{page: page, frame: frame, writable: writable, lru: t.tick}
 	t.entries[page] = e
 	t.last = e
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ccsvm/internal/mem"
+	"ccsvm/internal/sim"
 	"ccsvm/internal/stats"
 )
 
@@ -215,4 +216,53 @@ func TestMMUTranslateBeforeRootPanics(t *testing.T) {
 		}
 	}()
 	mmu.Translate(0x1000, false, func(mem.PAddr, *Fault) {})
+}
+
+// enginePort completes accesses one nanosecond later on an engine, so walks
+// overlap the way they do behind a real cache.
+type enginePort struct{ eng *sim.Engine }
+
+func (p *enginePort) Access(req mem.Request, done func()) { p.eng.Schedule(sim.Nanosecond, done) }
+
+// TestWalkAllocatesNothing: once warm, TLB-miss page walks allocate nothing —
+// walk carriers are recycled and a full TLB reuses its victim's entry. Each
+// pass issues translations of 16 pages through an 8-entry TLB at once: the 8
+// pages the previous pass left cached hit, and the other 8 walk together.
+func TestWalkAllocatesNothing(t *testing.T) {
+	phys, pt, _ := newTestTable(t)
+	eng := sim.NewEngine()
+	mmu := NewMMU(TLBConfig{Entries: 8, Name: "mmu"}, &enginePort{eng}, phys, stats.NewRegistry("t"))
+	mmu.SetRoot(pt.Root())
+	const pages = 16
+	for i := 0; i < pages; i++ {
+		pt.Map(mem.VAddr(0x1000_0000+i*mem.PageSize), mem.FrameNumber(300+i), true)
+	}
+	translated := 0
+	done := func(pa mem.PAddr, f *Fault) {
+		if f != nil {
+			t.Fatalf("unexpected fault: %v", f)
+		}
+		translated++
+	}
+	pass := func() {
+		for i := 0; i < pages; i++ {
+			mmu.Translate(mem.VAddr(0x1000_0000+i*mem.PageSize), false, done)
+		}
+		eng.Run()
+	}
+	// Warm up until the engine's calendar buckets and the free list have
+	// reached their high-water capacity.
+	for i := 0; i < 100; i++ {
+		pass()
+	}
+	walks := mmu.Walks()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Fatalf("page walks allocated %.1f objects per pass, want 0", n)
+	}
+	if got := mmu.Walks() - walks; got != 21*pages/2 {
+		t.Fatalf("%d walks in 21 passes, want %d", got, 21*pages/2)
+	}
+	if translated != 121*pages {
+		t.Fatalf("%d translations completed, want %d", translated, 121*pages)
+	}
 }

@@ -89,6 +89,9 @@ func TestSetTypedErrors(t *testing.T) {
 		{"out of range vliw", "apu.GPUVLIWOpsPerInstr", "9", true, ErrOutOfRange},
 		// The APU snoop filter tracks holders in one uint64 per line.
 		{"out of range apu cpus", "apu.NumCPUs", "65", true, ErrOutOfRange},
+		// The directory's sharer sets have one bit per L1: 4 CPUs + 61 MTTOPs
+		// is 65.
+		{"out of range l1 count", "ccsvm.NumMTTOPs", "61", false, ErrOutOfRange},
 		// A negative latency would schedule engine events in the past.
 		{"out of range negative latency", "ccsvm.DRAM.Latency", "-100ns", false, ErrOutOfRange},
 		{"out of range negative overhead", "apu.OpenCL.KernelLaunch", "-1us", true, ErrOutOfRange},

@@ -212,6 +212,39 @@ func TestRunnerArenaReuse(t *testing.T) {
 	}
 }
 
+// TestArenaMessagePopulationIsStable is the regression test for the
+// coherence-message leak across arena reuse: rerunning one spec on one arena
+// must park the same number of protocol messages after every run, the
+// machine's high-water mark of messages in flight. With one pool per
+// controller, the recycled messages seeded only one controller's pool, every
+// other controller allocated fresh messages on its first sends, and Shutdown
+// parked them all, so the population grew with every run.
+func TestArenaMessagePopulationIsStable(t *testing.T) {
+	spec, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "ccsvm-small", nil, ccsvm.Params{N: 8, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := ccsvm.NewArena()
+	spec.System.Arena = arena
+	var parked []int
+	for i := 0; i < 4; i++ {
+		res, err := (&ccsvm.Runner{Parallel: 1}).Run([]ccsvm.RunSpec{spec})
+		if err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		if res[0].Err != nil {
+			t.Fatalf("run %d: %v", i+1, res[0].Err)
+		}
+		parked = append(parked, arena.Stats().CohMsgs)
+	}
+	if parked[0] == 0 {
+		t.Fatal("no coherence messages parked; the comparison would prove nothing")
+	}
+	if parked[1] != parked[2] || parked[2] != parked[3] {
+		t.Fatalf("parked coherence messages after runs 1-4: %v, want the same after runs 2, 3 and 4", parked)
+	}
+}
+
 // presetPairs builds every runnable (workload, system) pair on every
 // registered preset with the given params, in registry order.
 func presetPairs(t *testing.T, p ccsvm.Params) []ccsvm.RunSpec {
