@@ -30,9 +30,10 @@ type (
 	// Result is the outcome of one run: measured simulated time, off-chip
 	// traffic, and whether the functional output was verified.
 	Result = workloads.Result
-	// Arena recycles machine parts (event engine, physical memory, message
-	// pools) across the runs of one worker; set System.Arena to use it. See
-	// internal/simarena for the reuse contract.
+	// Arena recycles machine parts (event engine, physical memory, cache tag
+	// arrays, SWMR checker, directory tables, message pools) across the runs
+	// of one worker; set System.Arena to use it. A Runner keeps its workers'
+	// arenas itself. See internal/simarena for the reuse contract.
 	Arena = simarena.Arena
 )
 

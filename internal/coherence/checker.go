@@ -40,6 +40,21 @@ func NewChecker() *Checker {
 // SetEnabled turns checking on or off.
 func (c *Checker) SetEnabled(on bool) { c.enabled = on }
 
+// Reset returns the checker to NewChecker's state — enabled, no line held,
+// no violation — keeping its map's capacity and its records for the next
+// run. Record takes a free record to hold nobody, so every held record's
+// holder mask is cleared before it joins the free list.
+func (c *Checker) Reset() {
+	//ccsvm:orderinvariant // every record is zeroed, so free-list order is unobservable
+	for _, r := range c.lines {
+		r.holders = 0
+		c.free = append(c.free, r)
+	}
+	clear(c.lines)
+	c.Violations = nil
+	c.enabled = true
+}
+
 // Record notes that the cache at node now holds addr in the given stable
 // state (Invalid removes the entry) and re-checks the invariant for that
 // line. Node IDs must be below MaxL1s.

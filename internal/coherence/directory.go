@@ -62,6 +62,50 @@ type dirEntry struct {
 // nodeBit is node's bit in a sharer or holder set.
 func nodeBit(node noc.NodeID) uint64 { return 1 << uint(node) }
 
+// DirTable is a directory bank's table of per-line entries. Entries are
+// created on a line's first request and live for the rest of the run, so a
+// recycled table (see Reset) spares the next run's bank rebuilding them.
+type DirTable struct {
+	entries map[mem.LineAddr]*dirEntry
+	// free holds the zeroed entries Reset took off the map; entryOf reuses
+	// them before allocating.
+	free []*dirEntry
+}
+
+// NewDirTable returns an empty table.
+func NewDirTable() *DirTable {
+	return &DirTable{entries: make(map[mem.LineAddr]*dirEntry)}
+}
+
+// Reset returns the table to NewDirTable's state, keeping the map's
+// capacity and every entry for reuse: each entry's state, owner, sharers,
+// busy flag, pending request and queue length are zeroed.
+func (t *DirTable) Reset() {
+	//ccsvm:orderinvariant // every entry is zeroed, so free-list order is unobservable
+	for _, e := range t.entries {
+		clear(e.queue)
+		*e = dirEntry{queue: e.queue[:0]}
+		t.free = append(t.free, e)
+	}
+	clear(t.entries)
+}
+
+// entryOf returns addr's entry, creating it in DirInvalid on first use.
+func (t *DirTable) entryOf(addr mem.LineAddr) *dirEntry {
+	e, ok := t.entries[addr]
+	if !ok {
+		if n := len(t.free); n > 0 {
+			e = t.free[n-1]
+			t.free[n-1] = nil
+			t.free = t.free[:n-1]
+		} else {
+			e = new(dirEntry)
+		}
+		t.entries[addr] = e
+	}
+	return e
+}
+
 // BankConfig describes one L2/directory bank.
 type BankConfig struct {
 	// L2 is the empty tag array of this bank's slice of the shared,
@@ -76,6 +120,9 @@ type BankConfig struct {
 	// Pool is the protocol-message pool shared by every controller of the
 	// memory system (see MsgPool). Required.
 	Pool *MsgPool
+	// Table is the bank's empty directory entry table (NewDirTable, or a
+	// Reset one from an earlier run), handed in like L2. Required.
+	Table *DirTable
 	// Name prefixes this bank's statistics.
 	Name string
 }
@@ -94,7 +141,7 @@ type DirectoryBank struct {
 	l2     *cache.Array
 	memory *dram.Controller
 
-	entries map[mem.LineAddr]*dirEntry
+	table *DirTable
 
 	// pool is the memory system's shared message pool (see MsgPool for the
 	// ownership rules); processFn is the post-access-latency continuation
@@ -132,16 +179,19 @@ func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg Ba
 	if cfg.Pool == nil {
 		panic(fmt.Sprintf("%s: BankConfig.Pool is nil", cfg.Name))
 	}
+	if cfg.Table == nil {
+		panic(fmt.Sprintf("%s: BankConfig.Table is nil", cfg.Name))
+	}
 	b := &DirectoryBank{
-		engine:  engine,
-		id:      id,
-		net:     net,
-		cfg:     cfg,
-		proto:   proto,
-		l2:      cfg.L2,
-		memory:  memory,
-		entries: make(map[mem.LineAddr]*dirEntry),
-		pool:    cfg.Pool,
+		engine: engine,
+		id:     id,
+		net:    net,
+		cfg:    cfg,
+		proto:  proto,
+		l2:     cfg.L2,
+		memory: memory,
+		table:  cfg.Table,
+		pool:   cfg.Pool,
 	}
 	b.processFn = func(a any) { b.process(a.(*Msg)) }
 	b.requests = reg.Counter(cfg.Name + ".requests")
@@ -159,7 +209,7 @@ func (b *DirectoryBank) NodeID() noc.NodeID { return b.id }
 
 // Entry exposes a line's directory state for tests.
 func (b *DirectoryBank) Entry(addr mem.LineAddr) (DirState, noc.NodeID, []noc.NodeID) {
-	e, ok := b.entries[addr]
+	e, ok := b.table.entries[addr]
 	if !ok {
 		return DirInvalid, 0, nil
 	}
@@ -204,21 +254,12 @@ func (b *DirectoryBank) maybeDropSharer(sharers []noc.NodeID) []noc.NodeID {
 // confirm quiescence).
 func (b *DirectoryBank) Busy() bool {
 	//ccsvm:orderinvariant
-	for _, e := range b.entries {
+	for _, e := range b.table.entries {
 		if e.busy || len(e.queue) > 0 {
 			return true
 		}
 	}
 	return false
-}
-
-func (b *DirectoryBank) entryOf(addr mem.LineAddr) *dirEntry {
-	e, ok := b.entries[addr]
-	if !ok {
-		e = &dirEntry{state: DirInvalid}
-		b.entries[addr] = e
-	}
-	return e
 }
 
 // Receive implements noc.Receiver.
@@ -237,7 +278,7 @@ func (b *DirectoryBank) process(m *Msg) {
 		b.handleFwdDone(m)
 		b.pool.put(m)
 	case MsgGetS, MsgGetM, MsgPutM, MsgPutO, MsgPutE:
-		e := b.entryOf(m.Addr)
+		e := b.table.entryOf(m.Addr)
 		if e.busy {
 			e.queue = append(e.queue, m)
 			return
@@ -377,7 +418,7 @@ func (b *DirectoryBank) handlePut(e *dirEntry, m *Msg) {
 // for protocols without owner-forwarding — the data response the directory
 // itself owes the requestor.
 func (b *DirectoryBank) handleFwdDone(m *Msg) {
-	e := b.entryOf(m.Addr)
+	e := b.table.entryOf(m.Addr)
 	if !e.busy || e.pending == nil {
 		panic(fmt.Sprintf("%s: FwdDone for %v with no pending transaction", b.cfg.Name, m.Addr))
 	}

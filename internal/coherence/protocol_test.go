@@ -77,6 +77,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 			Name:          fmt.Sprintf("l2.%d", i),
 			Protocol:      proto,
 			Pool:          pool,
+			Table:         NewDirTable(),
 		}
 		s.banks = append(s.banks, NewDirectoryBank(engine, bankIDs[i], torus, cfg, memory, reg))
 	}
@@ -596,6 +597,74 @@ func TestCheckerDetectsViolations(t *testing.T) {
 		}()
 		NewChecker().Record(64, addr, cache.Shared)
 	})
+}
+
+// TestCheckerResetForgetsHolders pins what a recycled checker must forget: a
+// line two nodes held before Reset is recorded at a third afterwards, and the
+// stale holders must not come back with the recycled record as phantom
+// readers. Reset must also drop old violations and re-enable checking.
+func TestCheckerResetForgetsHolders(t *testing.T) {
+	const addr = mem.LineAddr(0x10400)
+	c := NewChecker()
+	c.Record(0, addr, cache.Shared)
+	c.Record(1, addr, cache.Shared)
+	c.Record(0, addr+1, cache.Modified)
+	c.Record(1, addr+1, cache.Modified)
+	if c.Ok() {
+		t.Fatal("two writers of one line went unreported; the Reset check would prove nothing")
+	}
+	c.SetEnabled(false)
+
+	c.Reset()
+	if !c.Ok() {
+		t.Fatalf("Reset kept violations %q", c.Violations)
+	}
+	c.Record(2, addr, cache.Modified)
+	if !c.Ok() {
+		t.Fatalf("record after Reset saw phantom holders: %q", c.Violations)
+	}
+	if got, want := c.Holders(addr), map[noc.NodeID]cache.State{2: cache.Modified}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("holders after Reset %v, want %v (checking must be re-enabled)", got, want)
+	}
+}
+
+// TestDirTableReset pins what a recycled directory table must forget: an
+// entry with an owner, sharers, a pending forward and a queued request is
+// zeroed by Reset, the line's next request reuses it, and the bank then
+// treats the line as one no cache holds.
+func TestDirTableReset(t *testing.T) {
+	s := newTestSystem(t, 3, 1)
+	b := s.banks[0]
+	line := mem.LineOf(0x1000)
+	e := b.table.entryOf(line)
+	e.state, e.owner, e.sharers = DirOwned, 1, nodeBit(0)|nodeBit(2)
+	e.busy = true
+	e.pending = &Msg{Type: MsgGetM, Addr: line, Requestor: 2}
+	e.queue = append(e.queue, &Msg{Type: MsgGetS, Addr: line, Requestor: 0})
+	if st, owner, sharers := b.Entry(line); st != DirOwned || owner != 1 || len(sharers) != 2 || !b.Busy() {
+		t.Fatalf("set-up entry %v owner %d sharers %v busy %v", st, owner, sharers, b.Busy())
+	}
+
+	b.table.Reset()
+	if b.Busy() {
+		t.Fatal("bank busy after its table was Reset")
+	}
+	if got := b.table.entryOf(line); got != e {
+		t.Fatal("entryOf allocated a new entry instead of reusing the reset one")
+	}
+	if st, owner, sharers := b.Entry(line); st != DirInvalid || owner != 0 || len(sharers) != 0 {
+		t.Fatalf("reused entry %v owner %d sharers %v, want Dir-I with no owner or sharers", st, owner, sharers)
+	}
+	if e.pending != nil || len(e.queue) != 0 {
+		t.Fatalf("reused entry kept pending %v and %d queued requests", e.pending, len(e.queue))
+	}
+
+	// The first reader of the line is granted Exclusive, as on a fresh bank.
+	done := s.access(0, mem.Read, 0x1000)
+	s.quiesce(t)
+	if !*done || s.l1State(0, 0x1000) != cache.Exclusive {
+		t.Fatalf("read after Reset done=%v in %v, want E", *done, s.l1State(0, 0x1000))
+	}
 }
 
 func TestInterleaveBanks(t *testing.T) {

@@ -47,21 +47,24 @@ type Machine struct {
 	// arrays is every cache tag array the machine drew (see array), handed
 	// back to the arena at Shutdown.
 	arrays []*cache.Array
+	// tables is every bank's directory entry table, handed back likewise.
+	tables []*coherence.DirTable
 
 	// gate is the cooperative scheduler every software thread of this machine
 	// runs under (see exec.Gate); RunProgram drives the engine through it.
 	gate *exec.Gate
 
-	// arena, when non-nil, receives the engine, physical memory, tag arrays
-	// and message populations back at Shutdown so the worker's next machine
-	// reuses them.
+	// arena, when non-nil, receives the engine, physical memory, tag arrays,
+	// SWMR checker, directory tables and message populations back at
+	// Shutdown so the worker's next machine reuses them.
 	arena *simarena.Arena
 }
 
 // NewMachine builds and wires a CCSVM chip from the configuration. When the
 // configuration carries an arena (Config.InArena), the engine, physical
-// memory, cache tag arrays and message-pool populations come from it; reuse
-// is observation-equivalent to fresh construction.
+// memory, cache tag arrays, SWMR checker, directory tables and message-pool
+// populations come from it; reuse is observation-equivalent to fresh
+// construction.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -72,13 +75,14 @@ func NewMachine(cfg Config) *Machine {
 		Stats:  stats.NewRegistry("ccsvm"),
 		arena:  cfg.arena,
 		arrays: make([]*cache.Array, 0, cfg.NumCPUs+cfg.NumMTTOPs+cfg.L2Banks),
+		tables: make([]*coherence.DirTable, 0, cfg.L2Banks),
 	}
 	// The trace hash is always on: it costs two integer multiplies per event
 	// and gives every run a fingerprint of its exact event order, surfaced
 	// through Metrics as sim.trace_hash_hi/lo.
 	m.Engine.EnableTraceHash()
 	m.Phys = cfg.arena.Physical(cfg.DRAM.SizeBytes)
-	m.Checker = coherence.NewChecker()
+	m.Checker = cfg.arena.Checker()
 	m.DRAM = dram.NewController(m.Engine, cfg.DRAM, m.Stats, "dram")
 
 	cpuClock := sim.NewClock("cpu", cfg.CPUClockHz)
@@ -122,11 +126,14 @@ func NewMachine(cfg Config) *Machine {
 		panic(err)
 	}
 	for i, id := range bankIDs {
+		table := cfg.arena.DirTable()
+		m.tables = append(m.tables, table)
 		bank := coherence.NewDirectoryBank(m.Engine, id, m.torus, coherence.BankConfig{
 			L2:            m.array(cache.Config{SizeBytes: cfg.L2BankBytes, Assoc: cfg.L2Assoc, Name: fmt.Sprintf("l2.%d", i)}),
 			AccessLatency: cfg.L2Latency,
 			Protocol:      proto,
 			Pool:          &m.msgs,
+			Table:         table,
 			Name:          fmt.Sprintf("l2.%d", i),
 		}, m.DRAM, m.Stats)
 		m.banks = append(m.banks, bank)
@@ -309,6 +316,13 @@ func (m *Machine) Shutdown() {
 		a.RecycleArray(arr)
 	}
 	m.arrays = nil
+	for i := range m.tables {
+		t := m.tables[i]
+		m.tables[i] = nil
+		a.RecycleDirTable(t)
+	}
+	m.tables = nil
+	a.RecycleChecker(m.Checker)
 	a.RecycleEngine(m.Engine)
 	a.RecyclePhysical(m.Phys)
 }

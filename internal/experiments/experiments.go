@@ -26,6 +26,11 @@ type Options struct {
 	Seed int64
 	// Parallel is the Runner worker-pool size; 0 means GOMAXPROCS.
 	Parallel int
+
+	// runner, when set, executes the sweeps instead of a fresh Runner per
+	// sweep. All sets one, so each sweep's workers draw the machine parts
+	// the earlier sweeps' machines left in the Runner's arenas.
+	runner *ccsvm.Runner
 }
 
 // DefaultOptions returns the quick sweep.
@@ -75,7 +80,10 @@ func (o Options) sparseFixedSize() int {
 
 // run executes a declared sweep through the facade Runner.
 func (o Options) run(specs []ccsvm.RunSpec) ([]ccsvm.RunResult, error) {
-	r := &ccsvm.Runner{Parallel: o.Parallel}
+	r := o.runner
+	if r == nil {
+		r = &ccsvm.Runner{Parallel: o.Parallel}
+	}
 	return r.Run(specs)
 }
 
@@ -285,8 +293,11 @@ func CodeComparison(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in order and returns the tables.
+// All runs every experiment in order and returns the tables. Every sweep
+// runs on one Runner, so a worker builds only its first machine of each
+// shape from scratch.
 func All(o Options) ([]*stats.Table, error) {
+	o.runner = &ccsvm.Runner{Parallel: o.Parallel}
 	var out []*stats.Table
 	out = append(out, Table2())
 	steps := []func(Options) (*stats.Table, error){

@@ -3,26 +3,31 @@
 // list and calendar backing arrays are the hottest allocations in a sweep),
 // the physical memory (whose lazily materialized frames dominate resident
 // bytes), every cache tag array (the L1s, L2/directory banks, APU private
-// caches and GPU read cache — most of the bytes a machine allocates), and the
-// harvested free lists of the coherence and network message pools.
+// caches and GPU read cache — most of the bytes a machine allocates), the
+// CCSVM chip's SWMR checker and directory entry tables (per-line maps and
+// records a run otherwise rebuilds from empty), and the harvested free lists
+// of the coherence and network message pools.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
-// machine execution model. A worker that runs many simulations back to back
-// builds its first machine from scratch, and every later machine draws the
-// recycled parts, so steady-state sweep throughput stops paying construction
-// and garbage-collection cost per run. A recycled tag array is reset in time
-// proportional to the sets the previous run wrote, so building a machine
-// costs what the last run touched rather than the chip's capacity. Parked
-// arrays are kept per geometry; a worker that sweeps several cache sizes
-// keeps one machine's worth of arrays for each.
+// machine execution model. The ccsvm.Runner keeps its workers' arenas
+// between Run calls, so an arena builds a part only when it has none of that
+// shape parked: once a worker has run a machine of some shape, every later
+// machine of it, in the same call or a later one, draws the recycled parts,
+// and a reused Runner stops paying construction and garbage-collection cost
+// per run. A recycled tag array is reset in time proportional to the sets
+// the previous run wrote, so building a machine costs what the last run
+// touched rather than the chip's capacity. Parked arrays are kept per
+// geometry; a worker that sweeps several cache sizes keeps one machine's
+// worth of arrays for each.
 //
 // Reuse is observation-equivalent to fresh construction: every recycled part
 // is reset to fresh-machine semantics (engine at time zero with an empty
 // queue, memory all-zero at the requested capacity, tag arrays empty with
-// their LRU clock at zero, messages indistinguishable from pool-miss
-// allocations), so a sweep over a reused arena produces bit-identical
-// Results — the runner's byte-identity test enforces this.
+// their LRU clock at zero, checker enabled with no line held and no
+// violation, directory tables with no entry, messages indistinguishable from
+// pool-miss allocations), so a sweep over a reused arena produces
+// bit-identical Results — the runner's byte-identity test enforces this.
 package simarena
 
 import (
@@ -44,6 +49,10 @@ type Stats struct {
 	PhysicalReuses, PhysicalBuilds uint64
 	// ArrayReuses/ArrayBuilds count Array() calls likewise.
 	ArrayReuses, ArrayBuilds uint64
+	// CheckerReuses/CheckerBuilds count Checker() calls likewise.
+	CheckerReuses, CheckerBuilds uint64
+	// TableReuses/TableBuilds count DirTable() calls likewise.
+	TableReuses, TableBuilds uint64
 	// CohMsgs/NocMsgs count protocol and network messages currently parked on
 	// the arena between machines.
 	CohMsgs, NocMsgs int
@@ -53,16 +62,32 @@ type Stats struct {
 // to use; a nil *Arena is also valid and makes every method fall through to
 // fresh construction, so machine constructors call it unconditionally.
 type Arena struct {
-	engines []*sim.Engine
-	phys    []*mem.Physical
-	arrays  map[geometry][]*cache.Array
-	cohMsgs []*coherence.Msg
-	nocMsgs []*noc.Message
-	stats   Stats
+	engines  []*sim.Engine
+	phys     []*mem.Physical
+	arrays   map[geometry][]*cache.Array
+	checkers []*coherence.Checker
+	tables   []*coherence.DirTable
+	cohMsgs  []*coherence.Msg
+	nocMsgs  []*noc.Message
+	stats    Stats
 }
 
 // New returns an empty arena.
 func New() *Arena { return &Arena{} }
+
+// pop takes the most recently parked part off s, clearing its slot so the
+// arena keeps no second reference; ok is false when nothing is parked.
+func pop[T any](s *[]T) (part T, ok bool) {
+	n := len(*s)
+	if n == 0 {
+		return part, false
+	}
+	part = (*s)[n-1]
+	var zero T
+	(*s)[n-1] = zero
+	*s = (*s)[:n-1]
+	return part, true
+}
 
 // Engine returns an engine with fresh semantics: a recycled one when the
 // arena has one parked (already Reset), otherwise a new one.
@@ -70,10 +95,7 @@ func New() *Arena { return &Arena{} }
 //ccsvm:pooled get
 func (a *Arena) Engine() *sim.Engine {
 	if a != nil {
-		if n := len(a.engines); n > 0 {
-			e := a.engines[n-1]
-			a.engines[n-1] = nil
-			a.engines = a.engines[:n-1]
+		if e, ok := pop(&a.engines); ok {
 			a.stats.EngineReuses++
 			return e
 		}
@@ -102,10 +124,7 @@ func (a *Arena) RecycleEngine(e *sim.Engine) {
 //ccsvm:pooled get
 func (a *Arena) Physical(size uint64) *mem.Physical {
 	if a != nil {
-		if n := len(a.phys); n > 0 {
-			p := a.phys[n-1]
-			a.phys[n-1] = nil
-			a.phys = a.phys[:n-1]
+		if p, ok := pop(&a.phys); ok {
 			p.Reset(size)
 			a.stats.PhysicalReuses++
 			return p
@@ -139,10 +158,9 @@ type geometry struct{ sizeBytes, assoc int }
 func (a *Arena) Array(cfg cache.Config) *cache.Array {
 	if a != nil {
 		g := geometry{cfg.SizeBytes, cfg.Assoc}
-		if parked := a.arrays[g]; len(parked) > 0 {
-			arr := parked[len(parked)-1]
-			parked[len(parked)-1] = nil
-			a.arrays[g] = parked[:len(parked)-1]
+		parked := a.arrays[g]
+		if arr, ok := pop(&parked); ok {
+			a.arrays[g] = parked
 			arr.Reset(cfg.Name)
 			a.stats.ArrayReuses++
 			return arr
@@ -167,6 +185,60 @@ func (a *Arena) RecycleArray(arr *cache.Array) {
 	c := arr.Config()
 	g := geometry{c.SizeBytes, c.Assoc}
 	a.arrays[g] = append(a.arrays[g], arr)
+}
+
+// Checker returns an enabled SWMR checker with nothing recorded: a recycled
+// one when the arena has one parked (already Reset), otherwise a new one.
+//
+//ccsvm:pooled get
+func (a *Arena) Checker() *coherence.Checker {
+	if a != nil {
+		if c, ok := pop(&a.checkers); ok {
+			a.stats.CheckerReuses++
+			return c
+		}
+		a.stats.CheckerBuilds++
+	}
+	return coherence.NewChecker()
+}
+
+// RecycleChecker resets the checker (keeping its line map and records) and
+// parks it for the next machine. No-op on a nil arena or checker.
+//
+//ccsvm:pooled put
+func (a *Arena) RecycleChecker(c *coherence.Checker) {
+	if a == nil || c == nil {
+		return
+	}
+	c.Reset()
+	a.checkers = append(a.checkers, c)
+}
+
+// DirTable returns an empty directory entry table: a recycled one when the
+// arena has one parked (already Reset), otherwise a new one.
+//
+//ccsvm:pooled get
+func (a *Arena) DirTable() *coherence.DirTable {
+	if a != nil {
+		if t, ok := pop(&a.tables); ok {
+			a.stats.TableReuses++
+			return t
+		}
+		a.stats.TableBuilds++
+	}
+	return coherence.NewDirTable()
+}
+
+// RecycleDirTable resets the table (keeping its map capacity and entries)
+// and parks it for the next machine. No-op on a nil arena or table.
+//
+//ccsvm:pooled put
+func (a *Arena) RecycleDirTable(t *coherence.DirTable) {
+	if a == nil || t == nil {
+		return
+	}
+	t.Reset()
+	a.tables = append(a.tables, t)
 }
 
 // TakeCohMsgs hands the parked coherence-protocol messages to the caller

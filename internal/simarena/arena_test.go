@@ -20,9 +20,17 @@ func TestNilArenaBuildsFresh(t *testing.T) {
 	if arr == nil || arr.Config() != cfg || arr.Occupancy() != 0 {
 		t.Fatalf("nil arena array = %+v, want an empty %+v", arr, cfg)
 	}
+	if c := a.Checker(); c == nil || !c.Ok() {
+		t.Fatal("nil arena returned no clean checker")
+	}
+	if a.DirTable() == nil {
+		t.Fatal("nil arena returned no directory table")
+	}
 	// Recycling into a nil arena drops the parts; nothing is kept or counted.
 	a.RecycleArray(arr)
 	a.RecycleEngine(a.Engine())
+	a.RecycleChecker(a.Checker())
+	a.RecycleDirTable(a.DirTable())
 	if a.TakeCohMsgs() != nil || a.TakeNocMsgs() != nil {
 		t.Fatal("nil arena handed out parked messages")
 	}
@@ -68,6 +76,33 @@ func TestArrayReuseNeedsEqualGeometry(t *testing.T) {
 	a.RecycleEngine(a.Engine())
 	a.Engine()
 	want := Stats{EngineReuses: 1, EngineBuilds: 1, ArrayReuses: 1, ArrayBuilds: 4}
+	if s := a.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
+	}
+}
+
+func TestCheckerAndTableReuse(t *testing.T) {
+	a := New()
+	c, tbl := a.Checker(), a.DirTable()
+	c.Record(0, 7, cache.Modified)
+	c.Record(1, 7, cache.Modified)
+	a.RecycleChecker(c)
+	a.RecycleDirTable(tbl)
+
+	if got := a.Checker(); got != c {
+		t.Fatal("Checker built a new checker with one parked")
+	}
+	if !c.Ok() || len(c.Holders(7)) != 0 {
+		t.Fatalf("reused checker not reset: violations %q, holders %v", c.Violations, c.Holders(7))
+	}
+	if got := a.DirTable(); got != tbl {
+		t.Fatal("DirTable built a new table with one parked")
+	}
+	// Each parked part was handed out once; the next requests build.
+	if a.Checker() == c || a.DirTable() == tbl {
+		t.Fatal("one parked part was handed out twice")
+	}
+	want := Stats{CheckerReuses: 1, CheckerBuilds: 2, TableReuses: 1, TableBuilds: 2}
 	if s := a.Stats(); s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}

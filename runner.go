@@ -83,11 +83,20 @@ type Sink interface {
 // sweep parallelizes perfectly and the per-run results are bit-identical to a
 // sequential run.
 //
-// Each worker owns one machine-part Arena: the engine, physical memory and
-// message populations of a finished run are recycled into the worker's next
-// machine, so a long sweep stops paying construction and GC cost per run.
-// Reuse is observation-equivalent — results and sink bytes are identical to
-// fresh-machine-per-run at any Parallel setting (see TestRunnerArenaReuse).
+// Each worker draws a machine-part Arena from the Runner for the length of a
+// Run call: the engine, physical memory, tag arrays, SWMR checker,
+// directory tables and message populations of a finished run are recycled
+// into the worker's next machine, so a long sweep stops paying construction
+// and GC cost per run. Workers hand their arenas back to the Runner when
+// the call ends, so a reused Runner's later calls build nothing their
+// predecessors already built. A Runner holds at most as many arenas as it
+// ever ran workers at once; dropping the Runner releases them. Concurrent
+// Run calls never share an arena. Reuse is observation-equivalent — results
+// and sink bytes are identical to fresh-machine-per-run at any Parallel
+// setting and on any call (see TestRunnerArenaReuse).
+//
+// The zero value is ready to use. A Runner must not be copied after its
+// first Run.
 type Runner struct {
 	// Parallel is the worker-pool size. Zero or negative means GOMAXPROCS.
 	Parallel int
@@ -97,6 +106,32 @@ type Runner struct {
 	// served from the cache (RunResult.Cached) and fresh successful runs are
 	// stored back. Failed runs are never cached. Optional.
 	Cache *Cache
+
+	// mu guards arenas, the parked arenas of workers that have finished.
+	mu     sync.Mutex
+	arenas []*simarena.Arena
+}
+
+// takeArena hands a worker a parked arena, or a new one when none is
+// parked.
+func (r *Runner) takeArena() *simarena.Arena {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.arenas)
+	if n == 0 {
+		return simarena.New()
+	}
+	a := r.arenas[n-1]
+	r.arenas[n-1] = nil
+	r.arenas = r.arenas[:n-1]
+	return a
+}
+
+// parkArena takes back a worker's arena for the Runner's next Run call.
+func (r *Runner) parkArena(a *simarena.Arena) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.arenas = append(r.arenas, a)
 }
 
 // Run executes every spec and returns the results indexed like specs. The
@@ -125,11 +160,14 @@ func (r *Runner) Run(specs []RunSpec) ([]RunResult, error) {
 			defer wg.Done()
 			// One arena per worker: machines built for consecutive jobs on
 			// this goroutine reuse each other's parts; workers share nothing.
-			arena := simarena.New()
+			// The arena goes back only after the loop ends normally, so a
+			// half-used arena is never parked.
+			arena := r.takeArena()
 			for i := range jobs {
 				results[i] = r.runOne(specs[i], i, arena)
 				done <- i
 			}
+			r.parkArena(arena)
 		}()
 	}
 	go func() {

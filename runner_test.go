@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccsvm"
+	"ccsvm/internal/simarena"
 )
 
 // TestRunSpecStringIncludesTag is the regression test for indistinguishable
@@ -168,9 +170,12 @@ func TestResultsBitIdenticalAcrossRuns(t *testing.T) {
 // produce byte-identical JSONL — every simulated time, metric and trace hash
 // — to a fresh-machine-per-run sweep, at any Parallel setting. Fresh machines
 // are expressed as a brand-new arena per spec, so no run inherits another's
-// engine, memory, tag arrays or message populations. The presets list is
-// every pair on every registered preset at N=8: one worker then cycles
-// through tag arrays of different geometries and both coherence protocols.
+// engine, memory, tag arrays, SWMR checker, directory tables or message
+// populations. The presets list is every pair on every registered preset at
+// N=8: one worker then cycles through tag arrays of different geometries and
+// both coherence protocols. A Runner reused for several calls keeps its
+// workers' arenas between them, so its later calls start warm and must match
+// too.
 func TestRunnerArenaReuse(t *testing.T) {
 	lists := []struct {
 		name  string
@@ -181,7 +186,7 @@ func TestRunnerArenaReuse(t *testing.T) {
 	}
 	for _, list := range lists {
 		t.Run(list.name, func(t *testing.T) {
-			sweep := func(parallel int, freshPerRun bool) string {
+			sweep := func(r *ccsvm.Runner, freshPerRun bool) string {
 				t.Helper()
 				batch := make([]ccsvm.RunSpec, len(list.specs))
 				copy(batch, list.specs)
@@ -191,24 +196,172 @@ func TestRunnerArenaReuse(t *testing.T) {
 					}
 				}
 				var buf bytes.Buffer
-				r := &ccsvm.Runner{Parallel: parallel, Sinks: []ccsvm.Sink{ccsvm.NewJSONLSink(&buf)}}
+				r.Sinks = []ccsvm.Sink{ccsvm.NewJSONLSink(&buf)}
 				if _, err := r.Run(batch); err != nil {
-					t.Fatalf("sweep (parallel=%d, fresh=%v): %v", parallel, freshPerRun, err)
+					t.Fatalf("sweep (parallel=%d, fresh=%v): %v", r.Parallel, freshPerRun, err)
 				}
 				return buf.String()
 			}
 
-			fresh := sweep(1, true)
+			fresh := sweep(&ccsvm.Runner{Parallel: 1}, true)
 			if fresh == "" {
 				t.Fatal("fresh sweep produced no JSONL; the comparison would prove nothing")
 			}
 			for _, parallel := range []int{1, 4, 8} {
-				if got := sweep(parallel, false); got != fresh {
+				if got := sweep(&ccsvm.Runner{Parallel: parallel}, false); got != fresh {
 					t.Errorf("arena-reuse sweep at parallel=%d differs from fresh-machine sweep:\n--- fresh\n%s\n--- reused\n%s",
 						parallel, fresh, got)
 				}
 			}
+			for _, parallel := range []int{1, 4} {
+				r := &ccsvm.Runner{Parallel: parallel}
+				for call := 1; call <= 3; call++ {
+					if got := sweep(r, false); got != fresh {
+						t.Errorf("reused Runner at parallel=%d, call %d, differs from fresh-machine sweep:\n--- fresh\n%s\n--- reused\n%s",
+							parallel, call, fresh, got)
+					}
+				}
+			}
 		})
+	}
+}
+
+// jsonl renders results as a JSONL sink would.
+func jsonl(t *testing.T, results []ccsvm.RunResult) string {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := ccsvm.NewJSONLSink(&buf)
+	for _, rr := range results {
+		if err := sink.Emit(rr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
+// TestRunnerConcurrentRuns calls Run on one Runner from two goroutines at
+// once. The calls must not share an arena (the race detector and the
+// byte-identity check catch a shared one), each must produce the
+// fresh-machine output, and the Runner must afterwards hold no more arenas
+// than the four workers that ran at once.
+func TestRunnerConcurrentRuns(t *testing.T) {
+	specs := presetPairs(t, ccsvm.Params{N: 8, Density: 0.1, Seed: 42})
+	fresh := make([]ccsvm.RunSpec, len(specs))
+	copy(fresh, specs)
+	for i := range fresh {
+		fresh[i].System.Arena = ccsvm.NewArena()
+	}
+	want, err := (&ccsvm.Runner{Parallel: 1}).Run(fresh)
+	if err != nil {
+		t.Fatalf("fresh sweep: %v", err)
+	}
+	wantJSONL := jsonl(t, want)
+
+	r := &ccsvm.Runner{Parallel: 2}
+	var got [2][]ccsvm.RunResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = r.Run(specs)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("concurrent call %d: %v", g, errs[g])
+		}
+		if s := jsonl(t, got[g]); s != wantJSONL {
+			t.Errorf("concurrent call %d differs from fresh-machine sweep:\n--- fresh\n%s\n--- concurrent\n%s", g, wantJSONL, s)
+		}
+	}
+	if n := len(r.ParkedArenas()); n == 0 || n > 4 {
+		t.Fatalf("Runner holds %d arenas after two concurrent calls at Parallel 2, want 1 to 4", n)
+	}
+}
+
+// TestRunnerWarmCallsBuildNothing checks that a Runner keeps its worker's
+// arena between Run calls: once the first call has built a machine of every
+// shape in the list, the later calls draw every engine, memory, tag array,
+// SWMR checker and directory table from the arena, and its parked message
+// populations stay at the first call's high-water mark.
+func TestRunnerWarmCallsBuildNothing(t *testing.T) {
+	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
+	var specs []ccsvm.RunSpec
+	for _, w := range ccsvm.Workloads() {
+		if w.Supports(ccsvm.SystemCCSVM) {
+			spec, err := ccsvm.BuildSpec(w.Name, ccsvm.SystemCCSVM, "ccsvm-small", nil, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, spec)
+		}
+	}
+	for _, pair := range []struct {
+		workload string
+		kind     ccsvm.SystemKind
+	}{{"matmul", ccsvm.SystemCPU}, {"apsp", ccsvm.SystemOpenCL}} {
+		spec, err := ccsvm.BuildSpec(pair.workload, pair.kind, "apu-base", nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+
+	// parts lists each recycled part's builds and reuses.
+	type counts struct{ builds, reuses uint64 }
+	names := []string{"engine", "physical", "array", "checker", "table"}
+	parts := func(s simarena.Stats) map[string]counts {
+		return map[string]counts{
+			"engine":   {s.EngineBuilds, s.EngineReuses},
+			"physical": {s.PhysicalBuilds, s.PhysicalReuses},
+			"array":    {s.ArrayBuilds, s.ArrayReuses},
+			"checker":  {s.CheckerBuilds, s.CheckerReuses},
+			"table":    {s.TableBuilds, s.TableReuses},
+		}
+	}
+
+	r := &ccsvm.Runner{Parallel: 1}
+	var arena *ccsvm.Arena
+	var first, prev simarena.Stats
+	for call := 1; call <= 3; call++ {
+		if _, err := r.Run(specs); err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		parked := r.ParkedArenas()
+		if len(parked) != 1 {
+			t.Fatalf("call %d: Runner holds %d arenas, want its one worker's", call, len(parked))
+		}
+		s := parked[0].Stats()
+		if call == 1 {
+			arena, first = parked[0], s
+			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.CohMsgs == 0 || s.NocMsgs == 0 {
+				t.Fatalf("first call built no checker or table, or parked no messages: %+v", s)
+			}
+		} else {
+			if parked[0] != arena {
+				t.Fatalf("call %d ran on a new arena, not the one call 1 parked", call)
+			}
+			// Every part the call asked for, as many as call 1 asked for, was
+			// a reuse.
+			now, before, asked := parts(s), parts(prev), parts(first)
+			for _, name := range names {
+				if built := now[name].builds - before[name].builds; built != 0 {
+					t.Errorf("call %d built %d new %s(s)", call, built, name)
+				}
+				want := asked[name].builds + asked[name].reuses
+				if reused := now[name].reuses - before[name].reuses; reused != want {
+					t.Errorf("call %d reused %d %s(s), want all %d it asked for", call, reused, name, want)
+				}
+			}
+			if s.CohMsgs != first.CohMsgs || s.NocMsgs != first.NocMsgs {
+				t.Errorf("call %d parked %d coherence and %d network messages, want call 1's %d and %d",
+					call, s.CohMsgs, s.NocMsgs, first.CohMsgs, first.NocMsgs)
+			}
+		}
+		prev = s
 	}
 }
 
