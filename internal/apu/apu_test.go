@@ -10,7 +10,6 @@ import (
 	"ccsvm/internal/dram"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // hierRig is a pair of private hierarchies sharing a snoop filter and a DRAM
@@ -18,7 +17,6 @@ import (
 type hierRig struct {
 	engine *sim.Engine
 	dram   *dram.Controller
-	reg    *stats.Registry
 	hiers  []*PrivateHierarchy
 }
 
@@ -28,9 +26,8 @@ func newHierRig(t *testing.T, n int) *hierRig {
 	t.Helper()
 	r := &hierRig{
 		engine: sim.NewEngine(),
-		reg:    stats.NewRegistry("test"),
 	}
-	r.dram = dram.NewController(r.engine, dram.DefaultAPUConfig(), r.reg, "dram")
+	r.dram = dram.NewController(r.engine, dram.DefaultAPUConfig())
 	filter := newSnoopFilter()
 	for i := 0; i < n; i++ {
 		name := "cpu" + string(rune('0'+i))
@@ -41,7 +38,7 @@ func newHierRig(t *testing.T, n int) *hierRig {
 			L2Hit: 3 * sim.Nanosecond,
 		}
 		l1, l2 := cache.NewArray(cfg.L1), cache.NewArray(cfg.L2)
-		r.hiers = append(r.hiers, NewPrivateHierarchy(r.engine, cfg, l1, l2, r.dram, filter, r.reg, name))
+		r.hiers = append(r.hiers, NewPrivateHierarchy(r.engine, cfg, l1, l2, r.dram, filter))
 	}
 	return r
 }
@@ -64,15 +61,6 @@ func (r *hierRig) access(t *testing.T, h int, typ mem.AccessType, addr mem.PAddr
 	return end.Sub(start)
 }
 
-func (r *hierRig) counter(t *testing.T, name string) uint64 {
-	t.Helper()
-	v, ok := r.reg.Lookup(name)
-	if !ok {
-		t.Fatalf("no counter %q", name)
-	}
-	return v
-}
-
 // line returns an address on the i-th cache line of a convenient region.
 func line(i int) mem.PAddr { return mem.PAddr(0x1_0000 + i*mem.LineSize) }
 
@@ -84,7 +72,7 @@ func TestPrivateHierarchyHitMissLatencies(t *testing.T) {
 	if lat := r.access(t, 0, mem.Read, line(0)); lat < dramLat {
 		t.Fatalf("cold miss took %v, want >= DRAM latency %v", lat, dramLat)
 	}
-	if got := r.counter(t, "cpu0.misses"); got != 1 {
+	if got := r.hiers[0].Stats.Misses; got != 1 {
 		t.Fatalf("misses = %d, want 1", got)
 	}
 
@@ -92,7 +80,7 @@ func TestPrivateHierarchyHitMissLatencies(t *testing.T) {
 	if lat := r.access(t, 0, mem.Read, line(0)+8); lat != 1*sim.Nanosecond {
 		t.Fatalf("L1 hit took %v, want 1ns", lat)
 	}
-	if got := r.counter(t, "cpu0.l1_hits"); got != 1 {
+	if got := r.hiers[0].Stats.L1Hits; got != 1 {
 		t.Fatalf("l1_hits = %d, want 1", got)
 	}
 
@@ -102,10 +90,10 @@ func TestPrivateHierarchyHitMissLatencies(t *testing.T) {
 	if lat := r.access(t, 0, mem.Read, line(0)); lat != 4*sim.Nanosecond {
 		t.Fatalf("L2 hit took %v, want L1+L2 = 4ns", lat)
 	}
-	if got := r.counter(t, "cpu0.l2_hits"); got != 1 {
+	if got := r.hiers[0].Stats.L2Hits; got != 1 {
 		t.Fatalf("l2_hits = %d, want 1", got)
 	}
-	if got := r.counter(t, "cpu0.misses"); got != 2 {
+	if got := r.hiers[0].Stats.Misses; got != 2 {
 		t.Fatalf("misses = %d after L2 hit, want 2 (no new DRAM access)", got)
 	}
 }
@@ -120,10 +108,10 @@ func TestPrivateHierarchyWritebackOnL2Eviction(t *testing.T) {
 	for i := 2; i <= 6; i += 2 {
 		r.access(t, 0, mem.Read, line(i))
 	}
-	if got := r.counter(t, "cpu0.writebacks"); got == 0 {
+	if got := r.hiers[0].Stats.Writebacks; got == 0 {
 		t.Fatal("evicting a dirty L2 line recorded no writeback")
 	}
-	if got := r.counter(t, "dram.writes"); got == 0 {
+	if got := r.dram.Writes(); got == 0 {
 		t.Fatal("writeback did not reach DRAM")
 	}
 }
@@ -134,15 +122,15 @@ func TestSnoopFilterInvalidatesOtherHierarchies(t *testing.T) {
 	r := newHierRig(t, 2)
 	r.access(t, 0, mem.Read, line(0)) // cpu0 caches the line
 	r.access(t, 0, mem.Read, line(0))
-	if got := r.counter(t, "cpu0.l1_hits"); got != 1 {
+	if got := r.hiers[0].Stats.L1Hits; got != 1 {
 		t.Fatalf("cpu0 l1_hits = %d, want 1", got)
 	}
 
 	r.access(t, 1, mem.Write, line(0)) // cpu1 writes: snoop invalidates cpu0
 
-	missesBefore := r.counter(t, "cpu0.misses")
+	missesBefore := r.hiers[0].Stats.Misses
 	r.access(t, 0, mem.Read, line(0))
-	if got := r.counter(t, "cpu0.misses"); got != missesBefore+1 {
+	if got := r.hiers[0].Stats.Misses; got != missesBefore+1 {
 		t.Fatalf("cpu0 read after remote write hit a stale copy (misses %d, want %d)",
 			got, missesBefore+1)
 	}
@@ -157,46 +145,45 @@ func TestFlushAndInvalidateRange(t *testing.T) {
 
 	base := mem.VAddr(line(0))
 	size := uint64(2 * mem.LineSize)
-	wbBefore := r.counter(t, "dram.writes")
+	wbBefore := r.dram.Writes()
 	written := r.hiers[0].FlushRange(base, size, nil)
 	r.engine.Run()
 	if written != 1 {
 		t.Fatalf("FlushRange wrote back %d lines, want 1 (only line 0 is dirty)", written)
 	}
-	if got := r.counter(t, "dram.writes"); got != wbBefore+1 {
+	if got := r.dram.Writes(); got != wbBefore+1 {
 		t.Fatalf("dram.writes = %d, want %d", got, wbBefore+1)
 	}
 	// Both lines are gone from the hierarchy now.
-	missesBefore := r.counter(t, "cpu0.misses")
+	missesBefore := r.hiers[0].Stats.Misses
 	r.access(t, 0, mem.Read, line(0))
 	r.access(t, 0, mem.Read, line(1))
-	if got := r.counter(t, "cpu0.misses"); got != missesBefore+2 {
+	if got := r.hiers[0].Stats.Misses; got != missesBefore+2 {
 		t.Fatalf("flushed lines still cached (misses %d, want %d)", got, missesBefore+2)
 	}
 
 	// InvalidateRange: dirty data is dropped, not written back.
 	r.access(t, 0, mem.Write, line(3))
-	wbBefore = r.counter(t, "dram.writes")
+	wbBefore = r.dram.Writes()
 	r.hiers[0].InvalidateRange(mem.VAddr(line(3)), mem.LineSize)
-	if got := r.counter(t, "dram.writes"); got != wbBefore {
+	if got := r.dram.Writes(); got != wbBefore {
 		t.Fatalf("InvalidateRange wrote back (dram.writes %d -> %d)", wbBefore, got)
 	}
 }
 
 // gpuRig builds a GPUMemory with a tiny write buffer for FIFO tests.
-func gpuRig(t *testing.T, bufLines int) (*sim.Engine, *GPUMemory, *stats.Registry) {
+func gpuRig(t *testing.T, bufLines int) (*sim.Engine, *GPUMemory) {
 	t.Helper()
 	engine := sim.NewEngine()
-	reg := stats.NewRegistry("test")
-	d := dram.NewController(engine, dram.DefaultAPUConfig(), reg, "dram")
+	d := dram.NewController(engine, dram.DefaultAPUConfig())
 	rdcache := cache.NewArray(cache.Config{SizeBytes: 4 * mem.LineSize, Assoc: 2, Name: "gpu.rdcache"})
 	g := NewGPUMemory(engine, GPUMemConfig{
 		ReadCacheBytes:   4 * mem.LineSize,
 		ReadCacheAssoc:   2,
 		ReadHit:          2 * sim.Nanosecond,
 		WriteBufferLines: bufLines,
-	}, rdcache, d, reg)
-	return engine, g, reg
+	}, rdcache, d)
+	return engine, g
 }
 
 func gpuAccess(t *testing.T, engine *sim.Engine, g *GPUMemory, typ mem.AccessType, addr mem.PAddr) {
@@ -215,59 +202,51 @@ func gpuAccess(t *testing.T, engine *sim.Engine, g *GPUMemory, typ mem.AccessTyp
 // which keeps runs deterministic), so rewriting it costs a fresh slot while
 // a younger line still combines.
 func TestGPUWriteBufferCombinesAndEvictsFIFO(t *testing.T) {
-	engine, g, reg := gpuRig(t, 2)
-	count := func(name string) uint64 {
-		v, _ := reg.Lookup(name)
-		return v
-	}
+	engine, g := gpuRig(t, 2)
 
 	gpuAccess(t, engine, g, mem.Write, line(0)) // buffer: {0}
 	gpuAccess(t, engine, g, mem.Write, line(1)) // buffer: {0, 1}
-	if got := count("gpu.mem.write_lines"); got != 2 {
+	if got := g.Stats.WriteLines; got != 2 {
 		t.Fatalf("write_lines = %d, want 2", got)
 	}
 
 	gpuAccess(t, engine, g, mem.Write, line(0)) // combines with buffered line 0
-	if got := count("gpu.mem.combined_writes"); got != 1 {
+	if got := g.Stats.CombinedWrites; got != 1 {
 		t.Fatalf("combined_writes = %d, want 1", got)
 	}
 
 	gpuAccess(t, engine, g, mem.Write, line(2)) // full: evicts oldest (line 0)
-	if got := count("gpu.mem.write_lines"); got != 3 {
+	if got := g.Stats.WriteLines; got != 3 {
 		t.Fatalf("write_lines = %d after overflow, want 3", got)
 	}
 
 	// Line 0 was the FIFO victim: rewriting it is a fresh line, not a combine.
 	gpuAccess(t, engine, g, mem.Write, line(0))
-	if got := count("gpu.mem.write_lines"); got != 4 {
+	if got := g.Stats.WriteLines; got != 4 {
 		t.Fatalf("write_lines = %d, want 4 (line 0 must have been evicted first)", got)
 	}
-	if got := count("gpu.mem.combined_writes"); got != 1 {
+	if got := g.Stats.CombinedWrites; got != 1 {
 		t.Fatalf("combined_writes = %d, want still 1", got)
 	}
 	// Line 1 is younger and must still be buffered... until line 0's re-insert
 	// evicted it (buffer held {1, 2}). Now the buffer holds {2, 0}: line 2
 	// still combines.
 	gpuAccess(t, engine, g, mem.Write, line(2))
-	if got := count("gpu.mem.combined_writes"); got != 2 {
+	if got := g.Stats.CombinedWrites; got != 2 {
 		t.Fatalf("combined_writes = %d, want 2 (line 2 still buffered)", got)
 	}
 }
 
 // TestGPUReadCacheHitMiss pins the small GPU read cache and InvalidateAll.
 func TestGPUReadCacheHitMiss(t *testing.T) {
-	engine, g, reg := gpuRig(t, 2)
-	count := func(name string) uint64 {
-		v, _ := reg.Lookup(name)
-		return v
-	}
+	engine, g := gpuRig(t, 2)
 
 	gpuAccess(t, engine, g, mem.Read, line(0))
-	if got := count("gpu.mem.read_misses"); got != 1 {
+	if got := g.Stats.ReadMisses; got != 1 {
 		t.Fatalf("read_misses = %d, want 1", got)
 	}
 	gpuAccess(t, engine, g, mem.Read, line(0))
-	if got := count("gpu.mem.read_hits"); got != 1 {
+	if got := g.Stats.ReadHits; got != 1 {
 		t.Fatalf("read_hits = %d, want 1", got)
 	}
 
@@ -275,11 +254,11 @@ func TestGPUReadCacheHitMiss(t *testing.T) {
 	gpuAccess(t, engine, g, mem.Write, line(1))
 	g.InvalidateAll()
 	gpuAccess(t, engine, g, mem.Read, line(0))
-	if got := count("gpu.mem.read_misses"); got != 2 {
+	if got := g.Stats.ReadMisses; got != 2 {
 		t.Fatalf("read_misses = %d after InvalidateAll, want 2", got)
 	}
 	gpuAccess(t, engine, g, mem.Write, line(1))
-	if got := count("gpu.mem.write_lines"); got != 2 {
+	if got := g.Stats.WriteLines; got != 2 {
 		t.Fatalf("write_lines = %d, want 2 (buffer dropped by InvalidateAll)", got)
 	}
 }
@@ -289,7 +268,7 @@ func TestGPUReadCacheHitMiss(t *testing.T) {
 // carriers are recycled and holder sets are bitmasks.
 func TestMemoryPathAllocatesNothing(t *testing.T) {
 	r := newHierRig(t, 2)
-	engine, g, _ := gpuRig(t, 2)
+	engine, g := gpuRig(t, 2)
 	done := func() {}
 	run := func() {
 		for i := 0; i < 8; i++ {
@@ -309,7 +288,7 @@ func TestMemoryPathAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(20, run); n != 0 {
 		t.Fatalf("memory path allocated %.1f objects per pass, want 0", n)
 	}
-	if r.counter(t, "cpu0.misses") == 0 {
+	if r.hiers[0].Stats.Misses == 0 {
 		t.Fatal("rig produced no DRAM misses")
 	}
 }

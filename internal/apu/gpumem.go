@@ -5,7 +5,6 @@ import (
 	"ccsvm/internal/dram"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // GPUMemory is the GPU side of the APU's memory system: accesses bypass the
@@ -27,11 +26,18 @@ type GPUMemory struct {
 	writeSeq    int
 	writeBufMax int
 	// freeMisses recycles read-miss carriers (see gpuReadMiss).
-	freeMisses   []*gpuReadMiss
-	combinedWr   *stats.Counter
-	readHits     *stats.Counter
-	readMisses   *stats.Counter
-	uncombinedWr *stats.Counter
+	freeMisses []*gpuReadMiss
+
+	Stats GPUMemStats
+}
+
+// GPUMemStats are the GPU memory path's event counters.
+type GPUMemStats struct {
+	// ReadHits and ReadMisses count read-cache lookups by outcome.
+	ReadHits, ReadMisses uint64
+	// CombinedWrites counts writes merged into a buffered line; WriteLines
+	// counts lines that took a fresh buffer slot.
+	CombinedWrites, WriteLines uint64
 }
 
 // GPUMemConfig describes the GPU memory path.
@@ -60,8 +66,8 @@ func DefaultGPUMemConfig() GPUMemConfig {
 // NewGPUMemory builds the GPU memory path around an empty read-cache tag
 // array of cfg's ReadCacheBytes and ReadCacheAssoc, built by the caller as
 // for NewPrivateHierarchy.
-func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, readCache *cache.Array, d *dram.Controller, reg *stats.Registry) *GPUMemory {
-	g := &GPUMemory{
+func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, readCache *cache.Array, d *dram.Controller) *GPUMemory {
+	return &GPUMemory{
 		engine:      engine,
 		dram:        d,
 		readCache:   readCache,
@@ -69,11 +75,6 @@ func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, readCache *cache.Array, 
 		writeBuf:    make(map[mem.LineAddr]int),
 		writeBufMax: cfg.WriteBufferLines,
 	}
-	g.readHits = reg.Counter("gpu.mem.read_hits")
-	g.readMisses = reg.Counter("gpu.mem.read_misses")
-	g.combinedWr = reg.Counter("gpu.mem.combined_writes")
-	g.uncombinedWr = reg.Counter("gpu.mem.write_lines")
-	return g
 }
 
 // Access implements mem.Port.
@@ -84,7 +85,7 @@ func (g *GPUMemory) Access(req mem.Request, done func()) {
 		// subsequent writes to the same line merge for free. When the buffer
 		// fills, the oldest line is written to DRAM.
 		if _, ok := g.writeBuf[line]; ok {
-			g.combinedWr.Inc()
+			g.Stats.CombinedWrites++
 			g.engine.Schedule(g.readHit, done)
 			return
 		}
@@ -93,17 +94,17 @@ func (g *GPUMemory) Access(req mem.Request, done func()) {
 		}
 		g.writeSeq++
 		g.writeBuf[line] = g.writeSeq
-		g.uncombinedWr.Inc()
+		g.Stats.WriteLines++
 		g.dram.Write(line, nil)
 		g.engine.Schedule(g.readHit, done)
 		return
 	}
 	if g.readCache.Touch(line) != nil {
-		g.readHits.Inc()
+		g.Stats.ReadHits++
 		g.engine.Schedule(g.readHit, done)
 		return
 	}
-	g.readMisses.Inc()
+	g.Stats.ReadMisses++
 	var r *gpuReadMiss
 	if n := len(g.freeMisses); n > 0 {
 		r = g.freeMisses[n-1]

@@ -12,7 +12,6 @@ import (
 	"ccsvm/internal/mttop"
 	"ccsvm/internal/sim"
 	"ccsvm/internal/simarena"
-	"ccsvm/internal/stats"
 )
 
 // Config describes the APU baseline machine (Table 2, right column).
@@ -176,7 +175,6 @@ func DefaultConfig() Config {
 type Machine struct {
 	Config Config
 	Engine *sim.Engine
-	Stats  *stats.Registry
 	Phys   *mem.Physical
 	DRAM   *dram.Controller
 
@@ -184,6 +182,9 @@ type Machine struct {
 	CPUMem   []*PrivateHierarchy
 	GPUUnits []*mttop.Core
 	GPUMem   *GPUMemory
+	// OpenCL accumulates the driver activity of every OpenCL session on the
+	// machine (see package opencl).
+	OpenCL OpenCLStats
 
 	kernel  *kernelos.Kernel
 	heapPtr mem.VAddr
@@ -206,7 +207,6 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
 		Engine: cfg.arena.Engine(),
-		Stats:  stats.NewRegistry("apu"),
 		arena:  cfg.arena,
 		arrays: make([]*cache.Array, 0, 2*cfg.NumCPUs+1),
 	}
@@ -214,8 +214,8 @@ func NewMachine(cfg Config) *Machine {
 	// (see core.NewMachine).
 	m.Engine.EnableTraceHash()
 	m.Phys = cfg.arena.Physical(cfg.DRAM.SizeBytes)
-	m.DRAM = dram.NewController(m.Engine, cfg.DRAM, m.Stats, "dram")
-	m.kernel = kernelos.NewKernel(m.Phys, 16, kernelos.DefaultCosts(), m.Stats)
+	m.DRAM = dram.NewController(m.Engine, cfg.DRAM)
+	m.kernel = kernelos.NewKernel(m.Phys, 16, kernelos.DefaultCosts())
 	m.gate = exec.NewGate()
 	// See core.NewMachine: thread activations pending at a schedule point
 	// must schedule first to keep the event trace order.
@@ -230,14 +230,14 @@ func NewMachine(cfg Config) *Machine {
 		hcfg := cfg.CPUCaches
 		hcfg.L1.Name = name + ".l1"
 		hcfg.L2.Name = name + ".l2"
-		hier := NewPrivateHierarchy(m.Engine, hcfg, m.array(hcfg.L1), m.array(hcfg.L2), m.DRAM, filter, m.Stats, name)
+		hier := NewPrivateHierarchy(m.Engine, hcfg, m.array(hcfg.L1), m.array(hcfg.L2), m.DRAM, filter)
 		m.CPUMem = append(m.CPUMem, hier)
-		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, hier, nil, m.Phys, m.kernel, m.Stats)
+		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, hier, nil, m.Phys, m.kernel)
 		m.CPUs = append(m.CPUs, core)
 	}
 
 	rdcache := m.array(cache.Config{SizeBytes: cfg.GPUMem.ReadCacheBytes, Assoc: cfg.GPUMem.ReadCacheAssoc, Name: "gpu.rdcache"})
-	m.GPUMem = NewGPUMemory(m.Engine, cfg.GPUMem, rdcache, m.DRAM, m.Stats)
+	m.GPUMem = NewGPUMemory(m.Engine, cfg.GPUMem, rdcache, m.DRAM)
 	issueWidth := cfg.GPULanes * cfg.GPUVLIWOpsPerInstr
 	for i := 0; i < cfg.GPUSIMDUnits; i++ {
 		unit := mttop.New(m.Engine, mttop.Config{
@@ -245,7 +245,7 @@ func NewMachine(cfg Config) *Machine {
 			NumContexts: cfg.GPUContextsPerUnit,
 			IssueWidth:  issueWidth,
 			Name:        fmt.Sprintf("apu.gpu%d", i),
-		}, m.GPUMem, nil, m.Phys, nil, m.Stats)
+		}, m.GPUMem, nil, m.Phys, nil)
 		m.GPUUnits = append(m.GPUUnits, unit)
 	}
 	return m

@@ -22,7 +22,6 @@ import (
 	"ccsvm/internal/dram"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // snoopFilter approximates coherence among the APU's CPU cores: it tracks
@@ -74,7 +73,6 @@ func (s *snoopFilter) invalidateOthers(h *PrivateHierarchy, line mem.LineAddr) {
 // DRAM. It implements mem.Port.
 type PrivateHierarchy struct {
 	engine *sim.Engine
-	name   string
 	id     int
 	l1     *cache.Array
 	l2     *cache.Array
@@ -85,10 +83,16 @@ type PrivateHierarchy struct {
 	// freeMisses recycles DRAM-miss carriers (see dramMiss).
 	freeMisses []*dramMiss
 
-	l1Hits   *stats.Counter
-	l2Hits   *stats.Counter
-	misses   *stats.Counter
-	writebks *stats.Counter
+	Stats HierarchyStats
+}
+
+// HierarchyStats are a private hierarchy's event counters.
+type HierarchyStats struct {
+	// L1Hits, L2Hits and Misses count accesses by the level that served
+	// them; a miss goes to DRAM.
+	L1Hits, L2Hits, Misses uint64
+	// Writebacks counts dirty lines written back to DRAM.
+	Writebacks uint64
 }
 
 // HierarchyConfig describes one private hierarchy (Table 2 APU column: 64 KB
@@ -116,10 +120,9 @@ func DefaultHierarchyConfig(name string) HierarchyConfig {
 // cfg's geometries. The caller builds the arrays, so a machine can draw them
 // from a simarena.Arena; the hierarchy owns them from then on.
 func NewPrivateHierarchy(engine *sim.Engine, cfg HierarchyConfig, l1, l2 *cache.Array, d *dram.Controller,
-	filter *snoopFilter, reg *stats.Registry, name string) *PrivateHierarchy {
+	filter *snoopFilter) *PrivateHierarchy {
 	h := &PrivateHierarchy{
 		engine: engine,
-		name:   name,
 		l1:     l1,
 		l2:     l2,
 		l1Hit:  cfg.L1Hit,
@@ -130,10 +133,6 @@ func NewPrivateHierarchy(engine *sim.Engine, cfg HierarchyConfig, l1, l2 *cache.
 	if filter != nil {
 		filter.register(h)
 	}
-	h.l1Hits = reg.Counter(name + ".l1_hits")
-	h.l2Hits = reg.Counter(name + ".l2_hits")
-	h.misses = reg.Counter(name + ".misses")
-	h.writebks = reg.Counter(name + ".writebacks")
 	return h
 }
 
@@ -145,7 +144,7 @@ func (h *PrivateHierarchy) Access(req mem.Request, done func()) {
 		h.filter.invalidateOthers(h, line)
 	}
 	if l := h.l1.Touch(line); l != nil {
-		h.l1Hits.Inc()
+		h.Stats.L1Hits++
 		if write {
 			l.Dirty = true
 		}
@@ -154,14 +153,14 @@ func (h *PrivateHierarchy) Access(req mem.Request, done func()) {
 		return
 	}
 	if l := h.l2.Touch(line); l != nil {
-		h.l2Hits.Inc()
+		h.Stats.L2Hits++
 		h.fillL1(line, write)
 		h.filter.touch(h, line)
 		h.engine.Schedule(h.l1Hit+h.l2Hit, done)
 		return
 	}
 	// Miss to DRAM.
-	h.misses.Inc()
+	h.Stats.Misses++
 	var r *dramMiss
 	if n := len(h.freeMisses); n > 0 {
 		r = h.freeMisses[n-1]
@@ -219,7 +218,7 @@ func (h *PrivateHierarchy) fillL2(line mem.LineAddr) {
 	}
 	l.State = cache.Shared
 	if evicted && victim.Dirty {
-		h.writebks.Inc()
+		h.Stats.Writebacks++
 		h.dram.Write(victim.Addr, nil)
 	}
 }

@@ -28,7 +28,7 @@ type Config struct {
 	SizeBytes int
 	// Assoc is the number of ways per set.
 	Assoc int
-	// Name is used in error messages and stats.
+	// Name is used in error messages.
 	Name string
 }
 

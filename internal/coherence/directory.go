@@ -10,7 +10,6 @@ import (
 	"ccsvm/internal/mem"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // DirState is the directory's view of a line.
@@ -123,7 +122,7 @@ type BankConfig struct {
 	// Table is the bank's empty directory entry table (NewDirTable, or a
 	// Reset one from an earlier run), handed in like L2. Required.
 	Table *DirTable
-	// Name prefixes this bank's statistics.
+	// Name identifies the bank in diagnostics.
 	Name string
 }
 
@@ -160,18 +159,22 @@ type DirectoryBank struct {
 	// InjectSkipInvalidations; zero in normal operation.
 	skipInvs int
 
-	requests   *stats.Counter
-	l2Hits     *stats.Counter
-	l2Misses   *stats.Counter
-	writebacks *stats.Counter
-	forwards   *stats.Counter
-	invsSent   *stats.Counter
+	Stats BankStats
+}
+
+// BankStats are a directory bank's event counters.
+type BankStats struct {
+	// L2Hits and L2Misses count L2 lookups by outcome.
+	L2Hits, L2Misses uint64
+	// Forwards counts requests forwarded to an owner; InvalidationsSent
+	// counts invalidations sent to sharers.
+	Forwards, InvalidationsSent uint64
 }
 
 // NewDirectoryBank builds a bank, attaches it to the network and wires it to
 // a DRAM channel.
 func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg BankConfig,
-	memory *dram.Controller, reg *stats.Registry) *DirectoryBank {
+	memory *dram.Controller) *DirectoryBank {
 	proto := cfg.Protocol
 	if proto == nil {
 		proto = ProtocolMOESI
@@ -194,12 +197,6 @@ func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg Ba
 		pool:   cfg.Pool,
 	}
 	b.processFn = func(a any) { b.process(a.(*Msg)) }
-	b.requests = reg.Counter(cfg.Name + ".requests")
-	b.l2Hits = reg.Counter(cfg.Name + ".l2_hits")
-	b.l2Misses = reg.Counter(cfg.Name + ".l2_misses")
-	b.writebacks = reg.Counter(cfg.Name + ".writebacks_to_dram")
-	b.forwards = reg.Counter(cfg.Name + ".forwards")
-	b.invsSent = reg.Counter(cfg.Name + ".invalidations_sent")
 	net.Attach(id, b)
 	return b
 }
@@ -300,7 +297,6 @@ func (b *DirectoryBank) dispatchRequest(e *dirEntry, m *Msg) {
 }
 
 func (b *DirectoryBank) handleRequest(e *dirEntry, m *Msg) {
-	b.requests.Inc()
 	if !b.proto.HasOwned && (e.state == DirOwned || m.Type == MsgPutO) {
 		panic(fmt.Sprintf("%s: %v with entry %v under %s", b.cfg.Name, m, e.state, b.proto.Name))
 	}
@@ -329,7 +325,7 @@ func (b *DirectoryBank) handleGetS(e *dirEntry, m *Msg) {
 	case DirExclusive, DirOwned:
 		e.busy = true
 		e.pending = m
-		b.forwards.Inc()
+		b.Stats.Forwards++
 		send(b.net, b.id, e.owner, b.pool.get(MsgFwdGetS, addr, req))
 	}
 }
@@ -344,7 +340,7 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 		others := b.maybeDropSharer(b.sharerList(e, req))
 		wasSharer := e.sharers&nodeBit(req) != 0
 		for _, s := range others {
-			b.invsSent.Inc()
+			b.Stats.InvalidationsSent++
 			send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
 		}
 		if wasSharer {
@@ -363,12 +359,12 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 		}
 		e.busy = true
 		e.pending = m
-		b.forwards.Inc()
+		b.Stats.Forwards++
 		send(b.net, b.id, e.owner, b.pool.get(MsgFwdGetM, addr, req))
 	case DirOwned:
 		others := b.maybeDropSharer(b.sharerList(e, req))
 		for _, s := range others {
-			b.invsSent.Inc()
+			b.Stats.InvalidationsSent++
 			send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
 		}
 		if e.owner == req {
@@ -381,7 +377,7 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 		}
 		e.busy = true
 		e.pending = m
-		b.forwards.Inc()
+		b.Stats.Forwards++
 		fwd := b.pool.get(MsgFwdGetM, addr, req)
 		fwd.AckCount = len(others)
 		send(b.net, b.id, e.owner, fwd)
@@ -525,11 +521,11 @@ func fillDone(a any) {
 //ccsvm:hotpath
 func (b *DirectoryBank) withL2Data(e *dirEntry, r l2Reply) {
 	if b.l2.Touch(r.addr) != nil {
-		b.l2Hits.Inc()
+		b.Stats.L2Hits++
 		b.reply(e, r)
 		return
 	}
-	b.l2Misses.Inc()
+	b.Stats.L2Misses++
 	e.busy = true
 	var f *l2Fill
 	if n := len(b.fillFree); n > 0 {
@@ -589,7 +585,6 @@ func (b *DirectoryBank) installL2(addr mem.LineAddr, dirty bool) {
 		panic(fmt.Sprintf("%s: L2 allocation failed for %v", b.cfg.Name, addr))
 	}
 	if evicted && victim.Dirty {
-		b.writebacks.Inc()
 		b.memory.Write(victim.Addr, nil)
 	}
 	line.State = cache.Shared

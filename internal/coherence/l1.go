@@ -7,7 +7,6 @@ import (
 	"ccsvm/internal/mem"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // L1Config describes one private L1 data cache and its controller.
@@ -27,7 +26,7 @@ type L1Config struct {
 	// Pool is the protocol-message pool shared by every controller of the
 	// memory system (see MsgPool). Required.
 	Pool *MsgPool
-	// Name prefixes this controller's statistics.
+	// Name identifies the controller in diagnostics.
 	Name string
 }
 
@@ -99,19 +98,27 @@ type L1Controller struct {
 	//ccsvm:stateok // bound once at construction; rebound on restore
 	handleFn func(any)
 
-	hits        *stats.Counter
-	misses      *stats.Counter
-	evictsClean *stats.Counter
-	evictsDirty *stats.Counter
-	invsRecv    *stats.Counter
-	fwdsRecv    *stats.Counter
-	dataFwds    *stats.Counter
+	Stats L1Stats
+}
+
+// L1Stats are an L1 controller's event counters.
+type L1Stats struct {
+	// Hits and Misses count core accesses by outcome.
+	Hits, Misses uint64
+	// DirtyEvictions counts evicted lines that needed a writeback.
+	DirtyEvictions uint64
+	// Forwards counts forwarded requests received from the directory.
+	Forwards uint64
+	// DataForwards counts forwards this cache answered with data sent
+	// directly to the requestor. It is structurally zero under protocols
+	// without owner-forwarding, which the memtest harness asserts.
+	DataForwards uint64
 }
 
 // NewL1Controller builds an L1 controller and attaches it to the network at
 // the given node ID.
 func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks BankMapper,
-	cfg L1Config, checker *Checker, reg *stats.Registry) *L1Controller {
+	cfg L1Config, checker *Checker) *L1Controller {
 	proto := cfg.Protocol
 	if proto == nil {
 		proto = ProtocolMOESI
@@ -142,13 +149,6 @@ func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks B
 		c.paFree = append(c.paFree, pa)
 		c.handle(p)
 	}
-	c.hits = reg.Counter(cfg.Name + ".hits")
-	c.misses = reg.Counter(cfg.Name + ".misses")
-	c.evictsClean = reg.Counter(cfg.Name + ".evictions_clean")
-	c.evictsDirty = reg.Counter(cfg.Name + ".evictions_dirty")
-	c.invsRecv = reg.Counter(cfg.Name + ".invalidations")
-	c.fwdsRecv = reg.Counter(cfg.Name + ".forwards")
-	c.dataFwds = reg.Counter(cfg.Name + ".data_forwards")
 	net.Attach(id, c)
 	return c
 }
@@ -198,7 +198,7 @@ func (c *L1Controller) handle(p pendingAccess) {
 	needWrite := p.req.Type.NeedsExclusive()
 	if line != nil && line.State.Stable() {
 		if !needWrite && line.State.CanRead() {
-			c.hits.Inc()
+			c.Stats.Hits++
 			p.done()
 			return
 		}
@@ -207,12 +207,12 @@ func (c *L1Controller) handle(p pendingAccess) {
 				line.State = cache.Modified
 				c.checker.Record(c.id, addr, cache.Modified)
 			}
-			c.hits.Inc()
+			c.Stats.Hits++
 			p.done()
 			return
 		}
 	}
-	c.misses.Inc()
+	c.Stats.Misses++
 	c.startTransaction(p, line, needWrite)
 }
 
@@ -295,9 +295,7 @@ func (c *L1Controller) evictLine(victim cache.Line) {
 		panic(fmt.Sprintf("%s: evicting line in state %v under %s", c.cfg.Name, victim.State, c.proto.Name))
 	}
 	if act.dirty {
-		c.evictsDirty.Inc()
-	} else {
-		c.evictsClean.Inc()
+		c.Stats.DirtyEvictions++
 	}
 	c.checker.Record(c.id, victim.Addr, cache.Invalid)
 	if act.silent {
@@ -456,7 +454,7 @@ func (c *L1Controller) completeAndInvalidate(ms *mshr, line *cache.Line) {
 // deferred append, which hands ownership to the MSHR until complete /
 // completeAndInvalidate re-submit it here.
 func (c *L1Controller) handleFwd(m *Msg) {
-	c.fwdsRecv.Inc()
+	c.Stats.Forwards++
 	if ms := c.mshrs[m.Addr]; ms != nil {
 		line := c.array.Lookup(m.Addr)
 		// An upgrade from Owned that has not been granted yet: this cache is
@@ -516,7 +514,7 @@ func (c *L1Controller) answerFwd(m *Msg, act fwdAction) {
 	if !act.forward {
 		return
 	}
-	c.dataFwds.Inc()
+	c.Stats.DataForwards++
 	out := c.pool.get(act.data, m.Addr, m.Requestor)
 	if act.data == MsgDataExcl {
 		out.AckCount = m.AckCount
@@ -558,7 +556,6 @@ func (c *L1Controller) sendFwdDone(addr mem.LineAddr, kept cache.State, dirty bo
 }
 
 func (c *L1Controller) handleInv(m *Msg) {
-	c.invsRecv.Inc()
 	ack := func() {
 		send(c.net, c.id, m.Requestor, c.pool.get(MsgInvAck, m.Addr, m.Requestor))
 	}
@@ -634,11 +631,6 @@ func (c *L1Controller) Flush() {
 		c.evictLine(v)
 	}
 }
-
-// DataForwards reports how many times this cache answered a forward with data
-// sent directly to the requestor. Structurally zero under protocols without
-// owner-forwarding — the memtest harness asserts exactly that.
-func (c *L1Controller) DataForwards() uint64 { return c.dataFwds.Value() }
 
 // OutstandingTransactions reports the number of in-flight MSHRs (tests use
 // this to confirm quiescence).

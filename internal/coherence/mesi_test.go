@@ -43,10 +43,10 @@ func TestMESIWriterThenReaderSharesWithoutOwned(t *testing.T) {
 	if w := s.memory.Writes(); w != 0 {
 		t.Fatalf("DRAM writes = %d, want 0 (L2 absorbs the downgrade writeback)", w)
 	}
-	if fwds := s.reg.Sum("l1.0.data_forwards"); fwds != 0 {
+	if fwds := s.l1s[0].Stats.DataForwards; fwds != 0 {
 		t.Fatalf("owner forwarded data %d time(s) under MESI, want 0", fwds)
 	}
-	if got := s.reg.Sum("l1.0.forwards"); got != 1 {
+	if got := s.l1s[0].Stats.Forwards; got != 1 {
 		t.Fatalf("owner saw %d forward(s), want 1 (the FwdGetS it answered with FwdDone only)", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestMESIWriteMigrationForwardsNoData(t *testing.T) {
 		t.Fatalf("core 2 in %v, want M", st)
 	}
 	for core := 0; core < 3; core++ {
-		if fwds := s.reg.Sum("l1." + string(rune('0'+core)) + ".data_forwards"); fwds != 0 {
+		if fwds := s.l1s[core].Stats.DataForwards; fwds != 0 {
 			t.Fatalf("core %d forwarded data %d time(s) under MESI, want 0", core, fwds)
 		}
 	}

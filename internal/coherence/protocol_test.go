@@ -12,7 +12,6 @@ import (
 	"ccsvm/internal/mem"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // testSystem is a small CCSVM memory system: a torus, some L1 controllers,
@@ -24,7 +23,6 @@ type testSystem struct {
 	banks   []*DirectoryBank
 	memory  *dram.Controller
 	checker *Checker
-	reg     *stats.Registry
 }
 
 func newTestSystem(t testing.TB, numL1, numBanks int) *testSystem {
@@ -35,7 +33,6 @@ func newTestSystem(t testing.TB, numL1, numBanks int) *testSystem {
 func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *testSystem {
 	t.Helper()
 	engine := sim.NewEngine()
-	reg := stats.NewRegistry("test")
 	checker := NewChecker()
 
 	// Node IDs: L1s are 0..numL1-1, banks follow.
@@ -49,8 +46,8 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 	for i := 0; i < total; i++ {
 		placement[noc.NodeID(i)] = noc.Coord{X: i % width, Y: i / width}
 	}
-	torus := noc.NewTorus(engine, noc.DefaultTorusConfig(width, height), placement, reg)
-	memory := dram.NewController(engine, dram.DefaultCCSVMConfig(), reg, "dram")
+	torus := noc.NewTorus(engine, noc.DefaultTorusConfig(width, height), placement)
+	memory := dram.NewController(engine, dram.DefaultCCSVMConfig())
 
 	bankIDs := make([]noc.NodeID, numBanks)
 	for i := range bankIDs {
@@ -59,7 +56,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 	mapper := InterleaveBanks(bankIDs)
 	pool := new(MsgPool)
 
-	s := &testSystem{engine: engine, torus: torus, memory: memory, checker: checker, reg: reg}
+	s := &testSystem{engine: engine, torus: torus, memory: memory, checker: checker}
 	for i := 0; i < numL1; i++ {
 		cfg := L1Config{
 			Cache:      cache.NewArray(cache.Config{SizeBytes: 4096, Assoc: 4, Name: fmt.Sprintf("l1.%d", i)}),
@@ -68,7 +65,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 			Protocol:   proto,
 			Pool:       pool,
 		}
-		s.l1s = append(s.l1s, NewL1Controller(engine, noc.NodeID(i), torus, mapper, cfg, checker, reg))
+		s.l1s = append(s.l1s, NewL1Controller(engine, noc.NodeID(i), torus, mapper, cfg, checker))
 	}
 	for i := 0; i < numBanks; i++ {
 		cfg := BankConfig{
@@ -79,7 +76,7 @@ func newTestSystemProto(t testing.TB, numL1, numBanks int, proto *Protocol) *tes
 			Pool:          pool,
 			Table:         NewDirTable(),
 		}
-		s.banks = append(s.banks, NewDirectoryBank(engine, bankIDs[i], torus, cfg, memory, reg))
+		s.banks = append(s.banks, NewDirectoryBank(engine, bankIDs[i], torus, cfg, memory))
 	}
 	// Every pooled protocol message allocated during the test must have been
 	// released by the time it ends: a message parked in a queue (a directory's
@@ -249,13 +246,13 @@ func TestWriteAfterExclusiveReadIsSilentUpgrade(t *testing.T) {
 	s := newTestSystem(t, 2, 1)
 	s.access(0, mem.Read, 0x5000)
 	s.quiesce(t)
-	before := s.reg.Sum("l1.0.misses")
+	before := s.l1s[0].Stats.Misses
 	s.access(0, mem.Write, 0x5000)
 	s.quiesce(t)
 	if st := s.l1State(0, 0x5000); st != cache.Modified {
 		t.Fatalf("state %v, want M after silent upgrade", st)
 	}
-	if after := s.reg.Sum("l1.0.misses"); after != before {
+	if after := s.l1s[0].Stats.Misses; after != before {
 		t.Fatalf("silent E->M upgrade should not miss (misses %d -> %d)", before, after)
 	}
 }
@@ -303,7 +300,7 @@ func TestDirtyEvictionWritesBackToL2NotDRAM(t *testing.T) {
 	}
 	// One line was evicted dirty; it must have been written back into the L2
 	// (PutM) without a DRAM write (the L2 absorbs it).
-	if got := s.reg.Sum("l1.0.evictions_dirty"); got != 1 {
+	if got := s.l1s[0].Stats.DirtyEvictions; got != 1 {
 		t.Fatalf("dirty evictions = %d, want 1", got)
 	}
 	if w := s.memory.Writes(); w != 0 {
@@ -366,7 +363,7 @@ func TestMSHRCoalescingSameLine(t *testing.T) {
 	if !*d1 || !*d2 {
 		t.Fatal("coalesced reads did not both complete")
 	}
-	if m := s.reg.Sum("l1.0.misses"); m != 1 {
+	if m := s.l1s[0].Stats.Misses; m != 1 {
 		t.Fatalf("misses = %d, want 1 (coalesced)", m)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"ccsvm/internal/mifd"
 	"ccsvm/internal/sim"
 	"ccsvm/internal/simarena"
-	"ccsvm/internal/vm"
 )
 
 // Config is the CCSVM system configuration. DefaultConfig reproduces the
@@ -237,8 +236,3 @@ type ConfigError struct{ Field string }
 
 // Error implements error.
 func (e *ConfigError) Error() string { return "core: invalid configuration field " + e.Field }
-
-// tlbConfig builds the per-core TLB configuration.
-func (c Config) tlbConfig(name string) vm.TLBConfig {
-	return vm.TLBConfig{Entries: c.TLBEntries, Name: name}
-}

@@ -16,7 +16,6 @@ import (
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
 	"ccsvm/internal/simarena"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 	"ccsvm/internal/xthreads"
 )
@@ -27,7 +26,6 @@ import (
 type Machine struct {
 	Config  Config
 	Engine  *sim.Engine
-	Stats   *stats.Registry
 	Phys    *mem.Physical
 	Kernel  *kernelos.Kernel
 	Process *kernelos.Process
@@ -72,7 +70,6 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
 		Engine: cfg.arena.Engine(),
-		Stats:  stats.NewRegistry("ccsvm"),
 		arena:  cfg.arena,
 		arrays: make([]*cache.Array, 0, cfg.NumCPUs+cfg.NumMTTOPs+cfg.L2Banks),
 		tables: make([]*coherence.DirTable, 0, cfg.L2Banks),
@@ -83,7 +80,7 @@ func NewMachine(cfg Config) *Machine {
 	m.Engine.EnableTraceHash()
 	m.Phys = cfg.arena.Physical(cfg.DRAM.SizeBytes)
 	m.Checker = cfg.arena.Checker()
-	m.DRAM = dram.NewController(m.Engine, cfg.DRAM, m.Stats, "dram")
+	m.DRAM = dram.NewController(m.Engine, cfg.DRAM)
 
 	cpuClock := sim.NewClock("cpu", cfg.CPUClockHz)
 	mttopClock := sim.NewClock("mttop", cfg.MTTOPClockHz)
@@ -110,7 +107,7 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Torus.LinkBandwidth > 0 {
 		torusCfg.LinkBandwidth = cfg.Torus.LinkBandwidth
 	}
-	m.torus = noc.NewTorus(m.Engine, torusCfg, placement, m.Stats)
+	m.torus = noc.NewTorus(m.Engine, torusCfg, placement)
 	m.torus.SeedFreeList(cfg.arena.TakeNocMsgs())
 	m.msgs.SeedFreeList(cfg.arena.TakeCohMsgs())
 
@@ -135,12 +132,12 @@ func NewMachine(cfg Config) *Machine {
 			Pool:          &m.msgs,
 			Table:         table,
 			Name:          fmt.Sprintf("l2.%d", i),
-		}, m.DRAM, m.Stats)
+		}, m.DRAM)
 		m.banks = append(m.banks, bank)
 	}
 
 	// Kernel and process.
-	m.Kernel = kernelos.NewKernel(m.Phys, 16, cfg.KernelCosts, m.Stats)
+	m.Kernel = kernelos.NewKernel(m.Phys, 16, cfg.KernelCosts)
 	m.Process = m.Kernel.NewProcess()
 	m.gate = exec.NewGate()
 	// Pending thread activations must schedule before anything an event
@@ -150,7 +147,7 @@ func NewMachine(cfg Config) *Machine {
 	m.Runtime = xthreads.NewRuntime(m.Process, m.Engine.Now, m.gate)
 
 	// MIFD.
-	m.MIFD = mifd.NewDevice(m.Engine, cfg.MIFD, m.Stats)
+	m.MIFD = mifd.NewDevice(m.Engine, cfg.MIFD)
 	m.MIFD.SetThreadFactory(m.Runtime.NewMTTOPThread)
 
 	// CPU cores with their private L1s and MMUs.
@@ -164,10 +161,10 @@ func NewMachine(cfg Config) *Machine {
 			Protocol:   proto,
 			Pool:       &m.msgs,
 			Name:       name + ".l1",
-		}, m.Checker, m.Stats)
+		}, m.Checker)
 		m.l1s = append(m.l1s, l1)
-		mmu := vm.NewMMU(cfg.tlbConfig(name+".tlb"), l1, m.Phys, m.Stats)
-		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, l1, mmu, m.Phys, m.Kernel, m.Stats)
+		mmu := vm.NewMMU(vm.TLBConfig{Entries: cfg.TLBEntries}, l1, m.Phys)
+		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, l1, mmu, m.Phys, m.Kernel)
 		core.SetSyscallHandler(m.handleSyscall)
 		m.CPUs = append(m.CPUs, core)
 	}
@@ -185,15 +182,15 @@ func NewMachine(cfg Config) *Machine {
 			Protocol:   proto,
 			Pool:       &m.msgs,
 			Name:       name + ".l1",
-		}, m.Checker, m.Stats)
+		}, m.Checker)
 		m.l1s = append(m.l1s, l1)
-		mmu := vm.NewMMU(cfg.tlbConfig(name+".tlb"), l1, m.Phys, m.Stats)
+		mmu := vm.NewMMU(vm.TLBConfig{Entries: cfg.TLBEntries}, l1, m.Phys)
 		core := mttop.New(m.Engine, mttop.Config{
 			Clock:       mttopClock,
 			NumContexts: cfg.MTTOPContexts,
 			IssueWidth:  cfg.MTTOPIssueWidth,
 			Name:        name,
-		}, l1, mmu, m.Phys, m.MIFD, m.Stats)
+		}, l1, mmu, m.Phys, m.MIFD)
 		m.MTTOPs = append(m.MTTOPs, core)
 		m.MIFD.AttachUnits(core)
 	}

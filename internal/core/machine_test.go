@@ -7,6 +7,7 @@ import (
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
+	"ccsvm/internal/simarena"
 	"ccsvm/internal/xthreads"
 )
 
@@ -131,10 +132,10 @@ func TestVectorAddXthreads(t *testing.T) {
 	// The MTTOP cores must have participated (threads dispatched) and the
 	// sum array, first touched by MTTOP threads, must have page-faulted
 	// through the MIFD to a CPU core.
-	if v, _ := m.Stats.Lookup("mifd.threads_dispatched"); v != n {
+	if v := m.MIFD.Stats.ThreadsDispatched; v != n {
 		t.Fatalf("dispatched %d threads, want %d", v, n)
 	}
-	if m.Kernel.PageFaults() == 0 {
+	if m.Kernel.Stats.PageFaults == 0 {
 		t.Fatal("expected demand-paging faults")
 	}
 	if !m.Checker.Ok() {
@@ -177,7 +178,7 @@ func TestMTTOPPageFaultForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := m.Stats.Lookup("mifd.page_faults_forwarded"); v == 0 {
+	if m.MIFD.Stats.PageFaultsForwarded == 0 {
 		t.Fatal("expected MTTOP page faults to be forwarded through the MIFD")
 	}
 	for i := 0; i < workers; i++ {
@@ -486,7 +487,7 @@ func TestTLBShootdownFlushesMTTOPTLBs(t *testing.T) {
 			t.Fatalf("MTTOP core %d TLB not flushed by shootdown", i)
 		}
 	}
-	if v, _ := m.Stats.Lookup("mifd.tlb_flush_broadcasts"); v != 1 {
+	if v := m.MIFD.Stats.TLBFlushBroadcasts; v != 1 {
 		t.Fatalf("flush broadcasts = %d, want 1", v)
 	}
 }
@@ -522,7 +523,7 @@ func TestMIFDErrorRegisterOnOversubscription(t *testing.T) {
 	if m.MIFD.ErrorRegister() == "" {
 		t.Fatal("error register should record the context shortfall")
 	}
-	if v, _ := m.Stats.Lookup("mifd.threads_dispatched"); v != workers {
+	if v := m.MIFD.Stats.ThreadsDispatched; v != workers {
 		t.Fatalf("dispatched %d, want %d", v, workers)
 	}
 }
@@ -607,5 +608,17 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	}
 	if n := coroutines(); n != before {
 		t.Fatalf("%d coroutines after a hung program's shutdown, want %d", n, before)
+	}
+}
+
+// TestWarmArenaBuildAllocations bounds the heap objects of a warm
+// arena-backed ccsvm-base build plus Shutdown, the per-run set-up cost of a
+// Runner worker. Counters live in their components and MTTOP contexts and
+// TLB entries are built on first use, so none of them allocates here.
+func TestWarmArenaBuildAllocations(t *testing.T) {
+	cfg := DefaultConfig().InArena(simarena.New())
+	const limit = 400
+	if got := testing.AllocsPerRun(10, func() { NewMachine(cfg).Shutdown() }); got > limit {
+		t.Fatalf("warm ccsvm-base build allocates %.0f objects, want <= %d", got, limit)
 	}
 }

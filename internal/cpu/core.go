@@ -16,7 +16,6 @@ import (
 	"ccsvm/internal/kernelos"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
@@ -44,7 +43,7 @@ type Config struct {
 	// (2.0 for the CCSVM chip's deliberately weak in-order cores,
 	// 0.25 for the APU's out-of-order cores).
 	CPI float64
-	// Name prefixes the core's statistics.
+	// Name identifies the core in diagnostics.
 	Name string
 }
 
@@ -97,12 +96,22 @@ type Core struct {
 	//ccsvm:stateok // bound once at construction; rebound on restore
 	retryMemFn func()
 
-	instrs     *stats.Counter
-	memOps     *stats.Counter
-	pageFaults *stats.Counter
-	intsTaken  *stats.Counter
-	busyTime   *stats.Counter
-	lastStart  sim.Time
+	lastStart sim.Time
+
+	Stats Stats
+}
+
+// Stats are a core's event counters.
+type Stats struct {
+	// Instructions counts retired instructions, one per memory op.
+	Instructions uint64
+	// MemOps counts loads, stores and atomics.
+	MemOps uint64
+	// PageFaults counts faults the core serviced; Interrupts counts the
+	// interrupts it took.
+	PageFaults, Interrupts uint64
+	// BusyPs sums the time the core spent running threads.
+	BusyPs uint64
 }
 
 // New builds a CPU core. The MMU may be nil, in which case virtual addresses
@@ -110,7 +119,7 @@ type Core struct {
 // address-translation behaviour is not part of the comparison, runs this
 // way).
 func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.Physical,
-	kernel *kernelos.Kernel, reg *stats.Registry) *Core {
+	kernel *kernelos.Kernel) *Core {
 	c := &Core{
 		engine: engine,
 		cfg:    cfg,
@@ -133,11 +142,6 @@ func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.P
 		c.completeOp(c.current, exec.Result{Value: PerformFunctional(c.phys, c.op, c.pa)})
 	}
 	c.retryMemFn = func() { c.memAccess() }
-	c.instrs = reg.Counter(cfg.Name + ".instructions")
-	c.memOps = reg.Counter(cfg.Name + ".mem_ops")
-	c.pageFaults = reg.Counter(cfg.Name + ".page_faults")
-	c.intsTaken = reg.Counter(cfg.Name + ".interrupts")
-	c.busyTime = reg.Counter(cfg.Name + ".busy_ps")
 	return c
 }
 
@@ -216,7 +220,7 @@ func (c *Core) step() {
 		if len(c.interrupts) > 0 {
 			intr := c.interrupts[0]
 			c.interrupts = c.interrupts[1:]
-			c.intsTaken.Inc()
+			c.Stats.Interrupts++
 			c.busy = true
 			//ccsvm:allocok // interrupt delivery is rare, never the steady-state dispatch path
 			intr.Service(func() {
@@ -244,7 +248,7 @@ func (c *Core) step() {
 func (c *Core) finishThread() {
 	t := c.current
 	c.current = nil
-	c.busyTime.Add(uint64(c.engine.Now().Sub(c.lastStart)))
+	c.Stats.BusyPs += uint64(c.engine.Now().Sub(c.lastStart))
 	if err := t.Err(); err != nil {
 		panic(fmt.Sprintf("%s: workload thread %q failed: %v", c.cfg.Name, t.Name(), err))
 	}
@@ -266,11 +270,11 @@ func (c *Core) execute(op exec.Op) {
 	t := c.current
 	switch op.Kind {
 	case exec.OpCompute:
-		c.instrs.Add(uint64(op.Instrs))
+		c.Stats.Instructions += uint64(op.Instrs)
 		c.engine.ScheduleArg(c.computeDuration(op.Instrs), c.computeFn, nil)
 	case exec.OpLoad, exec.OpStore, exec.OpRMW:
-		c.memOps.Inc()
-		c.instrs.Inc()
+		c.Stats.MemOps++
+		c.Stats.Instructions++
 		c.op = op
 		c.memAccess()
 	case exec.OpSyscall:
@@ -312,7 +316,7 @@ func (c *Core) memAccess() {
 // through the cache hierarchy (so walkers and other cores see it coherently)
 // and then resumes the faulting access.
 func (c *Core) ServicePageFault(fault *vm.Fault, resume func()) {
-	c.pageFaults.Inc()
+	c.Stats.PageFaults++
 	cost := c.computeDuration(c.kernel.Costs().PageFaultInstrs)
 	c.engine.Schedule(cost, func() {
 		pteAddr := c.kernel.HandlePageFault(fault)
@@ -384,6 +388,3 @@ func writeSized(phys *mem.Physical, pa mem.PAddr, size int, v uint64) {
 		panic(fmt.Sprintf("cpu: unsupported access size %d", size))
 	}
 }
-
-// Instructions reports the number of instructions retired by this core.
-func (c *Core) Instructions() uint64 { return c.instrs.Value() }

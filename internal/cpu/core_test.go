@@ -8,7 +8,6 @@ import (
 	"ccsvm/internal/kernelos"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
@@ -36,7 +35,6 @@ type coreRig struct {
 	proc   *kernelos.Process
 	phys   *mem.Physical
 	port   *latencyPort
-	reg    *stats.Registry
 }
 
 func newCoreRig(t *testing.T) *coreRig {
@@ -44,19 +42,18 @@ func newCoreRig(t *testing.T) *coreRig {
 	engine := sim.NewEngine()
 	gate := exec.NewGate()
 	gate.Bind(engine)
-	reg := stats.NewRegistry("test")
 	phys := mem.NewPhysical(16 << 20)
-	kernel := kernelos.NewKernel(phys, 16, kernelos.DefaultCosts(), reg)
+	kernel := kernelos.NewKernel(phys, 16, kernelos.DefaultCosts())
 	proc := kernel.NewProcess()
 	port := &latencyPort{engine: engine, latency: 2 * sim.Nanosecond}
-	mmu := vm.NewMMU(vm.TLBConfig{Entries: 8, Name: "test.tlb"}, port, phys, reg)
+	mmu := vm.NewMMU(vm.TLBConfig{Entries: 8}, port, phys)
 	core := cpu.New(engine, cpu.Config{
 		Clock: sim.NewClock("cpu", 2.9e9),
 		CPI:   2.0,
 		Name:  "cpu0",
-	}, port, mmu, phys, kernel, reg)
+	}, port, mmu, phys, kernel)
 	mmu.SetRoot(proc.Root())
-	return &coreRig{engine: engine, gate: gate, core: core, kernel: kernel, proc: proc, phys: phys, port: port, reg: reg}
+	return &coreRig{engine: engine, gate: gate, core: core, kernel: kernel, proc: proc, phys: phys, port: port}
 }
 
 func (r *coreRig) run(t *testing.T, fn func(c *exec.Context)) {
@@ -166,7 +163,7 @@ func TestCoreFaultAndSyscallPaths(t *testing.T) {
 				r.engine.Schedule(10*sim.Nanosecond, func() { done(args[0] + 1) })
 			})
 			r.run(t, func(c *exec.Context) { tc.program(t, r, c) })
-			if got, _ := r.reg.Lookup("cpu0.page_faults"); got != tc.wantFaults {
+			if got := r.core.Stats.PageFaults; got != tc.wantFaults {
 				t.Errorf("page faults = %d, want %d", got, tc.wantFaults)
 			}
 			if tc.wantSysc != (sysCalls > 0) {
@@ -224,7 +221,7 @@ func TestCoreInterruptBetweenInstructions(t *testing.T) {
 	if !serviced {
 		t.Fatal("interrupt was not serviced")
 	}
-	if got, _ := r.reg.Lookup("cpu0.interrupts"); got != 1 {
+	if got := r.core.Stats.Interrupts; got != 1 {
 		t.Fatalf("interrupt counter = %d, want 1", got)
 	}
 }
@@ -262,14 +259,11 @@ func TestCoreInstructionAccounting(t *testing.T) {
 		c.Store64(va, 1)
 		c.Load64(va)
 	})
-	if got, _ := r.reg.Lookup("cpu0.instructions"); got != 102 {
+	if got := r.core.Stats.Instructions; got != 102 {
 		t.Fatalf("instructions = %d, want 102", got)
 	}
-	if got, _ := r.reg.Lookup("cpu0.mem_ops"); got != 2 {
+	if got := r.core.Stats.MemOps; got != 2 {
 		t.Fatalf("mem_ops = %d, want 2", got)
-	}
-	if got := r.core.Instructions(); got != 102 {
-		t.Fatalf("Instructions() = %d, want 102", got)
 	}
 	// 100 instructions at CPI 2.0 on a 2.9 GHz clock is ~69 ns of compute
 	// alone; the run must have consumed at least that much simulated time.

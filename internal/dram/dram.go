@@ -8,7 +8,6 @@ package dram
 import (
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // Config describes one DRAM channel.
@@ -40,23 +39,12 @@ type Controller struct {
 	engine *sim.Engine
 	freeAt sim.Time
 
-	reads      *stats.Counter
-	writes     *stats.Counter
-	readBytes  *stats.Counter
-	writeBytes *stats.Counter
+	reads, writes uint64
 }
 
-// NewController creates a DRAM channel and registers its counters under the
-// given name prefix (e.g. "dram").
-func NewController(engine *sim.Engine, cfg Config, reg *stats.Registry, name string) *Controller {
-	return &Controller{
-		cfg:        cfg,
-		engine:     engine,
-		reads:      reg.Counter(name + ".reads"),
-		writes:     reg.Counter(name + ".writes"),
-		readBytes:  reg.Counter(name + ".read_bytes"),
-		writeBytes: reg.Counter(name + ".write_bytes"),
-	}
+// NewController creates a DRAM channel.
+func NewController(engine *sim.Engine, cfg Config) *Controller {
+	return &Controller{cfg: cfg, engine: engine}
 }
 
 // Config returns the channel configuration.
@@ -64,18 +52,17 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Accesses reports the total number of off-chip accesses (reads + writes),
 // the metric plotted in Figure 9.
-func (c *Controller) Accesses() uint64 { return c.reads.Value() + c.writes.Value() }
+func (c *Controller) Accesses() uint64 { return c.reads + c.writes }
 
 // Reads reports the number of read accesses.
-func (c *Controller) Reads() uint64 { return c.reads.Value() }
+func (c *Controller) Reads() uint64 { return c.reads }
 
 // Writes reports the number of write accesses.
-func (c *Controller) Writes() uint64 { return c.writes.Value() }
+func (c *Controller) Writes() uint64 { return c.writes }
 
 // Read fetches one cache line; done runs when the data is available.
 func (c *Controller) Read(addr mem.LineAddr, done func()) {
-	c.reads.Inc()
-	c.readBytes.Add(mem.LineSize)
+	c.reads++
 	c.access(mem.LineSize, done)
 }
 
@@ -86,16 +73,14 @@ func (c *Controller) Read(addr mem.LineAddr, done func()) {
 //
 //ccsvm:hotpath
 func (c *Controller) ReadArg(addr mem.LineAddr, fn func(any), arg any) {
-	c.reads.Inc()
-	c.readBytes.Add(mem.LineSize)
+	c.reads++
 	c.engine.AtArg(c.reserve(mem.LineSize), fn, arg)
 }
 
 // Write writes back one cache line; done runs when the write has been
 // accepted (writes are posted, but still occupy bandwidth).
 func (c *Controller) Write(addr mem.LineAddr, done func()) {
-	c.writes.Inc()
-	c.writeBytes.Add(mem.LineSize)
+	c.writes++
 	c.access(mem.LineSize, done)
 }
 
@@ -105,16 +90,14 @@ func (c *Controller) Write(addr mem.LineAddr, done func()) {
 // engine appears to the memory controller's performance counters.
 func (c *Controller) ReadBulk(bytes int, done func()) {
 	lines := (bytes + mem.LineSize - 1) / mem.LineSize
-	c.reads.Add(uint64(lines))
-	c.readBytes.Add(uint64(bytes))
+	c.reads += uint64(lines)
 	c.access(bytes, done)
 }
 
 // WriteBulk is the write analogue of ReadBulk.
 func (c *Controller) WriteBulk(bytes int, done func()) {
 	lines := (bytes + mem.LineSize - 1) / mem.LineSize
-	c.writes.Add(uint64(lines))
-	c.writeBytes.Add(uint64(bytes))
+	c.writes += uint64(lines)
 	c.access(bytes, done)
 }
 

@@ -4,13 +4,11 @@ import (
 	"testing"
 
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 func TestControllerCountsAndLatency(t *testing.T) {
 	engine := sim.NewEngine()
-	c := NewController(engine, Config{Latency: 100 * sim.Nanosecond, Bandwidth: 0, SizeBytes: 1 << 30},
-		stats.NewRegistry("t"), "dram")
+	c := NewController(engine, Config{Latency: 100 * sim.Nanosecond, Bandwidth: 0, SizeBytes: 1 << 30})
 	var readAt, writeAt sim.Time
 	c.Read(0x40, func() { readAt = engine.Now() })
 	c.Write(0x80, func() { writeAt = engine.Now() })
@@ -29,8 +27,7 @@ func TestControllerCountsAndLatency(t *testing.T) {
 func TestControllerBandwidthSerializes(t *testing.T) {
 	engine := sim.NewEngine()
 	// 64 bytes at 1 GB/s = 64 ns serialization per line.
-	c := NewController(engine, Config{Latency: 10 * sim.Nanosecond, Bandwidth: 1e9, SizeBytes: 1 << 30},
-		stats.NewRegistry("t"), "dram")
+	c := NewController(engine, Config{Latency: 10 * sim.Nanosecond, Bandwidth: 1e9, SizeBytes: 1 << 30})
 	var first, second sim.Time
 	c.Read(0x40, func() { first = engine.Now() })
 	c.Read(0x80, func() { second = engine.Now() })
@@ -42,7 +39,7 @@ func TestControllerBandwidthSerializes(t *testing.T) {
 
 func TestBulkTransfersCountLines(t *testing.T) {
 	engine := sim.NewEngine()
-	c := NewController(engine, DefaultAPUConfig(), stats.NewRegistry("t"), "dram")
+	c := NewController(engine, DefaultAPUConfig())
 	c.ReadBulk(1000, nil) // 16 lines
 	c.WriteBulk(100, nil) // 2 lines
 	if c.Reads() != 16 || c.Writes() != 2 {

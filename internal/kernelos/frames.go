@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccsvm/internal/mem"
-	"ccsvm/internal/stats"
 )
 
 // FrameAllocator hands out physical page frames. It is a simple bump
@@ -15,18 +14,17 @@ type FrameAllocator struct {
 	limit mem.FrameNumber
 	free  []mem.FrameNumber
 
-	allocated *stats.Counter
+	allocated uint64
 }
 
 // NewFrameAllocator manages the frames of phys starting at startFrame
 // (earlier frames are reserved for firmware/kernel images, mirroring a real
 // boot layout).
-func NewFrameAllocator(phys *mem.Physical, startFrame mem.FrameNumber, reg *stats.Registry) *FrameAllocator {
+func NewFrameAllocator(phys *mem.Physical, startFrame mem.FrameNumber) *FrameAllocator {
 	return &FrameAllocator{
-		phys:      phys,
-		next:      startFrame,
-		limit:     mem.FrameNumber(phys.Size() / mem.PageSize),
-		allocated: reg.Counter("kernel.frames_allocated"),
+		phys:  phys,
+		next:  startFrame,
+		limit: mem.FrameNumber(phys.Size() / mem.PageSize),
 	}
 }
 
@@ -34,7 +32,7 @@ func NewFrameAllocator(phys *mem.Physical, startFrame mem.FrameNumber, reg *stat
 // which in a simulation is a configuration error rather than a runtime
 // condition to recover from.
 func (a *FrameAllocator) Alloc() mem.FrameNumber {
-	a.allocated.Inc()
+	a.allocated++
 	if n := len(a.free); n > 0 {
 		f := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -57,4 +55,4 @@ func (a *FrameAllocator) Free(f mem.FrameNumber) {
 
 // Allocated reports how many frames have been handed out (net of frees not
 // tracked; used by tests and memory-footprint stats).
-func (a *FrameAllocator) Allocated() uint64 { return a.allocated.Value() }
+func (a *FrameAllocator) Allocated() uint64 { return a.allocated }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccsvm/internal/mem"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
@@ -47,23 +46,26 @@ type Kernel struct {
 	//ccsvm:stateok // installed by the machine at boot; rebound on restore
 	shootdown func()
 
-	pageFaults *stats.Counter
-	shootdowns *stats.Counter
+	Stats Stats
+}
+
+// Stats are the kernel's OS-service counters.
+type Stats struct {
+	// PageFaults counts serviced demand-paging faults; TLBShootdowns counts
+	// initiated shootdowns.
+	PageFaults, TLBShootdowns uint64
 }
 
 // NewKernel boots a kernel over the given physical memory. Frames below
 // reservedFrames are left to the "firmware" (and page-table roots are carved
 // out of the managed region like any other allocation).
-func NewKernel(phys *mem.Physical, reservedFrames mem.FrameNumber, costs Costs, reg *stats.Registry) *Kernel {
-	k := &Kernel{
-		phys:       phys,
-		frames:     NewFrameAllocator(phys, reservedFrames, reg),
-		costs:      costs,
-		nextPID:    1,
-		pageFaults: reg.Counter("kernel.page_faults"),
-		shootdowns: reg.Counter("kernel.tlb_shootdowns"),
+func NewKernel(phys *mem.Physical, reservedFrames mem.FrameNumber, costs Costs) *Kernel {
+	return &Kernel{
+		phys:    phys,
+		frames:  NewFrameAllocator(phys, reservedFrames),
+		costs:   costs,
+		nextPID: 1,
 	}
-	return k
 }
 
 // Costs returns the kernel's configured service costs.
@@ -115,7 +117,7 @@ func (k *Kernel) HandlePageFault(f *vm.Fault) mem.PAddr {
 	if !proc.InHeap(f.VA) {
 		panic(fmt.Sprintf("kernelos: segmentation fault: %v (heap is %#x..%#x)", f, uint64(HeapBase), uint64(proc.Brk())))
 	}
-	k.pageFaults.Inc()
+	k.Stats.PageFaults++
 	return k.mapPage(proc, f.VA)
 }
 
@@ -146,11 +148,8 @@ func (k *Kernel) UnmapPage(p *Process, va mem.VAddr) bool {
 
 // Shootdown flushes all MTTOP TLBs through the machine hook.
 func (k *Kernel) Shootdown() {
-	k.shootdowns.Inc()
+	k.Stats.TLBShootdowns++
 	if k.shootdown != nil {
 		k.shootdown()
 	}
 }
-
-// PageFaults reports how many demand-paging faults the kernel has serviced.
-func (k *Kernel) PageFaults() uint64 { return k.pageFaults.Value() }

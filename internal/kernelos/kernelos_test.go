@@ -4,19 +4,18 @@ import (
 	"testing"
 
 	"ccsvm/internal/mem"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
 func newKernel(t *testing.T) *Kernel {
 	t.Helper()
 	phys := mem.NewPhysical(256 << 20)
-	return NewKernel(phys, 16, DefaultCosts(), stats.NewRegistry("k"))
+	return NewKernel(phys, 16, DefaultCosts())
 }
 
 func TestFrameAllocatorAllocFree(t *testing.T) {
 	phys := mem.NewPhysical(16 * mem.PageSize)
-	a := NewFrameAllocator(phys, 4, stats.NewRegistry("k"))
+	a := NewFrameAllocator(phys, 4)
 	f1 := a.Alloc()
 	f2 := a.Alloc()
 	if f1 == f2 {
@@ -42,7 +41,7 @@ func TestFrameAllocatorAllocFree(t *testing.T) {
 
 func TestFrameAllocatorExhaustionPanics(t *testing.T) {
 	phys := mem.NewPhysical(4 * mem.PageSize)
-	a := NewFrameAllocator(phys, 2, stats.NewRegistry("k"))
+	a := NewFrameAllocator(phys, 2)
 	a.Alloc()
 	a.Alloc()
 	defer func() {
@@ -75,8 +74,8 @@ func TestProcessHeapAndPageFault(t *testing.T) {
 	if _, ok := p.Table.Translate(base); !ok {
 		t.Fatal("page not mapped after fault")
 	}
-	if k.PageFaults() != 1 {
-		t.Fatalf("page fault counter = %d", k.PageFaults())
+	if k.Stats.PageFaults != 1 {
+		t.Fatalf("page fault counter = %d", k.Stats.PageFaults)
 	}
 }
 

@@ -204,7 +204,7 @@ func RunProgram(cfg Config, prog Program) (rep Report) {
 	if !proto.HasOwned {
 		var fwds uint64
 		for _, c := range m.L1Controllers() {
-			fwds += c.DataForwards()
+			fwds += c.Stats.DataForwards
 		}
 		if fwds != 0 {
 			h.fail("protocol %s: %d cache-to-cache data forwards under a no-owner-forwarding protocol", proto.Name, fwds)

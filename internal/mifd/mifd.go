@@ -7,7 +7,6 @@ import (
 	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
@@ -49,7 +48,8 @@ type Config struct {
 	// WarpSize is the SIMD-width chunk in which threads are handed to cores
 	// (a warp/wavefront).
 	WarpSize int
-	// Name prefixes the device's statistics.
+	// Name names the device. Nothing reads it, but it stays because the
+	// configuration's encoding keys cached results (see ccsvm.RunSpec.Hash).
 	Name string
 }
 
@@ -82,11 +82,17 @@ type Device struct {
 	// errorRegister latches a description of the last resource shortfall.
 	errorRegister string
 
-	tasks      *stats.Counter
-	threads    *stats.Counter
-	faultsFwd  *stats.Counter
-	tlbFlushes *stats.Counter
-	queued     *stats.Counter
+	Stats Stats
+}
+
+// Stats are the device's task-launch counters.
+type Stats struct {
+	// Tasks counts launched tasks; ThreadsDispatched counts threads placed
+	// on a hardware context.
+	Tasks, ThreadsDispatched uint64
+	// PageFaultsForwarded counts MTTOP faults sent to the fault CPU;
+	// TLBFlushBroadcasts counts shootdown flushes sent to every unit.
+	PageFaultsForwarded, TLBFlushBroadcasts uint64
 }
 
 type pendingThread struct {
@@ -95,20 +101,11 @@ type pendingThread struct {
 }
 
 // NewDevice builds the MIFD.
-func NewDevice(engine *sim.Engine, cfg Config, reg *stats.Registry) *Device {
+func NewDevice(engine *sim.Engine, cfg Config) *Device {
 	if cfg.WarpSize <= 0 {
 		cfg.WarpSize = 8
 	}
-	d := &Device{
-		engine:     engine,
-		cfg:        cfg,
-		tasks:      reg.Counter(cfg.Name + ".tasks"),
-		threads:    reg.Counter(cfg.Name + ".threads_dispatched"),
-		faultsFwd:  reg.Counter(cfg.Name + ".page_faults_forwarded"),
-		tlbFlushes: reg.Counter(cfg.Name + ".tlb_flush_broadcasts"),
-		queued:     reg.Counter(cfg.Name + ".threads_queued"),
-	}
-	return d
+	return &Device{engine: engine, cfg: cfg}
 }
 
 // AttachUnits registers the MTTOP cores the device schedules onto.
@@ -146,7 +143,7 @@ func (d *Device) Launch(task TaskDescriptor, done func()) {
 	if task.LastTID < task.FirstTID {
 		panic(fmt.Sprintf("mifd: invalid thread range %d..%d", task.FirstTID, task.LastTID))
 	}
-	d.tasks.Inc()
+	d.Stats.Tasks++
 	if task.Threads() > d.TotalFreeContexts() {
 		d.errorRegister = fmt.Sprintf("task with %d threads exceeds %d free MTTOP contexts",
 			task.Threads(), d.TotalFreeContexts())
@@ -173,13 +170,12 @@ func (d *Device) dispatch() {
 	for len(d.pending) > 0 {
 		unit := d.nextFreeUnit()
 		if unit == nil {
-			d.queued.Add(uint64(len(d.pending)))
 			return
 		}
 		p := d.pending[0]
 		d.pending = d.pending[1:]
 		t := d.factory(p.task.KernelID, p.tid, p.task.Args)
-		d.threads.Inc()
+		d.Stats.ThreadsDispatched++
 		unit.StartThread(t, p.task.CR3, func() {
 			// A context freed up; try to place queued threads.
 			d.dispatch()
@@ -208,7 +204,7 @@ func (d *Device) RaiseMTTOPPageFault(fault *vm.Fault, resume func()) {
 	if d.faultCPU == nil {
 		panic("mifd: page fault raised before SetFaultCPU")
 	}
-	d.faultsFwd.Inc()
+	d.Stats.PageFaultsForwarded++
 	d.faultCPU.RaiseInterrupt(cpu.Interrupt{
 		Name: "mttop-page-fault",
 		Service: func(serviced func()) {
@@ -223,7 +219,7 @@ func (d *Device) RaiseMTTOPPageFault(fault *vm.Fault, resume func()) {
 // FlushAllTLBs broadcasts a TLB flush to every MTTOP core (the conservative
 // shootdown of Section 3.2.1).
 func (d *Device) FlushAllTLBs() {
-	d.tlbFlushes.Inc()
+	d.Stats.TLBFlushBroadcasts++
 	for _, u := range d.units {
 		u.FlushTLB()
 	}

@@ -7,7 +7,6 @@ import (
 	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // fakeUnit is a ComputeUnit that runs threads to completion instantly.
@@ -40,7 +39,7 @@ func newTestDevice(t *testing.T, units ...*fakeUnit) (*Device, *sim.Engine) {
 	engine := sim.NewEngine()
 	gate := exec.NewGate()
 	gate.Bind(engine)
-	d := NewDevice(engine, DefaultConfig(), stats.NewRegistry("t"))
+	d := NewDevice(engine, DefaultConfig())
 	for _, u := range units {
 		d.AttachUnits(u)
 	}

@@ -6,7 +6,6 @@ import (
 	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
@@ -26,17 +25,15 @@ type Config struct {
 	// IssueWidth is the number of operations the core can issue per cycle
 	// across all contexts (8).
 	IssueWidth int
-	// Name prefixes the core's statistics.
+	// Name identifies the core in diagnostics.
 	Name string
 }
 
 // hwContext is one hardware thread context. A context runs one operation at
 // a time, so the in-flight op's state lives here and the per-op callbacks
-// (translateCb, accessCb) are bound once, when the first thread lands on the
-// context — the hot issue/translate/access path allocates nothing per
-// operation, and a run pays only for the contexts it uses.
+// (translateCb, accessCb) are bound once, when the context is built — the
+// hot issue/translate/access path allocates nothing per operation.
 type hwContext struct {
-	idx int
 	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
 	thread *exec.Thread
 	//ccsvm:stateok // task completion callback; re-registered when tasks are re-issued on restore
@@ -68,10 +65,12 @@ type Core struct {
 	phys   *mem.Physical
 	faults FaultHandler
 
-	// contexts[i] stays nil until StartThread first lands on context i;
-	// free is the stack of idle context indices.
-	contexts []*hwContext
-	free     []int
+	// idle is the stack of built contexts that run no thread, and inUse
+	// counts the contexts that do. StartThread builds a context only when
+	// none is idle, so a run pays for the most contexts it occupies at once,
+	// not for NumContexts.
+	idle  []*hwContext
+	inUse int
 	// issueFree is the shared issue-bandwidth bucket: each operation reserves
 	// 1/IssueWidth of a cycle.
 	issueFree sim.Time
@@ -85,37 +84,37 @@ type Core struct {
 	//ccsvm:stateok // bound once at construction; rebound on restore
 	memIssueFn func(any)
 
-	instrs     *stats.Counter
-	memOps     *stats.Counter
-	pageFaults *stats.Counter
-	tasksRun   *stats.Counter
+	Stats Stats
+}
+
+// Stats are a core's event counters.
+type Stats struct {
+	// Instructions counts issued instructions, one per memory op.
+	Instructions uint64
+	// MemOps counts loads, stores and atomics.
+	MemOps uint64
+	// PageFaults counts faults raised to the fault handler.
+	PageFaults uint64
+	// ThreadsRun counts threads started on the core.
+	ThreadsRun uint64
 }
 
 // New builds an MTTOP core.
 func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.Physical,
-	faults FaultHandler, reg *stats.Registry) *Core {
+	faults FaultHandler) *Core {
 	if cfg.NumContexts <= 0 || cfg.IssueWidth <= 0 {
 		panic(fmt.Sprintf("mttop: invalid config for %s", cfg.Name))
 	}
 	c := &Core{
-		engine:   engine,
-		cfg:      cfg,
-		port:     port,
-		mmu:      mmu,
-		phys:     phys,
-		faults:   faults,
-		contexts: make([]*hwContext, cfg.NumContexts),
-		free:     make([]int, cfg.NumContexts),
-	}
-	for i := range c.free {
-		c.free[i] = i
+		engine: engine,
+		cfg:    cfg,
+		port:   port,
+		mmu:    mmu,
+		phys:   phys,
+		faults: faults,
 	}
 	c.completeFn = func(a any) { c.completeOp(a.(*hwContext), exec.Result{}) }
 	c.memIssueFn = func(a any) { c.memAccess(a.(*hwContext)) }
-	c.instrs = reg.Counter(cfg.Name + ".instructions")
-	c.memOps = reg.Counter(cfg.Name + ".mem_ops")
-	c.pageFaults = reg.Counter(cfg.Name + ".page_faults")
-	c.tasksRun = reg.Counter(cfg.Name + ".threads_run")
 	return c
 }
 
@@ -126,7 +125,7 @@ func (c *Core) Config() Config { return c.cfg }
 func (c *Core) MMU() *vm.MMU { return c.mmu }
 
 // FreeContexts reports how many hardware thread contexts are available.
-func (c *Core) FreeContexts() int { return len(c.free) }
+func (c *Core) FreeContexts() int { return c.cfg.NumContexts - c.inUse }
 
 // FlushTLB flushes the core's TLB (the MIFD broadcasts this on shootdown).
 func (c *Core) FlushTLB() {
@@ -141,19 +140,21 @@ func (c *Core) FlushTLB() {
 // It panics if no context is free; the MIFD checks FreeContexts before
 // dispatching.
 func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
-	if len(c.free) == 0 {
+	if c.inUse == c.cfg.NumContexts {
 		panic(fmt.Sprintf("%s: StartThread with no free contexts", c.cfg.Name))
 	}
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	h := c.contexts[idx]
-	if h == nil {
-		h = c.newContext(idx)
+	c.inUse++
+	var h *hwContext
+	if n := len(c.idle); n > 0 {
+		h = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+	} else {
+		h = c.newContext()
 	}
 	h.thread = t
 	h.onDone = onDone
 	h.busy = false
-	c.tasksRun.Inc()
+	c.Stats.ThreadsRun++
 	// The task descriptor carries the process's CR3; loading it makes the
 	// MTTOP core a full participant in the process's virtual address space.
 	// (The APU baseline reuses this core model for its GPU SIMD units with no
@@ -165,18 +166,17 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 	c.stepContext(h)
 }
 
-// newContext builds hardware context idx and binds its callbacks.
-func (c *Core) newContext(idx int) *hwContext {
-	h := &hwContext{idx: idx}
+// newContext builds a hardware context and binds its callbacks.
+func (c *Core) newContext() *hwContext {
+	h := &hwContext{}
 	h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
 	h.accessCb = func() { c.accessDone(h) }
 	h.stepFn = func() { c.stepContext(h) }
-	c.contexts[idx] = h
 	return h
 }
 
 // BusyContexts reports how many contexts are currently running threads.
-func (c *Core) BusyContexts() int { return c.cfg.NumContexts - len(c.free) }
+func (c *Core) BusyContexts() int { return c.inUse }
 
 // stepContext pulls and executes the next operation of one context's thread.
 // When the thread has not published it yet (NextWait), the fetch registers
@@ -207,7 +207,8 @@ func (c *Core) finishContext(h *hwContext) {
 	h.thread = nil
 	h.onDone = nil
 	h.busy = false
-	c.free = append(c.free, h.idx)
+	c.inUse--
+	c.idle = append(c.idle, h)
 	if err := t.Err(); err != nil {
 		panic(fmt.Sprintf("%s: MTTOP thread %q failed: %v", c.cfg.Name, t.Name(), err))
 	}
@@ -235,7 +236,7 @@ func (c *Core) reserveIssueSlots(n int64) sim.Time {
 func (c *Core) execute(h *hwContext, op exec.Op) {
 	switch op.Kind {
 	case exec.OpCompute:
-		c.instrs.Add(uint64(op.Instrs))
+		c.Stats.Instructions += uint64(op.Instrs)
 		// A single thread issues dependent instructions at one per cycle;
 		// across threads the core sustains at most IssueWidth per cycle.
 		slotEnd := c.reserveIssueSlots(op.Instrs)
@@ -246,8 +247,8 @@ func (c *Core) execute(h *hwContext, op exec.Op) {
 		}
 		c.engine.AtArg(end, c.completeFn, h)
 	case exec.OpLoad, exec.OpStore, exec.OpRMW:
-		c.instrs.Inc()
-		c.memOps.Inc()
+		c.Stats.Instructions++
+		c.Stats.MemOps++
 		h.op = op
 		issueAt := c.reserveIssueSlots(1)
 		c.engine.AtArg(issueAt, c.memIssueFn, h)
@@ -281,7 +282,7 @@ func (c *Core) translated(h *hwContext, pa mem.PAddr, fault *vm.Fault) {
 		// The MTTOP core cannot run the fault handler; the MIFD interrupts a
 		// CPU core on our behalf and resumes us afterwards. Faults are rare,
 		// so the resume closure is off the hot path.
-		c.pageFaults.Inc()
+		c.Stats.PageFaults++
 		c.faults.RaiseMTTOPPageFault(fault, func() { c.memAccess(h) })
 		return
 	}

@@ -1,6 +1,7 @@
 package mttop_test
 
 import (
+	"runtime"
 	"testing"
 
 	"ccsvm/internal/exec"
@@ -8,7 +9,6 @@ import (
 	"ccsvm/internal/mem"
 	"ccsvm/internal/mttop"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 )
 
@@ -31,7 +31,6 @@ type mttopRig struct {
 	core   *mttop.Core
 	phys   *mem.Physical
 	port   *stepPort
-	reg    *stats.Registry
 }
 
 func newMTTOPRig(t *testing.T, contexts, issueWidth int) *mttopRig {
@@ -39,7 +38,6 @@ func newMTTOPRig(t *testing.T, contexts, issueWidth int) *mttopRig {
 	engine := sim.NewEngine()
 	gate := exec.NewGate()
 	gate.Bind(engine)
-	reg := stats.NewRegistry("test")
 	phys := mem.NewPhysical(16 << 20)
 	port := &stepPort{engine: engine, latency: 2 * sim.Nanosecond}
 	core := mttop.New(engine, mttop.Config{
@@ -47,8 +45,8 @@ func newMTTOPRig(t *testing.T, contexts, issueWidth int) *mttopRig {
 		NumContexts: contexts,
 		IssueWidth:  issueWidth,
 		Name:        "mt0",
-	}, port, nil, phys, nil, reg)
-	return &mttopRig{engine: engine, gate: gate, core: core, phys: phys, port: port, reg: reg}
+	}, port, nil, phys, nil)
+	return &mttopRig{engine: engine, gate: gate, core: core, phys: phys, port: port}
 }
 
 // TestContextAllocationAndReuse pins the hardware-context lifecycle: starting
@@ -84,7 +82,7 @@ func TestContextAllocationAndReuse(t *testing.T) {
 	if finished != 3 {
 		t.Fatalf("%d threads finished, want 3", finished)
 	}
-	if got, _ := r.reg.Lookup("mt0.threads_run"); got != 3 {
+	if got := r.core.Stats.ThreadsRun; got != 3 {
 		t.Fatalf("threads_run = %d, want 3", got)
 	}
 }
@@ -138,7 +136,7 @@ func TestInFlightOpStatePerContext(t *testing.T) {
 	if v := r.phys.ReadUint64(mem.PAddr(a1)); v != 232 {
 		t.Fatalf("RMW through context 1 left a1 = %d, want 232", v)
 	}
-	if got, _ := r.reg.Lookup("mt0.mem_ops"); got != 4 {
+	if got := r.core.Stats.MemOps; got != 4 {
 		t.Fatalf("mem_ops = %d, want 4", got)
 	}
 }
@@ -202,19 +200,18 @@ func TestPageFaultEscalatesToHandler(t *testing.T) {
 	engine := sim.NewEngine()
 	gate := exec.NewGate()
 	gate.Bind(engine)
-	reg := stats.NewRegistry("test")
 	phys := mem.NewPhysical(16 << 20)
-	kernel := kernelos.NewKernel(phys, 16, kernelos.DefaultCosts(), reg)
+	kernel := kernelos.NewKernel(phys, 16, kernelos.DefaultCosts())
 	proc := kernel.NewProcess()
 	port := &stepPort{engine: engine, latency: 2 * sim.Nanosecond}
-	mmu := vm.NewMMU(vm.TLBConfig{Entries: 8, Name: "mt0.tlb"}, port, phys, reg)
+	mmu := vm.NewMMU(vm.TLBConfig{Entries: 8}, port, phys)
 	handler := &faultRecorder{engine: engine, kernel: kernel}
 	core := mttop.New(engine, mttop.Config{
 		Clock:       sim.NewClock("mttop", 1e9),
 		NumContexts: 4,
 		IssueWidth:  8,
 		Name:        "mt0",
-	}, port, mmu, phys, handler, reg)
+	}, port, mmu, phys, handler)
 	mmu.SetRoot(proc.Root())
 
 	va := proc.Sbrk(mem.PageSize)
@@ -232,10 +229,35 @@ func TestPageFaultEscalatesToHandler(t *testing.T) {
 	if handler.faults != 1 {
 		t.Fatalf("handler saw %d faults, want 1 (second access hits the mapped page)", handler.faults)
 	}
-	if got, _ := reg.Lookup("mt0.page_faults"); got != 1 {
+	if got := core.Stats.PageFaults; got != 1 {
 		t.Fatalf("page_faults = %d, want 1", got)
 	}
 	if readBack != 0xbeef {
 		t.Fatalf("read back %#x, want 0xbeef", readBack)
+	}
+}
+
+// coreSink keeps the cores built by TestNewCostIndependentOfContexts alive.
+var coreSink *mttop.Core
+
+// TestNewCostIndependentOfContexts pins that a core builds its hardware
+// contexts on first use: building a 1024-context core allocates exactly as
+// many bytes as building an 8-context one.
+func TestNewCostIndependentOfContexts(t *testing.T) {
+	const builds = 100
+	bytesPerNew := func(contexts int) uint64 {
+		engine := sim.NewEngine()
+		cfg := mttop.Config{Clock: sim.NewClock("mttop", 1e9), NumContexts: contexts, IssueWidth: 8, Name: "mt0"}
+		port := &stepPort{engine: engine}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < builds; i++ {
+			coreSink = mttop.New(engine, cfg, port, nil, nil, nil)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / builds
+	}
+	if small, large := bytesPerNew(8), bytesPerNew(1024); small != large {
+		t.Fatalf("New allocates %d bytes for 8 contexts and %d for 1024, want equal", small, large)
 	}
 }

@@ -103,7 +103,7 @@ type Receiver interface {
 	Receive(msg *Message)
 }
 
-// Network is the interface shared by the torus and the crossbar: endpoints
+// Network is the interface the coherence controllers send through: endpoints
 // send messages and register to receive them.
 type Network interface {
 	// Attach registers the receiver for a node ID. It panics if the node is

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // sink records delivered messages with their arrival times.
@@ -35,7 +34,7 @@ func buildTorus(t *testing.T, w, h int) (*sim.Engine, *Torus, map[NodeID]*sink) 
 			id++
 		}
 	}
-	torus := NewTorus(engine, DefaultTorusConfig(w, h), placement, stats.NewRegistry("noc"))
+	torus := NewTorus(engine, DefaultTorusConfig(w, h), placement)
 	sinks := make(map[NodeID]*sink)
 	for n := range placement {
 		s := &sink{engine: engine}
@@ -168,7 +167,7 @@ func TestTorusLinkContention(t *testing.T) {
 func TestTorusAttachAndPlacementErrors(t *testing.T) {
 	engine := sim.NewEngine()
 	placement := map[NodeID]Coord{0: {0, 0}, 1: {1, 0}}
-	torus := NewTorus(engine, DefaultTorusConfig(2, 1), placement, stats.NewRegistry("noc"))
+	torus := NewTorus(engine, DefaultTorusConfig(2, 1), placement)
 	s := &sink{engine: engine}
 	torus.Attach(0, s)
 	func() {
@@ -195,39 +194,6 @@ func TestTorusAttachAndPlacementErrors(t *testing.T) {
 		}()
 		torus.Send(&Message{Src: 0, Dst: 1, SizeBytes: 0})
 	}()
-}
-
-func TestCrossbarDeliveryAndSerialization(t *testing.T) {
-	engine := sim.NewEngine()
-	reg := stats.NewRegistry("apu")
-	xbar := NewCrossbar(engine, CrossbarConfig{Latency: 10 * sim.Nanosecond, Bandwidth: 1e9}, reg, "xbar")
-	s0 := &sink{engine: engine}
-	s1 := &sink{engine: engine}
-	xbar.Attach(0, s0)
-	xbar.Attach(1, s1)
-	// 1000 bytes at 1 GB/s = 1 us serialization each; second message waits.
-	xbar.Send(&Message{Src: 0, Dst: 1, SizeBytes: 1000, Payload: "a"})
-	xbar.Send(&Message{Src: 0, Dst: 1, SizeBytes: 1000, Payload: "b"})
-	engine.Run()
-	if len(s1.arrivals) != 2 {
-		t.Fatalf("crossbar delivered %d, want 2", len(s1.arrivals))
-	}
-	first, second := s1.arrivals[0].at, s1.arrivals[1].at
-	if second-first < sim.Time(900*sim.Nanosecond) {
-		t.Fatalf("second message should be delayed ~1us by serialization, gap = %v", second-first)
-	}
-}
-
-func TestCrossbarUnlimitedBandwidth(t *testing.T) {
-	engine := sim.NewEngine()
-	xbar := NewCrossbar(engine, CrossbarConfig{Latency: 5 * sim.Nanosecond}, stats.NewRegistry("x"), "xbar")
-	s := &sink{engine: engine}
-	xbar.Attach(1, s)
-	xbar.Send(&Message{Src: 0, Dst: 1, SizeBytes: 1 << 20})
-	engine.Run()
-	if got := s.arrivals[0].at; got != sim.Time(5*sim.Nanosecond) {
-		t.Fatalf("unlimited-bandwidth delivery at %v, want 5ns", got)
-	}
 }
 
 // TestTorusMessageRecycling checks the pool contract: messages from

@@ -46,8 +46,6 @@ type link struct {
 	// freeAt is the earliest time the link can begin transmitting the next
 	// message.
 	freeAt sim.Time
-	// busyTime accumulates occupancy for utilization stats.
-	busyTime sim.Duration
 }
 
 // Torus is a 2D torus network with dimension-order (X then Y) routing and
@@ -58,7 +56,6 @@ type link struct {
 type Torus struct {
 	cfg    TorusConfig
 	engine *sim.Engine
-	reg    *stats.Registry
 
 	placement map[NodeID]Coord
 	receivers map[NodeID]Receiver
@@ -75,10 +72,15 @@ type Torus struct {
 	//ccsvm:stateok // bound once at construction; rebound on restore
 	deliverFn func(any)
 
-	msgs      *stats.Counter
-	bytes     *stats.Counter
-	hops      *stats.Counter
-	totalLatP *stats.Counter
+	Stats TorusStats
+}
+
+// TorusStats are the torus's traffic counters.
+type TorusStats struct {
+	// Messages and Bytes count sent messages and their payload.
+	Messages, Bytes uint64
+	// LatencyPs sums every delivered message's send-to-delivery time.
+	LatencyPs uint64
 }
 
 const (
@@ -90,15 +92,15 @@ const (
 
 // NewTorus builds a torus. placement maps every attachable node to its router
 // coordinate; several nodes may share one router (e.g. an L2 bank and its
-// directory bank).
-func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, reg *stats.Registry) *Torus {
+// directory bank). A trailing Registry is accepted and ignored (see
+// stats.Registry).
+func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, _ ...*stats.Registry) *Torus {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("noc: torus dimensions must be positive")
 	}
 	t := &Torus{
 		cfg:       cfg,
 		engine:    engine,
-		reg:       reg,
 		placement: make(map[NodeID]Coord, len(placement)),
 		receivers: make(map[NodeID]Receiver),
 		links:     make(map[Coord]*[4]link),
@@ -115,10 +117,6 @@ func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, r
 			t.links[Coord{x, y}] = &[4]link{}
 		}
 	}
-	t.msgs = reg.Counter("noc.messages")
-	t.bytes = reg.Counter("noc.bytes")
-	t.hops = reg.Counter("noc.hops")
-	t.totalLatP = reg.Counter("noc.total_latency_ps")
 	t.advanceFn = func(a any) { t.advance(a.(*Message)) }
 	t.deliverFn = func(a any) { t.deliver(a.(*Message)) }
 	return t
@@ -187,21 +185,6 @@ func (t *Torus) Route(src, dst NodeID) []Coord {
 // HopCount reports the number of link traversals between two nodes.
 func (t *Torus) HopCount(src, dst NodeID) int { return len(t.Route(src, dst)) - 1 }
 
-// ringDist is the shortest distance between two positions on a ring.
-func ringDist(a, b, size int) int {
-	d := (a - b + size) % size
-	if size-d < d {
-		d = size - d
-	}
-	return d
-}
-
-// distance is the hop count between two coordinates without materializing the
-// route (dimension-order routes are minimal).
-func (t *Torus) distance(a, b Coord) int {
-	return ringDist(a.X, b.X, t.cfg.Width) + ringDist(a.Y, b.Y, t.cfg.Height)
-}
-
 // stepToward moves one position from cur toward dst around a ring of the
 // given size, taking the shorter direction (ties go in the + direction).
 func (t *Torus) stepToward(cur, dst, size int) int {
@@ -258,9 +241,8 @@ func (t *Torus) Send(msg *Message) {
 	}
 	msg.Enqueued = t.engine.Now()
 	msg.cur, msg.dst = src, dst
-	t.msgs.Inc()
-	t.bytes.Add(uint64(msg.SizeBytes))
-	t.hops.Add(uint64(t.distance(src, dst)))
+	t.Stats.Messages++
+	t.Stats.Bytes += uint64(msg.SizeBytes)
 	t.advance(msg)
 }
 
@@ -292,7 +274,6 @@ func (t *Torus) advance(msg *Message) {
 	}
 	ser := t.serialization(msg.SizeBytes)
 	lnk.freeAt = start.Add(ser)
-	lnk.busyTime += ser
 	arrive := start.Add(ser).Add(t.cfg.LinkLatency)
 	msg.cur = next
 	t.engine.AtArg(arrive, t.advanceFn, msg)
@@ -305,7 +286,7 @@ func (t *Torus) deliver(msg *Message) {
 	if !ok {
 		panic(fmt.Sprintf("noc: message to unattached node %d", msg.Dst))
 	}
-	t.totalLatP.Add(uint64(t.engine.Now().Sub(msg.Enqueued)))
+	t.Stats.LatencyPs += uint64(t.engine.Now().Sub(msg.Enqueued))
 	r.Receive(msg)
 	t.pool.put(msg)
 }

@@ -15,7 +15,6 @@ import (
 	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // WorkItemFunc is an OpenCL kernel body: it runs once per work-item on the
@@ -57,17 +56,8 @@ type Session struct {
 	pendingWI []pendingItem
 	running   int
 	rr        int
-
-	launches  *stats.Counter
-	workItems *stats.Counter
-	mapped    *stats.Counter
-	// Driver-overhead time by category, in simulated picoseconds: one-time
-	// init+JIT, buffer staging (create/map/unmap), and launch+sync. Together
-	// they are the OpenCL overhead breakdown the apu machine's Metrics()
-	// reports (the decomposition behind the paper's Figure 5 series).
-	initPs    *stats.Counter
-	stagingPs *stats.Counter
-	launchPs  *stats.Counter
+	// stats are the machine's OpenCL counters, shared by its sessions.
+	stats *apu.OpenCLStats
 }
 
 type pendingItem struct {
@@ -78,25 +68,16 @@ type pendingItem struct {
 
 // NewSession creates a session bound to an APU machine.
 func NewSession(m *apu.Machine) *Session {
-	return &Session{
-		m:         m,
-		over:      m.Config.OpenCL,
-		launches:  m.Stats.Counter("opencl.kernel_launches"),
-		workItems: m.Stats.Counter("opencl.work_items"),
-		mapped:    m.Stats.Counter("opencl.buffer_maps"),
-		initPs:    m.Stats.Counter("opencl.init_ps"),
-		stagingPs: m.Stats.Counter("opencl.staging_ps"),
-		launchPs:  m.Stats.Counter("opencl.launch_ps"),
-	}
+	return &Session{m: m, over: m.Config.OpenCL, stats: &m.OpenCL}
 }
 
 // charge burns host time for a driver overhead and books it to a category
 // counter so per-run metrics can break the total down.
-func (s *Session) charge(ctx *apu.HostContext, d sim.Duration, category *stats.Counter) {
+func (s *Session) charge(ctx *apu.HostContext, d sim.Duration, category *uint64) {
 	if d <= 0 {
 		return
 	}
-	category.Add(uint64(d))
+	*category += uint64(d)
 	ctx.Delay(d)
 }
 
@@ -108,7 +89,7 @@ func (s *Session) InitPlatform(ctx *apu.HostContext) {
 		return
 	}
 	s.inited = true
-	s.charge(ctx, s.over.PlatformInit, s.initPs)
+	s.charge(ctx, s.over.PlatformInit, &s.stats.InitPs)
 }
 
 // BuildProgram performs clCreateProgramWithSource + clBuildProgram (the JIT
@@ -118,7 +99,7 @@ func (s *Session) BuildProgram(ctx *apu.HostContext) {
 		return
 	}
 	s.built = true
-	s.charge(ctx, s.over.ProgramBuild, s.initPs)
+	s.charge(ctx, s.over.ProgramBuild, &s.stats.InitPs)
 }
 
 // CreateKernel registers a kernel body and returns its handle
@@ -133,7 +114,7 @@ func (s *Session) CreateKernel(fn WorkItemFunc) int {
 // CreateBuffer allocates a pinned zero-copy buffer (clCreateBuffer with
 // CL_MEM_ALLOC_HOST_PTR).
 func (s *Session) CreateBuffer(ctx *apu.HostContext, size uint64) Buffer {
-	s.charge(ctx, s.over.BufferCreate, s.stagingPs)
+	s.charge(ctx, s.over.BufferCreate, &s.stats.StagingPs)
 	return Buffer{Base: s.m.Malloc(size), Size: size}
 }
 
@@ -141,8 +122,8 @@ func (s *Session) CreateBuffer(ctx *apu.HostContext, size uint64) Buffer {
 // the host maps a buffer the GPU may have written, its stale cached copies
 // are dropped so the CPU reads what is in DRAM.
 func (s *Session) EnqueueMapBuffer(ctx *apu.HostContext, b Buffer) mem.VAddr {
-	s.mapped.Inc()
-	s.charge(ctx, s.over.MapBuffer, s.stagingPs)
+	s.stats.BufferMaps++
+	s.charge(ctx, s.over.MapBuffer, &s.stats.StagingPs)
 	s.m.InvalidateCPUCaches(b.Base, b.Size)
 	return b.Base
 }
@@ -151,7 +132,7 @@ func (s *Session) EnqueueMapBuffer(ctx *apu.HostContext, b Buffer) mem.VAddr {
 // the CPU wrote are flushed to DRAM so the GPU, which bypasses the CPU
 // caches, observes them.
 func (s *Session) EnqueueUnmapBuffer(ctx *apu.HostContext, b Buffer) {
-	s.charge(ctx, s.over.UnmapBuffer, s.stagingPs)
+	s.charge(ctx, s.over.UnmapBuffer, &s.stats.StagingPs)
 	s.m.FlushCPUCaches(b.Base, b.Size)
 }
 
@@ -166,11 +147,11 @@ func (s *Session) EnqueueNDRangeKernel(ctx *apu.HostContext, kernel int, globalS
 	if !s.inited {
 		panic("opencl: EnqueueNDRangeKernel before InitPlatform")
 	}
-	s.launches.Inc()
+	s.stats.KernelLaunches++
 	for range args {
-		s.charge(ctx, s.over.SetKernelArg, s.launchPs)
+		s.charge(ctx, s.over.SetKernelArg, &s.stats.LaunchPs)
 	}
-	s.charge(ctx, s.over.KernelLaunch, s.launchPs)
+	s.charge(ctx, s.over.KernelLaunch, &s.stats.LaunchPs)
 	for gid := 0; gid < globalSize; gid++ {
 		s.pendingWI = append(s.pendingWI, pendingItem{kernel: kernel, gid: gid, args: args})
 	}
@@ -195,7 +176,7 @@ func (s *Session) dispatch() {
 		}
 		item := s.pendingWI[0]
 		s.pendingWI = s.pendingWI[1:]
-		s.workItems.Inc()
+		s.stats.WorkItems++
 		s.running++
 		fn := s.kernels[item.kernel]
 		gid := item.gid
@@ -216,7 +197,7 @@ func (s *Session) dispatch() {
 // which is how the real runtime's synchronization cost appears to an
 // application.
 func (s *Session) Finish(ctx *apu.HostContext) {
-	s.charge(ctx, s.over.FinishOverhead, s.launchPs)
+	s.charge(ctx, s.over.FinishOverhead, &s.stats.LaunchPs)
 	// The poll interval must stay positive even when a design-space sweep
 	// sets FinishOverhead to zero: a free poll would never advance simulated
 	// time and the loop would spin forever.
@@ -225,7 +206,7 @@ func (s *Session) Finish(ctx *apu.HostContext) {
 		poll = sim.Nanosecond
 	}
 	for s.running > 0 || len(s.pendingWI) > 0 {
-		s.charge(ctx, poll, s.launchPs)
+		s.charge(ctx, poll, &s.stats.LaunchPs)
 	}
 }
 

@@ -38,7 +38,7 @@ func newAPU(t *testing.T) *apu.Machine {
 // program shape — init, build, buffer, map/write/unmap, launch, finish — and
 // checks (a) the kernel's functional effect, and (b) that the ps-counter
 // overhead breakdown attributes exactly the charged driver constants to the
-// right categories, with the machine's Metrics() agreeing via stats.SumMatch.
+// right categories, with the machine's Metrics() agreeing with the counters.
 func TestSessionRunsKernelAndBreaksDownOverheads(t *testing.T) {
 	m := newAPU(t)
 	defer m.Shutdown()
@@ -85,41 +85,34 @@ func TestSessionRunsKernelAndBreaksDownOverheads(t *testing.T) {
 		t.Fatalf("%d work-items outstanding after Finish", s.Outstanding())
 	}
 
-	lookup := func(name string) uint64 {
-		v, ok := m.Stats.Lookup(name)
-		if !ok {
-			t.Fatalf("no counter %q", name)
-		}
-		return v
-	}
-
+	ocl := m.OpenCL
 	// One-time init: platform + JIT, charged exactly once despite the
 	// repeated calls.
-	if got, want := lookup("opencl.init_ps"), uint64(over.PlatformInit+over.ProgramBuild); got != want {
+	if got, want := ocl.InitPs, uint64(over.PlatformInit+over.ProgramBuild); got != want {
 		t.Errorf("init_ps = %d, want %d", got, want)
 	}
 	// Staging: one create + two maps + one unmap.
 	wantStaging := uint64(over.BufferCreate + 2*over.MapBuffer + over.UnmapBuffer)
-	if got := lookup("opencl.staging_ps"); got != wantStaging {
+	if got := ocl.StagingPs; got != wantStaging {
 		t.Errorf("staging_ps = %d, want %d", got, wantStaging)
 	}
 	// Launch+sync: one arg, one launch, Finish overhead plus its polling.
 	minLaunch := uint64(over.SetKernelArg + over.KernelLaunch + over.FinishOverhead)
-	if got := lookup("opencl.launch_ps"); got < minLaunch {
+	if got := ocl.LaunchPs; got < minLaunch {
 		t.Errorf("launch_ps = %d, want >= %d", got, minLaunch)
 	}
 
-	// The per-run metrics must be exactly the SumMatch aggregation of those
-	// counters (the contract ARCHITECTURE.md documents for sweep sinks).
+	// The per-run metrics must be exactly those counters in microseconds
+	// (the contract ARCHITECTURE.md documents for sweep sinks).
 	metrics := m.Metrics()
-	for key, counter := range map[string]string{
-		"opencl.init_us":    ".init_ps",
-		"opencl.staging_us": ".staging_ps",
-		"opencl.launch_us":  ".launch_ps",
+	for key, ps := range map[string]uint64{
+		"opencl.init_us":    ocl.InitPs,
+		"opencl.staging_us": ocl.StagingPs,
+		"opencl.launch_us":  ocl.LaunchPs,
 	} {
-		want := float64(m.Stats.SumMatch("opencl", counter)) / 1e6
+		want := float64(ps) / 1e6
 		if got := metrics[key]; got != want {
-			t.Errorf("metrics[%q] = %v, want SumMatch/1e6 = %v", key, got, want)
+			t.Errorf("metrics[%q] = %v, want counter/1e6 = %v", key, got, want)
 		}
 	}
 	if got := metrics["opencl.kernel_launches"]; got != 1 {
@@ -166,9 +159,8 @@ func TestWorkItemsSpreadAcrossUnits(t *testing.T) {
 	}
 	// More than one SIMD unit must have executed instructions.
 	unitsUsed := 0
-	for i := range m.GPUUnits {
-		name := m.GPUUnits[i].Config().Name
-		if v, _ := m.Stats.Lookup(name + ".instructions"); v > 0 {
+	for _, u := range m.GPUUnits {
+		if u.Stats.Instructions > 0 {
 			unitsUsed++
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 	"ccsvm/internal/workloads"
 )
 
@@ -93,9 +92,7 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*list.Element
 	lru     *list.List // front = most recent; values are *memEntry
-	reg     *stats.Registry
-
-	memHits, diskHits, misses, stores, corrupt, evictions, storeErrors, bytesWritten, bytesRead *stats.Counter
+	stats   Stats
 }
 
 // memEntry is one LRU slot: the key (for eviction) and the encoded record.
@@ -115,17 +112,7 @@ func New(opts Options) (*Cache, error) {
 		maxEntries: max,
 		entries:    make(map[Key]*list.Element),
 		lru:        list.New(),
-		reg:        stats.NewRegistry("resultcache"),
 	}
-	c.memHits = c.reg.Counter("cache.mem.hits")
-	c.diskHits = c.reg.Counter("cache.disk.hits")
-	c.misses = c.reg.Counter("cache.misses")
-	c.stores = c.reg.Counter("cache.stores")
-	c.corrupt = c.reg.Counter("cache.disk.corrupt")
-	c.evictions = c.reg.Counter("cache.mem.evictions")
-	c.storeErrors = c.reg.Counter("cache.store_errors")
-	c.bytesWritten = c.reg.Counter("cache.disk.bytes_written")
-	c.bytesRead = c.reg.Counter("cache.disk.bytes_read")
 	if c.dir != "" {
 		if err := ensureDir(c.dir); err != nil {
 			return nil, fmt.Errorf("resultcache: %w", err)
@@ -142,7 +129,7 @@ func (c *Cache) Get(key Key) (workloads.Result, bool) {
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		raw := el.Value.(*memEntry).bytes
-		c.memHits.Inc()
+		c.stats.MemHits++
 		c.mu.Unlock()
 		if res, ok := decodeRecord(raw); ok {
 			return res, true
@@ -150,7 +137,7 @@ func (c *Cache) Get(key Key) (workloads.Result, bool) {
 		// An undecodable memory entry means Put accepted bytes Get cannot
 		// read — a programming error, but degrade to a miss, not a panic.
 		c.drop(key)
-		c.count(c.misses)
+		c.count(&c.stats.Misses)
 		return workloads.Result{}, false
 	}
 	c.mu.Unlock()
@@ -159,16 +146,16 @@ func (c *Cache) Get(key Key) (workloads.Result, bool) {
 		raw, readErr := c.readFile(key)
 		if readErr == nil {
 			if res, ok := decodeRecord(raw); ok {
-				c.insert(key, raw, c.diskHits)
+				c.insert(key, raw, &c.stats.DiskHits)
 				return res, true
 			}
 			// Unreadable record: count, remove so the next Put rewrites it
 			// cleanly, and report a miss.
-			c.count(c.corrupt)
+			c.count(&c.stats.Corrupt)
 			c.removeFile(key)
 		}
 	}
-	c.count(c.misses)
+	c.count(&c.stats.Misses)
 	return workloads.Result{}, false
 }
 
@@ -179,15 +166,15 @@ func (c *Cache) Get(key Key) (workloads.Result, bool) {
 func (c *Cache) Put(key Key, spec string, res workloads.Result) error {
 	raw, err := encodeRecord(spec, res)
 	if err != nil {
-		c.count(c.storeErrors)
+		c.count(&c.stats.StoreErrors)
 		return fmt.Errorf("resultcache: encode %s: %w", key, err)
 	}
-	c.insert(key, raw, c.stores)
+	c.insert(key, raw, &c.stats.Stores)
 	if c.dir == "" {
 		return nil
 	}
 	if err := c.writeFile(key, raw); err != nil {
-		c.count(c.storeErrors)
+		c.count(&c.stats.StoreErrors)
 		return fmt.Errorf("resultcache: persist %s: %w", key, err)
 	}
 	return nil
@@ -197,25 +184,7 @@ func (c *Cache) Put(key Key, spec string, res workloads.Result) error {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		MemHits:      c.memHits.Value(),
-		DiskHits:     c.diskHits.Value(),
-		Misses:       c.misses.Value(),
-		Stores:       c.stores.Value(),
-		Corrupt:      c.corrupt.Value(),
-		Evictions:    c.evictions.Value(),
-		StoreErrors:  c.storeErrors.Value(),
-		BytesWritten: c.bytesWritten.Value(),
-		BytesRead:    c.bytesRead.Value(),
-	}
-}
-
-// Snapshot returns the raw stats rows, for generic rendering alongside the
-// machines' metric registries.
-func (c *Cache) Snapshot() []stats.NamedValue {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reg.Snapshot()
+	return c.stats
 }
 
 // Len reports the number of entries in the memory tier.
@@ -227,10 +196,10 @@ func (c *Cache) Len() int {
 
 // insert adds or refreshes the memory-tier entry and bumps the given
 // counter, evicting from the LRU tail past capacity.
-func (c *Cache) insert(key Key, raw []byte, counter *stats.Counter) {
+func (c *Cache) insert(key Key, raw []byte, counter *uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	counter.Inc()
+	*counter++
 	if c.maxEntries < 0 {
 		return
 	}
@@ -244,7 +213,7 @@ func (c *Cache) insert(key Key, raw []byte, counter *stats.Counter) {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*memEntry).key)
-		c.evictions.Inc()
+		c.stats.Evictions++
 	}
 }
 
@@ -258,11 +227,10 @@ func (c *Cache) drop(key Key) {
 	}
 }
 
-// count increments a stats counter under the cache lock (stats.Counter is
-// not itself synchronized).
-func (c *Cache) count(counter *stats.Counter) {
+// count increments one of c.stats's counters under the cache lock.
+func (c *Cache) count(counter *uint64) {
 	c.mu.Lock()
-	counter.Inc()
+	*counter++
 	c.mu.Unlock()
 }
 

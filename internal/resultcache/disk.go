@@ -36,7 +36,7 @@ func (c *Cache) readFile(key Key) ([]byte, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.bytesRead.Add(uint64(len(raw)))
+	c.stats.BytesRead += uint64(len(raw))
 	c.mu.Unlock()
 	return raw, nil
 }
@@ -68,7 +68,7 @@ func (c *Cache) writeFile(key Key, raw []byte) error {
 		return err
 	}
 	c.mu.Lock()
-	c.bytesWritten.Add(uint64(len(raw)))
+	c.stats.BytesWritten += uint64(len(raw))
 	c.mu.Unlock()
 	return nil
 }

@@ -18,7 +18,6 @@
 // record encoding) to the freshly simulated Result that produced it — the
 // property the service-level tests pin down.
 //
-// Hit/miss/byte traffic is counted in an internal/stats Registry; Stats
-// returns a typed snapshot and Snapshot the raw rows, both safe to call
-// concurrently.
+// Hit/miss/byte traffic is counted in fields guarded by the cache lock;
+// Stats returns a snapshot and is safe to call concurrently.
 package resultcache

@@ -5,94 +5,6 @@ import (
 	"testing"
 )
 
-func TestCounterAndGauge(t *testing.T) {
-	r := NewRegistry("test")
-	c := r.Counter("hits")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if again := r.Counter("hits"); again != c {
-		t.Fatal("Counter should return the same instance for the same name")
-	}
-	g := r.Gauge("occupancy")
-	g.Set(3)
-	g.Add(2)
-	g.Add(-4)
-	if g.Value() != 1 {
-		t.Fatalf("gauge = %d, want 1", g.Value())
-	}
-	if g.Max() != 5 {
-		t.Fatalf("gauge max = %d, want 5", g.Max())
-	}
-}
-
-// TestGaugeNegativeOnlyMax is the regression test for the implicit-zero max:
-// a gauge that only ever holds negative values must report its true
-// (negative) maximum, not a spurious 0 it never reached.
-func TestGaugeNegativeOnlyMax(t *testing.T) {
-	r := NewRegistry("test")
-	g := r.Gauge("depth")
-	g.Set(-7)
-	g.Add(-3)
-	if g.Max() != -7 {
-		t.Fatalf("negative-only gauge max = %d, want -7", g.Max())
-	}
-	if g.Value() != -10 {
-		t.Fatalf("negative-only gauge value = %d, want -10", g.Value())
-	}
-
-	// An untouched gauge still reports zero.
-	if got := r.Gauge("untouched").Max(); got != 0 {
-		t.Fatalf("untouched gauge max = %d, want 0", got)
-	}
-
-	// Reset restores the never-assigned state, so the max re-latches from
-	// the first post-reset assignment.
-	r.Reset()
-	g.Set(-2)
-	if g.Max() != -2 {
-		t.Fatalf("post-reset negative gauge max = %d, want -2", g.Max())
-	}
-}
-
-func TestRegistryLookupSumSnapshotReset(t *testing.T) {
-	r := NewRegistry("chip")
-	r.Counter("l1.0.hits").Add(10)
-	r.Counter("l1.1.hits").Add(20)
-	r.Counter("dram.reads").Add(7)
-	if got := r.Sum("l1."); got != 30 {
-		t.Fatalf("Sum(l1.) = %d, want 30", got)
-	}
-	if v, ok := r.Lookup("dram.reads"); !ok || v != 7 {
-		t.Fatalf("Lookup = %d,%v", v, ok)
-	}
-	if _, ok := r.Lookup("missing"); ok {
-		t.Fatal("Lookup of missing counter succeeded")
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d entries, want 3", len(snap))
-	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Name >= snap[i].Name {
-			t.Fatal("snapshot not sorted by name")
-		}
-	}
-	r.Reset()
-	if got := r.Sum(""); got != 0 {
-		t.Fatalf("after Reset sum = %d, want 0", got)
-	}
-}
-
-func TestFormat(t *testing.T) {
-	out := Format([]NamedValue{{Name: "a", Value: 1}, {Name: "long.counter.name", Value: 2.5}})
-	if !strings.Contains(out, "long.counter.name") || !strings.Contains(out, "2.5") {
-		t.Fatalf("Format output missing content:\n%s", out)
-	}
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("Figure 5", "N", "APU", "CCSVM")
 	tb.AddRow(16, 1.5, 0.001)

@@ -72,3 +72,10 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+func formatNumber(v float64) string {
+	if v == float64(int64(v)) {
+		return fmt.Sprintf("%d", int64(v))
+	}
+	return fmt.Sprintf("%.4g", v)
+}

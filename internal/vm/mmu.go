@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccsvm/internal/mem"
-	"ccsvm/internal/stats"
 )
 
 // Fault describes a translation failure that must be handled by the OS (on a
@@ -39,20 +38,13 @@ type MMU struct {
 	// walkFree recycles page-walk carriers (see pageWalk).
 	walkFree []*pageWalk
 
-	walks  *stats.Counter
-	faults *stats.Counter
+	walks, faults uint64
 }
 
 // NewMMU builds an MMU that performs page walks through the given cache port,
 // reading PTE values from the machine's functional physical memory.
-func NewMMU(tlbCfg TLBConfig, port mem.Port, phys *mem.Physical, reg *stats.Registry) *MMU {
-	return &MMU{
-		tlb:    NewTLB(tlbCfg, reg),
-		port:   port,
-		phys:   phys,
-		walks:  reg.Counter(tlbCfg.Name + ".walks"),
-		faults: reg.Counter(tlbCfg.Name + ".faults"),
-	}
+func NewMMU(tlbCfg TLBConfig, port mem.Port, phys *mem.Physical) *MMU {
+	return &MMU{tlb: NewTLB(tlbCfg), port: port, phys: phys}
 }
 
 // SetRoot loads the CR3 equivalent: the physical address of the current
@@ -110,7 +102,7 @@ type pageWalk struct {
 //
 //ccsvm:hotpath
 func (m *MMU) walk(va mem.VAddr, write bool, done func(pa mem.PAddr, fault *Fault)) {
-	m.walks.Inc()
+	m.walks++
 	var w *pageWalk
 	if n := len(m.walkFree); n > 0 {
 		w = m.walkFree[n-1]
@@ -142,7 +134,7 @@ func (w *pageWalk) step() {
 	w.done = nil
 	m.walkFree = append(m.walkFree, w) //ccsvm:allocok // free list returns to its high-water mark
 	if !pte.Present() {
-		m.faults.Inc()
+		m.faults++
 		done(0, m.fault(va, write))
 		return
 	}
@@ -157,7 +149,7 @@ func (m *MMU) fault(va mem.VAddr, write bool) *Fault {
 }
 
 // Walks reports how many page walks this MMU performed.
-func (m *MMU) Walks() uint64 { return m.walks.Value() }
+func (m *MMU) Walks() uint64 { return m.walks }
 
 // Faults reports how many page faults this MMU raised.
-func (m *MMU) Faults() uint64 { return m.faults.Value() }
+func (m *MMU) Faults() uint64 { return m.faults }

@@ -1,16 +1,11 @@
 package vm
 
-import (
-	"ccsvm/internal/mem"
-	"ccsvm/internal/stats"
-)
+import "ccsvm/internal/mem"
 
 // TLBConfig describes a translation lookaside buffer.
 type TLBConfig struct {
 	// Entries is the capacity (64, fully associative, in Table 2).
 	Entries int
-	// Name prefixes the TLB's statistics.
-	Name string
 }
 
 // tlbEntry caches one translation.
@@ -27,30 +22,36 @@ type tlbEntry struct {
 //
 //ccsvm:state
 type TLB struct {
-	cfg     TLBConfig
-	entries map[mem.PageNumber]*tlbEntry
-	// last is the entry of the most recent hit or insert: translations are
-	// heavily page-local, so most lookups resolve here without hashing.
+	cfg TLBConfig
+	// entries grows up to cfg.Entries as translations arrive; a run pays
+	// only for the translations it caches. Lookups scan it in order.
+	entries []tlbEntry
+	// last points at the entry of the most recent hit or insert:
+	// translations are heavily page-local, so most lookups resolve here
+	// without a scan. Wherever entries can move (append, the swap-delete of
+	// InvalidatePage, Flush) it is reset, so it never points at a stale copy.
 	last *tlbEntry
 	tick uint64
 
-	hits    *stats.Counter
-	misses  *stats.Counter
-	flushes *stats.Counter
+	hits, misses uint64
 }
 
 // NewTLB builds a TLB.
-func NewTLB(cfg TLBConfig, reg *stats.Registry) *TLB {
+func NewTLB(cfg TLBConfig) *TLB {
 	if cfg.Entries <= 0 {
 		panic("vm: TLB needs at least one entry")
 	}
-	return &TLB{
-		cfg:     cfg,
-		entries: make(map[mem.PageNumber]*tlbEntry, cfg.Entries),
-		hits:    reg.Counter(cfg.Name + ".hits"),
-		misses:  reg.Counter(cfg.Name + ".misses"),
-		flushes: reg.Counter(cfg.Name + ".flushes"),
+	return &TLB{cfg: cfg}
+}
+
+// find returns the entry caching page, or nil.
+func (t *TLB) find(page mem.PageNumber) *tlbEntry {
+	for i := range t.entries {
+		if t.entries[i].page == page {
+			return &t.entries[i]
+		}
 	}
+	return nil
 }
 
 // Lookup returns the cached translation for the page containing va.
@@ -58,73 +59,59 @@ func NewTLB(cfg TLBConfig, reg *stats.Registry) *TLB {
 //ccsvm:hotpath
 func (t *TLB) Lookup(va mem.VAddr) (mem.FrameNumber, bool, bool) {
 	page := mem.PageOf(va)
-	if e := t.last; e != nil && e.page == page {
-		t.tick++
-		e.lru = t.tick
-		t.hits.Inc()
-		return e.frame, e.writable, true
+	e := t.last
+	if e == nil || e.page != page {
+		if e = t.find(page); e == nil {
+			t.misses++
+			return 0, false, false
+		}
+		t.last = e
 	}
-	e, ok := t.entries[page]
-	if !ok {
-		t.misses.Inc()
-		return 0, false, false
-	}
-	t.last = e
 	t.tick++
 	e.lru = t.tick
-	t.hits.Inc()
+	t.hits++
 	return e.frame, e.writable, true
 }
 
-// Insert caches a translation, evicting the LRU entry if the TLB is full; the
-// new translation reuses the victim's entry.
+// Insert caches a translation, replacing the LRU entry (the unique minimum
+// tick) if the TLB is full.
 //
 //ccsvm:hotpath
 func (t *TLB) Insert(va mem.VAddr, frame mem.FrameNumber, writable bool) {
 	page := mem.PageOf(va)
-	if e, ok := t.entries[page]; ok {
-		t.tick++
-		e.frame, e.writable, e.lru = frame, writable, t.tick
-		t.last = e
-		return
-	}
-	var e *tlbEntry
-	if len(t.entries) >= t.cfg.Entries {
-		var victim *tlbEntry
-		var oldest uint64 = ^uint64(0)
-		for _, v := range t.entries {
-			if v.lru < oldest {
-				oldest = v.lru
-				victim = v
+	e := t.find(page)
+	if e == nil && len(t.entries) < t.cfg.Entries {
+		t.entries = append(t.entries, tlbEntry{}) //ccsvm:allocok // grows to the TLB's capacity, then stays
+		e = &t.entries[len(t.entries)-1]
+	} else if e == nil {
+		e = &t.entries[0]
+		for i := range t.entries {
+			if t.entries[i].lru < e.lru {
+				e = &t.entries[i]
 			}
 		}
-		delete(t.entries, victim.page)
-		e = victim
-	} else {
-		e = new(tlbEntry) //ccsvm:allocok // grows to the TLB's capacity; a full TLB reuses its victim's entry
 	}
 	t.tick++
 	*e = tlbEntry{page: page, frame: frame, writable: writable, lru: t.tick}
-	t.entries[page] = e
 	t.last = e
 }
 
 // InvalidatePage removes one translation (selective shootdown).
 func (t *TLB) InvalidatePage(va mem.VAddr) {
-	page := mem.PageOf(va)
-	delete(t.entries, page)
-	if t.last != nil && t.last.page == page {
-		t.last = nil
+	e := t.find(mem.PageOf(va))
+	if e == nil {
+		return
 	}
+	n := len(t.entries) - 1
+	*e = t.entries[n]
+	t.entries = t.entries[:n]
+	t.last = nil
 }
 
-// Flush empties the TLB (the conservative shootdown used for MTTOP cores).
+// Flush empties the TLB (the conservative shootdown used for MTTOP cores),
+// keeping its storage.
 func (t *TLB) Flush() {
-	t.flushes.Inc()
-	// Clearing in place keeps the map's buckets: MTTOP TLBs are flushed on
-	// every shootdown. Eviction picks the unique minimum lru, so the map's
-	// iteration order cannot affect results.
-	clear(t.entries)
+	t.entries = t.entries[:0]
 	t.last = nil
 }
 
@@ -132,7 +119,7 @@ func (t *TLB) Flush() {
 func (t *TLB) Occupancy() int { return len(t.entries) }
 
 // Hits reports the number of TLB hits.
-func (t *TLB) Hits() uint64 { return t.hits.Value() }
+func (t *TLB) Hits() uint64 { return t.hits }
 
 // Misses reports the number of TLB misses.
-func (t *TLB) Misses() uint64 { return t.misses.Value() }
+func (t *TLB) Misses() uint64 { return t.misses }

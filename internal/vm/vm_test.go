@@ -6,7 +6,6 @@ import (
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/stats"
 )
 
 // fakePort completes accesses immediately (zero latency) and counts them.
@@ -110,8 +109,7 @@ func TestPageTableRoundTripProperty(t *testing.T) {
 }
 
 func TestTLBHitMissLRUAndFlush(t *testing.T) {
-	reg := stats.NewRegistry("t")
-	tlb := NewTLB(TLBConfig{Entries: 4, Name: "tlb"}, reg)
+	tlb := NewTLB(TLBConfig{Entries: 4})
 	if _, _, ok := tlb.Lookup(0x1000); ok {
 		t.Fatal("empty TLB hit")
 	}
@@ -145,8 +143,7 @@ func TestTLBHitMissLRUAndFlush(t *testing.T) {
 func TestMMUTranslateHitMissAndFault(t *testing.T) {
 	phys, pt, _ := newTestTable(t)
 	port := &fakePort{}
-	reg := stats.NewRegistry("t")
-	mmu := NewMMU(TLBConfig{Entries: 8, Name: "mmu"}, port, phys, reg)
+	mmu := NewMMU(TLBConfig{Entries: 8}, port, phys)
 	mmu.SetRoot(pt.Root())
 
 	va := mem.VAddr(0x1000_0000)
@@ -185,7 +182,7 @@ func TestMMUTranslateHitMissAndFault(t *testing.T) {
 func TestMMUSetRootFlushesTLB(t *testing.T) {
 	phys, pt, alloc := newTestTable(t)
 	port := &fakePort{}
-	mmu := NewMMU(TLBConfig{Entries: 8, Name: "mmu"}, port, phys, stats.NewRegistry("t"))
+	mmu := NewMMU(TLBConfig{Entries: 8}, port, phys)
 	mmu.SetRoot(pt.Root())
 	pt.Map(0x1000_0000, 400, true)
 	mmu.Translate(0x1000_0000, false, func(mem.PAddr, *Fault) {})
@@ -209,7 +206,7 @@ func TestMMUSetRootFlushesTLB(t *testing.T) {
 
 func TestMMUTranslateBeforeRootPanics(t *testing.T) {
 	phys := mem.NewPhysical(1 << 20)
-	mmu := NewMMU(TLBConfig{Entries: 4, Name: "m"}, &fakePort{}, phys, stats.NewRegistry("t"))
+	mmu := NewMMU(TLBConfig{Entries: 4}, &fakePort{}, phys)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -231,7 +228,7 @@ func (p *enginePort) Access(req mem.Request, done func()) { p.eng.Schedule(sim.N
 func TestWalkAllocatesNothing(t *testing.T) {
 	phys, pt, _ := newTestTable(t)
 	eng := sim.NewEngine()
-	mmu := NewMMU(TLBConfig{Entries: 8, Name: "mmu"}, &enginePort{eng}, phys, stats.NewRegistry("t"))
+	mmu := NewMMU(TLBConfig{Entries: 8}, &enginePort{eng}, phys)
 	mmu.SetRoot(pt.Root())
 	const pages = 16
 	for i := 0; i < pages; i++ {

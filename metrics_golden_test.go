@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"ccsvm"
@@ -138,6 +139,51 @@ func TestGoldenMetrics(t *testing.T) {
 			case math.Float64bits(g) != math.Float64bits(w):
 				t.Errorf("%s: %s = %v, fixture has %v", got.Spec, k, g, w)
 			}
+		}
+	}
+}
+
+// TestArchitectureMetricsTable checks that the key table of ARCHITECTURE.md
+// "Per-run machine metrics" lists exactly the metric keys the machines
+// report: the union of the keys over the golden fixture's runs.
+func TestArchitectureMetricsTable(t *testing.T) {
+	raw, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Per-run machine metrics\n")
+	if !ok {
+		t.Fatal(`ARCHITECTURE.md has no "Per-run machine metrics" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.Contains(cells[1], "`") {
+			continue
+		}
+		// The key column holds one or more `key`s; odd fields sit inside
+		// backticks.
+		for i, field := range strings.Split(cells[1], "`") {
+			if i%2 == 1 {
+				documented[field] = true
+			}
+		}
+	}
+	reported := map[string]bool{}
+	for _, run := range readMetricsGolden(t) {
+		for k := range run.Metrics {
+			reported[k] = true
+		}
+	}
+	for k := range reported {
+		if !documented[k] {
+			t.Errorf("metric %s is reported but not in the ARCHITECTURE.md table", k)
+		}
+	}
+	for k := range documented {
+		if !reported[k] {
+			t.Errorf("ARCHITECTURE.md documents metric %s, which no run reports", k)
 		}
 	}
 }
