@@ -48,8 +48,9 @@ type Config struct {
 	// WarpSize is the SIMD-width chunk in which threads are handed to cores
 	// (a warp/wavefront).
 	WarpSize int
-	// Name names the device. Nothing reads it, but it stays because the
-	// configuration's encoding keys cached results (see ccsvm.RunSpec.Hash).
+	// Name names the device. Nothing reads it; it stays so that the
+	// configuration's override paths and its encoding, which keys cached
+	// results (see ccsvm.RunSpec.Hash), are unchanged.
 	Name string
 }
 

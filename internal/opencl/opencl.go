@@ -56,8 +56,6 @@ type Session struct {
 	pendingWI []pendingItem
 	running   int
 	rr        int
-	// stats are the machine's OpenCL counters, shared by its sessions.
-	stats *apu.OpenCLStats
 }
 
 type pendingItem struct {
@@ -68,11 +66,12 @@ type pendingItem struct {
 
 // NewSession creates a session bound to an APU machine.
 func NewSession(m *apu.Machine) *Session {
-	return &Session{m: m, over: m.Config.OpenCL, stats: &m.OpenCL}
+	return &Session{m: m, over: m.Config.OpenCL}
 }
 
 // charge burns host time for a driver overhead and books it to a category
-// counter so per-run metrics can break the total down.
+// counter of the machine's OpenCLStats, which every session on the machine
+// shares, so per-run metrics can break the total down.
 func (s *Session) charge(ctx *apu.HostContext, d sim.Duration, category *uint64) {
 	if d <= 0 {
 		return
@@ -89,7 +88,7 @@ func (s *Session) InitPlatform(ctx *apu.HostContext) {
 		return
 	}
 	s.inited = true
-	s.charge(ctx, s.over.PlatformInit, &s.stats.InitPs)
+	s.charge(ctx, s.over.PlatformInit, &s.m.OpenCL.InitPs)
 }
 
 // BuildProgram performs clCreateProgramWithSource + clBuildProgram (the JIT
@@ -99,7 +98,7 @@ func (s *Session) BuildProgram(ctx *apu.HostContext) {
 		return
 	}
 	s.built = true
-	s.charge(ctx, s.over.ProgramBuild, &s.stats.InitPs)
+	s.charge(ctx, s.over.ProgramBuild, &s.m.OpenCL.InitPs)
 }
 
 // CreateKernel registers a kernel body and returns its handle
@@ -114,7 +113,7 @@ func (s *Session) CreateKernel(fn WorkItemFunc) int {
 // CreateBuffer allocates a pinned zero-copy buffer (clCreateBuffer with
 // CL_MEM_ALLOC_HOST_PTR).
 func (s *Session) CreateBuffer(ctx *apu.HostContext, size uint64) Buffer {
-	s.charge(ctx, s.over.BufferCreate, &s.stats.StagingPs)
+	s.charge(ctx, s.over.BufferCreate, &s.m.OpenCL.StagingPs)
 	return Buffer{Base: s.m.Malloc(size), Size: size}
 }
 
@@ -122,8 +121,8 @@ func (s *Session) CreateBuffer(ctx *apu.HostContext, size uint64) Buffer {
 // the host maps a buffer the GPU may have written, its stale cached copies
 // are dropped so the CPU reads what is in DRAM.
 func (s *Session) EnqueueMapBuffer(ctx *apu.HostContext, b Buffer) mem.VAddr {
-	s.stats.BufferMaps++
-	s.charge(ctx, s.over.MapBuffer, &s.stats.StagingPs)
+	s.m.OpenCL.BufferMaps++
+	s.charge(ctx, s.over.MapBuffer, &s.m.OpenCL.StagingPs)
 	s.m.InvalidateCPUCaches(b.Base, b.Size)
 	return b.Base
 }
@@ -132,7 +131,7 @@ func (s *Session) EnqueueMapBuffer(ctx *apu.HostContext, b Buffer) mem.VAddr {
 // the CPU wrote are flushed to DRAM so the GPU, which bypasses the CPU
 // caches, observes them.
 func (s *Session) EnqueueUnmapBuffer(ctx *apu.HostContext, b Buffer) {
-	s.charge(ctx, s.over.UnmapBuffer, &s.stats.StagingPs)
+	s.charge(ctx, s.over.UnmapBuffer, &s.m.OpenCL.StagingPs)
 	s.m.FlushCPUCaches(b.Base, b.Size)
 }
 
@@ -147,11 +146,11 @@ func (s *Session) EnqueueNDRangeKernel(ctx *apu.HostContext, kernel int, globalS
 	if !s.inited {
 		panic("opencl: EnqueueNDRangeKernel before InitPlatform")
 	}
-	s.stats.KernelLaunches++
+	s.m.OpenCL.KernelLaunches++
 	for range args {
-		s.charge(ctx, s.over.SetKernelArg, &s.stats.LaunchPs)
+		s.charge(ctx, s.over.SetKernelArg, &s.m.OpenCL.LaunchPs)
 	}
-	s.charge(ctx, s.over.KernelLaunch, &s.stats.LaunchPs)
+	s.charge(ctx, s.over.KernelLaunch, &s.m.OpenCL.LaunchPs)
 	for gid := 0; gid < globalSize; gid++ {
 		s.pendingWI = append(s.pendingWI, pendingItem{kernel: kernel, gid: gid, args: args})
 	}
@@ -176,7 +175,7 @@ func (s *Session) dispatch() {
 		}
 		item := s.pendingWI[0]
 		s.pendingWI = s.pendingWI[1:]
-		s.stats.WorkItems++
+		s.m.OpenCL.WorkItems++
 		s.running++
 		fn := s.kernels[item.kernel]
 		gid := item.gid
@@ -197,7 +196,7 @@ func (s *Session) dispatch() {
 // which is how the real runtime's synchronization cost appears to an
 // application.
 func (s *Session) Finish(ctx *apu.HostContext) {
-	s.charge(ctx, s.over.FinishOverhead, &s.stats.LaunchPs)
+	s.charge(ctx, s.over.FinishOverhead, &s.m.OpenCL.LaunchPs)
 	// The poll interval must stay positive even when a design-space sweep
 	// sets FinishOverhead to zero: a free poll would never advance simulated
 	// time and the loop would spin forever.
@@ -206,7 +205,7 @@ func (s *Session) Finish(ctx *apu.HostContext) {
 		poll = sim.Nanosecond
 	}
 	for s.running > 0 || len(s.pendingWI) > 0 {
-		s.charge(ctx, poll, &s.stats.LaunchPs)
+		s.charge(ctx, poll, &s.m.OpenCL.LaunchPs)
 	}
 }
 
