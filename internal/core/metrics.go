@@ -32,12 +32,12 @@ func (m *Machine) Metrics() map[string]float64 {
 		l2Hits += b.Stats.L2Hits
 		l2Misses += b.Stats.L2Misses
 	}
-	noc := &m.torus.Stats
+	torus := &m.torus.Stats
 	out := map[string]float64{
 		"coherence.invalidations": float64(invs),
 		"coherence.forwards":      float64(fwds),
-		"noc.messages":            float64(noc.Messages),
-		"noc.bytes":               float64(noc.Bytes),
+		"noc.messages":            float64(torus.Messages),
+		"noc.bytes":               float64(torus.Bytes),
 		"dram.reads":              float64(m.DRAM.Reads()),
 		"dram.writes":             float64(m.DRAM.Writes()),
 		"kernel.page_faults":      float64(m.Kernel.Stats.PageFaults),
@@ -62,8 +62,8 @@ func (m *Machine) Metrics() map[string]float64 {
 	stats.AddRate(out, "l1.hit_rate", l1Hits, l1Misses)
 	stats.AddRate(out, "l2.hit_rate", l2Hits, l2Misses)
 	stats.AddRate(out, "tlb.hit_rate", tlbHits, tlbMisses)
-	if noc.Messages > 0 {
-		out["noc.mean_latency_ns"] = float64(noc.LatencyPs) / float64(noc.Messages) / 1e3
+	if torus.Messages > 0 {
+		out["noc.mean_latency_ns"] = float64(torus.LatencyPs) / float64(torus.Messages) / 1e3
 	}
 	return out
 }
