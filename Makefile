@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test lint lint-report fmt bench stress serve
+.PHONY: build test lint lint-report fmt bench stress
 
 build:
 	go build ./...
@@ -35,8 +35,3 @@ bench:
 
 stress:
 	go run ./cmd/ccsvm-stress -seed 1 -ops 100000 -preset ccsvm-base
-
-# The HTTP sweep service with a persistent result cache (see README
-# "Serving sweeps").
-serve:
-	go run ./cmd/ccsvm-serve -cache-dir .ccsvm-cache

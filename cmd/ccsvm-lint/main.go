@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go run ./cmd/ccsvm-lint ./...
-//	go run ./cmd/ccsvm-lint -only determinism,hotpath ./internal/sim
+//	go run ./cmd/ccsvm-lint -only determinism,allocfree ./internal/sim
 //	go run ./cmd/ccsvm-lint -format sarif ./... > lint.sarif
 //
 // -format selects the report rendering: text (default, one line per

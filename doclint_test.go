@@ -11,13 +11,11 @@ import (
 
 // TestDocLint fails when an exported symbol in the public facade (the root
 // package), in internal/workloads — the two packages contributors extend
-// when adding workloads, presets, or overrides — in the lint suite
+// when adding workloads, presets, or overrides — or in the lint suite
 // (internal/lint and its subpackages, whose exported Analyzers and helpers
-// are the contributor-facing surface of the static-enforcement layer), or in
-// the serving layer (internal/resultcache and internal/sweepd, whose wire
-// and cache formats are operator-facing contracts) lacks a doc comment. CI
-// runs it as a dedicated step so documentation debt fails the build, not
-// just review.
+// are the contributor-facing surface of the static-enforcement layer) lacks
+// a doc comment. CI runs it as a dedicated step so documentation debt fails
+// the build, not just review.
 func TestDocLint(t *testing.T) {
 	for _, dir := range []string{
 		".",
@@ -28,8 +26,6 @@ func TestDocLint(t *testing.T) {
 		"internal/lint/dataflow",
 		"internal/lint/load",
 		"internal/lint/linttest",
-		"internal/resultcache",
-		"internal/sweepd",
 	} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {

@@ -124,7 +124,11 @@ func TestMetricsSurfacedBySinks(t *testing.T) {
 	}
 }
 
-// TestFacadeOverrideErrors exercises the typed sentinels through the facade.
+// TestFacadeOverrideErrors exercises the typed sentinels through the facade,
+// then requires the whole override surface to resolve: every enumerated path
+// of both machines, string paths included, takes a valid value of its type
+// through BuildSpec, and every coherence protocol applies on every CCSVM
+// preset.
 func TestFacadeOverrideErrors(t *testing.T) {
 	sys := ccsvm.MustSystem(ccsvm.SystemCCSVM)
 	if err := ccsvm.Override(&sys, "ccsvm.NoSuchKnob", "1"); !errors.Is(err, ccsvm.ErrUnknownPath) {
@@ -138,5 +142,44 @@ func TestFacadeOverrideErrors(t *testing.T) {
 	}
 	if len(ccsvm.OverridePaths(ccsvm.MachineAPU)) == 0 {
 		t.Error("OverridePaths(apu) is empty")
+	}
+
+	// A structurally valid value for each declared type (the " type" suffix
+	// of OverridePaths entries); integer kinds take "2", and the protocol
+	// enum needs a real member.
+	values := map[string]string{"bool": "true", "duration": "5ns", "float64": "0.5", "string": "golden"}
+	p := ccsvm.DefaultParams()
+	for _, machine := range []struct {
+		kind ccsvm.MachineKind
+		sys  ccsvm.SystemKind
+	}{{ccsvm.MachineCCSVM, ccsvm.SystemCCSVM}, {ccsvm.MachineAPU, ccsvm.SystemCPU}} {
+		for _, pathType := range ccsvm.OverridePaths(machine.kind) {
+			path, typ, ok := strings.Cut(pathType, " ")
+			if !ok {
+				t.Fatalf("override path %q has no type suffix", pathType)
+			}
+			value, ok := values[typ]
+			if !ok {
+				value = "2"
+			}
+			if strings.HasSuffix(path, ".Coherence.Protocol") {
+				value = "mesi"
+			}
+			override := path + "=" + value
+			if _, err := ccsvm.BuildSpec("matmul", machine.sys, "", []string{override}, p); err != nil {
+				t.Errorf("override %s does not resolve: %v", override, err)
+			}
+		}
+	}
+	for _, pr := range ccsvm.Presets() {
+		if pr.Machine != ccsvm.MachineCCSVM {
+			continue
+		}
+		for _, proto := range ccsvm.Protocols() {
+			override := "ccsvm.coherence.protocol=" + proto
+			if _, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, pr.Name, []string{override}, p); err != nil {
+				t.Errorf("%s on preset %s does not resolve: %v", override, pr.Name, err)
+			}
+		}
 	}
 }

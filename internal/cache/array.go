@@ -49,8 +49,6 @@ func (c Config) NumSets() int {
 // collector nothing to scan. The array also remembers which sets Allocate has
 // written since it was built or Reset — Allocate is the only call that makes
 // a set non-zero — so Reset costs O(sets used), not O(capacity).
-//
-//ccsvm:state
 type Array struct {
 	cfg     Config
 	lines   []Line

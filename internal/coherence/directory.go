@@ -129,8 +129,6 @@ type BankConfig struct {
 // DirectoryBank is one bank of the shared L2 cache with its embedded
 // directory. It owns an interleaved slice of the physical address space and a
 // DRAM channel for misses and writebacks.
-//
-//ccsvm:state
 type DirectoryBank struct {
 	engine *sim.Engine
 	id     noc.NodeID
@@ -146,8 +144,7 @@ type DirectoryBank struct {
 	// ownership rules); processFn is the post-access-latency continuation
 	// bound once so the per-message Receive path schedules without
 	// allocating a closure.
-	pool *MsgPool
-	//ccsvm:stateok // bound once at construction; rebound on restore
+	pool      *MsgPool
 	processFn func(any)
 	// fillFree recycles the carriers that park an owed response across a
 	// DRAM read (see withL2Data).

@@ -37,8 +37,7 @@ const MaxL1s = 64
 
 // pendingAccess is a core request waiting inside the controller.
 type pendingAccess struct {
-	req mem.Request
-	//ccsvm:stateok // core completion callback; cores re-issue quiesced accesses on restore
+	req  mem.Request
 	done func()
 }
 
@@ -66,13 +65,10 @@ type mshr struct {
 // accepts requests from its core through the mem.Port interface and executes
 // its configured protocol's transition tables (MOESI by default) against the
 // directory banks on the on-chip network.
-//
-//ccsvm:state
 type L1Controller struct {
-	engine *sim.Engine
-	id     noc.NodeID
-	net    noc.Network
-	//ccsvm:stateok // pure address-interleaving function; rebuilt from the bank list on restore
+	engine  *sim.Engine
+	id      noc.NodeID
+	net     noc.Network
 	banks   BankMapper
 	cfg     L1Config
 	proto   *Protocol
@@ -94,8 +90,7 @@ type L1Controller struct {
 	// paFree recycles the carriers that ride core requests through the
 	// tag-latency delay, and handleFn is that continuation bound once, so
 	// Access schedules without allocating (see Engine.ScheduleArg).
-	paFree []*pendingAccess
-	//ccsvm:stateok // bound once at construction; rebound on restore
+	paFree   []*pendingAccess
 	handleFn func(any)
 
 	Stats L1Stats

@@ -30,8 +30,6 @@ type Interrupt struct {
 	// Name describes the interrupt for traces.
 	Name string
 	// Service performs the work, possibly over simulated time.
-	//
-	//ccsvm:stateok // interrupt service routines are re-registered by the machine on restore
 	Service func(done func())
 }
 
@@ -48,8 +46,6 @@ type Config struct {
 }
 
 // Core is one CPU core.
-//
-//ccsvm:state
 type Core struct {
 	engine *sim.Engine
 	cfg    Config
@@ -58,12 +54,9 @@ type Core struct {
 	phys   *mem.Physical
 	kernel *kernelos.Kernel
 
-	//ccsvm:stateok // installed by the machine at boot; rebound on restore
 	syscall SyscallHandler
 
-	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
-	current *exec.Thread
-	//ccsvm:stateok // coroutine-backed thread handles; software threads are re-launched on restore
+	current    *exec.Thread
 	runQueue   []*exec.Thread
 	interrupts []Interrupt
 	busy       bool
@@ -72,8 +65,6 @@ type Core struct {
 	nextOp     exec.Op
 	haveNextOp bool
 	// onExit callbacks fire when a thread finishes, keyed per thread start.
-	//
-	//ccsvm:stateok // thread-exit continuations; re-registered when threads are re-launched on restore
 	onExit map[*exec.Thread]func()
 
 	// The core runs one operation at a time (busy), so the in-flight op's
@@ -85,16 +76,11 @@ type Core struct {
 	// accessCb runs when the cache access is globally performed; retryMemFn
 	// reissues the op after a serviced page fault; stepFn is the resume
 	// continuation handed to Thread.TryNext.
-	//ccsvm:stateok // bound once at construction; rebound on restore
-	computeFn func(any)
-	//ccsvm:stateok // bound once at construction; rebound on restore
-	stepFn func()
-	//ccsvm:stateok // bound once at construction; rebound on restore
+	computeFn   func(any)
+	stepFn      func()
 	translateCb func(mem.PAddr, *vm.Fault)
-	//ccsvm:stateok // bound once at construction; rebound on restore
-	accessCb func()
-	//ccsvm:stateok // bound once at construction; rebound on restore
-	retryMemFn func()
+	accessCb    func()
+	retryMemFn  func()
 
 	lastStart sim.Time
 

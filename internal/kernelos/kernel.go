@@ -42,8 +42,6 @@ type Kernel struct {
 
 	// shootdown is installed by the machine; it flushes every MTTOP TLB (the
 	// paper's conservative TLB-coherence policy, Section 3.2.1).
-	//
-	//ccsvm:stateok // installed by the machine at boot; rebound on restore
 	shootdown func()
 
 	Stats Stats

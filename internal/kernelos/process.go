@@ -36,8 +36,6 @@ type Process struct {
 	// can only target memory whose address was already published through
 	// simulated memory), so the lock affects memory safety, not simulated
 	// behaviour.
-	//
-	//ccsvm:stateok // zero-value lock; carries no state across a checkpoint
 	mu  sync.Mutex
 	brk mem.VAddr
 }

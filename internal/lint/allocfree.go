@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 
 	"ccsvm/internal/lint/analysis"
@@ -320,4 +321,39 @@ func isByteOrRuneSlice(t types.Type) bool {
 	b, ok := types.Unalias(s.Elem()).Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+}
+
+// capturedVars returns the names of local variables of the enclosing function
+// that the literal captures (references to objects declared outside the
+// literal but below package scope). A literal that captures nothing compiles
+// to a static function value and is allowed on hot paths.
+func capturedVars(pass *analysis.Pass, lit *ast.FuncLit) []string {
+	seen := make(map[string]bool)
+	var names []string
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok || v.IsField() {
+			return true
+		}
+		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
+			return true // the literal's own parameters and locals
+		}
+		if v.Parent() == pass.Pkg.Scope() || v.Parent() == types.Universe {
+			return true // package-level variables are not captures
+		}
+		if v.Pkg() != pass.Pkg {
+			return true
+		}
+		if !seen[v.Name()] {
+			seen[v.Name()] = true
+			names = append(names, v.Name())
+		}
+		return true
+	})
+	sort.Strings(names)
+	return names
 }

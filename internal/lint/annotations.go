@@ -23,8 +23,8 @@ const (
 	// any call chain reaching it from a workload-goroutine entry point.
 	DirEngineCtx = "enginectx"
 	// DirHotPath marks a function on the allocation-free hot path: the
-	// hotpath analyzer forbids capturing closures passed to the engine's
-	// At/Schedule family inside it.
+	// allocfree analyzer forbids every heap-allocating construct inside it,
+	// capturing closures included.
 	DirHotPath = "hotpath"
 	// DirThreadEntry marks an API whose function-valued arguments become
 	// workload-goroutine bodies (exec.NewThread and its wrappers); the
@@ -43,14 +43,6 @@ const (
 	// claim that the allocation is amortized (pool chunk refill, slice
 	// growth to a high-water mark) or otherwise off the steady-state path.
 	DirAllocOk = "allocok"
-	// DirState marks a machine-state root type: the statesafe analyzer
-	// requires its reachable field closure to be checkpointable — free of
-	// func values, channels, unsafe.Pointer and sync primitives.
-	DirState = "state"
-	// DirStateOk waives one struct field from the statesafe closure walk; it
-	// is a reviewed claim that the field is rebuilt (not serialized) on
-	// checkpoint restore.
-	DirStateOk = "stateok"
 )
 
 // directivePrefix introduces every ccsvm directive comment.
@@ -79,8 +71,8 @@ type AnnotationError struct {
 type Annotations struct {
 	// Pkg holds package-level directives (currently only deterministic).
 	Pkg []Directive
-	// ByObj maps annotated functions, methods, interface methods, types and
-	// struct fields to their directives.
+	// ByObj maps annotated functions, methods and interface methods to their
+	// directives.
 	ByObj map[types.Object][]Directive
 	// floatingLines records the file lines carrying each floating directive
 	// kind, keyed by kind, then filename, then line.
@@ -145,8 +137,8 @@ func (a *Annotations) AllocOkAt(fset *token.FileSet, pos token.Pos) bool {
 // directiveSpec describes where each directive kind may appear and whether it
 // takes an argument.
 var directiveSpec = map[string]struct {
-	onPackage, onFunc, onType, onField, floating bool
-	args                                         []string // allowed argument values; nil means no argument
+	onPackage, onFunc, floating bool
+	args                        []string // allowed argument values; nil means no argument
 }{
 	DirDeterministic:  {onPackage: true},
 	DirEngineCtx:      {onFunc: true},
@@ -155,8 +147,6 @@ var directiveSpec = map[string]struct {
 	DirPooled:         {onFunc: true, args: []string{"get", "put"}},
 	DirOrderInvariant: {floating: true},
 	DirAllocOk:        {floating: true},
-	DirState:          {onType: true},
-	DirStateOk:        {onField: true},
 }
 
 // ParseAnnotations extracts every //ccsvm: directive of the package, resolving
@@ -201,23 +191,19 @@ func (a *Annotations) parseFile(fset *token.FileSet, file *ast.File, info *types
 				attached[decl.Doc] = true
 				// The doc comment of a non-parenthesized `type T ...`
 				// declaration attaches to the GenDecl, not the TypeSpec.
-				if ts, ok := singleTypeSpec(decl); ok {
-					obj := info.Defs[ts.Name]
-					for _, d := range a.parseGroup(decl.Doc) {
-						a.place(d, "type", func() { a.ByObj[obj] = append(a.ByObj[obj], d) })
-					}
-				} else {
-					for _, d := range a.parseGroup(decl.Doc) {
-						a.misplaced(d, "declaration")
-					}
+				where := "declaration"
+				if decl.Tok == token.TYPE {
+					where = "type"
+				}
+				for _, d := range a.parseGroup(decl.Doc) {
+					a.misplaced(d, where)
 				}
 			}
 		case *ast.TypeSpec:
 			if decl.Doc != nil {
 				attached[decl.Doc] = true
-				obj := info.Defs[decl.Name]
 				for _, d := range a.parseGroup(decl.Doc) {
-					a.place(d, "type", func() { a.ByObj[obj] = append(a.ByObj[obj], d) })
+					a.misplaced(d, "type")
 				}
 			}
 			if decl.Comment != nil {
@@ -246,16 +232,7 @@ func (a *Annotations) parseFile(fset *token.FileSet, file *ast.File, info *types
 					continue
 				}
 				for _, d := range a.parseGroup(group) {
-					if len(decl.Names) == 0 {
-						a.misplaced(d, "field") // embedded fields cannot be annotated
-						continue
-					}
-					a.place(d, "field", func() {
-						for _, name := range decl.Names {
-							obj := info.Defs[name]
-							a.ByObj[obj] = append(a.ByObj[obj], d)
-						}
-					})
+					a.misplaced(d, "field")
 				}
 			}
 		}
@@ -301,25 +278,12 @@ func interfaceMethodObj(f *ast.Field, info *types.Info) types.Object {
 	return nil
 }
 
-// singleTypeSpec returns the lone TypeSpec of a non-parenthesized type
-// declaration, whose doc comment attaches to the GenDecl.
-func singleTypeSpec(decl *ast.GenDecl) (*ast.TypeSpec, bool) {
-	if decl.Tok != token.TYPE || len(decl.Specs) != 1 || decl.Lparen.IsValid() {
-		return nil, false
-	}
-	ts, ok := decl.Specs[0].(*ast.TypeSpec)
-	return ts, ok
-}
-
-// place validates a directive's placement ("package", "function", "type",
-// "field" or "floating") and either applies it via apply or records an
-// error.
+// place validates a directive's placement ("package", "function" or
+// "floating") and either applies it via apply or records an error.
 func (a *Annotations) place(d Directive, where string, apply func()) {
 	spec := directiveSpec[d.Kind]
 	ok := (where == "package" && spec.onPackage) ||
 		(where == "function" && spec.onFunc) ||
-		(where == "type" && spec.onType) ||
-		(where == "field" && spec.onField) ||
 		(where == "floating" && spec.floating)
 	if !ok {
 		a.misplaced(d, where)
@@ -337,19 +301,13 @@ func (a *Annotations) misplaced(d Directive, where string) {
 	if spec.onFunc {
 		allowed = append(allowed, "a function, method or interface-method doc comment")
 	}
-	if spec.onType {
-		allowed = append(allowed, "a type declaration doc comment")
-	}
-	if spec.onField {
-		allowed = append(allowed, "a named struct field")
-	}
 	if spec.floating {
 		allowed = append(allowed, "a statement inside a function body")
 	}
 	wherePhrase := map[string]string{
 		"package":     "a package doc comment",
 		"function":    "a function",
-		"declaration": "a type, const or var declaration",
+		"declaration": "a const, var or import declaration",
 		"type":        "a type",
 		"value":       "a const or var",
 		"field":       "a struct field",

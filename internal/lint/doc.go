@@ -3,7 +3,7 @@
 // which until this package existed lived only in prose and runtime stress
 // tests.
 //
-// The suite contains six analyzers plus a directive validator, all driven by
+// The suite contains four analyzers plus a directive validator, all driven by
 // //ccsvm: annotations in the source (see ARCHITECTURE.md "Static
 // enforcement" for the contributor-facing description):
 //
@@ -18,18 +18,12 @@
 //   - enginectx: functions annotated //ccsvm:enginectx must not be reachable
 //     from workload-goroutine entry points (arguments of //ccsvm:threadentry
 //     APIs); calling them from a workload deadlocks the machine.
-//   - hotpath: functions annotated //ccsvm:hotpath must not pass capturing
-//     closures to the engine's At/Schedule family (the closure-free
-//     contract that keeps the hot paths allocation-free).
 //   - allocfree: functions annotated //ccsvm:hotpath must not contain
 //     heap-allocating constructs at all — make/new/append, slice, map and
-//     escaping composite literals, capturing closures, interface boxing of
+//     escaping composite literals, capturing closures (those passed to the
+//     engine's At/Schedule family included), interface boxing of
 //     non-pointer values, string concatenation and fmt calls — unless a
 //     reviewed //ccsvm:allocok annotation marks the line as amortized.
-//   - statesafe: types annotated //ccsvm:state (machine-state checkpoint
-//     roots) must have a reachable field closure free of func values,
-//     channels, unsafe.Pointer and sync primitives; fields rebuilt on
-//     restore are waived with //ccsvm:stateok.
 //   - ccsvmdirective: malformed, unknown or misplaced //ccsvm: directives are
 //     errors, so the vocabulary cannot silently rot.
 //

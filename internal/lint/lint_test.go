@@ -25,22 +25,8 @@ func TestEngineCtx(t *testing.T) {
 	linttest.Run(t, ".", lint.EngineCtx, "ectx")
 }
 
-func TestHotPath(t *testing.T) {
-	linttest.Run(t, ".", lint.HotPath, "hot")
-}
-
-func TestHotPathForeignEngine(t *testing.T) {
-	// A type named Engine in another package named "sim" must not trigger
-	// the schedule-site check: the receiver is matched by object identity.
-	linttest.Run(t, ".", lint.HotPath, "fakesim")
-}
-
 func TestAllocFree(t *testing.T) {
 	linttest.Run(t, ".", lint.AllocFree, "allochot", "allocclean")
-}
-
-func TestStateSafe(t *testing.T) {
-	linttest.Run(t, ".", lint.StateSafe, "state", "stateclean")
 }
 
 func TestDirectives(t *testing.T) {

@@ -13,14 +13,14 @@ import (
 func sampleFindings() []Finding {
 	return []Finding{
 		{
-			Analyzer: "hotpath",
+			Analyzer: "allocfree",
 			Pos:      token.Position{Filename: "/repo/internal/sim/engine.go", Line: 10, Column: 2},
 			Message:  "capturing closure",
 		},
 		{
-			Analyzer: "statesafe",
+			Analyzer: "determinism",
 			Pos:      token.Position{Filename: "/elsewhere/x.go", Line: 3, Column: 1},
-			Message:  "holds a channel",
+			Message:  "reads the wall clock",
 		},
 	}
 }
@@ -53,7 +53,7 @@ func TestWriteJSON(t *testing.T) {
 	if got := doc.Findings[1].File; got != "/elsewhere/x.go" {
 		t.Errorf("out-of-root path = %q, want /elsewhere/x.go", got)
 	}
-	if doc.Findings[0].Analyzer != "hotpath" || doc.Findings[0].Line != 10 || doc.Findings[0].Column != 2 {
+	if doc.Findings[0].Analyzer != "allocfree" || doc.Findings[0].Line != 10 || doc.Findings[0].Column != 2 {
 		t.Errorf("finding fields mangled: %+v", doc.Findings[0])
 	}
 }
@@ -156,7 +156,7 @@ func TestWriteSARIF(t *testing.T) {
 func TestWriteSARIFUnknownAnalyzer(t *testing.T) {
 	var buf bytes.Buffer
 	findings := []Finding{{Analyzer: "nosuch", Message: "x"}}
-	if err := WriteSARIF(&buf, findings, []*analysis.Analyzer{HotPath}, ""); err == nil {
+	if err := WriteSARIF(&buf, findings, []*analysis.Analyzer{AllocFree}, ""); err == nil {
 		t.Fatal("want error for a finding from an analyzer missing from the rule table")
 	}
 }

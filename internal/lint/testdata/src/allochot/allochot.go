@@ -50,6 +50,19 @@ func HotVar(n int) {
 	_ = v
 }
 
+// Engine stands in for the simulation engine's scheduling API.
+type Engine struct{}
+
+// At schedules fn at an absolute time.
+func (e *Engine) At(when int64, fn func()) {}
+
+// HotSchedule hands the engine a closure over n: one allocation per event.
+//
+//ccsvm:hotpath
+func HotSchedule(e *Engine, n int) {
+	e.At(0, func() { _ = n }) // want "capturing closure allocates on the hot path \\(captures n\\)"
+}
+
 // Cold performs the same allocations without the annotation; nothing is
 // flagged.
 func Cold(n int, name string) ([]int, string) {

@@ -25,12 +25,6 @@ type T int
 //ccsvm:deterministic // want "not allowed on a function"
 func Misplaced() {}
 
-//ccsvm:state // want "not allowed on a function; it belongs on a type declaration doc comment"
-func StateOnFunc() {}
-
-//ccsvm:stateok // want "not allowed on a type; it belongs on a named struct field"
-type W int
-
 // ccsvm:hotpath // want "space between"
 func Spaced() {}
 

@@ -20,7 +20,6 @@ import (
 // bytes under a one-entry frame cache, skipping the byte-slice staging and
 // the per-access map lookup of the general ReadBytes/WriteBytes path.
 type Physical struct {
-	//ccsvm:stateok // zero-value lock; carries no state across a checkpoint
 	mu     sync.Mutex
 	frames map[FrameNumber][]byte
 	// lastFrame/lastData cache the most recently touched frame: functional

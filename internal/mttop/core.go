@@ -34,9 +34,7 @@ type Config struct {
 // (translateCb, accessCb) are bound once, when the context is built — the
 // hot issue/translate/access path allocates nothing per operation.
 type hwContext struct {
-	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
 	thread *exec.Thread
-	//ccsvm:stateok // task completion callback; re-registered when tasks are re-issued on restore
 	onDone func()
 	busy   bool
 
@@ -45,18 +43,12 @@ type hwContext struct {
 	// translateCb receives the MMU translation of op.Addr; accessCb runs
 	// when the cache access for the op is globally performed; stepFn is the
 	// resume continuation handed to Thread.TryNext.
-	//
-	//ccsvm:stateok // bound once when the context is built; rebound on restore
 	translateCb func(mem.PAddr, *vm.Fault)
-	//ccsvm:stateok // bound once when the context is built; rebound on restore
-	accessCb func()
-	//ccsvm:stateok // bound once when the context is built; rebound on restore
-	stepFn func()
+	accessCb    func()
+	stepFn      func()
 }
 
 // Core is one MTTOP core.
-//
-//ccsvm:state
 type Core struct {
 	engine *sim.Engine
 	cfg    Config
@@ -78,10 +70,7 @@ type Core struct {
 	// completeFn and memIssueFn are the engine callbacks for compute-op
 	// completion and memory-op issue, bound once so scheduling them never
 	// allocates a closure (the context rides as the event argument).
-	//
-	//ccsvm:stateok // bound once at construction; rebound on restore
 	completeFn func(any)
-	//ccsvm:stateok // bound once at construction; rebound on restore
 	memIssueFn func(any)
 
 	Stats Stats

@@ -51,8 +51,6 @@ type link struct {
 // Torus is a 2D torus network with dimension-order (X then Y) routing and
 // shortest-direction wraparound. Messages experience per-hop router and link
 // latency plus serialization and FIFO contention on every link they cross.
-//
-//ccsvm:state
 type Torus struct {
 	cfg    TorusConfig
 	engine *sim.Engine
@@ -66,10 +64,8 @@ type Torus struct {
 	// pool recycles delivered messages; advanceFn/deliverFn are the hop and
 	// ejection callbacks bound once so per-hop scheduling allocates nothing
 	// (the walk state lives on the message itself).
-	pool msgPool
-	//ccsvm:stateok // bound once at construction; rebound on restore
+	pool      msgPool
 	advanceFn func(any)
-	//ccsvm:stateok // bound once at construction; rebound on restore
 	deliverFn func(any)
 
 	Stats TorusStats

@@ -22,8 +22,6 @@ type Event struct {
 	// word instead of the historical fn/afn pair keeps the Event at 48 bytes —
 	// under one cache line — with the ordering keys (when, seq) leading the
 	// struct where the sort and heap comparisons touch them.
-	//
-	//ccsvm:stateok // callbacks are re-registered by their owning components on restore
 	fn  func(any)
 	arg any
 	// canceled marks events removed with Cancel; they stay queued and are
@@ -115,8 +113,6 @@ func (b *calBucket) push(ev *Event) {
 // The cache is invalidated by the only operations that can change the front
 // of the queue: scheduling an event earlier than the candidate, and canceling
 // the candidate itself.
-//
-//ccsvm:state
 type Engine struct {
 	now Time
 	seq uint64
@@ -169,7 +165,6 @@ type Engine struct {
 	// before a sequence number is assigned (see SetScheduleHook). The armed
 	// flag keeps the common schedule path at one predicted-false branch: the
 	// exec layer arms it only while thread activations are pending.
-	//ccsvm:stateok // bound by exec.Gate.Bind at construction; rebound on restore
 	preSchedule func()
 	hookArmed   bool
 }

@@ -89,11 +89,9 @@ type pageWalk struct {
 	write bool
 	// pte is the entry being read; leaf is set once it is the second-level
 	// entry.
-	pte  mem.PAddr
-	leaf bool
-	//ccsvm:stateok // the translation's completion callback; cores re-issue quiesced accesses on restore
-	done func(pa mem.PAddr, fault *Fault)
-	//ccsvm:stateok // bound once when the carrier is built; rebound on restore
+	pte    mem.PAddr
+	leaf   bool
+	done   func(pa mem.PAddr, fault *Fault)
 	stepFn func()
 }
 

@@ -72,14 +72,10 @@ func L2EntryAddr(table mem.PAddr, va mem.VAddr) mem.PAddr {
 // The OS uses it functionally (the timed PTE stores are issued separately by
 // the fault handler); the hardware walkers read the same bytes through the
 // cache hierarchy.
-//
-//ccsvm:state
 type PageTable struct {
 	phys *mem.Physical
 	root mem.PAddr
 	// allocFrame hands out a zeroed frame for a new level-2 table.
-	//
-	//ccsvm:stateok // rebound to the kernel frame allocator on restore
 	allocFrame func() mem.FrameNumber
 }
 

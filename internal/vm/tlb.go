@@ -19,8 +19,6 @@ type tlbEntry struct {
 // TLB is a fully associative, LRU-replaced translation cache. It is indexed
 // by virtual page only; a context switch or shootdown flushes it, which is
 // the conservative policy the paper adopts for MTTOP TLB coherence.
-//
-//ccsvm:state
 type TLB struct {
 	cfg TLBConfig
 	// entries grows up to cfg.Entries as translations arrive; a run pays

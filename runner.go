@@ -16,9 +16,7 @@ import (
 // run it on, and its parameters. Tag is an optional caller label carried
 // through to the RunResult and the sinks. Preset and Overrides record how
 // the System was derived (BuildSpec fills them); they are provenance for
-// sinks and the sweep service, not identity — CanonicalBytes and Hash
-// address the spec by its resolved configuration, so two routes to the same
-// machine share one cache entry.
+// the sinks, not inputs to the run.
 type RunSpec struct {
 	Workload string
 	System   System
@@ -58,16 +56,12 @@ func (s RunSpec) String() string {
 
 // RunResult is the outcome of one RunSpec: the spec itself, its index in the
 // sweep, and either a Result or an error (lookup failure, unsupported pair,
-// or a simulation error). Cached reports that the Result was served from the
-// Runner's cache instead of a fresh simulation; under the determinism
-// contract the two are bit-identical, so Cached is observability, not a
-// semantic difference.
+// or a simulation error).
 type RunResult struct {
 	Spec   RunSpec
 	Index  int
 	Result Result
 	Err    error
-	Cached bool
 }
 
 // Sink consumes a stream of RunResults. Runner.Run delivers results to every
@@ -102,10 +96,6 @@ type Runner struct {
 	Parallel int
 	// Sinks receive every result, in spec order. Optional.
 	Sinks []Sink
-	// Cache, when set, memoizes Results by RunSpec.Hash: known specs are
-	// served from the cache (RunResult.Cached) and fresh successful runs are
-	// stored back. Failed runs are never cached. Optional.
-	Cache *Cache
 
 	// mu guards arenas, the parked arenas of workers that have finished.
 	mu     sync.Mutex
@@ -211,11 +201,10 @@ func (r *Runner) closeSinks(errs []error) error {
 	return errors.Join(errs...)
 }
 
-// runOne resolves and executes a single spec through the registry,
-// consulting the cache first when the Runner has one. The run draws its
-// machine parts from the worker's arena; the spec recorded on the RunResult
-// keeps the caller's Arena field (usually nil) so results do not retain the
-// worker's free store.
+// runOne resolves and executes a single spec through the registry. The run
+// draws its machine parts from the worker's arena; the spec recorded on the
+// RunResult keeps the caller's Arena field (usually nil) so results do not
+// retain the worker's free store.
 func (r *Runner) runOne(spec RunSpec, index int, arena *simarena.Arena) RunResult {
 	rr := RunResult{Spec: spec, Index: index}
 	w, ok := Lookup(spec.Workload)
@@ -223,24 +212,11 @@ func (r *Runner) runOne(spec RunSpec, index int, arena *simarena.Arena) RunResul
 		rr.Err = fmt.Errorf("%w %q", ErrUnknownWorkload, spec.Workload)
 		return rr
 	}
-	var key CacheKey
-	if r.Cache != nil {
-		key = spec.Hash()
-		if res, ok := r.Cache.Get(key); ok {
-			rr.Result, rr.Cached = res, true
-			return rr
-		}
-	}
 	sys := spec.System
 	if sys.Arena == nil {
 		sys.Arena = arena
 	}
 	rr.Result, rr.Err = w.Run(sys, spec.Params)
-	if r.Cache != nil && rr.Err == nil {
-		// A persist failure only costs a future recomputation; it is counted
-		// in the cache's store_errors, not joined into the sweep error.
-		_ = r.Cache.Put(key, spec.String(), rr.Result)
-	}
 	return rr
 }
 
@@ -289,23 +265,19 @@ func (s *TextSink) Close() error {
 
 // jsonRecord is the JSON-lines schema for one run.
 type jsonRecord struct {
-	Workload    string   `json:"workload"`
-	System      string   `json:"system"`
-	N           int      `json:"n"`
-	Density     float64  `json:"density,omitempty"`
-	Seed        int64    `json:"seed"`
-	IncludeInit bool     `json:"include_init,omitempty"`
-	Tag         string   `json:"tag,omitempty"`
-	Preset      string   `json:"preset,omitempty"`
-	Overrides   []string `json:"overrides,omitempty"`
-	// Cached marks rows served from the Runner's result cache; absent for
-	// fresh simulations, so uncached sweeps keep their historical byte
-	// output.
-	Cached       bool   `json:"cached,omitempty"`
-	Label        string `json:"label,omitempty"`
-	SimTimePs    int64  `json:"sim_time_ps"`
-	DRAMAccesses uint64 `json:"dram_accesses"`
-	Checked      bool   `json:"checked"`
+	Workload     string   `json:"workload"`
+	System       string   `json:"system"`
+	N            int      `json:"n"`
+	Density      float64  `json:"density,omitempty"`
+	Seed         int64    `json:"seed"`
+	IncludeInit  bool     `json:"include_init,omitempty"`
+	Tag          string   `json:"tag,omitempty"`
+	Preset       string   `json:"preset,omitempty"`
+	Overrides    []string `json:"overrides,omitempty"`
+	Label        string   `json:"label,omitempty"`
+	SimTimePs    int64    `json:"sim_time_ps"`
+	DRAMAccesses uint64   `json:"dram_accesses"`
+	Checked      bool     `json:"checked"`
 	// Metrics carries the per-run machine metrics; encoding/json sorts the
 	// keys, so JSONL output is byte-stable at any parallelism.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -334,7 +306,6 @@ func (s *JSONLSink) Emit(r RunResult) error {
 		Tag:          r.Spec.Tag,
 		Preset:       r.Spec.Preset,
 		Overrides:    r.Spec.Overrides,
-		Cached:       r.Cached,
 		Label:        r.Result.Label,
 		SimTimePs:    int64(r.Result.Time),
 		DRAMAccesses: r.Result.DRAMAccesses,

@@ -2,7 +2,6 @@ package ccsvm_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -418,85 +417,4 @@ func presetPairs(t *testing.T, p ccsvm.Params) []ccsvm.RunSpec {
 		}
 	}
 	return specs
-}
-
-// TestRunnerCacheByteIdentityAllPairs is the service acceptance criterion
-// stated end to end: for EVERY registered (workload, system) pair at
-// paper-default parameters, the Result served from the cache is
-// byte-identical (canonical JSON and reflect.DeepEqual) to a freshly
-// simulated one — through a persistent cache directory, so the comparison
-// also covers the disk encode/decode round trip.
-func TestRunnerCacheByteIdentityAllPairs(t *testing.T) {
-	specs := ccsvm.Pairs(ccsvm.DefaultParams())
-	// The coherence-protocol dimension must round-trip the cache too: every
-	// pair above runs the default MOESI table, so add MESI runs reached both
-	// through the preset and through an explicit override (their specs hash
-	// differently from every MOESI pair, so the store count below still holds).
-	for _, in := range []struct{ workload, preset, override string }{
-		{workload: "matmul", preset: "ccsvm-base-mesi"},
-		{workload: "barneshut", override: "ccsvm.coherence.protocol=mesi"},
-	} {
-		var overrides []string
-		if in.override != "" {
-			overrides = []string{in.override}
-		}
-		spec, err := ccsvm.BuildSpec(in.workload, ccsvm.SystemCCSVM, in.preset, overrides, ccsvm.DefaultParams())
-		if err != nil {
-			t.Fatalf("BuildSpec mesi leg %+v: %v", in, err)
-		}
-		specs = append(specs, spec)
-	}
-
-	fresh, err := (&ccsvm.Runner{Parallel: 4}).Run(specs)
-	if err != nil {
-		t.Fatalf("uncached baseline sweep: %v", err)
-	}
-
-	cache, err := ccsvm.NewCache(ccsvm.CacheOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := &ccsvm.Runner{Parallel: 4, Cache: cache}
-	first, err := warm.Run(specs)
-	if err != nil {
-		t.Fatalf("cache-filling sweep: %v", err)
-	}
-	second, err := warm.Run(specs)
-	if err != nil {
-		t.Fatalf("cache-served sweep: %v", err)
-	}
-
-	for i, spec := range specs {
-		if first[i].Cached {
-			t.Errorf("%s: first run claims to be cached", spec)
-		}
-		if !second[i].Cached {
-			t.Errorf("%s: second run was not served from the cache", spec)
-		}
-		if !reflect.DeepEqual(second[i].Result, fresh[i].Result) {
-			t.Errorf("%s: cached Result differs from fresh simulation:\ncached %+v\nfresh  %+v",
-				spec, second[i].Result, fresh[i].Result)
-			continue
-		}
-		cachedJSON, err := json.Marshal(second[i].Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshJSON, err := json.Marshal(fresh[i].Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cachedJSON, freshJSON) {
-			t.Errorf("%s: cached Result not byte-identical to fresh:\ncached %s\nfresh  %s",
-				spec, cachedJSON, freshJSON)
-		}
-	}
-
-	s := cache.Stats()
-	if int(s.Stores) != len(specs) {
-		t.Errorf("cache stored %d results for %d specs", s.Stores, len(specs))
-	}
-	if int(s.MemHits+s.DiskHits) != len(specs) {
-		t.Errorf("second sweep produced %d+%d cache hits for %d specs", s.MemHits, s.DiskHits, len(specs))
-	}
 }

@@ -1,160 +1,14 @@
 package ccsvm_test
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"ccsvm"
 )
 
-// TestCanonicalBytesShape pins the gross shape of the canonical encoding:
-// the version line leads, the identity fields follow, and the inactive
-// machine's configuration never appears.
-func TestCanonicalBytesShape(t *testing.T) {
-	spec := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemCCSVM), Params: ccsvm.DefaultParams()}
-	got := string(spec.CanonicalBytes())
-	if !strings.HasPrefix(got, "ccsvm-spec-v2\nworkload=\"matmul\"\nsystem=\"ccsvm\"\n") {
-		t.Fatalf("canonical encoding does not lead with version and identity:\n%s", got)
-	}
-	if !strings.Contains(got, "ccsvm.NumMTTOPs=") {
-		t.Errorf("ccsvm config missing from canonical encoding:\n%s", got)
-	}
-	if strings.Contains(got, "apu.") {
-		t.Errorf("inactive apu config leaked into a ccsvm spec's encoding:\n%s", got)
-	}
-
-	apuSpec := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemCPU), Params: ccsvm.DefaultParams()}
-	apuGot := string(apuSpec.CanonicalBytes())
-	if !strings.Contains(apuGot, "apu.NumCPUs=") || strings.Contains(apuGot, "ccsvm.NumCPUs=") {
-		t.Errorf("cpu spec should encode only the apu config:\n%s", apuGot)
-	}
-}
-
-// TestHashIgnoresProvenance: Tag, Preset, and Overrides are labels and
-// provenance. Only the resolved configuration is identity, so a preset-built
-// system hashes identically to a hand-built one.
-func TestHashIgnoresProvenance(t *testing.T) {
-	base := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemCCSVM), Params: ccsvm.DefaultParams()}
-	tagged := base
-	tagged.Tag = "row-7"
-	if base.Hash() != tagged.Hash() {
-		t.Error("Tag changed the content address")
-	}
-
-	built, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "ccsvm-base", nil, ccsvm.DefaultParams())
-	if err != nil {
-		t.Fatalf("BuildSpec: %v", err)
-	}
-	if built.Preset == "" {
-		t.Fatal("BuildSpec did not record the preset as provenance")
-	}
-	if built.Hash() != base.Hash() {
-		t.Error("preset-built system and hand-built default system with equal configs have different addresses")
-	}
-
-	// An override that actually changes the configuration must change the
-	// address; recording the same value as the default must not.
-	widened, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "", []string{"ccsvm.NumMTTOPs=12"}, ccsvm.DefaultParams())
-	if err != nil {
-		t.Fatalf("BuildSpec override: %v", err)
-	}
-	if widened.Hash() == base.Hash() {
-		t.Error("a real configuration change did not change the content address")
-	}
-	noop, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "", []string{"ccsvm.NumMTTOPs=10"}, ccsvm.DefaultParams())
-	if err != nil {
-		t.Fatalf("BuildSpec noop override: %v", err)
-	}
-	if noop.Hash() != base.Hash() {
-		t.Error("an override writing the default value changed the content address")
-	}
-}
-
-// TestProtocolSplitsCacheAddresses is the cache-poisoning regression: a MESI
-// run and a MOESI run of the same workload must never share a content address
-// (v1 specs did not encode the protocol, so a MESI request could have been
-// served a cached MOESI result), while the two routes to MESI — the
-// ccsvm-base-mesi preset and an explicit override on the default machine —
-// must converge on one address, since provenance is not identity.
-func TestProtocolSplitsCacheAddresses(t *testing.T) {
-	p := ccsvm.DefaultParams()
-	moesi, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "", nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesi, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "", []string{"ccsvm.coherence.protocol=mesi"}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moesi.Hash() == mesi.Hash() {
-		t.Fatal("MESI and MOESI specs share a content address: the cache would serve cross-protocol results")
-	}
-	preset, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "ccsvm-base-mesi", nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preset.Hash() != mesi.Hash() {
-		t.Fatal("ccsvm-base-mesi preset and explicit mesi override resolve to different addresses")
-	}
-}
-
-// TestHashNormalizesUnusedParams: params a workload declares it does not
-// read cannot split the key space, while workloads that do read them keep
-// them as identity.
-func TestHashNormalizesUnusedParams(t *testing.T) {
-	p := ccsvm.DefaultParams()
-	a := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemCCSVM), Params: p}
-	b := a
-	b.Params.Density = 0.9
-	if a.Hash() != b.Hash() {
-		t.Error("matmul does not use Density, but Density changed its address")
-	}
-
-	sa := ccsvm.RunSpec{Workload: "sparse", System: ccsvm.MustSystem(ccsvm.SystemCCSVM), Params: p}
-	sb := sa
-	sb.Params.Density = 0.9
-	if sa.Hash() == sb.Hash() {
-		t.Error("sparsemm uses Density, but Density did not change its address")
-	}
-
-	// IncludeInit only affects opencl runs.
-	ca := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemCCSVM), Params: p}
-	cb := ca
-	cb.Params.IncludeInit = true
-	if ca.Hash() != cb.Hash() {
-		t.Error("IncludeInit changed a ccsvm run's address")
-	}
-	oa := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemOpenCL), Params: p}
-	ob := oa
-	ob.Params.IncludeInit = true
-	if oa.Hash() == ob.Hash() {
-		t.Error("IncludeInit did not change an opencl run's address")
-	}
-}
-
-// TestHashIgnoresInactiveConfig: garbage in the configuration of the machine
-// the spec does not run on is not identity.
-func TestHashIgnoresInactiveConfig(t *testing.T) {
-	a := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.MustSystem(ccsvm.SystemCPU), Params: ccsvm.DefaultParams()}
-	b := a
-	b.System.CCSVM.NumMTTOPs = 99
-	if a.Hash() != b.Hash() {
-		t.Error("inactive ccsvm config changed a cpu spec's address")
-	}
-}
-
-// TestCanonicalBytesStable: the encoding is a pure function of the spec.
-func TestCanonicalBytesStable(t *testing.T) {
-	spec := ccsvm.RunSpec{Workload: "barneshut", System: ccsvm.MustSystem(ccsvm.SystemCCSVM), Params: ccsvm.DefaultParams()}
-	if !bytes.Equal(spec.CanonicalBytes(), spec.CanonicalBytes()) {
-		t.Fatal("CanonicalBytes is not deterministic")
-	}
-}
-
-// TestBuildSpecTypedErrors pins the typed failures service handlers map to
-// status codes.
+// TestBuildSpecTypedErrors pins the typed failures BuildSpec reports, one
+// errors.Is sentinel per way a spec can fail to resolve.
 func TestBuildSpecTypedErrors(t *testing.T) {
 	p := ccsvm.DefaultParams()
 	cases := []struct {
