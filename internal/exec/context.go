@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 
 	"ccsvm/internal/mem"
@@ -16,26 +17,16 @@ type Context struct {
 }
 
 // do publishes one operation to the owning core and waits for its
-// completion. The thread writes the op into its slot and invokes the core's
-// resume continuation itself (the core consumes the op and schedules its
-// events on this coroutine). The holder then keeps dispatching until its own
-// result arrives; a nested activation yields straight back to its activator.
-// The first operation has no resume continuation yet: the launching core is
-// waiting in Thread.launch to consume it.
-//
-// The resume continuation is core code, not the workload's, so it runs with
-// no thread recorded as running: a panic it raises reaches Drive.
+// completion. The thread publishes the op (see Thread.publish): the core
+// consumes it and schedules its events on this coroutine. The holder then
+// keeps dispatching until its own result arrives; a nested activation yields
+// straight back to its activator. The first operation has no resume
+// continuation yet: the launching core is waiting in Thread.launch to consume
+// it.
 func (c *Context) do(op Op) Result {
 	t := c.thread
-	g := t.gate
-	t.op, t.hasOp = op, true
-	if r := t.resume; r != nil {
-		t.resume = nil
-		g.running = nil
-		r()
-		g.running = t
-	}
-	if t == g.holder {
+	t.publish(op)
+	if t == t.gate.holder {
 		t.drive()
 	} else {
 		t.park()
@@ -46,24 +37,70 @@ func (c *Context) do(op Op) Result {
 // drive advances the simulation while the holder's operation is in flight:
 // it dispatches engine events until a completion is pending. When the oldest
 // pending completion is its own it pops itself and returns — the zero-switch
-// fast path. Otherwise, or when the engine cannot advance, it yields to
-// Drive, which activates the older completion or finds the engine stalled;
-// the thread is activated again only once its result has been delivered.
+// fast path — after running any Poll32 steps that completion leaves to the
+// gate. Otherwise, or when the engine cannot advance, it yields to Drive,
+// which activates the older completion or finds the engine stalled; the
+// thread is activated again only once its result has been delivered.
 //
 //ccsvm:hotpath
 func (t *Thread) drive() {
-	g := t.gate
-	for g.head == len(g.pending) {
-		if !g.dispatch() {
-			t.park()
+	for t.gate.popOwn(t) {
+		if !t.polling || !t.pollStep() {
 			return
 		}
 	}
-	if g.pending[g.head] == t {
-		g.pop()
-		return
-	}
 	t.park()
+}
+
+// PollCond is the exit test of a Poll32 loop, applied to each loaded value v
+// and the loop's operand x.
+type PollCond uint8
+
+const (
+	// UntilEqual ends the loop once v == x.
+	UntilEqual PollCond = iota
+	// UntilNotEqual ends the loop once v != x.
+	UntilNotEqual
+	// UntilAtLeast ends the loop once v >= x.
+	UntilAtLeast
+)
+
+// ends reports whether the loaded value v ends a loop with operand x.
+//
+//ccsvm:hotpath
+func (c PollCond) ends(v, x uint32) bool {
+	switch c {
+	case UntilEqual:
+		return v == x
+	case UntilNotEqual:
+		return v != x
+	default:
+		return v >= x
+	}
+}
+
+// Poll32 spins on the 32-bit value at va until cond holds against x, and
+// returns the value that ended the loop. It issues exactly the ops of
+//
+//	for v := c.Load32(va); !cond(v, x); v = c.Load32(va) {
+//		c.Compute(pause)
+//	}
+//
+// with no pause op when pause is 0. Only the first load is published by the
+// thread's own code: the gate runs every later between-ops step (test the
+// loaded value, publish the next pause or load) on the thread's behalf, where
+// the thread itself would have run it, and resumes the coroutine only with
+// the load that ends the loop. A poll therefore costs the coroutine switches
+// of one load, however long it spins.
+//
+//ccsvm:hotpath
+func (c *Context) Poll32(va mem.VAddr, cond PollCond, x, pause uint32) uint32 {
+	if cond > UntilAtLeast {
+		panic(fmt.Sprintf("exec: Poll32 with PollCond(%d)", uint8(cond)))
+	}
+	t := c.thread
+	t.polling, t.pollCond, t.pollX, t.pollPause, t.pollAddr = true, cond, x, pause, va
+	return c.Load32(va)
 }
 
 // ThreadID reports the software thread's identifier (the xthreads tid).

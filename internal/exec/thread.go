@@ -153,6 +153,9 @@ type killSignal struct{}
 //   - Drain and a thread's first TryNext activate a parked thread nested, by
 //     calling its next directly; the thread yields straight back as soon as
 //     it has published its next operation.
+//   - A thread inside Context.Poll32 is not activated until its loop ends:
+//     Drive (keeping it as the holder), Drain and its own drive loop run the
+//     loop's between-ops steps for it instead (see pollStep).
 //
 // The gate is not safe for concurrent use; the coroutine hand-over is the
 // synchronization. Machines must not share gates.
@@ -268,7 +271,9 @@ func (g *Gate) Drain() {
 	}
 	g.draining = true
 	for g.head != len(g.pending) && g.pending[g.head] != g.holder {
-		g.activate(g.pop())
+		if t := g.pop(); !t.polling || !t.pollStep() {
+			g.activate(t)
+		}
 	}
 	g.draining = false
 }
@@ -300,7 +305,11 @@ func (g *Gate) Drive(step func() bool) {
 	for {
 		if t := g.pop(); t != nil {
 			g.holder = t
-			g.activate(t)
+			if t.polling {
+				g.hold(t)
+			} else {
+				g.activate(t)
+			}
 			g.holder = nil
 			continue
 		}
@@ -309,6 +318,47 @@ func (g *Gate) Drive(step func() bool) {
 			return
 		}
 	}
+}
+
+// hold runs the Poll32 loop of the holder t from Drive: it runs the loop's
+// steps for t and, between them, dispatches as t's drive loop would,
+// returning when another completion is older or the engine stalls. t's
+// coroutine is activated only once a load ends the loop.
+//
+// Only Drive, Drain and the poller's own drive loop may run a poll step. A
+// holder that found another thread's poll completion oldest and ran that
+// step itself would go on dispatching although the schedule has it parked
+// and the poller holding. A handler that then completed the first holder and
+// scheduled would find it either still holding, so that its code ran after
+// the schedule instead of before, or marked parked while its coroutine is
+// the one running, which Drain cannot activate.
+//
+//ccsvm:hotpath
+func (g *Gate) hold(t *Thread) {
+	for t.pollStep() {
+		if !g.popOwn(t) {
+			return
+		}
+	}
+	g.activate(t)
+}
+
+// popOwn dispatches engine events until a completion is pending, and pops it
+// if it is t's own. It reports false, popping nothing, when another thread's
+// completion is older or the engine cannot advance.
+//
+//ccsvm:hotpath
+func (g *Gate) popOwn(t *Thread) bool {
+	for g.head == len(g.pending) {
+		if !g.dispatch() {
+			return false
+		}
+	}
+	if g.pending[g.head] != t {
+		return false
+	}
+	g.pop()
+	return true
 }
 
 // Thread is the host-side handle for one software thread.
@@ -326,10 +376,17 @@ type Thread struct {
 	ctx  Context
 
 	// op/hasOp is the publication slot the workload fills; result carries the
-	// completion value back.
-	op     Op
-	hasOp  bool
-	result Result
+	// completion value back. op still holds the in-flight op when it
+	// completes.
+	op    Op
+	hasOp bool
+	// polling marks a thread inside Context.Poll32, whose loop the gate steps
+	// from pollCond, pollX, pollPause and pollAddr. All but pollAddr sit in
+	// padding, so Thread stays in the 192-byte size class.
+	polling  bool
+	pollCond PollCond
+	pollX    uint32
+	result   Result
 	// resume is the core's continuation for consuming the next published op,
 	// registered by TryNext when the op was not ready (NextWait).
 	resume func()
@@ -346,8 +403,10 @@ type Thread struct {
 	launched bool
 	// finished flips when fn returns, or when the thread is killed or
 	// discarded before launch.
-	finished bool
-	err      any
+	finished  bool
+	pollPause uint32
+	err       any
+	pollAddr  mem.VAddr
 }
 
 // NewThread creates a software thread that will run fn under the machine's
@@ -435,6 +494,56 @@ func (t *Thread) run() (killed bool) {
 	}()
 	t.fn(&t.ctx)
 	return false
+}
+
+// publish writes op into the thread's slot and, when the core has registered
+// its resume continuation, has the core consume it.
+//
+//ccsvm:hotpath
+func (t *Thread) publish(op Op) {
+	t.op, t.hasOp = op, true
+	if t.resume != nil {
+		t.consume()
+	}
+}
+
+// consume calls the core's resume continuation once. The continuation is
+// core code, not the workload's, so it runs with no thread recorded as
+// running: a panic it raises reaches Drive. It is apart from publish so that
+// publish stays small enough to inline into Context.do, which then passes no
+// Op by value per operation.
+//
+//ccsvm:hotpath
+func (t *Thread) consume() {
+	r := t.resume
+	t.resume = nil
+	g := t.gate
+	prev := g.running
+	g.running = nil
+	r()
+	g.running = prev
+}
+
+// pollStep runs the between-ops step of t's Poll32 loop on the gate's side,
+// where t's own code would have run it, when its completed op does not end
+// the loop: after a pause, or a load whose value fails the test, it publishes
+// the next load or pause. It reports false, ending the loop, when the load's
+// value ends it: t's coroutine must then run to return that value.
+//
+//ccsvm:hotpath
+func (t *Thread) pollStep() bool {
+	if t.op.Kind == OpLoad {
+		if t.pollCond.ends(uint32(t.result.Value), t.pollX) {
+			t.polling = false
+			return false
+		}
+		if t.pollPause != 0 {
+			t.publish(Op{Kind: OpCompute, Instrs: int64(t.pollPause)})
+			return true
+		}
+	}
+	t.publish(Op{Kind: OpLoad, Addr: t.pollAddr, Size: 4})
+	return true
 }
 
 // park yields the coroutine. It returns when the thread is next activated,

@@ -3,24 +3,23 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Physical is the functional backing store for a machine's physical memory.
 // Frames are allocated lazily, so sparse physical address spaces cost only
 // what they touch. All values are little-endian, matching x86.
 //
-// Physical is safe for concurrent use; the execution-driven workload
-// coroutines and the single-threaded event engine hand off cleanly, but the
-// lock keeps the store safe even under `go test -race` with misbehaving
-// tests.
+// Physical is not safe for concurrent use, and needs no lock: an instance
+// belongs to one machine at a time, and a recycled one to the arena of the
+// Runner worker that ran it. Only the goroutine running that machine and the
+// workload coroutines it switches into touch it, and those coroutine
+// switches already order every access, as the race detector sees.
 //
 // The sized accessors (ReadUint64 and friends) are the memory hot path of
 // every functional op the cores perform: they go straight at the frame's
 // bytes under a one-entry frame cache, skipping the byte-slice staging and
 // the per-access map lookup of the general ReadBytes/WriteBytes path.
 type Physical struct {
-	mu     sync.Mutex
 	frames map[FrameNumber][]byte
 	// lastFrame/lastData cache the most recently touched frame: functional
 	// accesses are heavily page-local (array sweeps, stacks, spin flags), so
@@ -53,7 +52,6 @@ func (p *Physical) frame(f FrameNumber) []byte {
 }
 
 // page resolves the frame containing addr through the one-entry cache.
-// Callers must hold mu.
 //
 //ccsvm:hotpath
 func (p *Physical) page(addr PAddr) []byte {
@@ -68,8 +66,6 @@ func (p *Physical) page(addr PAddr) []byte {
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.
 func (p *Physical) ReadBytes(addr PAddr, dst []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for len(dst) > 0 {
 		f := FrameOf(addr)
 		off := uint64(addr) & (PageSize - 1)
@@ -81,8 +77,6 @@ func (p *Physical) ReadBytes(addr PAddr, dst []byte) {
 
 // WriteBytes copies src into memory starting at addr.
 func (p *Physical) WriteBytes(addr PAddr, src []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for len(src) > 0 {
 		f := FrameOf(addr)
 		off := uint64(addr) & (PageSize - 1)
@@ -97,10 +91,7 @@ func (p *Physical) WriteBytes(addr PAddr, src []byte) {
 //ccsvm:hotpath
 func (p *Physical) ReadUint64(addr PAddr) uint64 {
 	if off := uint64(addr) & (PageSize - 1); off+8 <= PageSize {
-		p.mu.Lock()
-		v := binary.LittleEndian.Uint64(p.page(addr)[off:])
-		p.mu.Unlock()
-		return v
+		return binary.LittleEndian.Uint64(p.page(addr)[off:])
 	}
 	var buf [8]byte
 	p.ReadBytes(addr, buf[:])
@@ -112,9 +103,7 @@ func (p *Physical) ReadUint64(addr PAddr) uint64 {
 //ccsvm:hotpath
 func (p *Physical) WriteUint64(addr PAddr, v uint64) {
 	if off := uint64(addr) & (PageSize - 1); off+8 <= PageSize {
-		p.mu.Lock()
 		binary.LittleEndian.PutUint64(p.page(addr)[off:], v)
-		p.mu.Unlock()
 		return
 	}
 	var buf [8]byte
@@ -127,10 +116,7 @@ func (p *Physical) WriteUint64(addr PAddr, v uint64) {
 //ccsvm:hotpath
 func (p *Physical) ReadUint32(addr PAddr) uint32 {
 	if off := uint64(addr) & (PageSize - 1); off+4 <= PageSize {
-		p.mu.Lock()
-		v := binary.LittleEndian.Uint32(p.page(addr)[off:])
-		p.mu.Unlock()
-		return v
+		return binary.LittleEndian.Uint32(p.page(addr)[off:])
 	}
 	var buf [4]byte
 	p.ReadBytes(addr, buf[:])
@@ -142,9 +128,7 @@ func (p *Physical) ReadUint32(addr PAddr) uint32 {
 //ccsvm:hotpath
 func (p *Physical) WriteUint32(addr PAddr, v uint32) {
 	if off := uint64(addr) & (PageSize - 1); off+4 <= PageSize {
-		p.mu.Lock()
 		binary.LittleEndian.PutUint32(p.page(addr)[off:], v)
-		p.mu.Unlock()
 		return
 	}
 	var buf [4]byte
@@ -156,35 +140,25 @@ func (p *Physical) WriteUint32(addr PAddr, v uint32) {
 //
 //ccsvm:hotpath
 func (p *Physical) ReadUint8(addr PAddr) uint8 {
-	p.mu.Lock()
-	v := p.page(addr)[uint64(addr)&(PageSize-1)]
-	p.mu.Unlock()
-	return v
+	return p.page(addr)[uint64(addr)&(PageSize-1)]
 }
 
 // WriteUint8 writes a single byte.
 //
 //ccsvm:hotpath
 func (p *Physical) WriteUint8(addr PAddr, v uint8) {
-	p.mu.Lock()
 	p.page(addr)[uint64(addr)&(PageSize-1)] = v
-	p.mu.Unlock()
 }
 
 // ZeroFrame clears an entire physical frame (used when the kernel hands out a
 // fresh page).
 func (p *Physical) ZeroFrame(f FrameNumber) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fr := p.frame(f)
-	clear(fr)
+	clear(p.frame(f))
 }
 
 // TouchedFrames reports how many frames have been materialized, which tests
 // use to confirm lazy allocation.
 func (p *Physical) TouchedFrames() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.frames)
 }
 
@@ -194,8 +168,6 @@ func (p *Physical) TouchedFrames() int {
 // lazy frame allocation. Frames beyond the new size are dropped; they would
 // panic on access anyway.
 func (p *Physical) Reset(size uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.size = size
 	for f, fr := range p.frames {
 		if uint64(f.Addr()) >= size {

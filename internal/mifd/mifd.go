@@ -48,10 +48,6 @@ type Config struct {
 	// WarpSize is the SIMD-width chunk in which threads are handed to cores
 	// (a warp/wavefront).
 	WarpSize int
-	// Name names the device. Nothing reads it; it stays so that the
-	// configuration's override paths and its encoding, which keys cached
-	// results (see ccsvm.RunSpec.Hash), are unchanged.
-	Name string
 }
 
 // DefaultConfig returns the dispatch costs used by the CCSVM machine: a small
@@ -62,7 +58,6 @@ func DefaultConfig() Config {
 		DispatchLatency: 500 * sim.Nanosecond,
 		PerWarpLatency:  20 * sim.Nanosecond,
 		WarpSize:        8,
-		Name:            "mifd",
 	}
 }
 

@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -164,36 +166,45 @@ func TestTorusLinkContention(t *testing.T) {
 	}
 }
 
+// TestTorusAttachAndPlacementErrors: every misuse of a node id panics with
+// its own message, whether the id lies past the placed range or inside it
+// without a placement (node 1 below).
 func TestTorusAttachAndPlacementErrors(t *testing.T) {
 	engine := sim.NewEngine()
-	placement := map[NodeID]Coord{0: {0, 0}, 1: {1, 0}}
+	placement := map[NodeID]Coord{0: {0, 0}, 2: {1, 0}}
 	torus := NewTorus(engine, DefaultTorusConfig(2, 1), placement)
 	s := &sink{engine: engine}
 	torus.Attach(0, s)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double attach should panic")
-			}
+	if _, ok := torus.Placement(1); ok {
+		t.Error("Placement reports unplaced node 1 as placed")
+	}
+	for _, c := range []struct {
+		name, want string
+		fn         func()
+	}{
+		{"double attach", "attached twice", func() { torus.Attach(0, s) }},
+		{"attach without placement", "no placement", func() { torus.Attach(99, s) }},
+		{"attach unplaced id in range", "no placement", func() { torus.Attach(1, s) }},
+		{"zero-size message", "non-positive size", func() { torus.Send(&Message{Src: 0, Dst: 2, SizeBytes: 0}) }},
+		{"unknown source", "unknown source", func() { torus.Send(&Message{Src: 1, Dst: 0, SizeBytes: 8}) }},
+		{"unknown destination", "unknown destination", func() { torus.Send(&Message{Src: 0, Dst: 99, SizeBytes: 8}) }},
+		{"route from unknown node", "unknown source", func() { torus.Route(-1, 0) }},
+		{"negative id", "negative id", func() { NewTorus(engine, DefaultTorusConfig(2, 1), map[NodeID]Coord{-1: {0, 0}}) }},
+		{"placement outside torus", "outside", func() { NewTorus(engine, DefaultTorusConfig(2, 1), map[NodeID]Coord{0: {2, 0}}) }},
+		{"unattached destination", "unattached node 2", func() {
+			torus.Send(&Message{Src: 0, Dst: 2, SizeBytes: 8})
+			engine.Run()
+		}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("%s: panic %v, want one containing %q", c.name, r, c.want)
+				}
+			}()
+			c.fn()
 		}()
-		torus.Attach(0, s)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("attach without placement should panic")
-			}
-		}()
-		torus.Attach(99, s)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero-size message should panic")
-			}
-		}()
-		torus.Send(&Message{Src: 0, Dst: 1, SizeBytes: 0})
-	}()
+	}
 }
 
 // TestTorusMessageRecycling checks the pool contract: messages from

@@ -55,11 +55,14 @@ type Torus struct {
 	cfg    TorusConfig
 	engine *sim.Engine
 
-	placement map[NodeID]Coord
-	receivers map[NodeID]Receiver
+	// placement and receivers are indexed by NodeID: an unplaced node's
+	// coordinate is {-1, -1}, an unattached node's receiver nil.
+	placement []Coord
+	receivers []Receiver
 
-	// links[from][dir] where dir indexes +X, -X, +Y, -Y.
-	links map[Coord]*[4]link
+	// links[Y*Width+X][dir] leaves router (X, Y) in direction dir, which
+	// indexes +X, -X, +Y, -Y.
+	links [][4]link
 
 	// pool recycles delivered messages; advanceFn/deliverFn are the hop and
 	// ejection callbacks bound once so per-hop scheduling allocates nothing
@@ -88,30 +91,36 @@ const (
 
 // NewTorus builds a torus. placement maps every attachable node to its router
 // coordinate; several nodes may share one router (e.g. an L2 bank and its
-// directory bank). A trailing Registry is accepted and ignored (see
-// stats.Registry).
+// directory bank). Node ids must not be negative. A trailing Registry is
+// accepted and ignored (see stats.Registry).
 func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, _ ...*stats.Registry) *Torus {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("noc: torus dimensions must be positive")
 	}
-	t := &Torus{
-		cfg:       cfg,
-		engine:    engine,
-		placement: make(map[NodeID]Coord, len(placement)),
-		receivers: make(map[NodeID]Receiver),
-		links:     make(map[Coord]*[4]link),
-	}
+	nodes := 0
 	//ccsvm:orderinvariant
 	for id, c := range placement {
+		if id < 0 {
+			panic(fmt.Sprintf("noc: node %d has a negative id", id))
+		}
 		if c.X < 0 || c.X >= cfg.Width || c.Y < 0 || c.Y >= cfg.Height {
 			panic(fmt.Sprintf("noc: node %d placed at %v outside %dx%d torus", id, c, cfg.Width, cfg.Height))
 		}
-		t.placement[id] = c
+		nodes = max(nodes, int(id)+1)
 	}
-	for x := 0; x < cfg.Width; x++ {
-		for y := 0; y < cfg.Height; y++ {
-			t.links[Coord{x, y}] = &[4]link{}
-		}
+	t := &Torus{
+		cfg:       cfg,
+		engine:    engine,
+		placement: make([]Coord, nodes),
+		receivers: make([]Receiver, nodes),
+		links:     make([][4]link, cfg.Width*cfg.Height),
+	}
+	for i := range t.placement {
+		t.placement[i] = Coord{-1, -1}
+	}
+	//ccsvm:orderinvariant
+	for id, c := range placement {
+		t.placement[id] = c
 	}
 	t.advanceFn = func(a any) { t.advance(a.(*Message)) }
 	t.deliverFn = func(a any) { t.deliver(a.(*Message)) }
@@ -138,30 +147,36 @@ func (t *Torus) SeedFreeList(ms []*Message) { t.pool.seed(ms) }
 
 // Attach implements Network.
 func (t *Torus) Attach(id NodeID, r Receiver) {
-	if _, ok := t.receivers[id]; ok {
-		panic(fmt.Sprintf("noc: node %d attached twice", id))
-	}
-	if _, ok := t.placement[id]; !ok {
+	if _, ok := t.Placement(id); !ok {
 		panic(fmt.Sprintf("noc: node %d has no placement on the torus", id))
+	}
+	if t.receivers[id] != nil {
+		panic(fmt.Sprintf("noc: node %d attached twice", id))
 	}
 	t.receivers[id] = r
 }
 
-// Placement reports the coordinate of a node.
+// Placement reports the coordinate of a node, and false for a node the torus
+// has no placement for.
+//
+//ccsvm:hotpath
 func (t *Torus) Placement(id NodeID) (Coord, bool) {
-	c, ok := t.placement[id]
-	return c, ok
+	if uint(id) >= uint(len(t.placement)) {
+		return Coord{}, false
+	}
+	c := t.placement[id]
+	return c, c.X >= 0
 }
 
 // Route returns the sequence of coordinates a message visits from src to dst
 // (inclusive of both), using X-then-Y dimension-order routing with
 // shortest-direction wraparound.
 func (t *Torus) Route(src, dst NodeID) []Coord {
-	s, ok := t.placement[src]
+	s, ok := t.Placement(src)
 	if !ok {
 		panic(fmt.Sprintf("noc: unknown source node %d", src))
 	}
-	d, ok := t.placement[dst]
+	d, ok := t.Placement(dst)
 	if !ok {
 		panic(fmt.Sprintf("noc: unknown destination node %d", dst))
 	}
@@ -227,11 +242,11 @@ func (t *Torus) Send(msg *Message) {
 	if msg.SizeBytes <= 0 {
 		panic("noc: message with non-positive size")
 	}
-	src, ok := t.placement[msg.Src]
+	src, ok := t.Placement(msg.Src)
 	if !ok {
 		panic(fmt.Sprintf("noc: unknown source node %d", msg.Src))
 	}
-	dst, ok := t.placement[msg.Dst]
+	dst, ok := t.Placement(msg.Dst)
 	if !ok {
 		panic(fmt.Sprintf("noc: unknown destination node %d", msg.Dst))
 	}
@@ -260,7 +275,7 @@ func (t *Torus) advance(msg *Message) {
 		next.Y = t.stepToward(next.Y, msg.dst.Y, t.cfg.Height)
 	}
 	dir := dirOf(msg.cur, next, t.cfg.Width, t.cfg.Height)
-	lnk := &t.links[msg.cur][dir]
+	lnk := &t.links[msg.cur.Y*t.cfg.Width+msg.cur.X][dir]
 
 	// Router processing before the link.
 	readyAt := now.Add(t.cfg.RouterLatency)
@@ -278,8 +293,8 @@ func (t *Torus) advance(msg *Message) {
 //
 //ccsvm:hotpath
 func (t *Torus) deliver(msg *Message) {
-	r, ok := t.receivers[msg.Dst]
-	if !ok {
+	r := t.receivers[msg.Dst]
+	if r == nil {
 		panic(fmt.Sprintf("noc: message to unattached node %d", msg.Dst))
 	}
 	t.Stats.LatencyPs += uint64(t.engine.Now().Sub(msg.Enqueued))

@@ -361,9 +361,7 @@ func barnesHutHost(cfg apu.Config, nBodies int, seed int64, nThreads int) (Resul
 		w := w
 		funcs[w] = func(ctx *apu.HostContext) {
 			for step := 1; step <= bhSteps; step++ {
-				for int(ctx.Load32(phaseCell)) < step {
-					ctx.Compute(64)
-				}
+				ctx.Poll32(phaseCell, exec.UntilAtLeast, uint32(step), 64)
 				root := mem.VAddr(ctx.Load64(rootCell))
 				for i := w; i < bodies.n; i += nThreads {
 					ax, ay := bhForce(ctx.Context, root, bodies, i)
@@ -387,9 +385,7 @@ func barnesHutHost(cfg apu.Config, nBodies int, seed int64, nThreads int) (Resul
 				ctx.StoreFloat64(bodies.accX+mem.VAddr(8*i), ax)
 				ctx.StoreFloat64(bodies.accY+mem.VAddr(8*i), ay)
 			}
-			for int(ctx.Load32(doneCount)) < (nThreads-1)*step {
-				ctx.Compute(64)
-			}
+			ctx.Poll32(doneCount, exec.UntilAtLeast, uint32((nThreads-1)*step), 64)
 			bhUpdate(ctx.Context, bodies)
 		}
 		measured = ctx.Now().Sub(start)

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"ccsvm/internal/sim"
@@ -180,29 +179,6 @@ func TestOverridePathsEnumeration(t *testing.T) {
 	}
 	if OverridePaths(MachineKind("riscv")) != nil {
 		t.Error("OverridePaths of unknown machine should be nil")
-	}
-	// Every enumerated path must actually be settable (a doc that lies is
-	// worse than none): probe a few by assigning a parseable value.
-	sys := ccsvmSys(t)
-	for _, p := range ccsvmPaths {
-		name, typ, _ := strings.Cut(p, " ")
-		var probe string
-		switch typ {
-		case "int", "uint64", "int64": // keep values structurally valid
-			probe = "4"
-		case "float64":
-			probe = "1e9"
-		case "duration":
-			probe = "10ns"
-		case "bool":
-			probe = "true"
-		default:
-			continue
-		}
-		if err := Set(&sys, name, probe); err != nil && !errors.Is(err, ErrOutOfRange) {
-			t.Errorf("enumerated path %q not settable: %v", p, err)
-		}
-		sys = ccsvmSys(t) // reset between probes
 	}
 }
 

@@ -49,10 +49,7 @@ func (c *CPUContext) CreateMThreads(kernelID int, args mem.VAddr, firstTID, last
 // short pause, like the PAUSE instruction in an x86 spin loop.
 func (c *CPUContext) Wait(cond mem.VAddr, firstTID, lastTID int) {
 	for tid := firstTID; tid <= lastTID; tid++ {
-		addr := cond + mem.VAddr(4*(tid-firstTID))
-		for c.Load32(addr) != CondReady {
-			c.Compute(pollPauseInstrs)
-		}
+		c.Poll32(cond+mem.VAddr(4*(tid-firstTID)), exec.UntilEqual, CondReady, pollPauseInstrs)
 	}
 }
 
@@ -77,10 +74,7 @@ func (c *CPUContext) InitConditions(cond mem.VAddr, firstTID, lastTID int, value
 // and flips the sense so the MTTOP threads can leave the barrier.
 func (c *CPUContext) CPUMTTOPBarrier(barrier mem.VAddr, firstTID, lastTID int, sense mem.VAddr) {
 	for tid := firstTID; tid <= lastTID; tid++ {
-		addr := barrier + mem.VAddr(4*(tid-firstTID))
-		for c.Load32(addr) == 0 {
-			c.Compute(pollPauseInstrs)
-		}
+		c.Poll32(barrier+mem.VAddr(4*(tid-firstTID)), exec.UntilNotEqual, 0, pollPauseInstrs)
 	}
 	for tid := firstTID; tid <= lastTID; tid++ {
 		c.Store32(barrier+mem.VAddr(4*(tid-firstTID)), 0)

@@ -36,9 +36,7 @@ func (c *MTTOPContext) Signal(cond mem.VAddr) {
 // Ready — the MTTOP-side wait of Table 1.
 func (c *MTTOPContext) Wait(cond mem.VAddr) {
 	c.Store32(cond, CondWaitingOnCPU)
-	for c.Load32(cond) != CondReady {
-		c.Compute(pollPauseInstrs)
-	}
+	c.Poll32(cond, exec.UntilEqual, CondReady, pollPauseInstrs)
 }
 
 // Barrier is the MTTOP half of the CPU–MTTOP global barrier: write our
@@ -46,9 +44,7 @@ func (c *MTTOPContext) Wait(cond mem.VAddr) {
 func (c *MTTOPContext) Barrier(barrier mem.VAddr, firstTID int, sense mem.VAddr) {
 	old := c.Load32(sense)
 	c.Store32(barrier+mem.VAddr(4*(c.tid-firstTID)), 1)
-	for c.Load32(sense) == old {
-		c.Compute(pollPauseInstrs)
-	}
+	c.Poll32(sense, exec.UntilNotEqual, old, pollPauseInstrs)
 }
 
 // MTTOPMalloc requests a dynamic allocation from the serving CPU thread
@@ -57,9 +53,7 @@ func (c *MTTOPContext) Barrier(barrier mem.VAddr, firstTID int, sense mem.VAddr)
 func (c *MTTOPContext) MTTOPMalloc(area MallocArea, size uint64) mem.VAddr {
 	c.Store64(area.sizeAddr(c.tid), size)
 	c.Store32(area.flagAddr(c.tid), mallocFlagRequested)
-	for c.Load32(area.flagAddr(c.tid)) != mallocFlagServed {
-		c.Compute(pollPauseInstrs)
-	}
+	c.Poll32(area.flagAddr(c.tid), exec.UntilEqual, mallocFlagServed, pollPauseInstrs)
 	ptr := mem.VAddr(c.Load64(area.resultAddr(c.tid)))
 	c.Store32(area.flagAddr(c.tid), mallocFlagIdle)
 	return ptr
