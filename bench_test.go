@@ -1,8 +1,9 @@
-// Package ccsvm_test holds the benchmark harness: one testing.B benchmark per
-// table/figure series of the paper's evaluation (see the experiment index in
-// DESIGN.md). Every benchmark resolves its (workload, system) pair through
-// the ccsvm registry, so the harness needs no knowledge of the per-system
-// entry points. The benchmarks run small problem instances so `go test
+// Package ccsvm_test holds the benchmark harness: BenchmarkPaperSeries runs
+// every paper series of internal/experiments (one point per figure and
+// system, the list cmd/ccsvm-bench records in BENCH_*.json) as one
+// sub-benchmark per series name. Every series resolves its (workload, system)
+// pair through the ccsvm registry, so the harness needs no knowledge of the
+// per-system entry points. The series are small problem instances so `go test
 // -bench` stays fast; cmd/paper-figs runs the full sweeps. Each benchmark
 // reports the simulated time (sim_us) and off-chip traffic (dram_accesses) of
 // the system it models alongside the host-time metrics Go reports natively.
@@ -13,26 +14,35 @@ import (
 	"testing"
 
 	"ccsvm"
+	"ccsvm/internal/experiments"
 )
 
 const benchSeed = 42
 
-// benchRun resolves workload/kind through the registry and runs it b.N times,
-// reporting simulated time, off-chip traffic, allocations, and simulator
-// throughput (engine events per host second — the headline number the hot
-// path is optimized for; see ARCHITECTURE.md, "Hot path & pooling").
-func benchRun(b *testing.B, workload string, kind ccsvm.SystemKind, p ccsvm.Params) {
-	b.Helper()
-	w, ok := ccsvm.Lookup(workload)
-	if !ok {
-		b.Fatalf("workload %q not registered", workload)
+// BenchmarkPaperSeries runs every paper series, one sub-benchmark each.
+func BenchmarkPaperSeries(b *testing.B) {
+	for _, s := range experiments.PaperSeries {
+		b.Run(s.Name, func(b *testing.B) { benchRun(b, s) })
 	}
-	sys := ccsvm.MustSystem(kind)
+}
+
+// benchRun resolves the series' workload and system through the registry and
+// runs it b.N times, reporting simulated time, off-chip traffic, allocations,
+// and simulator throughput (engine events per host second — the headline
+// number the hot path is optimized for; see ARCHITECTURE.md, "Hot path &
+// pooling").
+func benchRun(b *testing.B, s experiments.Series) {
+	b.Helper()
+	w, ok := ccsvm.Lookup(s.Workload)
+	if !ok {
+		b.Fatalf("workload %q not registered", s.Workload)
+	}
+	sys := ccsvm.MustSystem(s.System)
 	// One arena across iterations, like a sweep worker: after the first run
 	// warms it, iterations measure the steady state the Runner and the bench
 	// CLI operate in. Results are bit-identical with or without it.
 	sys.Arena = ccsvm.NewArena()
-	p.Seed = benchSeed
+	p := s.Params(benchSeed)
 	b.ReportAllocs()
 	var last ccsvm.Result
 	var events float64
@@ -51,62 +61,6 @@ func benchRun(b *testing.B, workload string, kind ccsvm.SystemKind, p ccsvm.Para
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(events/sec, "sim_events/sec")
 	}
-}
-
-// Figure 5: dense matrix multiply.
-
-func BenchmarkFig5MatMulCCSVM(b *testing.B) {
-	benchRun(b, "matmul", ccsvm.SystemCCSVM, ccsvm.Params{N: 32})
-}
-
-func BenchmarkFig5MatMulAPUOpenCL(b *testing.B) {
-	benchRun(b, "matmul", ccsvm.SystemOpenCL, ccsvm.Params{N: 32})
-}
-
-func BenchmarkFig5MatMulAPUCPU(b *testing.B) {
-	benchRun(b, "matmul", ccsvm.SystemCPU, ccsvm.Params{N: 32})
-}
-
-// Figure 6: all-pairs shortest path.
-
-func BenchmarkFig6APSPCCSVM(b *testing.B) {
-	benchRun(b, "apsp", ccsvm.SystemCCSVM, ccsvm.Params{N: 20})
-}
-
-func BenchmarkFig6APSPAPUOpenCL(b *testing.B) {
-	benchRun(b, "apsp", ccsvm.SystemOpenCL, ccsvm.Params{N: 20})
-}
-
-func BenchmarkFig6APSPAPUCPU(b *testing.B) {
-	benchRun(b, "apsp", ccsvm.SystemCPU, ccsvm.Params{N: 20})
-}
-
-// Figure 7: Barnes-Hut.
-
-func BenchmarkFig7BarnesHutCCSVM(b *testing.B) {
-	benchRun(b, "barneshut", ccsvm.SystemCCSVM, ccsvm.Params{N: 96})
-}
-
-func BenchmarkFig7BarnesHutAPUCPU(b *testing.B) {
-	benchRun(b, "barneshut", ccsvm.SystemCPU, ccsvm.Params{N: 96})
-}
-
-func BenchmarkFig7BarnesHutAPUPthreads(b *testing.B) {
-	benchRun(b, "barneshut", ccsvm.SystemPthreads, ccsvm.Params{N: 96})
-}
-
-// Figure 8: sparse matrix multiply (size and density axes).
-
-func BenchmarkFig8SparseSizeCCSVM(b *testing.B) {
-	benchRun(b, "sparse", ccsvm.SystemCCSVM, ccsvm.Params{N: 48, Density: 0.02})
-}
-
-func BenchmarkFig8SparseSizeAPUCPU(b *testing.B) {
-	benchRun(b, "sparse", ccsvm.SystemCPU, ccsvm.Params{N: 48, Density: 0.02})
-}
-
-func BenchmarkFig8SparseDensityCCSVM(b *testing.B) {
-	benchRun(b, "sparse", ccsvm.SystemCCSVM, ccsvm.Params{N: 48, Density: 0.06})
 }
 
 // Figure 9: off-chip DRAM accesses. The benchmark runs the Figure 9 pair
@@ -164,14 +118,4 @@ func BenchmarkRunnerScaling(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Figures 3/4: vector-add offload cost by programming model.
-
-func BenchmarkCodeComparisonVectorAddXthreads(b *testing.B) {
-	benchRun(b, "vectoradd", ccsvm.SystemCCSVM, ccsvm.Params{N: 256})
-}
-
-func BenchmarkCodeComparisonVectorAddOpenCL(b *testing.B) {
-	benchRun(b, "vectoradd", ccsvm.SystemOpenCL, ccsvm.Params{N: 256, IncludeInit: true})
 }

@@ -40,16 +40,16 @@
 // always enforced. Any violation, or a baseline series missing from the
 // current run, exits 1.
 //
-// The series list mirrors bench_test.go (the `go test -bench` harness): the
-// same (workload, system, size) points the paper's figures use, resolved
-// through the ccsvm registry. The scaling_w<N> series sweep that whole list
-// through the Runner at a fixed worker-pool size; their efficiency field is
-// the measured speedup over the smallest pool divided by the ideal speedup
-// (workers beyond GOMAXPROCS cannot add cores). Timing here is wall-clock on
-// the current host — the numbers are comparable across commits on the same
-// machine class (the baseline records GOMAXPROCS and the CPU model), not
-// across machines; the simulated-time, event counts and trace hashes are
-// bit-deterministic everywhere.
+// The series are experiments.PaperSeries, the list bench_test.go's `go test
+// -bench` harness runs too: the (workload, system, size) points the paper's
+// figures use, resolved through the ccsvm registry. The scaling_w<N> series
+// sweep that whole list through the Runner at a fixed worker-pool size; their
+// efficiency field is the measured speedup over the smallest pool divided by
+// the ideal speedup (workers beyond GOMAXPROCS cannot add cores). Timing here
+// is wall-clock on the current host — the numbers are comparable across
+// commits on the same machine class (the baseline records GOMAXPROCS and the
+// CPU model), not across machines; the simulated-time, event counts and trace
+// hashes are bit-deterministic everywhere.
 package main
 
 import (
@@ -69,41 +69,14 @@ import (
 	"time"
 
 	"ccsvm"
+	"ccsvm/internal/experiments"
 )
-
-// series is one benchmark point of the paper's evaluation.
-type series struct {
-	Name     string  `json:"name"`
-	Workload string  `json:"workload"`
-	System   string  `json:"system"`
-	N        int     `json:"n"`
-	Density  float64 `json:"density,omitempty"`
-	Init     bool    `json:"include_init,omitempty"`
-}
-
-// paperSeries mirrors the benchmark list in bench_test.go.
-var paperSeries = []series{
-	{Name: "fig5_matmul_ccsvm", Workload: "matmul", System: "ccsvm", N: 32},
-	{Name: "fig5_matmul_apu_opencl", Workload: "matmul", System: "opencl", N: 32},
-	{Name: "fig5_matmul_apu_cpu", Workload: "matmul", System: "cpu", N: 32},
-	{Name: "fig6_apsp_ccsvm", Workload: "apsp", System: "ccsvm", N: 20},
-	{Name: "fig6_apsp_apu_opencl", Workload: "apsp", System: "opencl", N: 20},
-	{Name: "fig6_apsp_apu_cpu", Workload: "apsp", System: "cpu", N: 20},
-	{Name: "fig7_barneshut_ccsvm", Workload: "barneshut", System: "ccsvm", N: 96},
-	{Name: "fig7_barneshut_apu_cpu", Workload: "barneshut", System: "cpu", N: 96},
-	{Name: "fig7_barneshut_apu_pthreads", Workload: "barneshut", System: "pthreads", N: 96},
-	{Name: "fig8_sparse_size_ccsvm", Workload: "sparse", System: "ccsvm", N: 48, Density: 0.02},
-	{Name: "fig8_sparse_size_apu_cpu", Workload: "sparse", System: "cpu", N: 48, Density: 0.02},
-	{Name: "fig8_sparse_density_ccsvm", Workload: "sparse", System: "ccsvm", N: 48, Density: 0.06},
-	{Name: "code_vectoradd_xthreads", Workload: "vectoradd", System: "ccsvm", N: 256},
-	{Name: "code_vectoradd_opencl", Workload: "vectoradd", System: "opencl", N: 256, Init: true},
-}
 
 const benchSeed = 42
 
 // record is one measured series in the emitted JSON.
 type record struct {
-	series
+	experiments.Series
 	Iters int `json:"iters"`
 	// Workers is the Runner pool size on scaling_w<N> series; zero on the
 	// single-series records.
@@ -300,7 +273,7 @@ func createProfileFile(path string) (*os.File, error) {
 // printing one progress line per record to stderr.
 func runAll(iters int, workerCounts []int) ([]record, error) {
 	var recs []record
-	for _, s := range paperSeries {
+	for _, s := range experiments.PaperSeries {
 		rec, err := measure(s, iters)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", s.Name, err)
@@ -434,13 +407,13 @@ func compare(w io.Writer, base, cur baseline, evThreshold, allocThreshold float6
 // iters measured runs bracketed by runtime.MemStats reads for the allocation
 // counters. Simulated time, event counts and the trace hash are taken from
 // the last run; they are identical across runs by the determinism contract.
-func measure(s series, iters int) (record, error) {
-	rec := record{series: s, Iters: iters}
+func measure(s experiments.Series, iters int) (record, error) {
+	rec := record{Series: s, Iters: iters}
 	w, ok := ccsvm.Lookup(s.Workload)
 	if !ok {
 		return rec, fmt.Errorf("workload not registered")
 	}
-	sys, err := ccsvm.NewSystem(ccsvm.SystemKind(s.System))
+	sys, err := ccsvm.NewSystem(s.System)
 	if err != nil {
 		return rec, err
 	}
@@ -448,7 +421,7 @@ func measure(s series, iters int) (record, error) {
 	// arena; measure the same way. The warmup run populates the arena, so the
 	// measured iterations pay reuse cost, not construction cost.
 	sys.Arena = ccsvm.NewArena()
-	p := ccsvm.Params{N: s.N, Density: s.Density, Seed: benchSeed, IncludeInit: s.Init}
+	p := s.Params(benchSeed)
 
 	if _, err := w.Run(sys, p); err != nil {
 		return rec, err
@@ -492,17 +465,13 @@ func measureScaling(iters int, workerCounts []int) ([]record, error) {
 	if len(workerCounts) == 0 {
 		return nil, nil
 	}
-	specs := make([]ccsvm.RunSpec, 0, len(paperSeries))
-	for _, s := range paperSeries {
-		sys, err := ccsvm.NewSystem(ccsvm.SystemKind(s.System))
+	specs := make([]ccsvm.RunSpec, 0, len(experiments.PaperSeries))
+	for _, s := range experiments.PaperSeries {
+		sys, err := ccsvm.NewSystem(s.System)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", s.Name, err)
 		}
-		specs = append(specs, ccsvm.RunSpec{
-			Workload: s.Workload,
-			System:   sys,
-			Params:   ccsvm.Params{N: s.N, Density: s.Density, Seed: benchSeed, IncludeInit: s.Init},
-		})
+		specs = append(specs, ccsvm.RunSpec{Workload: s.Workload, System: sys, Params: s.Params(benchSeed)})
 	}
 	recs := make([]record, 0, len(workerCounts))
 	for _, workers := range workerCounts {
@@ -531,7 +500,7 @@ func measureScaling(iters int, workerCounts []int) ([]record, error) {
 // measured sweeps of the whole spec list.
 func measureSweep(specs []ccsvm.RunSpec, workers, iters int) (record, error) {
 	rec := record{
-		series:  series{Name: fmt.Sprintf("scaling_w%d", workers), Workload: "all", System: "runner"},
+		Series:  experiments.Series{Name: fmt.Sprintf("scaling_w%d", workers), Workload: "all", System: "runner"},
 		Iters:   iters,
 		Workers: workers,
 	}

@@ -3,11 +3,13 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"ccsvm/internal/experiments"
 )
 
 func TestCompareSkipsOnlyWallClockTierOnOtherHost(t *testing.T) {
 	ref := record{
-		series:       series{Name: "fig5_matmul_ccsvm"},
+		Series:       experiments.Series{Name: "fig5_matmul_ccsvm"},
 		AllocsPerOp:  1000,
 		SimTimePs:    40047140,
 		SimEvents:    143596,

@@ -1,6 +1,6 @@
 // ccsvm-lint runs the ccsvm static-analysis suite (internal/lint) over the
-// repository: determinism, pool-ownership, engine-context and hot-path
-// enforcement, plus //ccsvm: directive hygiene. It is the multichecker CI
+// repository: determinism, pool-ownership and hot-path enforcement, plus
+// //ccsvm: directive hygiene. It is the multichecker CI
 // runs; a non-zero exit means findings (1) or a load failure (2).
 //
 // Usage:

@@ -1,7 +1,7 @@
 // Command paper-figs regenerates the tables and figures of the paper's
 // evaluation section (Hechtman & Sorin, ISPASS 2013). Each figure is printed
-// as a text table of the same data series the paper plots; EXPERIMENTS.md
-// records a captured run and compares the shapes against the paper.
+// as a text table of the same data series the paper plots, and the tables
+// are byte-identical at any -parallel.
 //
 // Usage:
 //

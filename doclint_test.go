@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -73,5 +76,47 @@ func lintFile(t *testing.T, fset *token.FileSet, path string, file *ast.File) {
 				}
 			}
 		}
+	}
+}
+
+// mdRef matches a Markdown file name, with or without a directory.
+var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestDocLintMarkdownRefs fails when a comment in any Go file of the
+// repository names a Markdown file that does not exist, relative to the
+// repository root: a pointer to a deleted or never-written document tells
+// the reader to look for something that is not there.
+func TestDocLintMarkdownRefs(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				for _, ref := range mdRef.FindAllString(c.Text, -1) {
+					if _, err := os.Stat(filepath.FromSlash(ref)); err != nil {
+						t.Errorf("%s: comment names %s, which does not exist at the repository root", fset.Position(c.Pos()), ref)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -232,7 +232,7 @@ func NewMachine(cfg Config) *Machine {
 		hcfg.L2.Name = name + ".l2"
 		hier := NewPrivateHierarchy(m.Engine, hcfg, m.array(hcfg.L1), m.array(hcfg.L2), m.DRAM, filter)
 		m.CPUMem = append(m.CPUMem, hier)
-		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, hier, nil, m.Phys, m.kernel)
+		core := cpu.New(m.Engine, m.gate, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, hier, nil, m.Phys, m.kernel)
 		m.CPUs = append(m.CPUs, core)
 	}
 
@@ -345,8 +345,6 @@ func (m *Machine) InvalidateCPUCaches(base mem.VAddr, size uint64) {
 type HostFunc func(ctx *HostContext)
 
 // newHostThread wraps a host function as a software thread.
-//
-//ccsvm:threadentry
 func (m *Machine) newHostThread(name string, fn HostFunc) *exec.Thread {
 	t := exec.NewThread(m.gate, len(m.threads), name, func(ec *exec.Context) {
 		fn(&HostContext{Context: ec, m: m})
@@ -365,8 +363,6 @@ func (m *Machine) ExecGate() *exec.Gate { return m.gate }
 
 // RunProgram runs a single host program on CPU core 0 to completion and
 // returns the simulated time consumed.
-//
-//ccsvm:threadentry
 func (m *Machine) RunProgram(fn HostFunc) (sim.Duration, error) {
 	return m.RunThreads([]HostFunc{fn})
 }
@@ -374,8 +370,6 @@ func (m *Machine) RunProgram(fn HostFunc) (sim.Duration, error) {
 // RunThreads runs one host function per CPU core (pthreads-style), starting
 // them together, and returns the simulated time until all have finished and
 // the machine has quiesced.
-//
-//ccsvm:threadentry
 func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 	if len(fns) > len(m.CPUs) {
 		return 0, fmt.Errorf("apu: %d threads exceed %d CPU cores", len(fns), len(m.CPUs))

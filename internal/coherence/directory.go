@@ -132,7 +132,7 @@ type BankConfig struct {
 type DirectoryBank struct {
 	engine *sim.Engine
 	id     noc.NodeID
-	net    noc.Network
+	net    *noc.Torus
 	cfg    BankConfig
 	proto  *Protocol
 	l2     *cache.Array
@@ -170,7 +170,7 @@ type BankStats struct {
 
 // NewDirectoryBank builds a bank, attaches it to the network and wires it to
 // a DRAM channel.
-func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net noc.Network, cfg BankConfig,
+func NewDirectoryBank(engine *sim.Engine, id noc.NodeID, net *noc.Torus, cfg BankConfig,
 	memory *dram.Controller) *DirectoryBank {
 	proto := cfg.Protocol
 	if proto == nil {

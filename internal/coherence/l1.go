@@ -68,7 +68,7 @@ type mshr struct {
 type L1Controller struct {
 	engine  *sim.Engine
 	id      noc.NodeID
-	net     noc.Network
+	net     *noc.Torus
 	banks   BankMapper
 	cfg     L1Config
 	proto   *Protocol
@@ -112,7 +112,7 @@ type L1Stats struct {
 
 // NewL1Controller builds an L1 controller and attaches it to the network at
 // the given node ID.
-func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks BankMapper,
+func NewL1Controller(engine *sim.Engine, id noc.NodeID, net *noc.Torus, banks BankMapper,
 	cfg L1Config, checker *Checker) *L1Controller {
 	proto := cfg.Protocol
 	if proto == nil {

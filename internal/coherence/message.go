@@ -263,7 +263,7 @@ func (p *MsgPool) SeedFreeList(ms []*Msg) {
 
 // send wraps the protocol message in a pooled network message and sends it;
 // the network recycles its envelope after delivery.
-func send(net noc.Network, src, dst noc.NodeID, m *Msg) {
+func send(net *noc.Torus, src, dst noc.NodeID, m *Msg) {
 	nm := net.NewMessage()
 	nm.Src, nm.Dst, nm.SizeBytes, nm.Payload = src, dst, m.sizeBytes(), m
 	net.Send(nm)

@@ -164,7 +164,7 @@ func NewMachine(cfg Config) *Machine {
 		}, m.Checker)
 		m.l1s = append(m.l1s, l1)
 		mmu := vm.NewMMU(vm.TLBConfig{Entries: cfg.TLBEntries}, l1, m.Phys)
-		core := cpu.New(m.Engine, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, l1, mmu, m.Phys, m.Kernel)
+		core := cpu.New(m.Engine, m.gate, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, l1, mmu, m.Phys, m.Kernel)
 		core.SetSyscallHandler(m.handleSyscall)
 		m.CPUs = append(m.CPUs, core)
 	}
@@ -238,8 +238,6 @@ func (m *Machine) handleSyscall(core *cpu.Core, num int, args []uint64, done fun
 // RegisterKernel registers an MTTOP kernel and returns the ID that
 // CreateMThreads uses (the simulator's stand-in for the kernel's program
 // counter, resolved by the compilation toolchain in the paper).
-//
-//ccsvm:threadentry
 func (m *Machine) RegisterKernel(k xthreads.KernelFunc) int {
 	return m.Runtime.RegisterKernel(k)
 }
@@ -247,8 +245,6 @@ func (m *Machine) RegisterKernel(k xthreads.KernelFunc) int {
 // RunProgram executes an xthreads program: main runs as a software thread on
 // CPU core 0; the simulation advances until main has returned and the machine
 // has quiesced. It returns the simulated time consumed.
-//
-//ccsvm:threadentry
 func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	start := m.Engine.Now()
 	deadline := start.Add(m.Config.MaxSimulatedTime)

@@ -48,6 +48,7 @@ type Config struct {
 // Core is one CPU core.
 type Core struct {
 	engine *sim.Engine
+	gate   *exec.Gate
 	cfg    Config
 	port   mem.Port
 	mmu    *vm.MMU
@@ -100,14 +101,16 @@ type Stats struct {
 	BusyPs uint64
 }
 
-// New builds a CPU core. The MMU may be nil, in which case virtual addresses
-// are used as physical addresses directly (the APU baseline machine, whose
+// New builds a CPU core whose threads run under gate, the machine's exec
+// gate. The MMU may be nil, in which case virtual addresses are used as
+// physical addresses directly (the APU baseline machine, whose
 // address-translation behaviour is not part of the comparison, runs this
 // way).
-func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.Physical,
+func New(engine *sim.Engine, gate *exec.Gate, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.Physical,
 	kernel *kernelos.Kernel) *Core {
 	c := &Core{
 		engine: engine,
+		gate:   gate,
 		cfg:    cfg,
 		port:   port,
 		mmu:    mmu,
@@ -160,11 +163,16 @@ func (c *Core) Run(t *exec.Thread, onExit func()) {
 // RaiseInterrupt queues external work (such as an MTTOP page fault forwarded
 // by the MIFD) to run on this core between instructions. It must be called
 // from engine context (an event callback), never from workload code: a
-// workload goroutine calling it would re-enter step mid-operation and
-// corrupt the core's fetch state (see step's serialization comment).
-//
-//ccsvm:enginectx
+// workload calling it would re-enter step from under its own thread's fetch.
+// Called before the thread's first op, that nested step consumes the op the
+// thread's launch is waiting for, and the core retires the thread with no op
+// done. So it panics whenever the gate reports workload code running; the
+// thread keeps the panic in Err, and finishThread re-panics it with the
+// thread's name.
 func (c *Core) RaiseInterrupt(i Interrupt) {
+	if c.gate.InWorkload() {
+		panic("cpu: RaiseInterrupt from workload code")
+	}
 	c.interrupts = append(c.interrupts, i)
 	c.step()
 }

@@ -1,6 +1,8 @@
 package cpu_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ccsvm/internal/cpu"
@@ -47,7 +49,7 @@ func newCoreRig(t *testing.T) *coreRig {
 	proc := kernel.NewProcess()
 	port := &latencyPort{engine: engine, latency: 2 * sim.Nanosecond}
 	mmu := vm.NewMMU(vm.TLBConfig{Entries: 8}, port, phys)
-	core := cpu.New(engine, cpu.Config{
+	core := cpu.New(engine, gate, cpu.Config{
 		Clock: sim.NewClock("cpu", 2.9e9),
 		CPI:   2.0,
 		Name:  "cpu0",
@@ -223,6 +225,99 @@ func TestCoreInterruptBetweenInstructions(t *testing.T) {
 	}
 	if got := r.core.Stats.Interrupts; got != 1 {
 		t.Fatalf("interrupt counter = %d, want 1", got)
+	}
+}
+
+// interrupter reaches RaiseInterrupt through an interface method.
+type interrupter interface{ RaiseInterrupt(cpu.Interrupt) }
+
+// TestRaiseInterruptFromWorkloadPanics checks RaiseInterrupt's engine-context
+// rule at run time. A workload body that reaches it — by a direct call,
+// through a func value or through an interface method, before its first op or
+// between ops — must end the run in a panic naming RaiseInterrupt. Unchecked,
+// a call before the first op re-enters the core's step under the thread's
+// launch: the core runs the exit callback before any of the 3 ops completes,
+// and the op it did issue then completes with no thread on the core.
+func TestRaiseInterruptFromWorkloadPanics(t *testing.T) {
+	probe := cpu.Interrupt{Name: "probe", Service: func(done func()) { done() }}
+	// Each body issues 3 ops and raises the interrupt just before op raiseAt.
+	bodies := []struct {
+		name string
+		body func(core *cpu.Core, raiseAt int) func(*exec.Context)
+	}{
+		{"direct", func(core *cpu.Core, raiseAt int) func(*exec.Context) {
+			return func(c *exec.Context) {
+				for op := 0; op < 3; op++ {
+					if op == raiseAt {
+						core.RaiseInterrupt(probe)
+					}
+					c.Compute(10)
+				}
+			}
+		}},
+		{"func value", func(core *cpu.Core, raiseAt int) func(*exec.Context) {
+			return func(c *exec.Context) {
+				raise := core.RaiseInterrupt
+				for op := 0; op < 3; op++ {
+					if op == raiseAt {
+						raise(probe)
+					}
+					c.Compute(10)
+				}
+			}
+		}},
+		{"interface method", func(core *cpu.Core, raiseAt int) func(*exec.Context) {
+			return func(c *exec.Context) {
+				var in interrupter = core
+				for op := 0; op < 3; op++ {
+					if op == raiseAt {
+						in.RaiseInterrupt(probe)
+					}
+					c.Compute(10)
+				}
+			}
+		}},
+	}
+	for _, b := range bodies {
+		for _, at := range []struct {
+			name string
+			op   int
+		}{{"before first op", 0}, {"between ops", 1}} {
+			t.Run(b.name+"/"+at.name, func(t *testing.T) {
+				r := newCoreRig(t)
+				th := exec.NewThread(r.gate, 0, "t0", b.body(r.core, at.op))
+				exited := false
+				got := func() (p any) {
+					defer func() { p = recover() }()
+					r.core.Run(th, func() { exited = true })
+					r.gate.Drive(r.engine.Step)
+					return nil
+				}()
+				if !strings.Contains(fmt.Sprint(got), "RaiseInterrupt") {
+					t.Fatalf("run ended with panic %v (exit callback run %v, %d instructions, finished %v), want a panic naming RaiseInterrupt",
+						got, exited, r.core.Stats.Instructions, th.Finished())
+				}
+			})
+		}
+	}
+}
+
+// TestCoreInterruptFromExitCallback: a thread's exit callback is core code,
+// not the workload's, so it may raise an interrupt, which the core services
+// once the thread is gone.
+func TestCoreInterruptFromExitCallback(t *testing.T) {
+	r := newCoreRig(t)
+	serviced := false
+	th := exec.NewThread(r.gate, 0, "t0", func(c *exec.Context) { c.Compute(10) })
+	r.core.Run(th, func() {
+		r.core.RaiseInterrupt(cpu.Interrupt{Name: "exit", Service: func(done func()) {
+			serviced = true
+			done()
+		}})
+	})
+	r.gate.Drive(r.engine.Step)
+	if !serviced || !r.core.Idle() {
+		t.Fatalf("interrupt raised on exit: serviced %v, core idle %v", serviced, r.core.Idle())
 	}
 }
 

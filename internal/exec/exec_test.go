@@ -51,18 +51,35 @@ func (h *hostCore) fetch() {
 // operation with the given responder, and returns the ops seen.
 func drive(t *testing.T, th *Thread, respond func(Op) Result) []Op {
 	t.Helper()
-	ops := driveRaw(th, respond)
+	ops := driveRaw(t, th, respond)
 	if err := th.Err(); err != nil {
 		t.Fatalf("thread panicked: %v", err)
 	}
 	return ops
 }
 
-func driveRaw(th *Thread, respond func(Op) Result) []Op {
+// driveEventBudget bounds a driveRaw run: a gate that never finishes the
+// thread fails the test instead of growing hostCore.ops without limit.
+const driveEventBudget = 10000
+
+// driveRaw is drive without the Err check, for tests of failing threads.
+func driveRaw(t *testing.T, th *Thread, respond func(Op) Result) []Op {
+	t.Helper()
 	h := &hostCore{th: th, eng: &microQ{}, respond: respond}
 	th.Start()
 	h.eng.at(h.fetch)
-	th.gate.Drive(h.eng.step)
+	events := 0
+	th.gate.Drive(func() bool {
+		if events == driveEventBudget {
+			return false
+		}
+		events++
+		return h.eng.step()
+	})
+	if len(h.eng.q) > 0 {
+		th.Kill()
+		t.Fatalf("thread %q still running after %d events (%d ops)", th.Name(), driveEventBudget, len(h.ops))
+	}
 	return h.ops
 }
 
@@ -199,7 +216,7 @@ func TestThreadPanicIsCaptured(t *testing.T) {
 		ctx.Compute(1)
 		panic("workload bug")
 	})
-	ops := driveRaw(th, func(Op) Result { return Result{} })
+	ops := driveRaw(t, th, func(Op) Result { return Result{} })
 	if len(ops) != 1 || ops[0].Kind != OpCompute {
 		t.Fatalf("ops = %+v, want the compute op first", ops)
 	}
@@ -240,7 +257,7 @@ func TestThreadKill(t *testing.T) {
 
 func TestThreadDoubleStartPanics(t *testing.T) {
 	th := NewThread(NewGate(), 0, "x", func(ctx *Context) {})
-	driveRaw(th, func(Op) Result { return Result{} })
+	driveRaw(t, th, func(Op) Result { return Result{} })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double start")

@@ -408,7 +408,7 @@ func TestPoll32ReturnsOnFirstLoad(t *testing.T) {
 // and panics in the thread before any op is issued.
 func TestPoll32RejectsUnknownCondition(t *testing.T) {
 	th := NewThread(NewGate(), 0, "p", func(ctx *Context) { ctx.Poll32(0x10, UntilAtLeast+1, 0, 0) })
-	if ops := driveRaw(th, func(Op) Result { return Result{} }); len(ops) != 0 {
+	if ops := driveRaw(t, th, func(Op) Result { return Result{} }); len(ops) != 0 {
 		t.Fatalf("ops = %+v, want none", ops)
 	}
 	if th.Err() == nil {

@@ -129,7 +129,7 @@ func TestHandlerPanicReachesDrive(t *testing.T) {
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		driveRaw(th, func(op Op) Result {
+		driveRaw(t, th, func(op Op) Result {
 			if op.Instrs == 2 {
 				if g.holder != th {
 					t.Error("second op was not dispatched by the holder")

@@ -175,7 +175,7 @@ type Gate struct {
 	holder *Thread
 	// running is the thread whose own code runs now, nil for engine and core
 	// code. A thread's recovery uses it to tell its workload's panics from
-	// panics it merely unwinds.
+	// panics it merely unwinds, and InWorkload reports it to the cores.
 	running *Thread
 	// draining guards Drain against reentry from the activated thread's own
 	// scheduling, and inHandler restricts draining to schedules made inside
@@ -193,6 +193,12 @@ type Gate struct {
 
 // NewGate returns the scheduler for one machine's software threads.
 func NewGate() *Gate { return &Gate{} }
+
+// InWorkload reports whether a workload's own code is running: a thread's
+// function, before its first op or between ops. Engine and core code, event
+// handlers and the cores' resume and exit continuations included, run with
+// no thread recorded.
+func (g *Gate) InWorkload() bool { return g.running != nil }
 
 // Bind installs the gate's drain as eng's schedule hook. The hook stays
 // disarmed — a single predicted branch on the engine's schedule path — except
@@ -411,8 +417,6 @@ type Thread struct {
 
 // NewThread creates a software thread that will run fn under the machine's
 // gate. The id is exposed to the workload through Context.ThreadID.
-//
-//ccsvm:threadentry
 func NewThread(g *Gate, id int, name string, fn func(*Context)) *Thread {
 	t := &Thread{gate: g, id: id, name: name, fn: fn}
 	t.ctx.thread = t
@@ -458,18 +462,18 @@ func (t *Thread) launch() (Op, NextStatus) {
 
 // body is the coroutine: the thread function, then the exit path that tells
 // the owning core the thread is finished (it observes NextDone and runs its
-// exit processing). Returning hands control back to whoever activated the
-// thread: Drive, which carries on with the next pending thread or event, or
-// the nested activator. A killed thread unwinds without touching the core.
+// exit processing, as core code through consume). Returning hands control
+// back to whoever activated the thread: Drive, which carries on with the next
+// pending thread or event, or the nested activator. A killed thread unwinds
+// without touching the core.
 func (t *Thread) body(yield func(struct{}) bool) {
 	t.yield = yield
 	if killed := t.run(); killed {
 		return
 	}
 	t.finished = true
-	if r := t.resume; r != nil {
-		t.resume = nil
-		r()
+	if t.resume != nil {
+		t.consume()
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (the experiment index E1–E8 in DESIGN.md). Each figure
+// evaluation section: Table 2 and Figures 3/4 through 9. Each figure
 // declares its sweep as a slice of ccsvm.RunSpec, executes it through the
 // facade's Runner — optionally fanning out across Options.Parallel workers;
 // every simulation is an independent engine, so the results are bit-identical
 // at any parallelism — and shapes the results into a text table with the same
-// rows/series the paper reports. cmd/paper-figs prints the tables and
-// EXPERIMENTS.md records a captured run.
+// rows/series the paper reports. cmd/paper-figs prints the tables. The
+// package also declares PaperSeries, one point of each figure per system,
+// which the benchmarks measure.
 package experiments
 
 import (
@@ -35,6 +36,43 @@ type Options struct {
 
 // DefaultOptions returns the quick sweep.
 func DefaultOptions() Options { return Options{Full: false, Seed: 42, Parallel: 1} }
+
+// Series is one benchmark point of the evaluation: a (workload, system, size)
+// point of one figure, named after it. The JSON tags are the series fields of
+// cmd/ccsvm-bench's BENCH_*.json files.
+type Series struct {
+	Name     string           `json:"name"`
+	Workload string           `json:"workload"`
+	System   ccsvm.SystemKind `json:"system"`
+	N        int              `json:"n"`
+	Density  float64          `json:"density,omitempty"`
+	Init     bool             `json:"include_init,omitempty"`
+}
+
+// Params returns the series' run parameters at the given seed.
+func (s Series) Params(seed int64) ccsvm.Params {
+	return ccsvm.Params{N: s.N, Density: s.Density, Seed: seed, IncludeInit: s.Init}
+}
+
+// PaperSeries are the paper series: one point of every figure's sweep per
+// system, small enough for a benchmark iteration. The go test benchmarks and
+// cmd/ccsvm-bench measure exactly these.
+var PaperSeries = []Series{
+	{Name: "fig5_matmul_ccsvm", Workload: "matmul", System: ccsvm.SystemCCSVM, N: 32},
+	{Name: "fig5_matmul_apu_opencl", Workload: "matmul", System: ccsvm.SystemOpenCL, N: 32},
+	{Name: "fig5_matmul_apu_cpu", Workload: "matmul", System: ccsvm.SystemCPU, N: 32},
+	{Name: "fig6_apsp_ccsvm", Workload: "apsp", System: ccsvm.SystemCCSVM, N: 20},
+	{Name: "fig6_apsp_apu_opencl", Workload: "apsp", System: ccsvm.SystemOpenCL, N: 20},
+	{Name: "fig6_apsp_apu_cpu", Workload: "apsp", System: ccsvm.SystemCPU, N: 20},
+	{Name: "fig7_barneshut_ccsvm", Workload: "barneshut", System: ccsvm.SystemCCSVM, N: 96},
+	{Name: "fig7_barneshut_apu_cpu", Workload: "barneshut", System: ccsvm.SystemCPU, N: 96},
+	{Name: "fig7_barneshut_apu_pthreads", Workload: "barneshut", System: ccsvm.SystemPthreads, N: 96},
+	{Name: "fig8_sparse_size_ccsvm", Workload: "sparse", System: ccsvm.SystemCCSVM, N: 48, Density: 0.02},
+	{Name: "fig8_sparse_size_apu_cpu", Workload: "sparse", System: ccsvm.SystemCPU, N: 48, Density: 0.02},
+	{Name: "fig8_sparse_density_ccsvm", Workload: "sparse", System: ccsvm.SystemCCSVM, N: 48, Density: 0.06},
+	{Name: "code_vectoradd_xthreads", Workload: "vectoradd", System: ccsvm.SystemCCSVM, N: 256},
+	{Name: "code_vectoradd_opencl", Workload: "vectoradd", System: ccsvm.SystemOpenCL, N: 256, Init: true},
+}
 
 func (o Options) matmulSizes() []int {
 	if o.Full {

@@ -9,8 +9,8 @@
 // linttest harness) loads a set of packages in dependency order, builds one
 // Pass per (analyzer, package) pair, and runs them. Facts exported on objects
 // of one package are visible to later passes of the same analyzer over
-// packages that import it, which is what lets the engine-context analyzer walk
-// call chains across package boundaries.
+// packages that import it, which is what lets the pool-ownership analyzer
+// recognize pool endpoints declared in another package.
 package analysis
 
 import (

@@ -18,18 +18,10 @@ const (
 	// reads, global math/rand, goroutine launches and order-sensitive map
 	// iteration inside it.
 	DirDeterministic = "deterministic"
-	// DirEngineCtx marks a function that must only run in engine context (an
-	// event callback or machine-build code); the enginectx analyzer reports
-	// any call chain reaching it from a workload-goroutine entry point.
-	DirEngineCtx = "enginectx"
 	// DirHotPath marks a function on the allocation-free hot path: the
 	// allocfree analyzer forbids every heap-allocating construct inside it,
 	// capturing closures included.
 	DirHotPath = "hotpath"
-	// DirThreadEntry marks an API whose function-valued arguments become
-	// workload-goroutine bodies (exec.NewThread and its wrappers); the
-	// enginectx analyzer treats such arguments as reachability roots.
-	DirThreadEntry = "threadentry"
 	// DirPooled marks a pool endpoint: "//ccsvm:pooled get" on functions that
 	// hand out a pooled object the caller must release or transfer,
 	// "//ccsvm:pooled put" on the matching release functions.
@@ -141,9 +133,7 @@ var directiveSpec = map[string]struct {
 	args                        []string // allowed argument values; nil means no argument
 }{
 	DirDeterministic:  {onPackage: true},
-	DirEngineCtx:      {onFunc: true},
 	DirHotPath:        {onFunc: true},
-	DirThreadEntry:    {onFunc: true},
 	DirPooled:         {onFunc: true, args: []string{"get", "put"}},
 	DirOrderInvariant: {floating: true},
 	DirAllocOk:        {floating: true},

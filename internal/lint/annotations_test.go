@@ -56,10 +56,10 @@ type P struct{}
 //ccsvm:pooled get
 func (p *P) Get() *P { return p }
 
-// Raise is engine-context only.
+// Dispatch is on the hot path.
 //
-//ccsvm:enginectx
-func Raise() {}
+//ccsvm:hotpath
+func Dispatch() {}
 
 // Src is an allocator.
 type Src interface {
@@ -85,9 +85,8 @@ func Sum(m map[int]int) int {
 	if !ann.PkgHas(DirDeterministic) {
 		t.Errorf("package deterministic directive not recorded")
 	}
-	raise := pkg.Scope().Lookup("Raise")
-	if !ann.Has(raise, DirEngineCtx) {
-		t.Errorf("Raise missing enginectx directive")
+	if !ann.Has(pkg.Scope().Lookup("Dispatch"), DirHotPath) {
+		t.Errorf("Dispatch missing hotpath directive")
 	}
 	get, _, _ := types.LookupFieldOrMethod(pkg.Scope().Lookup("P").Type(), true, pkg, "Get")
 	if ann.PooledArg(get) != "get" {
@@ -132,7 +131,7 @@ func TestParseAnnotationsOnNonFunction(t *testing.T) {
 	_, ann := parseSrc(t, `
 package x
 
-//ccsvm:enginectx
+//ccsvm:hotpath
 type T int
 
 //ccsvm:hotpath
@@ -197,16 +196,16 @@ func F() {}
 	}
 }
 
-func TestParseAnnotationsFloatingEngineCtx(t *testing.T) {
+func TestParseAnnotationsFloatingHotPath(t *testing.T) {
 	_, ann := parseSrc(t, `
 package x
 
 func F() {
-	//ccsvm:enginectx
+	//ccsvm:hotpath
 	_ = 1
 }
 `)
 	if got := errorsContaining(ann, "floating comment"); len(got) != 1 {
-		t.Errorf("floating enginectx: got errors %v", ann.Errors)
+		t.Errorf("floating hotpath: got errors %v", ann.Errors)
 	}
 }

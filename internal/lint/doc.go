@@ -3,7 +3,7 @@
 // which until this package existed lived only in prose and runtime stress
 // tests.
 //
-// The suite contains four analyzers plus a directive validator, all driven by
+// The suite contains three analyzers plus a directive validator, all driven by
 // //ccsvm: annotations in the source (see ARCHITECTURE.md "Static
 // enforcement" for the contributor-facing description):
 //
@@ -15,9 +15,6 @@
 //     twice — checked flow-sensitively over per-function control-flow graphs
 //     (internal/lint/cfg) with a dataflow solver (internal/lint/dataflow), so
 //     branches, loops, defers and converging paths are tracked precisely.
-//   - enginectx: functions annotated //ccsvm:enginectx must not be reachable
-//     from workload-goroutine entry points (arguments of //ccsvm:threadentry
-//     APIs); calling them from a workload deadlocks the machine.
 //   - allocfree: functions annotated //ccsvm:hotpath must not contain
 //     heap-allocating constructs at all — make/new/append, slice, map and
 //     escaping composite literals, capturing closures (those passed to the
@@ -26,6 +23,10 @@
 //     reviewed //ccsvm:allocok annotation marks the line as amortized.
 //   - ccsvmdirective: malformed, unknown or misplaced //ccsvm: directives are
 //     errors, so the vocabulary cannot silently rot.
+//
+// Rules that only show at run time are checked there instead: the cores'
+// engine-context rule for RaiseInterrupt asks the exec gate whether workload
+// code is running (ARCHITECTURE.md "Verification").
 //
 // cmd/ccsvm-lint runs the suite over the repository and is wired into CI; the
 // analyzers are built on the stdlib-only framework in internal/lint/analysis

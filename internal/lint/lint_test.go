@@ -19,12 +19,6 @@ func TestPoolOwnership(t *testing.T) {
 	linttest.Run(t, ".", lint.PoolOwnership, "pool", "poolclean")
 }
 
-func TestEngineCtx(t *testing.T) {
-	// Loading ectx pulls in ectxapi as a dependency, exercising cross-package
-	// fact flow: the entry/enginectx annotations live in ectxapi.
-	linttest.Run(t, ".", lint.EngineCtx, "ectx")
-}
-
 func TestAllocFree(t *testing.T) {
 	linttest.Run(t, ".", lint.AllocFree, "allochot", "allocclean")
 }

@@ -8,13 +8,12 @@ import (
 // runs it: directive hygiene first (so a malformed annotation is reported
 // rather than silently ignored by the enforcement passes), then the
 // invariant analyzers — determinism, the flow-sensitive pool-ownership
-// check, engine-context reachability and the allocation-free hot path.
+// check and the allocation-free hot path.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Directives,
 		Determinism,
 		PoolOwnership,
-		EngineCtx,
 		AllocFree,
 	}
 }

@@ -10,6 +10,12 @@ func Unknown() {}
 //ccsvm:launchpath // want "unknown directive"
 func Retired() {}
 
+// So is the retired engine-context marker: RaiseInterrupt checks its caller
+// at run time instead.
+//
+//ccsvm:enginectx // want "unknown directive"
+func RetiredEngineCtx() {}
+
 //ccsvm:pooled // want "exactly one argument"
 func MissingArg() {}
 
@@ -19,7 +25,7 @@ func BadArg() {}
 //ccsvm:hotpath always // want "takes no argument"
 func ExtraArg() {}
 
-//ccsvm:enginectx // want "not allowed on a type"
+//ccsvm:hotpath // want "not allowed on a type"
 type T int
 
 //ccsvm:deterministic // want "not allowed on a function"
@@ -37,6 +43,6 @@ type S struct {
 
 // Floating directives may only be floating kinds.
 func Body() {
-	//ccsvm:enginectx // want "not allowed on a floating comment"
+	//ccsvm:hotpath // want "not allowed on a floating comment"
 	_ = 1
 }

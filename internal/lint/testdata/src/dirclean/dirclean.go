@@ -41,18 +41,6 @@ type Source interface {
 	Acquire() *Buf
 }
 
-// Raise may only run in engine context.
-//
-//ccsvm:enginectx
-func Raise() {}
-
-// Spawn registers fn as a workload body.
-//
-//ccsvm:threadentry
-func Spawn(fn func()) {
-	fn()
-}
-
 // Drain is on the hot path and iterates a map whose effects commute.
 //
 //ccsvm:hotpath

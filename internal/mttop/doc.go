@@ -5,9 +5,9 @@
 // faults are raised to a CPU core through the MIFD.
 //
 // The paper's SIMT warps are modelled as fine-grained multithreading under a
-// shared issue-bandwidth limit (see DESIGN.md); this preserves the peak
-// throughput of 8 operations per cycle per core and the memory-system
-// behaviour the evaluation measures.
+// shared issue-bandwidth limit; this preserves the peak throughput of 8
+// operations per cycle per core and the memory-system behaviour the
+// evaluation measures.
 //
 //ccsvm:deterministic
 package mttop

@@ -14,7 +14,7 @@ type NodeID int
 // stores its own payload in Payload; the network only needs source,
 // destination and size.
 //
-// Messages obtained from Network.NewMessage are recycled by the network after
+// Messages obtained from Torus.NewMessage are recycled by the network after
 // delivery: they are valid inside Receiver.Receive but must not be retained
 // afterwards. Messages constructed directly (&Message{...}) are never
 // recycled, so tests may hold on to them.
@@ -101,22 +101,4 @@ func (p *msgPool) seed(ms []*Message) {
 // simulation clock.
 type Receiver interface {
 	Receive(msg *Message)
-}
-
-// Network is the interface the coherence controllers send through: endpoints
-// send messages and register to receive them.
-type Network interface {
-	// Attach registers the receiver for a node ID. It panics if the node is
-	// already attached, which catches wiring bugs at machine-build time.
-	Attach(id NodeID, r Receiver)
-	// Send accepts a message for delivery. Delivery order between a given
-	// source and destination pair is preserved (the torus uses deterministic
-	// dimension-order routing with FIFO links).
-	Send(msg *Message)
-	// NewMessage returns a message from the network's free list for the hot
-	// send path. The network recycles it after delivery (see Message), so
-	// senders fill it, Send it, and never touch it again.
-	//
-	//ccsvm:pooled get
-	NewMessage() *Message
 }

@@ -127,7 +127,9 @@ func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, _
 	return t
 }
 
-// NewMessage implements Network.
+// NewMessage returns a message from the network's free list for the hot send
+// path. The network recycles it after delivery (see Message), so senders fill
+// it, Send it, and never touch it again.
 //
 //ccsvm:pooled get
 func (t *Torus) NewMessage() *Message { return t.pool.get() }
@@ -145,7 +147,9 @@ func (t *Torus) DrainFreeList() []*Message { return t.pool.drain() }
 //ccsvm:pooled put
 func (t *Torus) SeedFreeList(ms []*Message) { t.pool.seed(ms) }
 
-// Attach implements Network.
+// Attach registers the receiver for a node ID. It panics if the node has no
+// placement or is already attached, which catches wiring bugs at
+// machine-build time.
 func (t *Torus) Attach(id NodeID, r Receiver) {
 	if _, ok := t.Placement(id); !ok {
 		panic(fmt.Sprintf("noc: node %d has no placement on the torus", id))
@@ -231,7 +235,9 @@ func (t *Torus) serialization(sizeBytes int) sim.Duration {
 	return sim.Duration(ps + 0.5)
 }
 
-// Send implements Network. The message is walked hop by hop; each hop charges
+// Send accepts a message for delivery. Delivery order between a given source
+// and destination pair is preserved: routing is dimension-order and links are
+// FIFO. The message is walked hop by hop; each hop charges
 // router latency, waits for the outgoing link to be free, occupies it for the
 // serialization time, and traverses it in the link latency. The walk state
 // lives on the message, so sending allocates no path slice and each hop
@@ -301,5 +307,3 @@ func (t *Torus) deliver(msg *Message) {
 	r.Receive(msg)
 	t.pool.put(msg)
 }
-
-var _ Network = (*Torus)(nil)

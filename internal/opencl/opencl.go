@@ -103,8 +103,6 @@ func (s *Session) BuildProgram(ctx *apu.HostContext) {
 
 // CreateKernel registers a kernel body and returns its handle
 // (clCreateKernel).
-//
-//ccsvm:threadentry
 func (s *Session) CreateKernel(fn WorkItemFunc) int {
 	s.kernels = append(s.kernels, fn)
 	return len(s.kernels) - 1

@@ -153,8 +153,8 @@ func TestBarnesHutAllSystems(t *testing.T) {
 	// Figure 7: pthreads on 4 cores beats 1 core. At this tiny body count the
 	// sequential tree build on the CCSVM chip's deliberately weak CPU
 	// dominates, so we only require CCSVM to be competitive here; the
-	// crossover where it wins outright is measured at the larger body counts
-	// of the Figure 7 sweep (see EXPERIMENTS.md).
+	// crossover where it beats one core outright shows at the larger body
+	// counts of the Figure 7 sweep (`go run ./cmd/paper-figs -fig 7`).
 	if pth.Time >= cpu1.Time {
 		t.Errorf("pthreads x4 (%v) should beat one CPU core (%v)", pth.Time, cpu1.Time)
 	}

@@ -69,8 +69,6 @@ func (r *Runtime) Process() *kernelos.Process { return r.proc }
 
 // RegisterKernel adds a kernel to the table and returns its ID, the value the
 // task descriptor carries in place of a program counter.
-//
-//ccsvm:threadentry
 func (r *Runtime) RegisterKernel(k KernelFunc) int {
 	r.kernels = append(r.kernels, k)
 	return len(r.kernels) - 1
@@ -97,8 +95,6 @@ func (r *Runtime) NewMTTOPThread(kernelID, tid int, args mem.VAddr) *exec.Thread
 
 // NewCPUThread wraps a CPU-side function (the program's main, or an
 // additional pthread-style CPU thread) as a software thread.
-//
-//ccsvm:threadentry
 func (r *Runtime) NewCPUThread(name string, fn MainFunc) *exec.Thread {
 	id := r.nextID
 	r.nextID++
