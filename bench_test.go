@@ -38,12 +38,17 @@ func benchRun(b *testing.B, s experiments.Series) {
 		b.Fatalf("workload %q not registered", s.Workload)
 	}
 	sys := ccsvm.MustSystem(s.System)
-	// One arena across iterations, like a sweep worker: after the first run
-	// warms it, iterations measure the steady state the Runner and the bench
-	// CLI operate in. Results are bit-identical with or without it.
+	// One arena across iterations, like a sweep worker: an untimed first run
+	// warms it, so every timed iteration measures the steady state the
+	// Runner and the bench CLI operate in. Results are bit-identical with or
+	// without it.
 	sys.Arena = ccsvm.NewArena()
 	p := s.Params(benchSeed)
+	if _, err := w.Run(sys, p); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	var last ccsvm.Result
 	var events float64
 	for i := 0; i < b.N; i++ {

@@ -193,16 +193,18 @@ type Machine struct {
 	// runs under (see exec.Gate); RunThreads drives the engine through it.
 	gate *exec.Gate
 
-	// arena, when non-nil, receives the engine, physical memory and cache
-	// tag arrays back at Shutdown so the worker's next machine reuses them.
+	// arena, when non-nil, receives the engine, physical memory, cache tag
+	// arrays and the gate's op batches back at Shutdown so the worker's next
+	// machine reuses them.
 	arena *simarena.Arena
 	// arrays is every tag array the machine drew (see array).
 	arrays []*cache.Array
 }
 
 // NewMachine builds an APU. When the configuration carries an arena
-// (Config.InArena), the engine, physical memory and cache tag arrays come
-// from it; reuse is observation-equivalent to fresh construction.
+// (Config.InArena), the engine, physical memory, cache tag arrays and the
+// gate's op batches come from it; reuse is observation-equivalent to fresh
+// construction.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
@@ -220,6 +222,7 @@ func NewMachine(cfg Config) *Machine {
 	// See core.NewMachine: thread activations pending at a schedule point
 	// must schedule first to keep the event trace order.
 	m.gate.Bind(m.Engine)
+	m.gate.SeedBatches(cfg.arena.TakeBatches())
 	m.heapPtr = 0x4000_0000 // identity-mapped flat heap, clear of page tables
 
 	cpuClock := sim.NewClock("apu.cpu", cfg.CPUClockHz)
@@ -421,6 +424,7 @@ func (m *Machine) Shutdown() {
 		return
 	}
 	m.arena = nil
+	a.RecycleBatches(m.gate.DrainBatches())
 	for i := range m.arrays {
 		arr := m.arrays[i]
 		m.arrays[i] = nil

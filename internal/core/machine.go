@@ -53,16 +53,16 @@ type Machine struct {
 	gate *exec.Gate
 
 	// arena, when non-nil, receives the engine, physical memory, tag arrays,
-	// SWMR checker, directory tables and message populations back at
-	// Shutdown so the worker's next machine reuses them.
+	// SWMR checker, directory tables, message populations and op batches
+	// back at Shutdown so the worker's next machine reuses them.
 	arena *simarena.Arena
 }
 
 // NewMachine builds and wires a CCSVM chip from the configuration. When the
 // configuration carries an arena (Config.InArena), the engine, physical
-// memory, cache tag arrays, SWMR checker, directory tables and message-pool
-// populations come from it; reuse is observation-equivalent to fresh
-// construction.
+// memory, cache tag arrays, SWMR checker, directory tables, message-pool
+// populations and the gate's op batches come from it; reuse is
+// observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -144,6 +144,7 @@ func NewMachine(cfg Config) *Machine {
 	// handler schedules after completing them (see exec.Gate.Drain): this
 	// keeps the event trace identical to the historical blocking handoff.
 	m.gate.Bind(m.Engine)
+	m.gate.SeedBatches(cfg.arena.TakeBatches())
 	m.Runtime = xthreads.NewRuntime(m.Process, m.Engine.Now, m.gate)
 
 	// MIFD.
@@ -303,6 +304,7 @@ func (m *Machine) Shutdown() {
 	m.arena = nil
 	a.RecycleCohMsgs(m.msgs.DrainFreeList())
 	a.RecycleNocMsgs(m.torus.DrainFreeList())
+	a.RecycleBatches(m.gate.DrainBatches())
 	for i := range m.arrays {
 		arr := m.arrays[i]
 		m.arrays[i] = nil

@@ -11,7 +11,9 @@ import (
 // machine. Every method blocks (in host terms) until the simulated core has
 // performed the operation, so workload functions read like ordinary
 // sequential code while their memory behaviour is played out cycle by cycle
-// in the timing models.
+// in the timing models. Two kinds of op sequence run with the gate's help,
+// so the thread resumes once per sequence rather than once per op: a Batch
+// of ops the thread already knows, and a Poll32 spin loop.
 type Context struct {
 	thread *Thread
 }
@@ -37,7 +39,7 @@ func (c *Context) do(op Op) Result {
 // drive advances the simulation while the holder's operation is in flight:
 // it dispatches engine events until a completion is pending. When the oldest
 // pending completion is its own it pops itself and returns — the zero-switch
-// fast path — after running any Poll32 steps that completion leaves to the
+// fast path — after running any batch steps that completion leaves to the
 // gate. Otherwise, or when the engine cannot advance, it yields to Drive,
 // which activates the older completion or finds the engine stalled; the
 // thread is activated again only once its result has been delivered.
@@ -45,7 +47,7 @@ func (c *Context) do(op Op) Result {
 //ccsvm:hotpath
 func (t *Thread) drive() {
 	for t.gate.popOwn(t) {
-		if !t.polling || !t.pollStep() {
+		if !t.stepping || !t.step() {
 			return
 		}
 	}
@@ -86,21 +88,26 @@ func (c PollCond) ends(v, x uint32) bool {
 //		c.Compute(pause)
 //	}
 //
-// with no pause op when pause is 0. Only the first load is published by the
-// thread's own code: the gate runs every later between-ops step (test the
-// loaded value, publish the next pause or load) on the thread's behalf, where
-// the thread itself would have run it, and resumes the coroutine only with
-// the load that ends the loop. A poll therefore costs the coroutine switches
-// of one load, however long it spins.
+// with no pause op when pause is 0. It runs as the thread's Batch of the
+// load and the pause, which the gate repeats until a loaded value ends the
+// loop (see Thread.step): the coroutine resumes only with that load, so a
+// poll costs the coroutine switches of one load, however long it spins. The
+// batch must have no op appended and not run.
 //
 //ccsvm:hotpath
 func (c *Context) Poll32(va mem.VAddr, cond PollCond, x, pause uint32) uint32 {
 	if cond > UntilAtLeast {
 		panic(fmt.Sprintf("exec: Poll32 with PollCond(%d)", uint8(cond)))
 	}
-	t := c.thread
-	t.polling, t.pollCond, t.pollX, t.pollPause, t.pollAddr = true, cond, x, pause, va
-	return c.Load32(va)
+	b := c.Batch()
+	if n := b.Len(); n != 0 {
+		panic(fmt.Sprintf("exec: Poll32 with %d batch ops not run", n))
+	}
+	b.Load32(va)
+	b.Compute(int64(pause))
+	b.loop, b.cond, b.x = true, cond, x
+	b.Run()
+	return b.Value32(0)
 }
 
 // ThreadID reports the software thread's identifier (the xthreads tid).

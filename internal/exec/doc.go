@@ -11,11 +11,13 @@
 // flight, and nested activations by direct coroutine switches; no goroutine
 // is ever runnable alongside another, and the package starts none.
 //
-// Context.Poll32 is the one loop the gate runs on a thread's behalf: a
-// spin-wait on a word in shared memory (xthreads' wait, barrier and
-// mttop_malloc) issues the same loads and pauses as the open-coded loop, but
-// the gate tests each loaded value and publishes the next op itself, and the
-// thread's coroutine resumes only with the load that ends the loop.
+// The gate also runs op sequences on a thread's behalf. A Batch holds loads,
+// stores and computes the thread already knows (a kernel's argument
+// prologue, a dot product's loads); a Context.Poll32 loop spins on a word in
+// shared memory (xthreads' wait, barrier and mttop_malloc). Either issues the
+// same ops as the open-coded sequence, but the gate records each loaded
+// value and publishes the next op itself, and the thread's coroutine resumes
+// only once the sequence ends.
 //
 // This is the same execution-driven style the paper's gem5 evaluation uses,
 // with Go functions standing in for the x86/Alpha-like binaries.

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -44,11 +45,11 @@ type pollCore struct {
 	storePs sim.Duration
 	after   func()
 
-	// steppers counts, per gate function, the ops a poll step published.
+	// steppers counts, per gate function, the ops a gate step published.
 	// Once counting, activations counts coroutine activations and midLoop
-	// records one made while the thread's poll loop was still running.
-	// drainedUnderPoller counts ops the thread published from a Drain while
-	// a poller held the gate.
+	// records one made while the thread's poll loop or batch was still
+	// running. drainedUnderPoller counts ops the thread published from a
+	// Drain while a stepping thread held the gate.
 	steppers           map[string]int
 	counting           bool
 	activations        int
@@ -79,7 +80,7 @@ func (c *pollCore) fetch() {
 	if s := stepRunner(); s != "" {
 		c.steppers[s]++
 	}
-	if g := m.g; g.draining && g.holder != nil && g.holder != c.th && g.holder.polling {
+	if g := m.g; g.draining && g.holder != nil && g.holder != c.th && g.holder.stepping {
 		c.drainedUnderPoller++
 	}
 	var delay sim.Duration
@@ -118,14 +119,14 @@ func (c *pollCore) countActivations() {
 	next := c.th.next
 	c.th.next = func() (struct{}, bool) {
 		c.activations++
-		if c.th.polling {
+		if c.th.stepping {
 			c.midLoop = true
 		}
 		return next()
 	}
 }
 
-// stepRunner names the gate function that called pollStep when the current
+// stepRunner names the gate function that called Thread.step when the current
 // call stack runs inside one, and is empty otherwise.
 func stepRunner() string {
 	pcs := make([]uintptr, 64)
@@ -137,7 +138,7 @@ func stepRunner() string {
 		if inStep {
 			return name
 		}
-		inStep = name == "exec.(*Thread).pollStep"
+		inStep = name == "exec.(*Thread).step"
 		if !more {
 			return ""
 		}
@@ -148,7 +149,8 @@ func stepRunner() string {
 // polled cell, separated by busy compute ops of gap ps (a busy holder), while
 // the poller P loops on the cell. With lead, P first computes once, so it
 // issues its first load as the holder. With wAfter or pAfter, W's or P's
-// completion handlers schedule an event after re-fetching the thread.
+// completion handlers schedule an event after re-fetching the thread. With
+// batch, P runs the ops of batchOps instead of a loop.
 type pollCase struct {
 	cond   PollCond
 	x      uint32
@@ -159,6 +161,7 @@ type pollCase struct {
 	lead   bool
 	wAfter bool
 	pAfter bool
+	batch  bool
 	pLoad  sim.Duration
 }
 
@@ -167,7 +170,7 @@ type pollRun struct {
 	log            []string
 	end            sim.Time
 	hash           uint64
-	got            uint32
+	got            []uint32
 	poller, writer *pollCore
 	finished       bool
 }
@@ -186,15 +189,18 @@ func (pc pollCase) run(t *testing.T, gateRun bool) pollRun {
 		if pc.lead {
 			ctx.Compute(1)
 		}
-		if gateRun {
-			r.got = ctx.Poll32(pollCell, pc.cond, pc.x, pc.pause)
-		} else {
+		switch {
+		case pc.batch:
+			r.got = batchOps(ctx, gateRun)
+		case gateRun:
+			r.got = []uint32{ctx.Poll32(pollCell, pc.cond, pc.x, pc.pause)}
+		default:
 			v := ctx.Load32(pollCell)
 			for !pc.cond.ends(v, pc.x) {
 				ctx.Compute(int64(pc.pause))
 				v = ctx.Load32(pollCell)
 			}
-			r.got = v
+			r.got = []uint32{v}
 		}
 		ctx.Compute(2)
 	})
@@ -312,16 +318,17 @@ func comparePoll(t *testing.T, pc pollCase) pollRun {
 	if open.end != gate.end || open.hash != gate.hash {
 		t.Fatalf("end %d hash %#x, open-coded end %d hash %#x", gate.end, gate.hash, open.end, open.hash)
 	}
-	if open.got != gate.got {
-		t.Fatalf("Poll32 returned %d, open-coded loop %d", gate.got, open.got)
+	if !slices.Equal(open.got, gate.got) {
+		t.Fatalf("gate-run ops returned %v, open-coded ops %v", gate.got, open.got)
 	}
 	if gate.poller.midLoop {
-		t.Fatal("the gate resumed the poller's coroutine before its loop ended")
+		t.Fatal("the gate resumed the poller's coroutine before its loop or batch ended")
 	}
 	// Launch aside, P's coroutine runs after its lead compute, after the
-	// load that ends the loop and after its last compute, at most.
-	if gate.poller.activations > 3 {
-		t.Fatalf("poller activated %d times, want at most 3", gate.poller.activations)
+	// load that ends the loop (or after each batch) and after its last
+	// compute, at most.
+	if want := 2 + map[bool]int{false: 1, true: batchRuns}[pc.batch]; gate.poller.activations > want {
+		t.Fatalf("poller activated %d times, want at most %d", gate.poller.activations, want)
 	}
 	return gate
 }
@@ -330,8 +337,16 @@ func comparePoll(t *testing.T, pc pollCase) pollRun {
 // both ways, and requires each of the three places a poll step may run to
 // have run some.
 func TestPoll32MatchesOpenCodedLoop(t *testing.T) {
+	compareFamilies(t, pollCases())
+}
+
+// compareFamilies runs every case but the handover ones through comparePoll
+// and requires each of the three places a step may run to have run some:
+// the thread's own drive loop when it runs alone, hold behind a busy writer,
+// and Drain when its completion handlers schedule.
+func compareFamilies(t *testing.T, cases map[string]pollCase) {
 	steppers := map[string]map[string]int{}
-	for name, pc := range pollCases() {
+	for name, pc := range cases {
 		kind := strings.Split(name, "/")[2]
 		if kind == "handover" {
 			continue
@@ -352,7 +367,88 @@ func TestPoll32MatchesOpenCodedLoop(t *testing.T) {
 		"drain": "exec.(*Gate).Drain",
 	} {
 		if steppers[kind][want] == 0 {
-			t.Errorf("%s schedules never ran a poll step in %s: %v", kind, want, steppers[kind])
+			t.Errorf("%s schedules never ran a step in %s: %v", kind, want, steppers[kind])
+		}
+	}
+}
+
+const (
+	// batchCell is where batchOps stores and reloads a word per round;
+	// batchRounds rounds run as batchRuns batches.
+	batchCell   mem.VAddr = 0x80
+	batchRounds           = 12
+	batchRuns             = 2
+)
+
+// batchOps issues, as batchRuns batches or open-coded, batchRounds rounds of
+// a load of the polled cell, a compute, a store of a known value and a load
+// of the stored word. The second batch starts with a store of the first
+// one's loaded cell values, appended after it ran. It returns every loaded
+// value in issue order.
+func batchOps(ctx *Context, gateRun bool) []uint32 {
+	var got []uint32
+	var sum uint32
+	b := ctx.Batch()
+	for half := 0; half < batchRuns; half++ {
+		if half == 1 {
+			if gateRun {
+				b.Store32(batchCell-4, sum)
+			} else {
+				ctx.Store32(batchCell-4, sum)
+			}
+		}
+		first := b.Len()
+		for r := half * batchRounds / batchRuns; r < (half+1)*batchRounds/batchRuns; r++ {
+			cell := batchCell + mem.VAddr(4*r)
+			if gateRun {
+				b.Load32(pollCell)
+				b.Compute(int64(1 + r%3))
+				b.Store32(cell, uint32(7*r))
+				b.Load32(cell)
+				continue
+			}
+			v := ctx.Load32(pollCell)
+			ctx.Compute(int64(1 + r%3))
+			ctx.Store32(cell, uint32(7*r))
+			got = append(got, v, ctx.Load32(cell))
+		}
+		if gateRun {
+			b.Run()
+			for i := 0; i < batchRounds/batchRuns; i++ {
+				got = append(got, b.Value32(first+4*i), b.Value32(first+4*i+3))
+			}
+		}
+		for _, v := range got[len(got)-2*batchRounds/batchRuns:] {
+			sum += v
+		}
+	}
+	return got
+}
+
+// batchCases are the alone, busy, drain and handover schedules of
+// pollCases with P running batchOps.
+func batchCases() map[string]pollCase {
+	out := map[string]pollCase{}
+	for name, pc := range pollCases() {
+		if parts := strings.Split(name, "/"); parts[0] == "UntilEqual" && parts[1] == "pause0" {
+			pc.batch = true
+			out["batch/-/"+strings.Join(parts[2:], "/")] = pc
+		}
+	}
+	return out
+}
+
+// TestBatchMatchesOpenCodedOps requires a Batch to issue exactly the ops of
+// the same sequence issued one by one, in every schedule family of
+// TestPoll32MatchesOpenCodedLoop and in the handover one: equal op logs with
+// times and values, end time, trace hash and loaded values, and no
+// activation of the thread while a batch runs.
+func TestBatchMatchesOpenCodedOps(t *testing.T) {
+	cases := batchCases()
+	compareFamilies(t, cases)
+	for name, pc := range cases {
+		if strings.Split(name, "/")[2] == "handover" {
+			t.Run(name, func(t *testing.T) { comparePoll(t, pc) })
 		}
 	}
 }
@@ -477,9 +573,60 @@ func TestPoll32AllocatesNothingPerIteration(t *testing.T) {
 	}
 }
 
+// TestBatchAllocatesNothingPerOp: a 1,000-op batch allocates exactly what a
+// 10-op one does once its storage has grown, when each run's gate is seeded
+// with the batches the previous run's gate drained, as machines do through
+// their arena.
+func TestBatchAllocatesNothingPerOp(t *testing.T) {
+	r := &spinRig{eng: sim.NewEngine()}
+	r.fetchFn = r.fetch
+	r.completeFn = func(any) {
+		if r.op.Kind == OpLoad {
+			r.loads++
+		}
+		r.th.Complete(Result{Value: uint64(r.loads)})
+		r.fetch()
+	}
+	start := func(any) { r.th.Start(); r.fetch() }
+	var parked []*Batch
+	run := func(n int) func() {
+		body := func(ctx *Context) {
+			b := ctx.Batch()
+			for i := 0; i < n; i++ {
+				b.Load32(0x10)
+			}
+			b.Run()
+			if got := b.Value32(n - 1); got != uint32(n) {
+				panic(fmt.Sprintf("last load read %d, want %d", got, n))
+			}
+		}
+		return func() {
+			r.eng.Reset()
+			g := NewGate()
+			g.Bind(r.eng)
+			g.SeedBatches(parked)
+			r.th = NewThread(g, 0, "batch", body)
+			r.loads = 0
+			r.eng.ScheduleArg(0, start, nil)
+			g.Drive(r.eng.Step)
+			if !r.th.Finished() || r.th.Err() != nil || r.loads != n {
+				t.Fatalf("finished %v (err %v) after %d loads, want %d", r.th.Finished(), r.th.Err(), r.loads, n)
+			}
+			parked = g.DrainBatches()
+		}
+	}
+	// Warm the engine's calendar and the batch's storage.
+	run(1000)()
+	short, long := testing.AllocsPerRun(20, run(10)), testing.AllocsPerRun(20, run(1000))
+	if long != short {
+		t.Fatalf("a 1000-op batch allocates %.1f objects, a 10-op one %.1f", long, short)
+	}
+}
+
 // TestThreadSizeClass pins Thread to the 192-byte allocation size class: the
-// poll loop's state lives in padding, and a separate struct would have moved
-// every thread to the next class.
+// stepping flag lives in padding and the batch and poll state behind one
+// pointer, where inline state would have moved every thread to the next
+// class.
 func TestThreadSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Thread{}); n > 192 {
 		t.Fatalf("Thread is %d bytes, want at most 192", n)

@@ -153,9 +153,10 @@ type killSignal struct{}
 //   - Drain and a thread's first TryNext activate a parked thread nested, by
 //     calling its next directly; the thread yields straight back as soon as
 //     it has published its next operation.
-//   - A thread inside Context.Poll32 is not activated until its loop ends:
-//     Drive (keeping it as the holder), Drain and its own drive loop run the
-//     loop's between-ops steps for it instead (see pollStep).
+//   - A thread running a Batch, or a Context.Poll32 loop, is not activated
+//     until the batch or loop ends: Drive (keeping it as the holder), Drain
+//     and its own drive loop run the between-ops steps for it instead (see
+//     Thread.step).
 //
 // The gate is not safe for concurrent use; the coroutine hand-over is the
 // synchronization. Machines must not share gates.
@@ -189,6 +190,11 @@ type Gate struct {
 	// pays one store, not a call, in the common already-armed case.
 	eng   *sim.Engine
 	armed bool
+	// batches is the free list of batches (see Context.Batch): a thread
+	// takes one at its first use and hands it back when it finishes.
+	// longest is the most ops a batch has held, the size batches grow to.
+	batches []*Batch
+	longest int
 }
 
 // NewGate returns the scheduler for one machine's software threads.
@@ -277,7 +283,7 @@ func (g *Gate) Drain() {
 	}
 	g.draining = true
 	for g.head != len(g.pending) && g.pending[g.head] != g.holder {
-		if t := g.pop(); !t.polling || !t.pollStep() {
+		if t := g.pop(); !t.stepping || !t.step() {
 			g.activate(t)
 		}
 	}
@@ -311,7 +317,7 @@ func (g *Gate) Drive(step func() bool) {
 	for {
 		if t := g.pop(); t != nil {
 			g.holder = t
-			if t.polling {
+			if t.stepping {
 				g.hold(t)
 			} else {
 				g.activate(t)
@@ -326,22 +332,22 @@ func (g *Gate) Drive(step func() bool) {
 	}
 }
 
-// hold runs the Poll32 loop of the holder t from Drive: it runs the loop's
-// steps for t and, between them, dispatches as t's drive loop would,
-// returning when another completion is older or the engine stalls. t's
-// coroutine is activated only once a load ends the loop.
+// hold runs the batch of the holder t from Drive: it runs the batch's steps
+// for t and, between them, dispatches as t's drive loop would, returning
+// when another completion is older or the engine stalls. t's coroutine is
+// activated only once the batch ends.
 //
-// Only Drive, Drain and the poller's own drive loop may run a poll step. A
-// holder that found another thread's poll completion oldest and ran that
+// Only Drive, Drain and the thread's own drive loop may run its step. A
+// holder that found another thread's batch completion oldest and ran that
 // step itself would go on dispatching although the schedule has it parked
-// and the poller holding. A handler that then completed the first holder and
-// scheduled would find it either still holding, so that its code ran after
-// the schedule instead of before, or marked parked while its coroutine is
-// the one running, which Drain cannot activate.
+// and the other thread holding. A handler that then completed the first
+// holder and scheduled would find it either still holding, so that its code
+// ran after the schedule instead of before, or marked parked while its
+// coroutine is the one running, which Drain cannot activate.
 //
 //ccsvm:hotpath
 func (g *Gate) hold(t *Thread) {
-	for t.pollStep() {
+	for t.step() {
 		if !g.popOwn(t) {
 			return
 		}
@@ -386,12 +392,10 @@ type Thread struct {
 	// completes.
 	op    Op
 	hasOp bool
-	// polling marks a thread inside Context.Poll32, whose loop the gate steps
-	// from pollCond, pollX, pollPause and pollAddr. All but pollAddr sit in
-	// padding, so Thread stays in the 192-byte size class.
-	polling  bool
-	pollCond PollCond
-	pollX    uint32
+	// stepping marks a thread whose batch runs (see Thread.step): the gate
+	// steps it instead of activating the coroutine. batch is the thread's
+	// Batch, nil until its first use. Both fit the 192-byte size class.
+	stepping bool
 	result   Result
 	// resume is the core's continuation for consuming the next published op,
 	// registered by TryNext when the op was not ready (NextWait).
@@ -409,10 +413,9 @@ type Thread struct {
 	launched bool
 	// finished flips when fn returns, or when the thread is killed or
 	// discarded before launch.
-	finished  bool
-	pollPause uint32
-	err       any
-	pollAddr  mem.VAddr
+	finished bool
+	err      any
+	batch    *Batch
 }
 
 // NewThread creates a software thread that will run fn under the machine's
@@ -472,6 +475,7 @@ func (t *Thread) body(yield func(struct{}) bool) {
 		return
 	}
 	t.finished = true
+	t.releaseBatch()
 	if t.resume != nil {
 		t.consume()
 	}
@@ -526,28 +530,6 @@ func (t *Thread) consume() {
 	g.running = nil
 	r()
 	g.running = prev
-}
-
-// pollStep runs the between-ops step of t's Poll32 loop on the gate's side,
-// where t's own code would have run it, when its completed op does not end
-// the loop: after a pause, or a load whose value fails the test, it publishes
-// the next load or pause. It reports false, ending the loop, when the load's
-// value ends it: t's coroutine must then run to return that value.
-//
-//ccsvm:hotpath
-func (t *Thread) pollStep() bool {
-	if t.op.Kind == OpLoad {
-		if t.pollCond.ends(uint32(t.result.Value), t.pollX) {
-			t.polling = false
-			return false
-		}
-		if t.pollPause != 0 {
-			t.publish(Op{Kind: OpCompute, Instrs: int64(t.pollPause)})
-			return true
-		}
-	}
-	t.publish(Op{Kind: OpLoad, Addr: t.pollAddr, Size: 4})
-	return true
 }
 
 // park yields the coroutine. It returns when the thread is next activated,
@@ -608,6 +590,7 @@ func (t *Thread) Kill() {
 		g.running = prev
 	}
 	t.finished = true
+	t.releaseBatch()
 }
 
 // Finished reports whether the thread function has returned.

@@ -6,7 +6,8 @@
 // caches and GPU read cache — most of the bytes a machine allocates), the
 // CCSVM chip's SWMR checker and directory entry tables (per-line maps and
 // records a run otherwise rebuilds from empty), and the harvested free lists
-// of the coherence and network message pools.
+// of the coherence and network message pools and of the exec gate's op
+// batches.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
@@ -33,6 +34,7 @@ package simarena
 import (
 	"ccsvm/internal/cache"
 	"ccsvm/internal/coherence"
+	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
@@ -56,6 +58,9 @@ type Stats struct {
 	// CohMsgs/NocMsgs count protocol and network messages currently parked on
 	// the arena between machines.
 	CohMsgs, NocMsgs int
+	// Batches counts the op batches parked likewise, and BatchOps the ops
+	// their storage holds without growing.
+	Batches, BatchOps int
 }
 
 // Arena is a per-worker free store of machine parts. The zero value is ready
@@ -69,6 +74,7 @@ type Arena struct {
 	tables   []*coherence.DirTable
 	cohMsgs  []*coherence.Msg
 	nocMsgs  []*noc.Message
+	batches  []*exec.Batch
 	stats    Stats
 }
 
@@ -298,6 +304,39 @@ func (a *Arena) RecycleNocMsgs(ms []*noc.Message) {
 		a.nocMsgs = append(a.nocMsgs, ms...)
 	}
 	a.stats.NocMsgs = len(a.nocMsgs)
+}
+
+// TakeBatches hands the parked op batches to the caller (to seed a new
+// machine's gate) and empties the arena's list. Returns nil when the arena
+// is nil or empty.
+//
+//ccsvm:pooled get
+func (a *Arena) TakeBatches() []*exec.Batch {
+	if a == nil || len(a.batches) == 0 {
+		return nil
+	}
+	bs := a.batches
+	a.batches = nil
+	a.stats.Batches, a.stats.BatchOps = 0, 0
+	return bs
+}
+
+// RecycleBatches parks a drained gate's op batches for the next machine.
+//
+//ccsvm:pooled put
+func (a *Arena) RecycleBatches(bs []*exec.Batch) {
+	if a == nil || len(bs) == 0 {
+		return
+	}
+	if a.batches == nil {
+		a.batches = bs
+	} else {
+		a.batches = append(a.batches, bs...)
+	}
+	for _, b := range bs {
+		a.stats.BatchOps += b.Cap()
+	}
+	a.stats.Batches = len(a.batches)
 }
 
 // Stats reports the arena's reuse accounting. Nil arenas report zeroes.

@@ -6,6 +6,7 @@ import (
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/core"
+	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/opencl"
 	"ccsvm/internal/sim"
@@ -32,25 +33,16 @@ func APSPXthreads(cfg core.Config, n int, seed int64) (Result, error) {
 	}
 
 	kernel := m.RegisterKernel(func(ctx *xthreads.MTTOPContext) {
-		args := ctx.Args()
-		dist := mem.VAddr(ctx.Load64(args + 0))
-		barrier := mem.VAddr(ctx.Load64(args + 8))
-		sense := mem.VAddr(ctx.Load64(args + 16))
-		done := mem.VAddr(ctx.Load64(args + 24))
-		size := int(ctx.Load64(args + 32))
-		nThreads := int(ctx.Load64(args + 40))
+		var args [6]uint64
+		kernelArgs(ctx, args[:])
+		dist, barrier, sense, done := mem.VAddr(args[0]), mem.VAddr(args[1]), mem.VAddr(args[2]), mem.VAddr(args[3])
+		size, nThreads := int(args[4]), int(args[5])
+		b := ctx.Batch()
 		for k := 0; k < size; k++ {
 			for i := ctx.TID(); i < size; i += nThreads {
-				dik := int32(ctx.Load32(dist + mem.VAddr(4*(i*size+k))))
-				for j := 0; j < size; j++ {
-					dkj := int32(ctx.Load32(dist + mem.VAddr(4*(k*size+j))))
-					dij := int32(ctx.Load32(dist + mem.VAddr(4*(i*size+j))))
-					ctx.Compute(2)
-					if dik+dkj < dij {
-						ctx.Store32(dist+mem.VAddr(4*(i*size+j)), uint32(dik+dkj))
-					}
-				}
+				apspRow(b, dist, size, k, i)
 			}
+			b.Run()
 			// Every thread (and the CPU) must finish iteration k before any
 			// thread starts iteration k+1.
 			ctx.Barrier(barrier, 0, sense)
@@ -159,15 +151,9 @@ func APSPOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, er
 		if i >= size {
 			return
 		}
-		dik := int32(wi.Load32(dist + mem.VAddr(4*(i*size+k))))
-		for j := 0; j < size; j++ {
-			dkj := int32(wi.Load32(dist + mem.VAddr(4*(k*size+j))))
-			dij := int32(wi.Load32(dist + mem.VAddr(4*(i*size+j))))
-			wi.Compute(2)
-			if dik+dkj < dij {
-				wi.Store32(dist+mem.VAddr(4*(i*size+j)), uint32(dik+dkj))
-			}
-		}
+		b := wi.Batch()
+		apspRow(b, dist, size, k, i)
+		b.Run()
 	})
 
 	var measured sim.Duration
@@ -209,6 +195,27 @@ func APSPOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, er
 		label = "APU/OpenCL (full)"
 	}
 	return Result{Label: label, Time: measured, DRAMAccesses: m.DRAMAccesses(), Checked: true, Metrics: m.Metrics()}, nil
+}
+
+// apspRow relaxes row i of dist through vertex k. Each column's two loads
+// and compare run as one batch, and the store an improvement needs goes out
+// with the next column's batch; the caller runs b to issue the row's last
+// one.
+func apspRow(b *exec.Batch, dist mem.VAddr, size, k, i int) {
+	ik := b.Load32(dist + mem.VAddr(4*(i*size+k)))
+	var dik int32
+	for j := 0; j < size; j++ {
+		kj := b.Load32(dist + mem.VAddr(4*(k*size+j)))
+		ij := b.Load32(dist + mem.VAddr(4*(i*size+j)))
+		b.Compute(2)
+		b.Run()
+		if j == 0 {
+			dik = int32(b.Value32(ik))
+		}
+		if d := dik + int32(b.Value32(kj)); d < int32(b.Value32(ij)) {
+			b.Store32(dist+mem.VAddr(4*(i*size+j)), uint32(d))
+		}
+	}
 }
 
 func init() {

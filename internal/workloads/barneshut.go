@@ -175,28 +175,40 @@ func bhInsertChild(ctx *exec.Context, alloc func(uint64) mem.VAddr, node mem.VAd
 
 // bhForce computes the approximate force on body i by traversing the tree
 // (the pointer-chasing inner loop that runs on MTTOP cores or CPU threads).
+// A node's fields and its children's pointers each load as one batch; a far
+// node's force compute goes out with the next node's mass load.
 func bhForce(ctx *exec.Context, root mem.VAddr, b bhBodies, i int) (float64, float64) {
-	xi := ctx.LoadFloat64(b.posX + mem.VAddr(8*i))
-	yi := ctx.LoadFloat64(b.posY + mem.VAddr(8*i))
+	bt := ctx.Batch()
+	x := bt.Load64(b.posX + mem.VAddr(8*i))
+	y := bt.Load64(b.posY + mem.VAddr(8*i))
+	bt.Run()
+	xi, yi := bt.Float64(x), bt.Float64(y)
 	var ax, ay float64
 	// Explicit traversal stack held in host memory: the simulated pointer
-	// chasing is in the Load64 calls below.
-	stack := []mem.VAddr{root}
+	// chasing is in the batched loads below. The stack holds at most three
+	// pending siblings per level, so trees up to 21 levels deep fit buf and
+	// need no heap; deeper ones spill to it.
+	var buf [64]mem.VAddr
+	stack := append(buf[:0], root)
 	for len(stack) > 0 {
 		node := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		mass := ctx.LoadFloat64(node + bhOffMass)
+		m := bt.Load64(node + bhOffMass)
+		bt.Run()
+		mass := bt.Float64(m)
 		if mass == 0 {
 			continue
 		}
-		comX := ctx.LoadFloat64(node + bhOffComX)
-		comY := ctx.LoadFloat64(node + bhOffComY)
-		half := ctx.LoadFloat64(node + bhOffHalf)
-		bodyTag := ctx.Load64(node + bhOffBody)
+		cx := bt.Load64(node + bhOffComX)
+		cy := bt.Load64(node + bhOffComY)
+		h := bt.Load64(node + bhOffHalf)
+		tag := bt.Load64(node + bhOffBody)
+		bt.Compute(20)
+		bt.Run()
+		comX, comY, half, bodyTag := bt.Float64(cx), bt.Float64(cy), bt.Float64(h), bt.Value64(tag)
 		dx := comX - xi
 		dy := comY - yi
 		dist := math.Sqrt(dx*dx + dy*dy + bhSoften)
-		ctx.Compute(20)
 		if bodyTag == uint64(i+1) {
 			continue
 		}
@@ -204,16 +216,22 @@ func bhForce(ctx *exec.Context, root mem.VAddr, b bhBodies, i int) (float64, flo
 			f := mass / (dist * dist * dist)
 			ax += f * dx
 			ay += f * dy
-			ctx.Compute(10)
+			bt.Compute(10)
 			continue
 		}
+		first := bt.Len()
 		for q := 0; q < 4; q++ {
-			child := mem.VAddr(ctx.Load64(node + bhOffChildren + mem.VAddr(8*q)))
-			if child != 0 {
+			bt.Load64(node + bhOffChildren + mem.VAddr(8*q))
+		}
+		bt.Run()
+		for q := 0; q < 4; q++ {
+			if child := mem.VAddr(bt.Value64(first + q)); child != 0 {
 				stack = append(stack, child)
 			}
 		}
 	}
+	// The last node's force compute, if it was far.
+	bt.Run()
 	return ax, ay
 }
 
@@ -271,15 +289,14 @@ func BarnesHutXthreads(cfg core.Config, nBodies int, seed int64) (Result, error)
 	bhInitBodies(m.MemWriteFloat64, bodies, init)
 
 	kernel := m.RegisterKernel(func(ctx *xthreads.MTTOPContext) {
-		args := ctx.Args()
-		root := mem.VAddr(ctx.Load64(args + 0))
-		done := mem.VAddr(ctx.Load64(args + 8))
-		nThreads := int(ctx.Load64(args + 16))
+		var args [11]uint64
+		kernelArgs(ctx, args[:])
+		root, done, nThreads := mem.VAddr(args[0]), mem.VAddr(args[1]), int(args[2])
 		b := bhBodies{
-			posX: mem.VAddr(ctx.Load64(args + 24)), posY: mem.VAddr(ctx.Load64(args + 32)),
-			mass: mem.VAddr(ctx.Load64(args + 40)), velX: mem.VAddr(ctx.Load64(args + 48)),
-			velY: mem.VAddr(ctx.Load64(args + 56)), accX: mem.VAddr(ctx.Load64(args + 64)),
-			accY: mem.VAddr(ctx.Load64(args + 72)), n: int(ctx.Load64(args + 80)),
+			posX: mem.VAddr(args[3]), posY: mem.VAddr(args[4]),
+			mass: mem.VAddr(args[5]), velX: mem.VAddr(args[6]),
+			velY: mem.VAddr(args[7]), accX: mem.VAddr(args[8]),
+			accY: mem.VAddr(args[9]), n: int(args[10]),
 		}
 		for i := ctx.TID(); i < b.n; i += nThreads {
 			ax, ay := bhForce(ctx.Context, root, b, i)

@@ -6,6 +6,7 @@ import (
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/core"
+	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/opencl"
 	"ccsvm/internal/sim"
@@ -40,25 +41,19 @@ func MatMulXthreads(cfg core.Config, n int, seed int64) (Result, error) {
 	}
 
 	kernel := m.RegisterKernel(func(ctx *xthreads.MTTOPContext) {
-		args := ctx.Args()
-		aPtr := mem.VAddr(ctx.Load64(args + 0))
-		bPtr := mem.VAddr(ctx.Load64(args + 8))
-		cPtr := mem.VAddr(ctx.Load64(args + 16))
-		done := mem.VAddr(ctx.Load64(args + 24))
-		size := int(ctx.Load64(args + 32))
-		nThreads := int(ctx.Load64(args + 40))
+		var args [6]uint64
+		kernelArgs(ctx, args[:])
+		aPtr, bPtr, cPtr, done := mem.VAddr(args[0]), mem.VAddr(args[1]), mem.VAddr(args[2]), mem.VAddr(args[3])
+		size, nThreads := int(args[4]), int(args[5])
+		b := ctx.Batch()
 		for i := ctx.TID(); i < size; i += nThreads {
 			for j := 0; j < size; j++ {
-				var sum uint32
-				for k := 0; k < size; k++ {
-					av := ctx.Load32(aPtr + mem.VAddr(4*(i*size+k)))
-					bv := ctx.Load32(bPtr + mem.VAddr(4*(k*size+j)))
-					sum += av * bv
-				}
-				ctx.Compute(int64(2 * size))
-				ctx.Store32(cPtr+mem.VAddr(4*(i*size+j)), sum)
+				sum := matMulDot(b, aPtr, bPtr, size, i, j)
+				// The store goes out with the next element's loads.
+				b.Store32(cPtr+mem.VAddr(4*(i*size+j)), sum)
 			}
 		}
+		b.Run()
 		ctx.SignalSlot(done, 0)
 	})
 
@@ -164,14 +159,7 @@ func MatMulOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, 
 		size := int(wi.Arg(3))
 		i, j := gid/size, gid%size
 		aPtr, bPtr, cPtr := wi.ArgPtr(0), wi.ArgPtr(1), wi.ArgPtr(2)
-		var sum uint32
-		for k := 0; k < size; k++ {
-			av := wi.Load32(aPtr + mem.VAddr(4*(i*size+k)))
-			bv := wi.Load32(bPtr + mem.VAddr(4*(k*size+j)))
-			sum += av * bv
-		}
-		wi.Compute(int64(2 * size))
-		wi.Store32(cPtr+mem.VAddr(4*gid), sum)
+		wi.Store32(cPtr+mem.VAddr(4*gid), matMulDot(wi.Batch(), aPtr, bPtr, size, i, j))
 	})
 
 	var measured sim.Duration
@@ -220,6 +208,24 @@ func MatMulOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, 
 		label = "APU/OpenCL (full)"
 	}
 	return Result{Label: label, Time: measured, DRAMAccesses: m.DRAMAccesses(), Checked: true, Metrics: m.Metrics()}, nil
+}
+
+// matMulDot runs the loads and the multiply-adds of output element (i, j)
+// as one batch, behind any op already appended to b, and returns the
+// element.
+func matMulDot(b *exec.Batch, aPtr, bPtr mem.VAddr, size, i, j int) uint32 {
+	first := b.Len()
+	for k := 0; k < size; k++ {
+		b.Load32(aPtr + mem.VAddr(4*(i*size+k)))
+		b.Load32(bPtr + mem.VAddr(4*(k*size+j)))
+	}
+	b.Compute(int64(2 * size))
+	b.Run()
+	var sum uint32
+	for k := 0; k < size; k++ {
+		sum += b.Value32(first+2*k) * b.Value32(first+2*k+1)
+	}
+	return sum
 }
 
 func init() {

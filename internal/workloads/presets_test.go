@@ -63,6 +63,7 @@ func TestPresetRoundTrip(t *testing.T) {
 		CCSVM:       cfg,
 	}
 	RegisterPreset(in)
+	t.Cleanup(func() { unregisterPreset(in.Name) })
 	out, ok := LookupPreset("test-roundtrip")
 	if !ok {
 		t.Fatal("registered preset not found")
@@ -77,6 +78,14 @@ func TestPresetRoundTrip(t *testing.T) {
 	if again.CCSVM.NumMTTOPs != 7 {
 		t.Error("mutating a looked-up preset changed the registry")
 	}
+}
+
+// unregisterPreset removes a preset a test registered, so the test can run
+// again in the same process.
+func unregisterPreset(name string) {
+	presetRegistry.mu.Lock()
+	defer presetRegistry.mu.Unlock()
+	delete(presetRegistry.byName, name)
 }
 
 func TestPresetKindMismatch(t *testing.T) {

@@ -84,12 +84,15 @@ func smRowToDense(read64 func(mem.VAddr) uint64, read32 func(mem.VAddr) uint32, 
 // CPU). It returns the head of the output row.
 func smCompute(ctx *exec.Context, alloc func(uint64) mem.VAddr,
 	aHeads, bHeads, accum mem.VAddr, i, n int) mem.VAddr {
-	// Clear the accumulator.
+	// Clear the accumulator and load row i's first non-zero, as one batch.
+	b := ctx.Batch()
 	for j := 0; j < n; j++ {
-		ctx.Store32(accum+mem.VAddr(4*j), 0)
+		b.Store32(accum+mem.VAddr(4*j), 0)
 	}
+	first := b.Load64(aHeads + mem.VAddr(8*i))
+	b.Run()
 	// accum += a_ik * B[k][*] for every non-zero a_ik.
-	for ap := mem.VAddr(ctx.Load64(aHeads + mem.VAddr(8*i))); ap != 0; ap = mem.VAddr(ctx.Load64(ap + smOffNext)) {
+	for ap := mem.VAddr(b.Value64(first)); ap != 0; ap = mem.VAddr(ctx.Load64(ap + smOffNext)) {
 		k := int(ctx.Load32(ap + smOffCol))
 		av := ctx.Load32(ap + smOffVal)
 		for bp := mem.VAddr(ctx.Load64(bHeads + mem.VAddr(8*k))); bp != 0; bp = mem.VAddr(ctx.Load64(bp + smOffNext)) {
@@ -135,18 +138,14 @@ func SparseMMXthreads(cfg core.Config, n int, density float64, seed int64) (Resu
 	threads := threadCountFor(n, cfg.TotalMTTOPThreadContexts())
 
 	kernel := m.RegisterKernel(func(ctx *xthreads.MTTOPContext) {
-		args := ctx.Args()
-		aHeads := mem.VAddr(ctx.Load64(args + 0))
-		bHeads := mem.VAddr(ctx.Load64(args + 8))
-		outHeads := mem.VAddr(ctx.Load64(args + 16))
-		accumBase := mem.VAddr(ctx.Load64(args + 24))
-		done := mem.VAddr(ctx.Load64(args + 32))
-		size := int(ctx.Load64(args + 40))
-		nThreads := int(ctx.Load64(args + 48))
+		var args [10]uint64
+		kernelArgs(ctx, args[:])
+		aHeads, bHeads, outHeads, accumBase := mem.VAddr(args[0]), mem.VAddr(args[1]), mem.VAddr(args[2]), mem.VAddr(args[3])
+		done, size, nThreads := mem.VAddr(args[4]), int(args[5]), int(args[6])
 		area := xthreads.MallocArea{
-			Flags:    mem.VAddr(ctx.Load64(args + 56)),
-			Sizes:    mem.VAddr(ctx.Load64(args + 64)),
-			Results:  mem.VAddr(ctx.Load64(args + 72)),
+			Flags:    mem.VAddr(args[7]),
+			Sizes:    mem.VAddr(args[8]),
+			Results:  mem.VAddr(args[9]),
 			FirstTID: 0,
 		}
 		tid := ctx.TID()

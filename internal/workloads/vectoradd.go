@@ -31,16 +31,16 @@ func VectorAddXthreads(cfg core.Config, n int, seed int64) (Result, error) {
 	}
 
 	kernel := m.RegisterKernel(func(ctx *xthreads.MTTOPContext) {
-		args := ctx.Args()
-		v1p := mem.VAddr(ctx.Load64(args + 0))
-		v2p := mem.VAddr(ctx.Load64(args + 8))
-		sum := mem.VAddr(ctx.Load64(args + 16))
-		done := mem.VAddr(ctx.Load64(args + 24))
+		var args [4]uint64
+		kernelArgs(ctx, args[:])
+		v1p, v2p, sum, done := mem.VAddr(args[0]), mem.VAddr(args[1]), mem.VAddr(args[2]), mem.VAddr(args[3])
 		tid := ctx.TID()
-		a := ctx.Load32(v1p + mem.VAddr(4*tid))
-		b := ctx.Load32(v2p + mem.VAddr(4*tid))
-		ctx.Compute(1)
-		ctx.Store32(sum+mem.VAddr(4*tid), a+b)
+		b := ctx.Batch()
+		a := b.Load32(v1p + mem.VAddr(4*tid))
+		c := b.Load32(v2p + mem.VAddr(4*tid))
+		b.Compute(1)
+		b.Run()
+		ctx.Store32(sum+mem.VAddr(4*tid), b.Value32(a)+b.Value32(c))
 		ctx.SignalSlot(done, 0)
 	})
 

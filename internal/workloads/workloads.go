@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
+	"ccsvm/internal/xthreads"
 )
 
 // Result is the outcome of one benchmark run on one machine.
@@ -127,4 +129,18 @@ func threadCountFor(workUnits, hwContexts int) int {
 		t = 1
 	}
 	return t
+}
+
+// kernelArgs loads the first len(args) 64-bit words of an xthreads kernel's
+// argument block as one batch.
+func kernelArgs(ctx *xthreads.MTTOPContext, args []uint64) {
+	b := ctx.Batch()
+	first := b.Len()
+	for i := range args {
+		b.Load64(ctx.Args() + mem.VAddr(8*i))
+	}
+	b.Run()
+	for i := range args {
+		args[i] = b.Value64(first + i)
+	}
 }

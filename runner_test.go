@@ -285,7 +285,8 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 // arena between Run calls: once the first call has built a machine of every
 // shape in the list, the later calls draw every engine, memory, tag array,
 // SWMR checker and directory table from the arena, and its parked message
-// populations stay at the first call's high-water mark.
+// populations and op batches, with their storage, stay at the first call's
+// high-water mark.
 func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
 	var specs []ccsvm.RunSpec
@@ -336,8 +337,8 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 		s := parked[0].Stats()
 		if call == 1 {
 			arena, first = parked[0], s
-			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.CohMsgs == 0 || s.NocMsgs == 0 {
-				t.Fatalf("first call built no checker or table, or parked no messages: %+v", s)
+			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.CohMsgs == 0 || s.NocMsgs == 0 || s.Batches == 0 {
+				t.Fatalf("first call built no checker or table, or parked no messages or batches: %+v", s)
 			}
 		} else {
 			if parked[0] != arena {
@@ -358,6 +359,11 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 			if s.CohMsgs != first.CohMsgs || s.NocMsgs != first.NocMsgs {
 				t.Errorf("call %d parked %d coherence and %d network messages, want call 1's %d and %d",
 					call, s.CohMsgs, s.NocMsgs, first.CohMsgs, first.NocMsgs)
+			}
+			// A built batch, or one whose storage grew, raises these.
+			if s.Batches != first.Batches || s.BatchOps != first.BatchOps {
+				t.Errorf("call %d parked %d batches holding %d ops, want call 1's %d and %d",
+					call, s.Batches, s.BatchOps, first.Batches, first.BatchOps)
 			}
 		}
 		prev = s
