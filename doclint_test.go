@@ -25,8 +25,6 @@ func TestDocLint(t *testing.T) {
 		"internal/workloads",
 		"internal/lint",
 		"internal/lint/analysis",
-		"internal/lint/cfg",
-		"internal/lint/dataflow",
 		"internal/lint/load",
 		"internal/lint/linttest",
 	} {

@@ -372,7 +372,8 @@ func (m *Machine) RunProgram(fn HostFunc) (sim.Duration, error) {
 
 // RunThreads runs one host function per CPU core (pthreads-style), starting
 // them together, and returns the simulated time until all have finished and
-// the machine has quiesced.
+// the machine has quiesced. A drained run that leaves pooled engine events
+// live is an error.
 func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 	if len(fns) > len(m.CPUs) {
 		return 0, fmt.Errorf("apu: %d threads exceed %d CPU cores", len(fns), len(m.CPUs))
@@ -406,6 +407,9 @@ func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 	if remaining > 0 {
 		m.Shutdown()
 		return 0, fmt.Errorf("apu: simulation ran out of events with %d host threads unfinished", remaining)
+	}
+	if n := m.Engine.LiveEvents(); n != 0 {
+		return 0, fmt.Errorf("apu: drained run left %d pooled events live", n)
 	}
 	return m.Engine.Now().Sub(start), nil
 }

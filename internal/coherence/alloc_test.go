@@ -16,7 +16,9 @@ import (
 //   - a read and a write the directory forwards to the line's owner;
 //   - a store coalesced behind a load that gets only Shared, then reissued;
 //   - writes that evict Modified lines (5 lines in one L1 set of 4 ways),
-//     each with its PutM.
+//     each with its PutM;
+//   - a read of a line whose PutM is still in flight, which stalls until the
+//     PutAck and then retries.
 func TestMissPathAllocatesNothing(t *testing.T) {
 	for _, proto := range protocolList {
 		t.Run(proto.Name, func(t *testing.T) {
@@ -52,6 +54,10 @@ func TestMissPathAllocatesNothing(t *testing.T) {
 				for k := 0; k < 5; k++ {
 					access(0, mem.Write, 0x200040+mem.PAddr(k)*1024)
 				}
+				// The write evicts the set's LRU line, which the read then
+				// finds with its writeback in flight.
+				s.l1s[0].Access(mem.Request{Type: mem.Write, Addr: 0x200040, Size: 8}, done)
+				access(0, mem.Read, 0x200440)
 			}
 			// Warm up until the engine's calendar, the free lists, the maps and
 			// the bank's sharer buffer have reached their high-water capacity.

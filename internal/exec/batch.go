@@ -43,8 +43,6 @@ type batchOp struct {
 }
 
 // op is the Op the thread would have issued for o.
-//
-//ccsvm:hotpath
 func (o *batchOp) op() Op {
 	switch o.kind {
 	case OpCompute:
@@ -70,8 +68,6 @@ func (c *Context) Batch() *Batch {
 // add appends one op and returns its index. The first append after a Run
 // starts a new batch, so the values of the last run's loads stay readable
 // until then.
-//
-//ccsvm:hotpath
 func (b *Batch) add(kind OpKind, size uint8, va mem.VAddr, v uint64) int {
 	if b.next == len(b.ops) {
 		b.ops, b.next = b.ops[:0], 0
@@ -156,8 +152,6 @@ func (b *Batch) Float64(i int) float64 { return math.Float64frombits(b.Value64(i
 // ended, after its last op or on the load that ends a loop: t's coroutine
 // must then run. Only Drive (through hold), Drain and t's own drive loop
 // call it.
-//
-//ccsvm:hotpath
 func (t *Thread) step() bool {
 	b := t.batch
 	o := &b.ops[b.next]
@@ -188,8 +182,6 @@ func (t *Thread) releaseBatch() {
 }
 
 // getBatch takes an empty batch off the free list, or builds one.
-//
-//ccsvm:pooled get
 func (g *Gate) getBatch() *Batch {
 	n := len(g.batches)
 	if n == 0 {
@@ -202,11 +194,9 @@ func (g *Gate) getBatch() *Batch {
 }
 
 // putBatch empties b and parks it on the free list.
-//
-//ccsvm:pooled put
 func (g *Gate) putBatch(b *Batch) {
 	*b = Batch{ops: b.ops[:0]}
-	g.batches = append(g.batches, b) //ccsvm:allocok // grows to the most threads holding a batch at once
+	g.batches = append(g.batches, b) // grows to the most threads holding a batch at once
 }
 
 // SeedBatches hands the gate batches drained from an earlier machine's gate
@@ -214,8 +204,6 @@ func (g *Gate) putBatch(b *Batch) {
 // any. Every one holds the longest batch the earlier gates ran, so the
 // smallest of them is at least that long, and a batch this gate builds
 // grows to it at once.
-//
-//ccsvm:pooled put
 func (g *Gate) SeedBatches(bs []*Batch) {
 	if len(bs) > 0 {
 		least := cap(bs[0].ops)
@@ -236,8 +224,6 @@ func (g *Gate) SeedBatches(bs []*Batch) {
 // Each comes back able to hold the longest batch the gate ran: a thread of
 // the next machine may take any of them, and none then grows its storage
 // unless it runs a batch longer than every earlier one.
-//
-//ccsvm:pooled get
 func (g *Gate) DrainBatches() []*Batch {
 	bs := g.batches
 	g.batches = nil

@@ -43,8 +43,6 @@ func (c *Context) do(op Op) Result {
 // gate. Otherwise, or when the engine cannot advance, it yields to Drive,
 // which activates the older completion or finds the engine stalled; the
 // thread is activated again only once its result has been delivered.
-//
-//ccsvm:hotpath
 func (t *Thread) drive() {
 	for t.gate.popOwn(t) {
 		if !t.stepping || !t.step() {
@@ -68,8 +66,6 @@ const (
 )
 
 // ends reports whether the loaded value v ends a loop with operand x.
-//
-//ccsvm:hotpath
 func (c PollCond) ends(v, x uint32) bool {
 	switch c {
 	case UntilEqual:
@@ -93,8 +89,6 @@ func (c PollCond) ends(v, x uint32) bool {
 // loop (see Thread.step): the coroutine resumes only with that load, so a
 // poll costs the coroutine switches of one load, however long it spins. The
 // batch must have no op appended and not run.
-//
-//ccsvm:hotpath
 func (c *Context) Poll32(va mem.VAddr, cond PollCond, x, pause uint32) uint32 {
 	if cond > UntilAtLeast {
 		panic(fmt.Sprintf("exec: Poll32 with PollCond(%d)", uint8(cond)))

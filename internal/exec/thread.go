@@ -215,9 +215,8 @@ func (g *Gate) Bind(eng *sim.Engine) {
 	eng.SetScheduleHook(g.Drain)
 }
 
-//ccsvm:hotpath
 func (g *Gate) enqueue(t *Thread) {
-	g.pending = append(g.pending, t) //ccsvm:allocok // grows to the thread-count high-water mark, then reuses
+	g.pending = append(g.pending, t) // grows to the thread-count high-water mark, then reuses
 	if !g.armed && g.eng != nil {
 		g.armed = true
 		g.eng.ArmScheduleHook(true)
@@ -255,8 +254,6 @@ func (g *Gate) pop() *Thread {
 // with t recorded as the running code meanwhile. A panic skips the restore on
 // purpose: every recovery it unwinds through then sees that the panic was not
 // its own thread's.
-//
-//ccsvm:hotpath
 func (g *Gate) activate(t *Thread) {
 	prev := g.running
 	g.running = t
@@ -275,8 +272,6 @@ func (g *Gate) activate(t *Thread) {
 // completion was delivered by an event it is dispatching, and it cannot be
 // activated from under its own handler frame — so the drain stops there to
 // preserve completion order and leaves the rest to the holder.
-//
-//ccsvm:hotpath
 func (g *Gate) Drain() {
 	if !g.inHandler || g.draining || g.head == len(g.pending) || g.pending[g.head] == g.holder {
 		return
@@ -292,8 +287,6 @@ func (g *Gate) Drain() {
 
 // dispatch runs one engine event under the drain discipline: only schedules
 // made from inside the handler activate pending completions.
-//
-//ccsvm:hotpath
 func (g *Gate) dispatch() bool {
 	prev := g.running
 	g.running = nil
@@ -344,8 +337,6 @@ func (g *Gate) Drive(step func() bool) {
 // holder and scheduled would find it either still holding, so that its code
 // ran after the schedule instead of before, or marked parked while its
 // coroutine is the one running, which Drain cannot activate.
-//
-//ccsvm:hotpath
 func (g *Gate) hold(t *Thread) {
 	for t.step() {
 		if !g.popOwn(t) {
@@ -358,8 +349,6 @@ func (g *Gate) hold(t *Thread) {
 // popOwn dispatches engine events until a completion is pending, and pops it
 // if it is t's own. It reports false, popping nothing, when another thread's
 // completion is older or the engine cannot advance.
-//
-//ccsvm:hotpath
 func (g *Gate) popOwn(t *Thread) bool {
 	for g.head == len(g.pending) {
 		if !g.dispatch() {
@@ -506,8 +495,6 @@ func (t *Thread) run() (killed bool) {
 
 // publish writes op into the thread's slot and, when the core has registered
 // its resume continuation, has the core consume it.
-//
-//ccsvm:hotpath
 func (t *Thread) publish(op Op) {
 	t.op, t.hasOp = op, true
 	if t.resume != nil {
@@ -520,8 +507,6 @@ func (t *Thread) publish(op Op) {
 // running: a panic it raises reaches Drive. It is apart from publish so that
 // publish stays small enough to inline into Context.do, which then passes no
 // Op by value per operation.
-//
-//ccsvm:hotpath
 func (t *Thread) consume() {
 	r := t.resume
 	t.resume = nil

@@ -34,7 +34,7 @@ var randConstructors = map[string]bool{
 }
 
 func runDeterminism(pass *analysis.Pass) (any, error) {
-	ann := ParseAnnotations(pass.Fset, pass.Files, pass.TypesInfo)
+	ann := ParseAnnotations(pass.Fset, pass.Files)
 	if !ann.PkgHas(DirDeterministic) {
 		return nil, nil
 	}

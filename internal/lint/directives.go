@@ -5,11 +5,11 @@ import (
 )
 
 // Directives validates the //ccsvm: annotation vocabulary itself: unknown
-// directive names, malformed arguments, and directives attached to the wrong
-// kind of declaration (a type, a value, a struct field) are errors. The other
-// analyzers ignore malformed directives entirely, so without this check a
-// typo like //ccsvm:pooled-get would silently disable enforcement; with it,
-// the typo fails the build.
+// directive names, arguments, and directives in the wrong place (a function,
+// a type, a value, a struct field) are errors. The determinism analyzer
+// ignores malformed directives entirely, so without this check a typo like
+// //ccsvm:order-invariant would silently fail to apply; with it, the typo
+// fails the build.
 var Directives = &analysis.Analyzer{
 	Name: "ccsvmdirective",
 	Doc:  "report unknown, malformed or misplaced //ccsvm: directives",
@@ -17,7 +17,7 @@ var Directives = &analysis.Analyzer{
 }
 
 func runDirectives(pass *analysis.Pass) (any, error) {
-	ann := ParseAnnotations(pass.Fset, pass.Files, pass.TypesInfo)
+	ann := ParseAnnotations(pass.Fset, pass.Files)
 	for _, e := range ann.Errors {
 		pass.Reportf(e.Pos, "%s", e.Msg)
 	}

@@ -19,23 +19,26 @@ type Finding struct {
 	Message string
 }
 
-// Run executes the given analyzers over packages that must be in dependency
-// order (as returned by load.Load), so that facts exported on an imported
-// package are visible when its importers are analyzed. Findings are returned
-// sorted by file, line and column.
+// Run executes the given analyzers over the loaded packages. Findings are
+// returned sorted by file, line and column.
 func Run(fset *token.FileSet, pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	facts := analysis.NewFactStore()
 	var findings []Finding
 	for _, a := range analyzers {
 		for _, pkg := range pkgs {
-			report := func(d analysis.Diagnostic) {
-				findings = append(findings, Finding{
-					Analyzer: a.Name,
-					Pos:      fset.Position(d.Pos),
-					Message:  d.Message,
-				})
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Report: func(d analysis.Diagnostic) {
+					findings = append(findings, Finding{
+						Analyzer: a.Name,
+						Pos:      fset.Position(d.Pos),
+						Message:  d.Message,
+					})
+				},
 			}
-			pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info, facts, report)
 			if _, err := a.Run(pass); err != nil {
 				return nil, err
 			}

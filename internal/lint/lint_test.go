@@ -15,14 +15,6 @@ func TestDeterminism(t *testing.T) {
 	linttest.Run(t, ".", lint.Determinism, "det", "detclean", "notdet")
 }
 
-func TestPoolOwnership(t *testing.T) {
-	linttest.Run(t, ".", lint.PoolOwnership, "pool", "poolclean")
-}
-
-func TestAllocFree(t *testing.T) {
-	linttest.Run(t, ".", lint.AllocFree, "allochot", "allocclean")
-}
-
 func TestDirectives(t *testing.T) {
 	linttest.Run(t, ".", lint.Directives, "dirbad", "dirclean")
 }

@@ -4,8 +4,8 @@
 // golang.org/x/tools/go/packages: it understands exactly the two layouts the
 // lint drivers need — this repository (a module with internal packages) and
 // the linttest testdata tree (bare directory-named packages) — and returns
-// packages in dependency order so analyzer facts flow from imported to
-// importing packages.
+// packages in dependency order, each typechecked after its intra-module
+// imports.
 package load
 
 import (
@@ -224,7 +224,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		files = append(files, f)
 	}
 
-	// Load intra-module dependencies first so their types and facts exist.
+	// Load intra-module dependencies first so their types exist.
 	for _, imp := range bp.Imports {
 		if depDir := l.dirOf(imp); depDir != "" {
 			if _, err := l.load(imp, depDir); err != nil {

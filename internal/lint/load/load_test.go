@@ -26,7 +26,7 @@ func writeTree(t *testing.T, files map[string]string) string {
 }
 
 // assertDepOrder fails unless every package appears after all of its
-// intra-module dependencies — the property analyzer facts rely on.
+// intra-module dependencies, the order the loader typechecks them in.
 func assertDepOrder(t *testing.T, pkgs []*load.Package) {
 	t.Helper()
 	seen := make(map[string]bool)
@@ -198,7 +198,7 @@ func TestLoadSkipsTestdataAndHidden(t *testing.T) {
 
 func TestLoadSameLoaderIsIdempotent(t *testing.T) {
 	// Loading a package twice through one loader returns the same *Package,
-	// so facts exported during an earlier pattern remain attached.
+	// so each package is parsed and typechecked once per loader.
 	root := writeTree(t, map[string]string{
 		"p/p.go": "package p\n\n// P is exported data.\nvar P int\n",
 	})

@@ -6,14 +6,10 @@ import (
 
 // Analyzers returns the full ccsvm lint suite in the order cmd/ccsvm-lint
 // runs it: directive hygiene first (so a malformed annotation is reported
-// rather than silently ignored by the enforcement passes), then the
-// invariant analyzers — determinism, the flow-sensitive pool-ownership
-// check and the allocation-free hot path.
+// rather than silently ignored), then determinism.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Directives,
 		Determinism,
-		PoolOwnership,
-		AllocFree,
 	}
 }

@@ -16,33 +16,44 @@ func Retired() {}
 //ccsvm:enginectx // want "unknown directive"
 func RetiredEngineCtx() {}
 
-//ccsvm:pooled // want "exactly one argument"
-func MissingArg() {}
+// So are the retired hot-path and pool markers: allocation tests and the
+// machines' run-end pool check enforce both at run time.
+//
+//ccsvm:hotpath // want "unknown directive"
+func RetiredHotPath() {}
 
-//ccsvm:pooled recycle // want "exactly one argument"
-func BadArg() {}
+//ccsvm:pooled get // want "unknown directive"
+func RetiredPooled() {}
 
-//ccsvm:hotpath always // want "takes no argument"
-func ExtraArg() {}
+// RetiredAllocOk carries the retired allocation exemption.
+func RetiredAllocOk() []int {
+	return make([]int, 1) //ccsvm:allocok // want "unknown directive"
+}
 
-//ccsvm:hotpath // want "not allowed on a type"
+// ExtraArg iterates a map.
+func ExtraArg(m map[int]int) {
+	//ccsvm:orderinvariant always // want "takes no argument"
+	for range m {
+	}
+}
+
+//ccsvm:orderinvariant // want "not allowed on a type"
 type T int
 
 //ccsvm:deterministic // want "not allowed on a function"
 func Misplaced() {}
 
-// ccsvm:hotpath // want "space between"
+// ccsvm:deterministic // want "space between"
 func Spaced() {}
 
-// S has an annotated struct field, which is invalid even for a func-typed
-// field.
+// S has an annotated struct field.
 type S struct {
-	//ccsvm:hotpath // want "not allowed on a struct field"
+	//ccsvm:orderinvariant // want "not allowed on a struct field"
 	F func()
 }
 
 // Floating directives may only be floating kinds.
 func Body() {
-	//ccsvm:hotpath // want "not allowed on a floating comment"
+	//ccsvm:deterministic // want "not allowed on a floating comment"
 	_ = 1
 }

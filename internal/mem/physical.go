@@ -52,8 +52,6 @@ func (p *Physical) frame(f FrameNumber) []byte {
 }
 
 // page resolves the frame containing addr through the one-entry cache.
-//
-//ccsvm:hotpath
 func (p *Physical) page(addr PAddr) []byte {
 	f := FrameOf(addr)
 	if p.lastData != nil && f == p.lastFrame {
@@ -87,8 +85,6 @@ func (p *Physical) WriteBytes(addr PAddr, src []byte) {
 }
 
 // ReadUint64 reads a little-endian 64-bit value.
-//
-//ccsvm:hotpath
 func (p *Physical) ReadUint64(addr PAddr) uint64 {
 	if off := uint64(addr) & (PageSize - 1); off+8 <= PageSize {
 		return binary.LittleEndian.Uint64(p.page(addr)[off:])
@@ -99,8 +95,6 @@ func (p *Physical) ReadUint64(addr PAddr) uint64 {
 }
 
 // WriteUint64 writes a little-endian 64-bit value.
-//
-//ccsvm:hotpath
 func (p *Physical) WriteUint64(addr PAddr, v uint64) {
 	if off := uint64(addr) & (PageSize - 1); off+8 <= PageSize {
 		binary.LittleEndian.PutUint64(p.page(addr)[off:], v)
@@ -112,8 +106,6 @@ func (p *Physical) WriteUint64(addr PAddr, v uint64) {
 }
 
 // ReadUint32 reads a little-endian 32-bit value.
-//
-//ccsvm:hotpath
 func (p *Physical) ReadUint32(addr PAddr) uint32 {
 	if off := uint64(addr) & (PageSize - 1); off+4 <= PageSize {
 		return binary.LittleEndian.Uint32(p.page(addr)[off:])
@@ -124,8 +116,6 @@ func (p *Physical) ReadUint32(addr PAddr) uint32 {
 }
 
 // WriteUint32 writes a little-endian 32-bit value.
-//
-//ccsvm:hotpath
 func (p *Physical) WriteUint32(addr PAddr, v uint32) {
 	if off := uint64(addr) & (PageSize - 1); off+4 <= PageSize {
 		binary.LittleEndian.PutUint32(p.page(addr)[off:], v)
@@ -137,15 +127,11 @@ func (p *Physical) WriteUint32(addr PAddr, v uint32) {
 }
 
 // ReadUint8 reads a single byte.
-//
-//ccsvm:hotpath
 func (p *Physical) ReadUint8(addr PAddr) uint8 {
 	return p.page(addr)[uint64(addr)&(PageSize-1)]
 }
 
 // WriteUint8 writes a single byte.
-//
-//ccsvm:hotpath
 func (p *Physical) WriteUint8(addr PAddr, v uint8) {
 	p.page(addr)[uint64(addr)&(PageSize-1)] = v
 }

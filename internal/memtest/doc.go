@@ -10,8 +10,9 @@
 //     linearization chain exactly.
 //  2. Protocol invariants — sampled at quiesce points: at most one owner per
 //     line, no writer coexisting with readers, the directory's state and
-//     sharer vector consistent with the actual L1 states, every controller
-//     drained, and no pooled Msg/Event leaked or double-released.
+//     sharer vector consistent with the actual L1 states, and every
+//     controller drained. core.Machine.RunProgram fails a round that leaks
+//     or double-releases a pooled Msg or Event.
 //  3. Determinism — the same seed must produce a bit-identical event trace
 //     (sim.Engine's trace hash) and final memory image.
 //

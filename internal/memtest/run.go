@@ -37,7 +37,8 @@ type Report struct {
 	// together they are the determinism contract's observables.
 	TraceHash uint64
 	MemHash   uint64
-	// Pool is the system-wide protocol-message accounting.
+	// Pool is the system-wide protocol-message accounting. core's RunProgram
+	// fails a round that leaves it unbalanced.
 	Pool coherence.PoolStats
 	// Failures lists every check that failed, empty on a clean run.
 	Failures []string
@@ -218,15 +219,6 @@ func RunProgram(cfg Config, prog Program) (rep Report) {
 		h.fail("checker: %s", v)
 	}
 	rep.Pool = coherence.SumPoolStats(m.L1Controllers(), m.DirectoryBanks())
-	if rep.Pool.DoubleReleases != 0 {
-		h.fail("pool: %d double-released protocol messages", rep.Pool.DoubleReleases)
-	}
-	if n := rep.Pool.InFlight(); n != 0 {
-		h.fail("pool: %d protocol messages leaked (allocated %d, released %d)", n, rep.Pool.Gets, rep.Pool.Puts)
-	}
-	if n := m.Engine.LiveEvents(); n != 0 {
-		h.fail("events: %d pooled events still live after drain", n)
-	}
 	if want := prog.Ops(); len(h.failures) == 0 && h.completed != want {
 		h.fail("completion: %d of %d operations completed", h.completed, want)
 	}

@@ -172,8 +172,6 @@ func (c *Core) BusyContexts() int { return c.inUse }
 // stepContext itself as the resume continuation: the thread's between-ops
 // code runs when the gate activates its coroutine and re-enters here with the
 // operation published.
-//
-//ccsvm:hotpath
 func (c *Core) stepContext(h *hwContext) {
 	if h.busy || h.thread == nil {
 		return
@@ -280,8 +278,6 @@ func (c *Core) translated(h *hwContext, pa mem.PAddr, fault *vm.Fault) {
 
 // issueToPort performs the timed cache access and the functional data
 // movement at completion time.
-//
-//ccsvm:hotpath
 func (c *Core) issueToPort(h *hwContext, pa mem.PAddr) {
 	var typ mem.AccessType
 	switch h.op.Kind {

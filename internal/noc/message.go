@@ -52,9 +52,6 @@ type msgPool struct {
 }
 
 // get returns a zeroed pooled message.
-//
-//ccsvm:pooled get
-//ccsvm:hotpath
 func (p *msgPool) get() *Message {
 	if n := len(p.free); n > 0 {
 		m := p.free[n-1]
@@ -62,20 +59,17 @@ func (p *msgPool) get() *Message {
 		p.free = p.free[:n-1]
 		return m
 	}
-	return &Message{fromPool: true} //ccsvm:allocok // pool miss; steady state reuses the free list
+	return &Message{fromPool: true} // pool miss; steady state reuses the free list
 }
 
 // put recycles a delivered pooled message; caller-constructed messages are
 // left alone.
-//
-//ccsvm:pooled put
-//ccsvm:hotpath
 func (p *msgPool) put(m *Message) {
 	if !m.fromPool {
 		return
 	}
 	*m = Message{fromPool: true}
-	p.free = append(p.free, m) //ccsvm:allocok // free list returns to its high-water mark
+	p.free = append(p.free, m) // free list returns to its high-water mark
 }
 
 // drain removes and returns every free message, handing over the free

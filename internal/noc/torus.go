@@ -130,21 +130,15 @@ func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, _
 // NewMessage returns a message from the network's free list for the hot send
 // path. The network recycles it after delivery (see Message), so senders fill
 // it, Send it, and never touch it again.
-//
-//ccsvm:pooled get
 func (t *Torus) NewMessage() *Message { return t.pool.get() }
 
 // DrainFreeList removes and returns the network's parked message envelopes,
 // for recycling into the next machine's torus (see SeedFreeList). It hands
 // over the free list's own slice, copying nothing.
-//
-//ccsvm:pooled get
 func (t *Torus) DrainFreeList() []*Message { return t.pool.drain() }
 
 // SeedFreeList hands previously drained envelopes to this network's pool; an
 // empty pool adopts the slice itself.
-//
-//ccsvm:pooled put
 func (t *Torus) SeedFreeList(ms []*Message) { t.pool.seed(ms) }
 
 // Attach registers the receiver for a node ID. It panics if the node has no
@@ -162,8 +156,6 @@ func (t *Torus) Attach(id NodeID, r Receiver) {
 
 // Placement reports the coordinate of a node, and false for a node the torus
 // has no placement for.
-//
-//ccsvm:hotpath
 func (t *Torus) Placement(id NodeID) (Coord, bool) {
 	if uint(id) >= uint(len(t.placement)) {
 		return Coord{}, false
@@ -242,8 +234,6 @@ func (t *Torus) serialization(sizeBytes int) sim.Duration {
 // serialization time, and traverses it in the link latency. The walk state
 // lives on the message, so sending allocates no path slice and each hop
 // schedules without a closure.
-//
-//ccsvm:hotpath
 func (t *Torus) Send(msg *Message) {
 	if msg.SizeBytes <= 0 {
 		panic("noc: message with non-positive size")
@@ -266,8 +256,6 @@ func (t *Torus) Send(msg *Message) {
 // advance moves the message one hop toward its destination (X dimension
 // first, then Y); at the destination router the message is ejected into the
 // endpoint.
-//
-//ccsvm:hotpath
 func (t *Torus) advance(msg *Message) {
 	now := t.engine.Now()
 	if msg.cur == msg.dst {
@@ -296,8 +284,6 @@ func (t *Torus) advance(msg *Message) {
 	t.engine.AtArg(arrive, t.advanceFn, msg)
 }
 
-//
-//ccsvm:hotpath
 func (t *Torus) deliver(msg *Message) {
 	r := t.receivers[msg.Dst]
 	if r == nil {

@@ -10,8 +10,8 @@ import "fmt"
 // the queue) its object goes back on the engine's free list and is reused by
 // a later At/Schedule call. A handle returned by At/Schedule is therefore
 // valid only until the event fires; callers that retain handles must drop
-// them when the callback runs (as Ticker does). Cancel on a handle whose
-// event already fired is a no-op as long as the object has not been reused.
+// them when the callback runs. Cancel on a handle whose event already fired
+// is a no-op as long as the object has not been reused.
 type Event struct {
 	when Time
 	seq  uint64
@@ -82,7 +82,6 @@ type calBucket struct {
 	sorted bool
 }
 
-//ccsvm:hotpath
 func (b *calBucket) push(ev *Event) {
 	if b.head == len(b.events) {
 		b.events = b.events[:0]
@@ -92,7 +91,7 @@ func (b *calBucket) push(ev *Event) {
 	if n := len(b.events); b.sorted && n > b.head && eventLess(ev, b.events[n-1]) {
 		b.sorted = false
 	}
-	b.events = append(b.events, ev) //ccsvm:allocok // recycled backing array, grows to bucket high-water mark
+	b.events = append(b.events, ev) // recycled backing array, grows to bucket high-water mark
 }
 
 // Engine is a single-threaded discrete-event simulation engine.
@@ -148,7 +147,7 @@ type Engine struct {
 	executed uint64
 
 	// live counts events checked out of the free list (scheduled or firing
-	// but not yet released). The memtest subsystem asserts it returns to
+	// but not yet released). The machines' run loops assert it returns to
 	// zero at quiesce, which catches leaked or double-released events.
 	live int
 
@@ -221,9 +220,6 @@ func fnvMix(h, v uint64) uint64 {
 const eventChunk = 64
 
 // alloc takes an event from the free list, refilling it a chunk at a time.
-//
-//ccsvm:pooled get
-//ccsvm:hotpath
 func (e *Engine) alloc() *Event {
 	e.live++
 	if n := len(e.free); n > 0 {
@@ -232,20 +228,17 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	chunk := make([]Event, eventChunk) //ccsvm:allocok // amortized chunk refill, 1/64 gets
+	chunk := make([]Event, eventChunk) // amortized chunk refill, 1/64 gets
 	for i := range chunk {
 		chunk[i].index = indexPooled
 	}
 	for i := 1; i < len(chunk); i++ {
-		e.free = append(e.free, &chunk[i]) //ccsvm:allocok // free list grows with the chunk
+		e.free = append(e.free, &chunk[i]) // free list grows with the chunk
 	}
 	return &chunk[0]
 }
 
 // release returns a drained event to the free list.
-//
-//ccsvm:pooled put
-//ccsvm:hotpath
 func (e *Engine) release(ev *Event) {
 	if ev.index == indexPooled {
 		panic("sim: double release of a pooled event")
@@ -255,15 +248,13 @@ func (e *Engine) release(ev *Event) {
 	ev.arg = nil
 	ev.canceled = false
 	ev.index = indexPooled
-	e.free = append(e.free, ev) //ccsvm:allocok // free list returns to its high-water mark
+	e.free = append(e.free, ev) // free list returns to its high-water mark
 }
 
 // heapPush adds ev to the overflow heap and sifts it up. Open-coded
 // container/heap.Push without the interface dispatch.
-//
-//ccsvm:hotpath
 func (e *Engine) heapPush(ev *Event) {
-	h := append(e.overflow, ev) //ccsvm:allocok // overflow heap grows to its high-water mark
+	h := append(e.overflow, ev) // overflow heap grows to its high-water mark
 	j := len(h) - 1
 	ev.index = int32(j)
 	for j > 0 {
@@ -282,8 +273,6 @@ func (e *Engine) heapPush(ev *Event) {
 // heapPopTop removes the heap's minimum (h[0]) and sifts the displaced tail
 // element down. Open-coded container/heap.Pop without the interface dispatch
 // or any-boxing of the removed event.
-//
-//ccsvm:hotpath
 func (e *Engine) heapPopTop() *Event {
 	h := e.overflow
 	top := h[0]
@@ -325,8 +314,6 @@ func (e *Engine) heapPopTop() *Event {
 // [now>>calShift, now>>calShift + calBuckets), so a ring slot never mixes
 // events from different laps — time only moves forward, and events further
 // out go to the heap.
-//
-//ccsvm:hotpath
 func (e *Engine) insert(ev *Event) {
 	b := int64(ev.when) >> calShift
 	if b-(int64(e.now)>>calShift) < calBuckets {
@@ -363,8 +350,6 @@ func (e *Engine) ArmScheduleHook(on bool) { e.hookArmed = on }
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in a component model, so it panics loudly rather than silently
 // reordering time.
-//
-//ccsvm:hotpath
 func (e *Engine) At(t Time, fn func()) *Event {
 	if e.hookArmed {
 		e.preSchedule()
@@ -385,8 +370,6 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // bound once at component construction and arg a pooled message, so
 // scheduling builds no closure. Pointer-shaped args do not escape to a fresh
 // allocation when stored in the event.
-//
-//ccsvm:hotpath
 func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	if e.hookArmed {
 		e.preSchedule()
@@ -403,8 +386,6 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 }
 
 // Schedule schedules fn to run after delay relative to the current time.
-//
-//ccsvm:hotpath
 func (e *Engine) Schedule(delay Duration, fn func()) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -414,8 +395,6 @@ func (e *Engine) Schedule(delay Duration, fn func()) *Event {
 
 // ScheduleArg schedules fn(arg) after delay relative to the current time; it
 // is the allocation-free variant of Schedule (see AtArg).
-//
-//ccsvm:hotpath
 func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -427,8 +406,6 @@ func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) *Event {
 // already-canceled event is a no-op (but see Event: a handle kept after its
 // event fired may be reused by a later schedule, so long-lived holders must
 // drop handles when their callback runs).
-//
-//ccsvm:hotpath
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.canceled || ev.index == indexPooled || ev.index == indexFiring {
 		return
@@ -445,8 +422,6 @@ func (e *Engine) Cancel(ev *Event) {
 // sortEvents orders a bucket tail by (time, seq) with an allocation-free
 // insertion sort; buckets hold at most a bucket-width of events, so they stay
 // small enough that insertion sort beats the reflective sort.Slice.
-//
-//ccsvm:hotpath
 func sortEvents(evs []*Event) {
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
@@ -462,8 +437,6 @@ func sortEvents(evs []*Event) {
 // peekCal returns the earliest live bucketed event, draining canceled ones,
 // or nil when the calendar is empty. It leaves calScan at the returned
 // event's bucket index so the fused pop can remove it without rescanning.
-//
-//ccsvm:hotpath
 func (e *Engine) peekCal() *Event {
 	if e.calCount == 0 {
 		return nil
@@ -499,8 +472,6 @@ func (e *Engine) peekCal() *Event {
 
 // peekOverflow returns the earliest live heap event, draining canceled ones,
 // or nil when the heap is empty.
-//
-//ccsvm:hotpath
 func (e *Engine) peekOverflow() *Event {
 	for len(e.overflow) > 0 {
 		ev := e.overflow[0]
@@ -517,8 +488,6 @@ func (e *Engine) peekOverflow() *Event {
 // runs only when the cache is cold: at the start of a drain, after an
 // insert-before-next or a Cancel of the candidate, and when a bucket empties
 // or goes unsorted under the fused pop.
-//
-//ccsvm:hotpath
 func (e *Engine) refill() *Event {
 	cev := e.peekCal()
 	hev := e.peekOverflow()
@@ -539,8 +508,6 @@ func (e *Engine) refill() *Event {
 // lower-bounds every heap event, canceled or not). Anything scheduled or
 // canceled by the subsequent callback that could displace the promoted
 // candidate invalidates the cache through insert/Cancel.
-//
-//ccsvm:hotpath
 func (e *Engine) pop(ev *Event) {
 	e.next = nil
 	if ev.index == indexBucketed {
@@ -567,8 +534,6 @@ func (e *Engine) pop(ev *Event) {
 // This is the fused dispatch path: one cached-candidate load (or one refill
 // when cold), one pop with successor promotion, one unconditional trace mix,
 // one callback.
-//
-//ccsvm:hotpath
 func (e *Engine) Step() bool {
 	ev := e.next
 	if ev == nil {

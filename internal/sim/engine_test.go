@@ -191,53 +191,6 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := NewEngine()
-	clk := Clock{Period: 10, Name: "test"}
-	var ticks []Time
-	tk := NewTicker(e, clk, func(now Time) {
-		ticks = append(ticks, now)
-		if len(ticks) == 5 {
-			e.Stop()
-		}
-	})
-	tk.Arm()
-	// A sentinel event far in the future keeps the queue non-empty.
-	e.Schedule(1000000, func() {})
-	e.Run()
-	if len(ticks) != 5 {
-		t.Fatalf("got %d ticks, want 5", len(ticks))
-	}
-	for i, tm := range ticks {
-		if tm != Time(i*10) {
-			t.Fatalf("tick %d at %v, want %v", i, tm, Time(i*10))
-		}
-	}
-	tk.Pause()
-	if tk.Armed() {
-		t.Fatal("ticker still armed after Pause")
-	}
-}
-
-func TestTickerPauseStopsCallbacks(t *testing.T) {
-	e := NewEngine()
-	clk := Clock{Period: 10, Name: "test"}
-	count := 0
-	var tk *Ticker
-	tk = NewTicker(e, clk, func(now Time) {
-		count++
-		if count == 3 {
-			tk.Pause()
-		}
-	})
-	tk.Arm()
-	e.Schedule(1000, func() {})
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-}
-
 // TestPendingCounter exercises the O(1) pending counter against schedule,
 // cancel, double-cancel, cancel-after-fire, and partial-run sequences.
 func TestPendingCounter(t *testing.T) {

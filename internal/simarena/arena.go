@@ -97,8 +97,6 @@ func pop[T any](s *[]T) (part T, ok bool) {
 
 // Engine returns an engine with fresh semantics: a recycled one when the
 // arena has one parked (already Reset), otherwise a new one.
-//
-//ccsvm:pooled get
 func (a *Arena) Engine() *sim.Engine {
 	if a != nil {
 		if e, ok := pop(&a.engines); ok {
@@ -113,8 +111,6 @@ func (a *Arena) Engine() *sim.Engine {
 // RecycleEngine resets the engine (releasing any still-queued events into its
 // free list) and parks it for the next machine. No-op on a nil arena or
 // engine.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleEngine(e *sim.Engine) {
 	if a == nil || e == nil {
 		return
@@ -126,8 +122,6 @@ func (a *Arena) RecycleEngine(e *sim.Engine) {
 // Physical returns a physical memory of the given capacity with every byte
 // zero: a recycled one when available (Reset to the requested size, keeping
 // its materialized frames), otherwise a new one.
-//
-//ccsvm:pooled get
 func (a *Arena) Physical(size uint64) *mem.Physical {
 	if a != nil {
 		if p, ok := pop(&a.phys); ok {
@@ -143,8 +137,6 @@ func (a *Arena) Physical(size uint64) *mem.Physical {
 // RecyclePhysical parks a memory for reuse. The expensive zeroing happens at
 // the next Physical() call, which also knows the capacity the next machine
 // wants. No-op on a nil arena or memory.
-//
-//ccsvm:pooled put
 func (a *Arena) RecyclePhysical(p *mem.Physical) {
 	if a == nil || p == nil {
 		return
@@ -159,8 +151,6 @@ type geometry struct{ sizeBytes, assoc int }
 // recycled one of equal SizeBytes and Assoc when the arena has one parked
 // (Reset, which clears only the sets its last run wrote), otherwise a new
 // one.
-//
-//ccsvm:pooled get
 func (a *Arena) Array(cfg cache.Config) *cache.Array {
 	if a != nil {
 		g := geometry{cfg.SizeBytes, cfg.Assoc}
@@ -179,8 +169,6 @@ func (a *Arena) Array(cfg cache.Config) *cache.Array {
 // RecycleArray parks a tag array for the next machine. The reset happens at
 // the next Array() call, which also knows the name the next machine wants.
 // No-op on a nil arena or array.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleArray(arr *cache.Array) {
 	if a == nil || arr == nil {
 		return
@@ -195,8 +183,6 @@ func (a *Arena) RecycleArray(arr *cache.Array) {
 
 // Checker returns an enabled SWMR checker with nothing recorded: a recycled
 // one when the arena has one parked (already Reset), otherwise a new one.
-//
-//ccsvm:pooled get
 func (a *Arena) Checker() *coherence.Checker {
 	if a != nil {
 		if c, ok := pop(&a.checkers); ok {
@@ -210,8 +196,6 @@ func (a *Arena) Checker() *coherence.Checker {
 
 // RecycleChecker resets the checker (keeping its line map and records) and
 // parks it for the next machine. No-op on a nil arena or checker.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleChecker(c *coherence.Checker) {
 	if a == nil || c == nil {
 		return
@@ -222,8 +206,6 @@ func (a *Arena) RecycleChecker(c *coherence.Checker) {
 
 // DirTable returns an empty directory entry table: a recycled one when the
 // arena has one parked (already Reset), otherwise a new one.
-//
-//ccsvm:pooled get
 func (a *Arena) DirTable() *coherence.DirTable {
 	if a != nil {
 		if t, ok := pop(&a.tables); ok {
@@ -237,8 +219,6 @@ func (a *Arena) DirTable() *coherence.DirTable {
 
 // RecycleDirTable resets the table (keeping its map capacity and entries)
 // and parks it for the next machine. No-op on a nil arena or table.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleDirTable(t *coherence.DirTable) {
 	if a == nil || t == nil {
 		return
@@ -250,8 +230,6 @@ func (a *Arena) RecycleDirTable(t *coherence.DirTable) {
 // TakeCohMsgs hands the parked coherence-protocol messages to the caller
 // (typically to seed a new machine's message pool) and empties the arena's
 // list. Returns nil when the arena is nil or empty.
-//
-//ccsvm:pooled get
 func (a *Arena) TakeCohMsgs() []*coherence.Msg {
 	if a == nil || len(a.cohMsgs) == 0 {
 		return nil
@@ -263,8 +241,6 @@ func (a *Arena) TakeCohMsgs() []*coherence.Msg {
 }
 
 // RecycleCohMsgs parks drained coherence messages for the next machine.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleCohMsgs(ms []*coherence.Msg) {
 	if a == nil || len(ms) == 0 {
 		return
@@ -279,8 +255,6 @@ func (a *Arena) RecycleCohMsgs(ms []*coherence.Msg) {
 
 // TakeNocMsgs hands the parked network-message envelopes to the caller and
 // empties the arena's list. Returns nil when the arena is nil or empty.
-//
-//ccsvm:pooled get
 func (a *Arena) TakeNocMsgs() []*noc.Message {
 	if a == nil || len(a.nocMsgs) == 0 {
 		return nil
@@ -292,8 +266,6 @@ func (a *Arena) TakeNocMsgs() []*noc.Message {
 }
 
 // RecycleNocMsgs parks drained network envelopes for the next machine.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleNocMsgs(ms []*noc.Message) {
 	if a == nil || len(ms) == 0 {
 		return
@@ -309,8 +281,6 @@ func (a *Arena) RecycleNocMsgs(ms []*noc.Message) {
 // TakeBatches hands the parked op batches to the caller (to seed a new
 // machine's gate) and empties the arena's list. Returns nil when the arena
 // is nil or empty.
-//
-//ccsvm:pooled get
 func (a *Arena) TakeBatches() []*exec.Batch {
 	if a == nil || len(a.batches) == 0 {
 		return nil
@@ -322,8 +292,6 @@ func (a *Arena) TakeBatches() []*exec.Batch {
 }
 
 // RecycleBatches parks a drained gate's op batches for the next machine.
-//
-//ccsvm:pooled put
 func (a *Arena) RecycleBatches(bs []*exec.Batch) {
 	if a == nil || len(bs) == 0 {
 		return

@@ -97,8 +97,6 @@ type pageWalk struct {
 
 // walk performs the two dependent PTE reads of the hardware walker through
 // the cache hierarchy.
-//
-//ccsvm:hotpath
 func (m *MMU) walk(va mem.VAddr, write bool, done func(pa mem.PAddr, fault *Fault)) {
 	m.walks++
 	var w *pageWalk
@@ -107,7 +105,7 @@ func (m *MMU) walk(va mem.VAddr, write bool, done func(pa mem.PAddr, fault *Faul
 		m.walkFree[n-1] = nil
 		m.walkFree = m.walkFree[:n-1]
 	} else {
-		w = &pageWalk{m: m} //ccsvm:allocok // free-list miss; grows to the most walks ever in flight
+		w = &pageWalk{m: m} // free-list miss; grows to the most walks ever in flight
 		w.stepFn = w.step
 	}
 	w.va, w.write, w.done = va, write, done
@@ -118,8 +116,6 @@ func (m *MMU) walk(va mem.VAddr, write bool, done func(pa mem.PAddr, fault *Faul
 // step runs when a PTE read completes: the value is read functionally, then
 // the walk faults, reads the second-level entry, or fills the TLB. The
 // carrier is recycled before done runs, so done may start another walk.
-//
-//ccsvm:hotpath
 func (w *pageWalk) step() {
 	m := w.m
 	pte := PTE(m.phys.ReadUint64(w.pte))
@@ -130,7 +126,7 @@ func (w *pageWalk) step() {
 	}
 	va, write, done := w.va, w.write, w.done
 	w.done = nil
-	m.walkFree = append(m.walkFree, w) //ccsvm:allocok // free list returns to its high-water mark
+	m.walkFree = append(m.walkFree, w) // free list returns to its high-water mark
 	if !pte.Present() {
 		m.faults++
 		done(0, m.fault(va, write))

@@ -53,8 +53,6 @@ func (t *TLB) find(page mem.PageNumber) *tlbEntry {
 }
 
 // Lookup returns the cached translation for the page containing va.
-//
-//ccsvm:hotpath
 func (t *TLB) Lookup(va mem.VAddr) (mem.FrameNumber, bool, bool) {
 	page := mem.PageOf(va)
 	e := t.last
@@ -73,13 +71,11 @@ func (t *TLB) Lookup(va mem.VAddr) (mem.FrameNumber, bool, bool) {
 
 // Insert caches a translation, replacing the LRU entry (the unique minimum
 // tick) if the TLB is full.
-//
-//ccsvm:hotpath
 func (t *TLB) Insert(va mem.VAddr, frame mem.FrameNumber, writable bool) {
 	page := mem.PageOf(va)
 	e := t.find(page)
 	if e == nil && len(t.entries) < t.cfg.Entries {
-		t.entries = append(t.entries, tlbEntry{}) //ccsvm:allocok // grows to the TLB's capacity, then stays
+		t.entries = append(t.entries, tlbEntry{}) // grows to the TLB's capacity, then stays
 		e = &t.entries[len(t.entries)-1]
 	} else if e == nil {
 		e = &t.entries[0]
