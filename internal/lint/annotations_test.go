@@ -183,3 +183,21 @@ func F() {
 		t.Errorf("misplaced deterministic directive must not mark the package")
 	}
 }
+
+func TestParseAnnotationsFloatingHotPath(t *testing.T) {
+	fset, f, ann := parseSrc(t, `
+package x
+
+func F(m map[int]int) {
+	//ccsvm:hotpath
+	for range m {
+	}
+}
+`)
+	if got := errorsContaining(ann, "unknown directive ccsvm:hotpath"); len(got) != 1 || len(ann.Errors) != 1 {
+		t.Errorf("floating hotpath: got errors %v", ann.Errors)
+	}
+	if ann.OrderInvariantAt(fset, rangeStmts(f)[0].Pos()) {
+		t.Errorf("unknown directive marked the range order-invariant")
+	}
+}
