@@ -31,9 +31,10 @@ type (
 	// traffic, and whether the functional output was verified.
 	Result = workloads.Result
 	// Arena recycles machine parts (event engine, physical memory, cache tag
-	// arrays, SWMR checker, directory tables, message pools) across the runs
-	// of one worker; set System.Arena to use it. A Runner keeps its workers'
-	// arenas itself. See internal/simarena for the reuse contract.
+	// arrays, SWMR checker, directory tables, message pools, software
+	// threads and MTTOP contexts) across the runs of one worker; set
+	// System.Arena to use it. A Runner keeps its workers' arenas itself. See
+	// internal/simarena for the reuse contract.
 	Arena = simarena.Arena
 )
 

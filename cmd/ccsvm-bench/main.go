@@ -24,7 +24,7 @@
 // Regression mode diffs a run against a committed baseline instead of
 // writing one:
 //
-//	ccsvm-bench -compare BENCH_2026-07-29.json             # measure, then diff
+//	ccsvm-bench -compare BENCH_2026-10-19.json             # measure, then diff
 //	ccsvm-bench -compare old.json -input new.json          # diff two files, no run
 //
 // The gate has three tiers per series, matched by name: sim_time_ps,
@@ -55,6 +55,7 @@ package main
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -66,6 +67,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ccsvm"
@@ -496,18 +498,37 @@ func measureScaling(iters int, workerCounts []int) ([]record, error) {
 	return recs, nil
 }
 
-// measureSweep measures one Runner pool size: a warmup sweep, then iters
-// measured sweeps of the whole spec list.
+// measureSweep measures one Runner pool size: a warmup that fills one arena
+// per worker, then iters measured sweeps of the whole spec list.
 func measureSweep(specs []ccsvm.RunSpec, workers, iters int) (record, error) {
 	rec := record{
 		Series:  experiments.Series{Name: fmt.Sprintf("scaling_w%d", workers), Workload: "all", System: "runner"},
 		Iters:   iters,
 		Workers: workers,
 	}
-	runner := &ccsvm.Runner{Parallel: workers}
-	if _, err := runner.Run(specs); err != nil {
+	// Concurrent Run calls never share an arena, so each one-worker call
+	// below fills its own with the parts, threads and MTTOP contexts of every
+	// spec, and the measured sweeps build nothing whichever worker runs which
+	// spec. After a single warmup sweep, an arena would hold only what its
+	// worker happened to run, and allocs/op would depend on scheduling. Each
+	// call starts at another spec, so the calls do not all run the specs
+	// that start a thousand threads at once.
+	runner := &ccsvm.Runner{Parallel: 1}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := w % len(specs)
+			_, errs[w] = runner.Run(append(specs[k:len(specs):len(specs)], specs[:k]...))
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return rec, err
 	}
+	runner.Parallel = workers
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -28,7 +28,7 @@ func newHierRig(t *testing.T, n int) *hierRig {
 		engine: sim.NewEngine(),
 	}
 	r.dram = dram.NewController(r.engine, dram.DefaultAPUConfig())
-	filter := newSnoopFilter()
+	filter := newSnoopFilter(make(map[mem.LineAddr]uint64))
 	for i := 0; i < n; i++ {
 		name := "cpu" + string(rune('0'+i))
 		cfg := HierarchyConfig{

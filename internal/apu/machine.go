@@ -188,23 +188,26 @@ type Machine struct {
 
 	kernel  *kernelos.Kernel
 	heapPtr mem.VAddr
-	threads []*exec.Thread
 	// gate is the cooperative scheduler every software thread of this machine
 	// runs under (see exec.Gate); RunThreads drives the engine through it.
-	gate *exec.Gate
+	// It owns the machine's threads. contexts is the pool of hardware
+	// contexts the GPU units share.
+	gate     *exec.Gate
+	contexts *mttop.ContextPool
+	filter   *snoopFilter
 
 	// arena, when non-nil, receives the engine, physical memory, cache tag
-	// arrays and the gate's op batches back at Shutdown so the worker's next
-	// machine reuses them.
+	// arrays, snoop filter map, the gate's op batches and threads and the
+	// context pool back at Shutdown so the worker's next machine reuses them.
 	arena *simarena.Arena
 	// arrays is every tag array the machine drew (see array).
 	arrays []*cache.Array
 }
 
 // NewMachine builds an APU. When the configuration carries an arena
-// (Config.InArena), the engine, physical memory, cache tag arrays and the
-// gate's op batches come from it; reuse is observation-equivalent to fresh
-// construction.
+// (Config.InArena), the engine, physical memory, cache tag arrays, snoop
+// filter map, the gate's op batches and threads and the GPU units' context
+// pool come from it; reuse is observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
@@ -223,17 +226,19 @@ func NewMachine(cfg Config) *Machine {
 	// must schedule first to keep the event trace order.
 	m.gate.Bind(m.Engine)
 	m.gate.SeedBatches(cfg.arena.TakeBatches())
+	m.gate.SeedThreads(cfg.arena.TakeThreads())
+	m.contexts = cfg.arena.ContextPool()
 	m.heapPtr = 0x4000_0000 // identity-mapped flat heap, clear of page tables
 
 	cpuClock := sim.NewClock("apu.cpu", cfg.CPUClockHz)
 	gpuClock := sim.NewClock("apu.gpu", cfg.GPUClockHz)
-	filter := newSnoopFilter()
+	m.filter = newSnoopFilter(cfg.arena.SnoopMap())
 	for i := 0; i < cfg.NumCPUs; i++ {
 		name := fmt.Sprintf("apu.cpu%d", i)
 		hcfg := cfg.CPUCaches
 		hcfg.L1.Name = name + ".l1"
 		hcfg.L2.Name = name + ".l2"
-		hier := NewPrivateHierarchy(m.Engine, hcfg, m.array(hcfg.L1), m.array(hcfg.L2), m.DRAM, filter)
+		hier := NewPrivateHierarchy(m.Engine, hcfg, m.array(hcfg.L1), m.array(hcfg.L2), m.DRAM, m.filter)
 		m.CPUMem = append(m.CPUMem, hier)
 		core := cpu.New(m.Engine, m.gate, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, hier, nil, m.Phys, m.kernel)
 		m.CPUs = append(m.CPUs, core)
@@ -248,7 +253,7 @@ func NewMachine(cfg Config) *Machine {
 			NumContexts: cfg.GPUContextsPerUnit,
 			IssueWidth:  issueWidth,
 			Name:        fmt.Sprintf("apu.gpu%d", i),
-		}, m.GPUMem, nil, m.Phys, nil)
+		}, m.GPUMem, nil, m.Phys, nil, m.contexts)
 		m.GPUUnits = append(m.GPUUnits, unit)
 	}
 	return m
@@ -347,21 +352,17 @@ func (m *Machine) InvalidateCPUCaches(base mem.VAddr, size uint64) {
 // HostFunc is a CPU-side program on the APU.
 type HostFunc func(ctx *HostContext)
 
-// newHostThread wraps a host function as a software thread.
+// newHostThread wraps a host function as a software thread. Its ID counts
+// every thread the machine has started before it, GPU work-items included.
 func (m *Machine) newHostThread(name string, fn HostFunc) *exec.Thread {
-	t := exec.NewThread(m.gate, len(m.threads), name, func(ec *exec.Context) {
+	return exec.NewThread(m.gate, m.gate.Threads(), name, func(ec *exec.Context) {
 		fn(&HostContext{Context: ec, m: m})
 	})
-	m.threads = append(m.threads, t)
-	return t
 }
 
-// TrackThread registers an externally created thread (GPU work-items) for
-// teardown.
-func (m *Machine) TrackThread(t *exec.Thread) { m.threads = append(m.threads, t) }
-
 // ExecGate exposes the machine's thread scheduler so runtimes layered on the
-// machine (the OpenCL session) can create threads that run under it.
+// machine (the OpenCL session) can create threads that run under it, and
+// that Shutdown tears down with the machine's own.
 func (m *Machine) ExecGate() *exec.Gate { return m.gate }
 
 // RunProgram runs a single host program on CPU core 0 to completion and
@@ -418,16 +419,15 @@ func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 // arena also hands its recyclable parts back here, after which the machine
 // must not be used again; arena-less machines remain readable.
 func (m *Machine) Shutdown() {
-	for _, t := range m.threads {
-		if !t.Finished() {
-			t.Kill()
-		}
-	}
 	a := m.arena
 	if a == nil {
+		m.gate.KillAll()
 		return
 	}
 	m.arena = nil
+	a.RecycleThreads(m.gate.DrainThreads())
+	a.RecycleContextPool(m.contexts)
+	a.RecycleSnoopMap(m.filter.holders)
 	a.RecycleBatches(m.gate.DrainBatches())
 	for i := range m.arrays {
 		arr := m.arrays[i]

@@ -36,8 +36,10 @@ type snoopFilter struct {
 	hiers []*PrivateHierarchy
 }
 
-func newSnoopFilter() *snoopFilter {
-	return &snoopFilter{holders: make(map[mem.LineAddr]uint64)}
+// newSnoopFilter builds a filter over holders, an empty map (the machine
+// draws it from its arena).
+func newSnoopFilter(holders map[mem.LineAddr]uint64) *snoopFilter {
+	return &snoopFilter{holders: holders}
 }
 
 // register hands the hierarchy the stable ID that orders snoop

@@ -52,7 +52,8 @@ type dirEntry struct {
 	// (node IDs are below MaxL1s).
 	sharers uint64
 	// busy blocks the entry while an owner forward or a DRAM fill is in
-	// flight; queued requests are serviced in order afterwards.
+	// flight; queued requests are serviced in order afterwards. queue is nil
+	// while no request waits (see DirTable.enqueue).
 	busy    bool
 	pending *Msg
 	queue   []*Msg
@@ -69,6 +70,11 @@ type DirTable struct {
 	// free holds the zeroed entries Reset took off the map; entryOf reuses
 	// them before allocating.
 	free []*dirEntry
+	// spare holds empty request-queue storage. An entry takes one when a
+	// request must wait and hands it back once its queue drains, so the
+	// queues grow to the most requests that wait at once, not one queue per
+	// line that ever had a request wait.
+	spare [][]*Msg
 }
 
 // NewDirTable returns an empty table.
@@ -78,15 +84,37 @@ func NewDirTable() *DirTable {
 
 // Reset returns the table to NewDirTable's state, keeping the map's
 // capacity and every entry for reuse: each entry's state, owner, sharers,
-// busy flag, pending request and queue length are zeroed.
+// busy flag and pending request are zeroed, and its queue's storage goes to
+// the spare list.
 func (t *DirTable) Reset() {
-	//ccsvm:orderinvariant // every entry is zeroed, so free-list order is unobservable
+	//ccsvm:orderinvariant // every entry and queue is emptied, so free-list order is unobservable
 	for _, e := range t.entries {
 		clear(e.queue)
-		*e = dirEntry{queue: e.queue[:0]}
+		t.release(e)
+		*e = dirEntry{}
 		t.free = append(t.free, e)
 	}
 	clear(t.entries)
+}
+
+// enqueue appends m to e's queue, taking spare storage when e has none.
+func (t *DirTable) enqueue(e *dirEntry, m *Msg) {
+	if e.queue == nil {
+		if n := len(t.spare); n > 0 {
+			e.queue = t.spare[n-1]
+			t.spare[n-1] = nil
+			t.spare = t.spare[:n-1]
+		}
+	}
+	e.queue = append(e.queue, m)
+}
+
+// release hands the storage of e's empty queue back to the spare list.
+func (t *DirTable) release(e *dirEntry) {
+	if e.queue != nil {
+		t.spare = append(t.spare, e.queue[:0])
+		e.queue = nil
+	}
 }
 
 // entryOf returns addr's entry, creating it in DirInvalid on first use.
@@ -270,7 +298,7 @@ func (b *DirectoryBank) process(m *Msg) {
 	case MsgGetS, MsgGetM, MsgPutM, MsgPutO, MsgPutE:
 		e := b.table.entryOf(m.Addr)
 		if e.busy {
-			e.queue = append(e.queue, m)
+			b.table.enqueue(e, m)
 			return
 		}
 		b.dispatchRequest(e, m)
@@ -451,8 +479,8 @@ func (b *DirectoryBank) handleFwdDone(m *Msg) {
 }
 
 // drainQueue services the entry's queued requests in arrival order until
-// one blocks it again. Popping shifts the queue down in place, so its
-// backing array is reused.
+// one blocks it again. Popping shifts the queue down in place, and an
+// emptied queue's storage goes back to the table's spare list.
 func (b *DirectoryBank) drainQueue(e *dirEntry) {
 	for !e.busy && len(e.queue) > 0 {
 		next := e.queue[0]
@@ -460,6 +488,9 @@ func (b *DirectoryBank) drainQueue(e *dirEntry) {
 		e.queue[n] = nil
 		e.queue = e.queue[:n]
 		b.dispatchRequest(e, next)
+	}
+	if len(e.queue) == 0 {
+		b.table.release(e)
 	}
 }
 

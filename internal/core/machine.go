@@ -50,19 +50,23 @@ type Machine struct {
 
 	// gate is the cooperative scheduler every software thread of this machine
 	// runs under (see exec.Gate); RunProgram drives the engine through it.
-	gate *exec.Gate
+	// It owns the machine's threads. contexts is the pool of hardware
+	// contexts the MTTOP cores share.
+	gate     *exec.Gate
+	contexts *mttop.ContextPool
 
 	// arena, when non-nil, receives the engine, physical memory, tag arrays,
-	// SWMR checker, directory tables, message populations and op batches
-	// back at Shutdown so the worker's next machine reuses them.
+	// SWMR checker, directory tables, message populations, op batches,
+	// threads and MTTOP contexts back at Shutdown so the worker's next
+	// machine reuses them.
 	arena *simarena.Arena
 }
 
 // NewMachine builds and wires a CCSVM chip from the configuration. When the
 // configuration carries an arena (Config.InArena), the engine, physical
 // memory, cache tag arrays, SWMR checker, directory tables, message-pool
-// populations and the gate's op batches come from it; reuse is
-// observation-equivalent to fresh construction.
+// populations, the gate's op batches and threads and the MTTOP context pool
+// come from it; reuse is observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -145,6 +149,8 @@ func NewMachine(cfg Config) *Machine {
 	// keeps the event trace identical to the historical blocking handoff.
 	m.gate.Bind(m.Engine)
 	m.gate.SeedBatches(cfg.arena.TakeBatches())
+	m.gate.SeedThreads(cfg.arena.TakeThreads())
+	m.contexts = cfg.arena.ContextPool()
 	m.Runtime = xthreads.NewRuntime(m.Process, m.Engine.Now, m.gate)
 
 	// MIFD.
@@ -191,7 +197,7 @@ func NewMachine(cfg Config) *Machine {
 			NumContexts: cfg.MTTOPContexts,
 			IssueWidth:  cfg.MTTOPIssueWidth,
 			Name:        name,
-		}, l1, mmu, m.Phys, m.MIFD)
+		}, l1, mmu, m.Phys, m.MIFD, m.contexts)
 		m.MTTOPs = append(m.MTTOPs, core)
 		m.MIFD.AttachUnits(core)
 	}
@@ -248,6 +254,9 @@ func (m *Machine) RegisterKernel(k xthreads.KernelFunc) int {
 // has quiesced. It returns the simulated time consumed. A drained run that
 // leaves protocol messages in flight or double-released, or pooled engine
 // events live, is an error: a handler leaked or double-freed a pooled object.
+// A clean run hands its threads back to the gate, so a machine that runs many
+// programs reuses them; a run that ends early kills its threads, which stay
+// until Shutdown.
 func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	start := m.Engine.Now()
 	deadline := start.Add(m.Config.MaxSimulatedTime)
@@ -267,14 +276,14 @@ func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 		return m.Engine.Step()
 	})
 	if overBudget {
-		m.Runtime.KillAll()
+		m.gate.KillAll()
 		if !mainDone {
 			return 0, fmt.Errorf("core: program exceeded the %v simulated-time budget (likely a synchronization hang)", m.Config.MaxSimulatedTime)
 		}
 		return 0, fmt.Errorf("core: post-main activity exceeded the simulated-time budget")
 	}
 	if !mainDone {
-		m.Runtime.KillAll()
+		m.gate.KillAll()
 		return 0, fmt.Errorf("core: simulation ran out of events before main returned")
 	}
 	if !m.Checker.Ok() {
@@ -287,6 +296,7 @@ func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	if n := m.Engine.LiveEvents(); n != 0 {
 		return 0, fmt.Errorf("core: drained run left %d pooled events live", n)
 	}
+	m.gate.RecycleThreads()
 	return m.Engine.Now().Sub(start), nil
 }
 
@@ -305,12 +315,14 @@ func (m *Machine) DirectoryBanks() []*coherence.DirectoryBank { return m.banks }
 // must not be used again; arena-less machines are unaffected and remain
 // readable.
 func (m *Machine) Shutdown() {
-	m.Runtime.KillAll()
 	a := m.arena
 	if a == nil {
+		m.gate.KillAll()
 		return
 	}
 	m.arena = nil
+	a.RecycleThreads(m.gate.DrainThreads())
+	a.RecycleContextPool(m.contexts)
 	a.RecycleCohMsgs(m.msgs.DrainFreeList())
 	a.RecycleNocMsgs(m.torus.DrainFreeList())
 	a.RecycleBatches(m.gate.DrainBatches())

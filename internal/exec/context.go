@@ -104,8 +104,16 @@ func (c *Context) Poll32(va mem.VAddr, cond PollCond, x, pause uint32) uint32 {
 	return b.Value32(0)
 }
 
+// Record returns the record RecordOf last returned for the thread, or nil.
+func (c *Context) Record() any {
+	if r := c.thread.recs; r != nil {
+		return r.v
+	}
+	return nil
+}
+
 // ThreadID reports the software thread's identifier (the xthreads tid).
-func (c *Context) ThreadID() int { return c.thread.id }
+func (c *Context) ThreadID() int { return int(c.thread.id) }
 
 // Compute charges n instructions of pure computation.
 func (c *Context) Compute(n int64) {

@@ -11,6 +11,17 @@
 // flight, and nested activations by direct coroutine switches; no goroutine
 // is ever runnable alongside another, and the package starts none.
 //
+// The gate also owns its threads. NewThread hands out a thread whose earlier
+// use ended before it builds one: the gate takes every thread back when a
+// run ends with all of them finished (RecycleThreads), and machines carry
+// the threads to their next machine through their arena (DrainThreads,
+// SeedThreads). A recycled thread keeps its coroutine body, bound once, and
+// the records its runtimes attached (RecordOf), one per runtime, which each
+// runtime refills, so starting it allocates only its coroutine and its name. The coroutine
+// itself is not recycled: a parked coroutine is a live goroutine, and none
+// may outlive the machine that started it, so each launch calls iter.Pull
+// and Kill or the thread's return ends it.
+//
 // The gate also runs op sequences on a thread's behalf. A Batch holds loads,
 // stores and computes the thread already knows (a kernel's argument
 // prologue, a dot product's loads); a Context.Poll32 loop spins on a word in

@@ -342,3 +342,63 @@ func TestGateCrossThreadCompletionOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestGateRecyclesThreads pins the gate's ownership of its threads: a
+// finished thread comes back from NewThread, reset but with its records; a
+// gate that has an unfinished or a killed thread takes none back; and
+// threads drained from one gate serve the next.
+func TestGateRecyclesThreads(t *testing.T) {
+	type counter struct{ n int }
+	type label struct{ s string }
+	g := NewGate()
+	first := NewThread(g, 1, "first", func(c *Context) {
+		c.Record().(*counter).n++
+		c.Compute(1)
+		panic("workload bug")
+	})
+	RecordOf[counter](first).n = 41
+	driveRaw(t, first, func(Op) Result { return Result{} })
+	if first.Err() == nil || RecordOf[counter](first).n != 42 {
+		t.Fatalf("first use: err %v, record %+v", first.Err(), RecordOf[counter](first))
+	}
+	if !g.RecycleThreads() || g.Threads() != 0 {
+		t.Fatalf("RecycleThreads refused a gate whose one thread finished, or kept %d handed out", g.Threads())
+	}
+
+	// A second runtime's record joins the first one's, and the thread
+	// function sees the record asked for last.
+	var ran []string
+	again := NewThread(g, 2, "again", func(c *Context) { ran = append(ran, c.Record().(*label).s) })
+	if again != first {
+		t.Fatal("NewThread built a thread with a finished one to reuse")
+	}
+	RecordOf[label](again).s = "second runtime"
+	if again.Err() != nil || again.Finished() || again.Name() != "again" || again.ID() != 2 {
+		t.Fatalf("reused thread: err %v, finished %v, name %q, id %d; want a fresh thread 2",
+			again.Err(), again.Finished(), again.Name(), again.ID())
+	}
+	drive(t, again, func(Op) Result { return Result{} })
+	if len(ran) != 1 || ran[0] != "second runtime" || RecordOf[counter](again).n != 42 {
+		t.Fatalf("reused thread read records %q and kept counter %+v, want the second runtime's and 42",
+			ran, RecordOf[counter](again))
+	}
+
+	unstarted := NewThread(g, 3, "unstarted", func(*Context) {})
+	if g.RecycleThreads() || g.Threads() != 2 {
+		t.Fatalf("RecycleThreads took back a gate with an unfinished thread (%d handed out)", g.Threads())
+	}
+	g.KillAll()
+	if !unstarted.Finished() || g.RecycleThreads() {
+		t.Fatal("RecycleThreads took back a gate with a killed thread")
+	}
+
+	parked := g.DrainThreads()
+	if len(parked) != 2 || g.Threads() != 0 {
+		t.Fatalf("DrainThreads returned %d threads and left %d handed out, want 2 and 0", len(parked), g.Threads())
+	}
+	next := NewGate()
+	next.SeedThreads(parked)
+	if NewThread(next, 4, "seeded", func(*Context) {}) != parked[0] {
+		t.Fatal("a seeded gate built a thread with drained ones to reuse")
+	}
+}

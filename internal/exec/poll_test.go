@@ -624,9 +624,9 @@ func TestBatchAllocatesNothingPerOp(t *testing.T) {
 }
 
 // TestThreadSizeClass pins Thread to the 192-byte allocation size class: the
-// stepping flag lives in padding and the batch and poll state behind one
-// pointer, where inline state would have moved every thread to the next
-// class.
+// flags share the id's word, the runtimes' records hang off one pointer and
+// the batch and poll state behind another, where inline state would have
+// moved every thread to the next class.
 func TestThreadSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Thread{}); n > 192 {
 		t.Fatalf("Thread is %d bytes, want at most 192", n)

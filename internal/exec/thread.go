@@ -195,6 +195,14 @@ type Gate struct {
 	// longest is the most ops a batch has held, the size batches grow to.
 	batches []*Batch
 	longest int
+	// threads is every thread the gate owns. NewThread hands out
+	// threads[:live], in creation order, and takes threads[live:] (threads
+	// whose earlier use ended, kept with their coroutine body and records)
+	// before it builds one. killed is set once a thread was killed: a core
+	// may still hold it, so the gate takes none back before DrainThreads.
+	threads []*Thread
+	live    int
+	killed  bool
 }
 
 // NewGate returns the scheduler for one machine's software threads.
@@ -369,54 +377,164 @@ func (g *Gate) popOwn(t *Thread) bool {
 // calls the core's registered resume function itself. The holder then keeps
 // dispatching until its own result arrives (Complete), so a self-completing
 // operation costs zero switches; a nested activation yields straight back.
+//
+// The gate owns its threads and hands each out again once its use has ended
+// (see NewThread). The layout fits the 192-byte size class: the flags share
+// the id's word.
 type Thread struct {
-	id   int
+	id int32
+	// hasOp marks the publication slot full. stepping marks a thread whose
+	// batch runs (see Thread.step): the gate steps it instead of activating
+	// the coroutine. started records Start. finished flips when fn returns,
+	// or when the thread is killed or discarded before launch.
+	hasOp, stepping, started, finished bool
+
 	name string
 	fn   func(*Context)
+	// recs lists the records runtimes attached (see RecordOf), the one last
+	// asked for first. They outlive the thread's use, so a runtime refills
+	// its own in place.
+	recs *record
 	gate *Gate
 	ctx  Context
 
-	// op/hasOp is the publication slot the workload fills; result carries the
+	// op is the publication slot the workload fills; result carries the
 	// completion value back. op still holds the in-flight op when it
 	// completes.
-	op    Op
-	hasOp bool
-	// stepping marks a thread whose batch runs (see Thread.step): the gate
-	// steps it instead of activating the coroutine. batch is the thread's
-	// Batch, nil until its first use. Both fit the 192-byte size class.
-	stepping bool
-	result   Result
+	op     Op
+	result Result
 	// resume is the core's continuation for consuming the next published op,
 	// registered by TryNext when the op was not ready (NextWait).
 	resume func()
 
-	// next runs the coroutine until it yields (its next op is published or it
-	// handed the holder role back to Drive) or returns; stop unwinds a parked
-	// coroutine; yield is the coroutine's side of next. All three come from
-	// iter.Pull at launch.
+	// seq is the coroutine's body (Thread.body), bound once when the thread
+	// is built. next runs the coroutine until it yields (its next op is
+	// published or it handed the holder role back to Drive) or returns; stop
+	// unwinds a parked coroutine; yield is the coroutine's side of next. All
+	// three come from iter.Pull at launch, and next is nil until then.
+	seq   iter.Seq[struct{}]
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 
-	started  bool
-	launched bool
-	// finished flips when fn returns, or when the thread is killed or
-	// discarded before launch.
-	finished bool
-	err      any
-	batch    *Batch
+	// err is the workload's panic value. batch is the thread's Batch, nil
+	// until its first use.
+	err   any
+	batch *Batch
 }
 
-// NewThread creates a software thread that will run fn under the machine's
-// gate. The id is exposed to the workload through Context.ThreadID.
+// record is one entry of a thread's list of runtime records.
+type record struct {
+	v    any
+	next *record
+}
+
+// NewThread hands out a software thread that will run fn under the
+// machine's gate. The id is exposed to the workload through
+// Context.ThreadID. The gate reuses a thread whose earlier use ended (see
+// RecycleThreads and SeedThreads) before it builds one, so the thread may
+// carry the records of runtimes that used it before (see RecordOf).
 func NewThread(g *Gate, id int, name string, fn func(*Context)) *Thread {
-	t := &Thread{gate: g, id: id, name: name, fn: fn}
-	t.ctx.thread = t
+	var t *Thread
+	if g.live < len(g.threads) {
+		t = g.threads[g.live]
+	} else {
+		t = &Thread{}
+		t.ctx.thread = t
+		t.seq = t.body
+		g.threads = append(g.threads, t) // grows to the most threads one run has started
+	}
+	g.live++
+	t.id, t.name, t.fn, t.gate = int32(id), name, fn, g
 	return t
 }
 
+// RecordOf returns t's record of type *R, attaching a new zero R when t has
+// none, and makes it the record Context.Record reports. A runtime keeps its
+// per-thread state in the record and overwrites it whenever it hands the
+// thread a new task, so a recycled thread costs it nothing. A thread keeps
+// one record per type, so threads that serve two runtimes in turn, as a
+// worker's threads do when it alternates CCSVM and OpenCL machines, keep
+// both.
+func RecordOf[R any](t *Thread) *R {
+	for prev, r := (*record)(nil), t.recs; r != nil; prev, r = r, r.next {
+		if v, ok := r.v.(*R); ok {
+			if prev != nil {
+				prev.next, r.next, t.recs = r.next, t.recs, r
+			}
+			return v
+		}
+	}
+	v := new(R)
+	t.recs = &record{v: v, next: t.recs}
+	return v
+}
+
+// Threads reports how many threads the gate has handed out since it last
+// took them back.
+func (g *Gate) Threads() int { return g.live }
+
+// KillAll tears down every thread the gate handed out that has not
+// finished (see Thread.Kill).
+func (g *Gate) KillAll() {
+	for _, t := range g.threads[:g.live] {
+		t.Kill()
+	}
+}
+
+// RecycleThreads takes back every thread the gate handed out, for NewThread
+// to hand out again, when all of them have finished and none was killed,
+// and reports whether it did. Machines call it when a run has ended
+// cleanly: a core lets go of a thread when it finishes, but may still hold
+// a killed one.
+func (g *Gate) RecycleThreads() bool {
+	if g.killed {
+		return false
+	}
+	for _, t := range g.threads[:g.live] {
+		if !t.finished {
+			return false
+		}
+	}
+	for _, t := range g.threads[:g.live] {
+		t.reset()
+	}
+	g.live = 0
+	return true
+}
+
+// SeedThreads hands the gate threads drained from an earlier machine's gate
+// (see DrainThreads), for NewThread to hand out before it builds any. The
+// gate must have handed out none.
+func (g *Gate) SeedThreads(ts []*Thread) {
+	if len(g.threads) != 0 {
+		panic("exec: SeedThreads on a gate that owns threads")
+	}
+	g.threads = ts
+}
+
+// DrainThreads kills every unfinished thread, then removes and returns all
+// the gate's threads, each holding only its coroutine body and its records.
+// The machine must not run threads afterwards: its cores may still hold
+// killed ones.
+func (g *Gate) DrainThreads() []*Thread {
+	g.KillAll()
+	ts := g.threads
+	for _, t := range ts[:g.live] {
+		t.reset()
+	}
+	g.threads, g.live, g.killed = nil, 0, false
+	return ts
+}
+
+// reset readies a finished thread for its next use: it drops everything but
+// the body bound when the thread was built, its Context and its records.
+func (t *Thread) reset() {
+	*t = Thread{ctx: t.ctx, seq: t.seq, recs: t.recs}
+}
+
 // ID reports the thread's identifier.
-func (t *Thread) ID() int { return t.id }
+func (t *Thread) ID() int { return int(t.id) }
 
 // Name reports the thread's debug name.
 func (t *Thread) Name() string { return t.name }
@@ -442,8 +560,7 @@ func (t *Thread) Start() {
 // complete before the caller proceeds, exactly as it did when the op fetch
 // was a blocking receive.
 func (t *Thread) launch() (Op, NextStatus) {
-	t.launched = true
-	t.next, t.stop = iter.Pull(t.body)
+	t.next, t.stop = iter.Pull(t.seq)
 	t.gate.activate(t)
 	if t.hasOp {
 		t.hasOp = false
@@ -540,7 +657,7 @@ func (t *Thread) TryNext(resume func()) (Op, NextStatus) {
 	if t.finished {
 		return Op{}, NextDone
 	}
-	if !t.launched {
+	if t.next == nil {
 		if !t.started {
 			panic("exec: Next before Start")
 		}
@@ -567,8 +684,9 @@ func (t *Thread) Kill() {
 	if t.finished {
 		return
 	}
-	if t.launched {
-		g := t.gate
+	g := t.gate
+	g.killed = true
+	if t.next != nil {
 		prev := g.running
 		g.running = t
 		t.stop()

@@ -71,8 +71,11 @@ type Device struct {
 	// in the paper's design where the MIFD may interrupt a CPU core).
 	faultCPU *cpu.Core
 
-	// pending holds threads waiting for a free context.
-	pending []pendingThread
+	// pending holds the launched tasks with threads waiting for a free
+	// context, one entry per task, oldest first.
+	pending []pendingTask
+	// dispatchFn is dispatch, bound once: every thread's onDone callback.
+	dispatchFn func()
 	// rr is the round-robin cursor over compute units.
 	rr int
 	// errorRegister latches a description of the last resource shortfall.
@@ -91,9 +94,11 @@ type Stats struct {
 	PageFaultsForwarded, TLBFlushBroadcasts uint64
 }
 
-type pendingThread struct {
+// pendingTask is a launched task whose threads from next to task.LastTID
+// wait for a free context.
+type pendingTask struct {
 	task TaskDescriptor
-	tid  int
+	next int
 }
 
 // NewDevice builds the MIFD.
@@ -101,7 +106,9 @@ func NewDevice(engine *sim.Engine, cfg Config) *Device {
 	if cfg.WarpSize <= 0 {
 		cfg.WarpSize = 8
 	}
-	return &Device{engine: engine, cfg: cfg}
+	d := &Device{engine: engine, cfg: cfg}
+	d.dispatchFn = d.dispatch
+	return d
 }
 
 // AttachUnits registers the MTTOP cores the device schedules onto.
@@ -147,9 +154,7 @@ func (d *Device) Launch(task TaskDescriptor, done func()) {
 	warps := (task.Threads() + d.cfg.WarpSize - 1) / d.cfg.WarpSize
 	delay := d.cfg.DispatchLatency + sim.Duration(warps)*d.cfg.PerWarpLatency
 	d.engine.Schedule(delay, func() {
-		for tid := task.FirstTID; tid <= task.LastTID; tid++ {
-			d.pending = append(d.pending, pendingThread{task: task, tid: tid})
-		}
+		d.pending = append(d.pending, pendingTask{task: task, next: task.FirstTID})
 		d.dispatch()
 		if done != nil {
 			done()
@@ -168,14 +173,16 @@ func (d *Device) dispatch() {
 		if unit == nil {
 			return
 		}
-		p := d.pending[0]
-		d.pending = d.pending[1:]
-		t := d.factory(p.task.KernelID, p.tid, p.task.Args)
+		task, tid := d.pending[0].task, d.pending[0].next
+		d.pending[0].next++
+		if tid == task.LastTID {
+			d.pending = d.pending[:copy(d.pending, d.pending[1:])]
+		}
+		t := d.factory(task.KernelID, tid, task.Args)
 		d.Stats.ThreadsDispatched++
-		unit.StartThread(t, p.task.CR3, func() {
-			// A context freed up; try to place queued threads.
-			d.dispatch()
-		})
+		// When the thread finishes, a context has freed up: dispatch tries
+		// to place queued threads.
+		unit.StartThread(t, task.CR3, d.dispatchFn)
 	}
 }
 
@@ -222,4 +229,10 @@ func (d *Device) FlushAllTLBs() {
 }
 
 // PendingThreads reports how many threads are waiting for a free context.
-func (d *Device) PendingThreads() int { return len(d.pending) }
+func (d *Device) PendingThreads() int {
+	n := 0
+	for _, p := range d.pending {
+		n += p.task.LastTID - p.next + 1
+	}
+	return n
+}

@@ -32,8 +32,11 @@ type Config struct {
 // hwContext is one hardware thread context. A context runs one operation at
 // a time, so the in-flight op's state lives here and the per-op callbacks
 // (translateCb, accessCb) are bound once, when the context is built — the
-// hot issue/translate/access path allocates nothing per operation.
+// hot issue/translate/access path allocates nothing per operation. The
+// callbacks reach the core through the context, so a context can serve any
+// core (see ContextPool).
 type hwContext struct {
+	core   *Core
 	thread *exec.Thread
 	onDone func()
 	busy   bool
@@ -48,6 +51,41 @@ type hwContext struct {
 	stepFn      func()
 }
 
+// ContextPool is the stack of built hardware contexts that run no thread,
+// shared by the MTTOP cores of one machine. A core takes a context from it
+// for each thread it starts and builds one only when none is idle, so a
+// machine pays for the most contexts its cores occupy at once, not for
+// NumContexts per core. Machines draw the pool from their arena, which
+// carries it, with its contexts, to the next machine. The zero value is an
+// empty pool.
+type ContextPool struct {
+	idle []*hwContext
+}
+
+// Len reports how many contexts the pool holds.
+func (p *ContextPool) Len() int { return len(p.idle) }
+
+// get takes an idle context, or builds one.
+func (p *ContextPool) get() *hwContext {
+	n := len(p.idle)
+	if n == 0 {
+		return newContext()
+	}
+	h := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	return h
+}
+
+// newContext builds a hardware context and binds its callbacks.
+func newContext() *hwContext {
+	h := &hwContext{}
+	h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { h.core.translated(h, pa, fault) }
+	h.accessCb = func() { h.core.accessDone(h) }
+	h.stepFn = func() { h.core.stepContext(h) }
+	return h
+}
+
 // Core is one MTTOP core.
 type Core struct {
 	engine *sim.Engine
@@ -57,12 +95,10 @@ type Core struct {
 	phys   *mem.Physical
 	faults FaultHandler
 
-	// idle is the stack of built contexts that run no thread, and inUse
-	// counts the contexts that do. StartThread builds a context only when
-	// none is idle, so a run pays for the most contexts it occupies at once,
-	// not for NumContexts.
-	idle  []*hwContext
-	inUse int
+	// contexts supplies the contexts this core's threads run on, and inUse
+	// counts the contexts this core occupies.
+	contexts *ContextPool
+	inUse    int
 	// issueFree is the shared issue-bandwidth bucket: each operation reserves
 	// 1/IssueWidth of a cycle.
 	issueFree sim.Time
@@ -88,19 +124,21 @@ type Stats struct {
 	ThreadsRun uint64
 }
 
-// New builds an MTTOP core.
+// New builds an MTTOP core whose threads run on hardware contexts from
+// contexts, the pool every MTTOP core of the machine shares.
 func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.Physical,
-	faults FaultHandler) *Core {
+	faults FaultHandler, contexts *ContextPool) *Core {
 	if cfg.NumContexts <= 0 || cfg.IssueWidth <= 0 {
 		panic(fmt.Sprintf("mttop: invalid config for %s", cfg.Name))
 	}
 	c := &Core{
-		engine: engine,
-		cfg:    cfg,
-		port:   port,
-		mmu:    mmu,
-		phys:   phys,
-		faults: faults,
+		engine:   engine,
+		cfg:      cfg,
+		port:     port,
+		mmu:      mmu,
+		phys:     phys,
+		faults:   faults,
+		contexts: contexts,
 	}
 	c.completeFn = func(a any) { c.completeOp(a.(*hwContext), exec.Result{}) }
 	c.memIssueFn = func(a any) { c.memAccess(a.(*hwContext)) }
@@ -133,13 +171,8 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 		panic(fmt.Sprintf("%s: StartThread with no free contexts", c.cfg.Name))
 	}
 	c.inUse++
-	var h *hwContext
-	if n := len(c.idle); n > 0 {
-		h = c.idle[n-1]
-		c.idle = c.idle[:n-1]
-	} else {
-		h = c.newContext()
-	}
+	h := c.contexts.get()
+	h.core = c
 	h.thread = t
 	h.onDone = onDone
 	h.busy = false
@@ -153,15 +186,6 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 	}
 	t.Start()
 	c.stepContext(h)
-}
-
-// newContext builds a hardware context and binds its callbacks.
-func (c *Core) newContext() *hwContext {
-	h := &hwContext{}
-	h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
-	h.accessCb = func() { c.accessDone(h) }
-	h.stepFn = func() { c.stepContext(h) }
-	return h
 }
 
 // BusyContexts reports how many contexts are currently running threads.
@@ -191,11 +215,12 @@ func (c *Core) stepContext(h *hwContext) {
 func (c *Core) finishContext(h *hwContext) {
 	t := h.thread
 	onDone := h.onDone
+	h.core = nil
 	h.thread = nil
 	h.onDone = nil
 	h.busy = false
 	c.inUse--
-	c.idle = append(c.idle, h)
+	c.contexts.idle = append(c.contexts.idle, h)
 	if err := t.Err(); err != nil {
 		panic(fmt.Sprintf("%s: MTTOP thread %q failed: %v", c.cfg.Name, t.Name(), err))
 	}

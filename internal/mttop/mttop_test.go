@@ -45,7 +45,7 @@ func newMTTOPRig(t *testing.T, contexts, issueWidth int) *mttopRig {
 		NumContexts: contexts,
 		IssueWidth:  issueWidth,
 		Name:        "mt0",
-	}, port, nil, phys, nil)
+	}, port, nil, phys, nil, new(mttop.ContextPool))
 	return &mttopRig{engine: engine, gate: gate, core: core, phys: phys, port: port}
 }
 
@@ -211,7 +211,7 @@ func TestPageFaultEscalatesToHandler(t *testing.T) {
 		NumContexts: 4,
 		IssueWidth:  8,
 		Name:        "mt0",
-	}, port, mmu, phys, handler)
+	}, port, mmu, phys, handler, new(mttop.ContextPool))
 	mmu.SetRoot(proc.Root())
 
 	va := proc.Sbrk(mem.PageSize)
@@ -251,12 +251,13 @@ func TestNewCostIndependentOfContexts(t *testing.T) {
 		engine := sim.NewEngine()
 		cfg := mttop.Config{Clock: sim.NewClock("mttop", 1e9), NumContexts: contexts, IssueWidth: 8, Name: "mt0"}
 		port := &stepPort{engine: engine}
+		pool := new(mttop.ContextPool)
 		fewest := ^uint64(0)
 		for range trials {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < builds; i++ {
-				coreSink = mttop.New(engine, cfg, port, nil, nil, nil)
+				coreSink = mttop.New(engine, cfg, port, nil, nil, nil, pool)
 			}
 			runtime.ReadMemStats(&after)
 			fewest = min(fewest, (after.TotalAlloc-before.TotalAlloc)/builds)

@@ -28,6 +28,7 @@ type WorkItemContext struct {
 	*exec.Context
 	globalID int
 	args     []uint64
+	kernel   WorkItemFunc
 }
 
 // GlobalID is get_global_id(0).
@@ -48,25 +49,33 @@ type Buffer struct {
 
 // Session is one OpenCL platform+context+queue on an APU machine.
 type Session struct {
-	m         *apu.Machine
-	over      apu.OpenCLOverheads
-	kernels   []WorkItemFunc
-	inited    bool
-	built     bool
-	pendingWI []pendingItem
-	running   int
-	rr        int
+	m       *apu.Machine
+	over    apu.OpenCLOverheads
+	kernels []WorkItemFunc
+	inited  bool
+	built   bool
+	// pending holds the enqueued NDRanges with work-items not yet on a SIMD
+	// unit, one entry per launch, oldest first.
+	pending []ndRange
+	running int
+	rr      int
+	// doneFn is every work-item's completion callback, bound once.
+	doneFn func()
 }
 
-type pendingItem struct {
-	kernel int
-	gid    int
-	args   []uint64
+// ndRange is an enqueued launch whose work-items from next to size-1 wait
+// for a free context.
+type ndRange struct {
+	kernel     int
+	args       []uint64
+	next, size int
 }
 
 // NewSession creates a session bound to an APU machine.
 func NewSession(m *apu.Machine) *Session {
-	return &Session{m: m, over: m.Config.OpenCL}
+	s := &Session{m: m, over: m.Config.OpenCL}
+	s.doneFn = s.workItemDone
+	return s
 }
 
 // charge burns host time for a driver overhead and books it to a category
@@ -149,16 +158,18 @@ func (s *Session) EnqueueNDRangeKernel(ctx *apu.HostContext, kernel int, globalS
 		s.charge(ctx, s.over.SetKernelArg, &s.m.OpenCL.LaunchPs)
 	}
 	s.charge(ctx, s.over.KernelLaunch, &s.m.OpenCL.LaunchPs)
-	for gid := 0; gid < globalSize; gid++ {
-		s.pendingWI = append(s.pendingWI, pendingItem{kernel: kernel, gid: gid, args: args})
+	if globalSize > 0 {
+		s.pending = append(s.pending, ndRange{kernel: kernel, args: args, size: globalSize})
 	}
 	s.dispatch()
 }
 
 // dispatch hands pending work-items to GPU SIMD units with free contexts.
+// A work-item's thread keeps its WorkItemContext as its record (see
+// exec.RecordOf), refilled here for the new work-item.
 func (s *Session) dispatch() {
 	units := s.m.GPUUnits
-	for len(s.pendingWI) > 0 {
+	for len(s.pending) > 0 {
 		var unit int = -1
 		for i := 0; i < len(units); i++ {
 			u := (s.rr + i) % len(units)
@@ -171,22 +182,34 @@ func (s *Session) dispatch() {
 		if unit == -1 {
 			return
 		}
-		item := s.pendingWI[0]
-		s.pendingWI = s.pendingWI[1:]
+		r := s.pending[0]
+		gid := r.next
+		s.pending[0].next++
+		if gid == r.size-1 {
+			n := copy(s.pending, s.pending[1:])
+			s.pending[n] = ndRange{}
+			s.pending = s.pending[:n]
+		}
 		s.m.OpenCL.WorkItems++
 		s.running++
-		fn := s.kernels[item.kernel]
-		gid := item.gid
-		args := item.args
-		t := exec.NewThread(s.m.ExecGate(), gid, fmt.Sprintf("cl-k%d-wi%d", item.kernel, gid), func(ec *exec.Context) {
-			fn(&WorkItemContext{Context: ec, globalID: gid, args: args})
-		})
-		s.m.TrackThread(t)
-		units[unit].StartThread(t, 0, func() {
-			s.running--
-			s.dispatch()
-		})
+		t := exec.NewThread(s.m.ExecGate(), gid, fmt.Sprintf("cl-k%d-wi%d", r.kernel, gid), runWorkItem)
+		*exec.RecordOf[WorkItemContext](t) = WorkItemContext{globalID: gid, args: r.args, kernel: s.kernels[r.kernel]}
+		units[unit].StartThread(t, 0, s.doneFn)
 	}
+}
+
+// runWorkItem is every work-item's thread function: it runs the kernel the
+// thread's record names.
+func runWorkItem(ec *exec.Context) {
+	c := ec.Record().(*WorkItemContext)
+	c.Context = ec
+	c.kernel(c)
+}
+
+// workItemDone frees a work-item's slot and dispatches queued work-items.
+func (s *Session) workItemDone() {
+	s.running--
+	s.dispatch()
 }
 
 // Finish blocks the host thread until every enqueued work-item has completed
@@ -202,10 +225,16 @@ func (s *Session) Finish(ctx *apu.HostContext) {
 	if poll <= 0 {
 		poll = sim.Nanosecond
 	}
-	for s.running > 0 || len(s.pendingWI) > 0 {
+	for s.running > 0 || len(s.pending) > 0 {
 		s.charge(ctx, poll, &s.m.OpenCL.LaunchPs)
 	}
 }
 
 // Outstanding reports queued plus running work-items (for tests).
-func (s *Session) Outstanding() int { return s.running + len(s.pendingWI) }
+func (s *Session) Outstanding() int {
+	n := s.running
+	for _, r := range s.pending {
+		n += r.size - r.next
+	}
+	return n
+}

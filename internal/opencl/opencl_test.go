@@ -1,12 +1,15 @@
 package opencl_test
 
 import (
+	"iter"
+	"math"
 	"testing"
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/opencl"
 	"ccsvm/internal/sim"
+	"ccsvm/internal/simarena"
 )
 
 // testOverheads returns small, distinct driver constants so each overhead
@@ -185,5 +188,57 @@ func TestLaunchBeforeInitPanics(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parkOnce is a coroutine body that parks once and then returns, as a
+// work-item does around its one op.
+func parkOnce(yield func(struct{}) bool) { yield(struct{}{}) }
+
+// TestWorkItemAllocatesOnlyItsCoroutine: on warm machines, each work-item
+// an NDRange starts allocates its coroutine and its name and nothing else.
+// Each run builds its machine from one arena, which carries the threads,
+// their WorkItemContexts and the GPU units' hardware contexts from machine
+// to machine, and the session queues one entry per launch. So a per-item
+// object that comes back adds one object per work-item to the difference
+// between runs of 16 and 112 work-items. The difference is rounded to whole
+// objects per work-item: a run's count also moves by a few objects with the
+// garbage collector (which empties fmt's printer cache, for one).
+func TestWorkItemAllocatesOnlyItsCoroutine(t *testing.T) {
+	cfg := apu.DefaultConfig().InArena(simarena.New())
+	cfg.OpenCL = testOverheads()
+	run := func(items int) func() {
+		return func() {
+			m := apu.NewMachine(cfg)
+			defer m.Shutdown()
+			s := opencl.NewSession(m)
+			k := s.CreateKernel(func(c *opencl.WorkItemContext) { c.Compute(1) })
+			// Global IDs stay below 256, so formatting a name allocates only
+			// the string.
+			if _, err := m.RunProgram(func(ctx *apu.HostContext) {
+				s.InitPlatform(ctx)
+				s.EnqueueNDRangeKernel(ctx, k, items)
+				s.Finish(ctx)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for range 2 {
+		run(112)()
+	}
+	few, many := testing.AllocsPerRun(20, run(16)), testing.AllocsPerRun(20, run(112))
+	if raceEnabled {
+		t.Skipf("race instrumentation moves the counts (%.0f with 16 work-items, %.0f with 112)", few, many)
+	}
+	coroutine := testing.AllocsPerRun(100, func() {
+		next, stop := iter.Pull(parkOnce)
+		next()
+		next()
+		stop()
+	})
+	if perItem, want := (many-few)/96, coroutine+1; math.Round(perItem) != want {
+		t.Fatalf("a work-item allocates %.2f objects (16 items: %.0f, 112: %.0f), want %.0f: its coroutine's %.0f and its name",
+			perItem, few, many, want, coroutine)
 	}
 }

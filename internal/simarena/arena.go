@@ -4,10 +4,21 @@
 // the physical memory (whose lazily materialized frames dominate resident
 // bytes), every cache tag array (the L1s, L2/directory banks, APU private
 // caches and GPU read cache — most of the bytes a machine allocates), the
-// CCSVM chip's SWMR checker and directory entry tables (per-line maps and
-// records a run otherwise rebuilds from empty), and the harvested free lists
-// of the coherence and network message pools and of the exec gate's op
-// batches.
+// CCSVM chip's SWMR checker and directory entry tables and the APU's snoop
+// filter map (per-line maps and records a run otherwise rebuilds from
+// empty), and the harvested free lists of the coherence and network message
+// pools and of the exec gate's op batches.
+//
+// The arena also carries the per-thread host objects, which a machine that
+// starts a software thread per xthreads MTTOP thread or OpenCL work-item
+// would otherwise build a thousand at a time: the exec gate's threads, each
+// with the records its runtimes attached (an xthreads MTTOPContext, an
+// OpenCL WorkItemContext), which are refilled for the next task, and the
+// pool of MTTOP hardware contexts the cores of one machine share. Thread coroutines are
+// not carried: a parked coroutine is a live goroutine, and no goroutine may
+// outlive the machine that started it, so every launch calls iter.Pull
+// afresh and a machine's teardown, a panicking run's included, ends them
+// all.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
@@ -26,8 +37,10 @@
 // is reset to fresh-machine semantics (engine at time zero with an empty
 // queue, memory all-zero at the requested capacity, tag arrays empty with
 // their LRU clock at zero, checker enabled with no line held and no
-// violation, directory tables with no entry, messages indistinguishable from
-// pool-miss allocations), so a sweep over a reused arena produces
+// violation, directory tables and snoop maps with no entry, messages
+// indistinguishable from pool-miss allocations, threads and contexts reset
+// to unused, with each thread's records overwritten before their next use),
+// so a sweep over a reused arena produces
 // bit-identical Results — the runner's byte-identity test enforces this.
 package simarena
 
@@ -36,6 +49,7 @@ import (
 	"ccsvm/internal/coherence"
 	"ccsvm/internal/exec"
 	"ccsvm/internal/mem"
+	"ccsvm/internal/mttop"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
 )
@@ -61,6 +75,12 @@ type Stats struct {
 	// Batches counts the op batches parked likewise, and BatchOps the ops
 	// their storage holds without growing.
 	Batches, BatchOps int
+	// Threads counts the exec threads parked likewise, and Contexts the
+	// MTTOP hardware contexts of the parked context pools.
+	Threads, Contexts int
+	// SnoopMapReuses/SnoopMapBuilds count SnoopMap() calls served from the
+	// arena versus constructed.
+	SnoopMapReuses, SnoopMapBuilds uint64
 }
 
 // Arena is a per-worker free store of machine parts. The zero value is ready
@@ -75,6 +95,9 @@ type Arena struct {
 	cohMsgs  []*coherence.Msg
 	nocMsgs  []*noc.Message
 	batches  []*exec.Batch
+	threads  []*exec.Thread
+	pools    []*mttop.ContextPool
+	snoops   []map[mem.LineAddr]uint64
 	stats    Stats
 }
 
@@ -305,6 +328,79 @@ func (a *Arena) RecycleBatches(bs []*exec.Batch) {
 		a.stats.BatchOps += b.Cap()
 	}
 	a.stats.Batches = len(a.batches)
+}
+
+// TakeThreads hands the parked exec threads to the caller (to seed a new
+// machine's gate) and empties the arena's list. Returns nil when the arena
+// is nil or empty.
+func (a *Arena) TakeThreads() []*exec.Thread {
+	if a == nil || len(a.threads) == 0 {
+		return nil
+	}
+	ts := a.threads
+	a.threads = nil
+	a.stats.Threads = 0
+	return ts
+}
+
+// RecycleThreads parks a drained gate's threads for the next machine.
+func (a *Arena) RecycleThreads(ts []*exec.Thread) {
+	if a == nil || len(ts) == 0 {
+		return
+	}
+	if a.threads == nil {
+		a.threads = ts
+	} else {
+		a.threads = append(a.threads, ts...)
+	}
+	a.stats.Threads = len(a.threads)
+}
+
+// ContextPool returns a pool of MTTOP hardware contexts: a parked one, with
+// the contexts an earlier machine built, when the arena has one, otherwise
+// an empty one.
+func (a *Arena) ContextPool() *mttop.ContextPool {
+	if a != nil {
+		if p, ok := pop(&a.pools); ok {
+			a.stats.Contexts -= p.Len()
+			return p
+		}
+	}
+	return new(mttop.ContextPool)
+}
+
+// RecycleContextPool parks a machine's context pool for the next machine.
+// No-op on a nil arena or pool.
+func (a *Arena) RecycleContextPool(p *mttop.ContextPool) {
+	if a == nil || p == nil {
+		return
+	}
+	a.pools = append(a.pools, p)
+	a.stats.Contexts += p.Len()
+}
+
+// SnoopMap returns an empty line-to-holders map for the APU's snoop
+// filter: a recycled one when the arena has one parked (already cleared,
+// keeping its buckets), otherwise a new one.
+func (a *Arena) SnoopMap() map[mem.LineAddr]uint64 {
+	if a != nil {
+		if m, ok := pop(&a.snoops); ok {
+			a.stats.SnoopMapReuses++
+			return m
+		}
+		a.stats.SnoopMapBuilds++
+	}
+	return make(map[mem.LineAddr]uint64)
+}
+
+// RecycleSnoopMap clears the map and parks it for the next machine. No-op
+// on a nil arena or map.
+func (a *Arena) RecycleSnoopMap(m map[mem.LineAddr]uint64) {
+	if a == nil || m == nil {
+		return
+	}
+	clear(m)
+	a.snoops = append(a.snoops, m)
 }
 
 // Stats reports the arena's reuse accounting. Nil arenas report zeroes.

@@ -26,13 +26,21 @@ func TestNilArenaBuildsFresh(t *testing.T) {
 	if a.DirTable() == nil {
 		t.Fatal("nil arena returned no directory table")
 	}
+	if p := a.ContextPool(); p == nil || p.Len() != 0 {
+		t.Fatal("nil arena returned no empty context pool")
+	}
+	if m := a.SnoopMap(); m == nil || len(m) != 0 {
+		t.Fatal("nil arena returned no empty snoop map")
+	}
 	// Recycling into a nil arena drops the parts; nothing is kept or counted.
 	a.RecycleArray(arr)
 	a.RecycleEngine(a.Engine())
 	a.RecycleChecker(a.Checker())
 	a.RecycleDirTable(a.DirTable())
-	if a.TakeCohMsgs() != nil || a.TakeNocMsgs() != nil {
-		t.Fatal("nil arena handed out parked messages")
+	a.RecycleContextPool(a.ContextPool())
+	a.RecycleSnoopMap(a.SnoopMap())
+	if a.TakeCohMsgs() != nil || a.TakeNocMsgs() != nil || a.TakeThreads() != nil {
+		t.Fatal("nil arena handed out parked messages or threads")
 	}
 	if got := a.Stats(); got != (Stats{}) {
 		t.Fatalf("nil arena stats = %+v, want zero", got)
@@ -105,5 +113,25 @@ func TestCheckerAndTableReuse(t *testing.T) {
 	want := Stats{CheckerReuses: 1, CheckerBuilds: 2, TableReuses: 1, TableBuilds: 2}
 	if s := a.Stats(); s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
+	}
+}
+
+// TestSnoopMapReuseIsCleared: a parked snoop filter map comes back empty, so
+// a line the last machine's CPUs held has no holders on the next.
+func TestSnoopMapReuseIsCleared(t *testing.T) {
+	a := New()
+	m := a.SnoopMap()
+	m[mem.LineAddr(7)] = 0b101
+	a.RecycleSnoopMap(m)
+	got := a.SnoopMap()
+	if len(got) != 0 {
+		t.Fatalf("reused snoop map holds %v, want it empty", got)
+	}
+	got[mem.LineAddr(7)] = 1
+	if len(m) != 1 {
+		t.Fatal("SnoopMap built a new map with one parked")
+	}
+	if s := a.Stats(); s.SnoopMapReuses != 1 || s.SnoopMapBuilds != 1 {
+		t.Fatalf("stats = %+v, want one snoop map built and one reused", s)
 	}
 }

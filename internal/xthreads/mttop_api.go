@@ -10,9 +10,10 @@ import (
 // calls of Table 1.
 type MTTOPContext struct {
 	*exec.Context
-	rt   *Runtime
-	tid  int
-	args mem.VAddr
+	rt     *Runtime
+	tid    int
+	args   mem.VAddr
+	kernel KernelFunc
 }
 
 // TID reports the thread's xthreads thread ID (global across the task).

@@ -44,15 +44,13 @@ type KernelFunc func(ctx *MTTOPContext)
 type MainFunc func(ctx *CPUContext)
 
 // Runtime is the per-machine xthreads library state: the process whose
-// address space all threads share, the kernel table (our stand-in for task
-// program counters), and the bookkeeping of every software thread created, so
-// machines can tear them down.
+// address space all threads share and the kernel table (our stand-in for
+// task program counters). The machine's gate owns the threads.
 type Runtime struct {
 	proc    *kernelos.Process
 	clockFn func() sim.Time
 	gate    *exec.Gate
 	kernels []KernelFunc
-	threads []*exec.Thread
 	nextID  int
 }
 
@@ -83,14 +81,22 @@ func (r *Runtime) Kernel(id int) KernelFunc {
 }
 
 // NewMTTOPThread materializes the software thread for one (kernel, tid) pair;
-// the machine installs this as the MIFD's thread factory.
+// the machine installs this as the MIFD's thread factory. The thread's
+// MTTOPContext is its record (see exec.RecordOf), refilled here for the new
+// task.
 func (r *Runtime) NewMTTOPThread(kernelID, tid int, args mem.VAddr) *exec.Thread {
 	k := r.Kernel(kernelID)
-	t := exec.NewThread(r.gate, tid, fmt.Sprintf("mttop-k%d-t%d", kernelID, tid), func(ec *exec.Context) {
-		k(&MTTOPContext{Context: ec, rt: r, tid: tid, args: args})
-	})
-	r.threads = append(r.threads, t)
+	t := exec.NewThread(r.gate, tid, fmt.Sprintf("mttop-k%d-t%d", kernelID, tid), runMTTOP)
+	*exec.RecordOf[MTTOPContext](t) = MTTOPContext{rt: r, tid: tid, args: args, kernel: k}
 	return t
+}
+
+// runMTTOP is every MTTOP thread's function: it runs the kernel the
+// thread's record names.
+func runMTTOP(ec *exec.Context) {
+	c := ec.Record().(*MTTOPContext)
+	c.Context = ec
+	c.kernel(c)
 }
 
 // NewCPUThread wraps a CPU-side function (the program's main, or an
@@ -98,24 +104,9 @@ func (r *Runtime) NewMTTOPThread(kernelID, tid int, args mem.VAddr) *exec.Thread
 func (r *Runtime) NewCPUThread(name string, fn MainFunc) *exec.Thread {
 	id := r.nextID
 	r.nextID++
-	t := exec.NewThread(r.gate, id, name, func(ec *exec.Context) {
+	return exec.NewThread(r.gate, id, name, func(ec *exec.Context) {
 		fn(&CPUContext{Context: ec, rt: r})
 	})
-	r.threads = append(r.threads, t)
-	return t
-}
-
-// Threads returns every software thread the runtime has created.
-func (r *Runtime) Threads() []*exec.Thread { return r.threads }
-
-// KillAll tears down any thread that has not finished (used by machine
-// shutdown and tests).
-func (r *Runtime) KillAll() {
-	for _, t := range r.threads {
-		if !t.Finished() {
-			t.Kill()
-		}
-	}
 }
 
 // Now reports the current simulated time.

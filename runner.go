@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"ccsvm/internal/simarena"
@@ -54,9 +55,25 @@ func (s RunSpec) String() string {
 	return out + ")"
 }
 
+// ErrSimulationPanic is the error of a run that panicked: Runner.Run
+// recovers the panic on the run's worker, so the sweep and its other runs go
+// on. errors.As finds it in a RunResult's Err and in Run's joined error.
+type ErrSimulationPanic struct {
+	Spec RunSpec
+	// Value is the value the run panicked with; Stack is the worker's stack
+	// where the panic was recovered.
+	Value any
+	Stack []byte
+}
+
+// Error implements error.
+func (e *ErrSimulationPanic) Error() string {
+	return fmt.Sprintf("simulation panicked: %v", e.Value)
+}
+
 // RunResult is the outcome of one RunSpec: the spec itself, its index in the
 // sweep, and either a Result or an error (lookup failure, unsupported pair,
-// or a simulation error).
+// a simulation error, or an *ErrSimulationPanic).
 type RunResult struct {
 	Spec   RunSpec
 	Index  int
@@ -79,15 +96,19 @@ type Sink interface {
 //
 // Each worker draws a machine-part Arena from the Runner for the length of a
 // Run call: the engine, physical memory, tag arrays, SWMR checker,
-// directory tables and message populations of a finished run are recycled
-// into the worker's next machine, so a long sweep stops paying construction
-// and GC cost per run. Workers hand their arenas back to the Runner when
+// directory tables, message populations, software threads and MTTOP
+// contexts of a finished run are recycled into the worker's next machine,
+// so a long sweep stops paying construction and GC cost per run. Workers hand their arenas back to the Runner when
 // the call ends, so a reused Runner's later calls build nothing their
 // predecessors already built. A Runner holds at most as many arenas as it
 // ever ran workers at once; dropping the Runner releases them. Concurrent
 // Run calls never share an arena. Reuse is observation-equivalent — results
 // and sink bytes are identical to fresh-machine-per-run at any Parallel
 // setting and on any call (see TestRunnerArenaReuse).
+//
+// A run that panics yields an *ErrSimulationPanic. Its worker drops its
+// arena, which the panicking machine may have left holding parts of an
+// unfinished run, and carries on with a fresh one.
 //
 // The zero value is ready to use. A Runner must not be copied after its
 // first Run.
@@ -150,11 +171,15 @@ func (r *Runner) Run(specs []RunSpec) ([]RunResult, error) {
 			defer wg.Done()
 			// One arena per worker: machines built for consecutive jobs on
 			// this goroutine reuse each other's parts; workers share nothing.
-			// The arena goes back only after the loop ends normally, so a
-			// half-used arena is never parked.
+			// A run that panicked may have left its arena half used, so the
+			// worker replaces it rather than park it.
 			arena := r.takeArena()
 			for i := range jobs {
 				results[i] = r.runOne(specs[i], i, arena)
+				var p *ErrSimulationPanic
+				if errors.As(results[i].Err, &p) {
+					arena = simarena.New()
+				}
 				done <- i
 			}
 			r.parkArena(arena)
@@ -201,12 +226,18 @@ func (r *Runner) closeSinks(errs []error) error {
 	return errors.Join(errs...)
 }
 
-// runOne resolves and executes a single spec through the registry. The run
-// draws its machine parts from the worker's arena; the spec recorded on the
-// RunResult keeps the caller's Arena field (usually nil) so results do not
-// retain the worker's free store.
-func (r *Runner) runOne(spec RunSpec, index int, arena *simarena.Arena) RunResult {
-	rr := RunResult{Spec: spec, Index: index}
+// runOne resolves and executes a single spec through the registry, and
+// recovers a panic into an *ErrSimulationPanic. The run draws its machine
+// parts from the worker's arena; the spec recorded on the RunResult keeps
+// the caller's Arena field (usually nil) so results do not retain the
+// worker's free store.
+func (r *Runner) runOne(spec RunSpec, index int, arena *simarena.Arena) (rr RunResult) {
+	rr = RunResult{Spec: spec, Index: index}
+	defer func() {
+		if v := recover(); v != nil {
+			rr.Result, rr.Err = Result{}, &ErrSimulationPanic{Spec: spec, Value: v, Stack: debug.Stack()}
+		}
+	}()
 	w, ok := Lookup(spec.Workload)
 	if !ok {
 		rr.Err = fmt.Errorf("%w %q", ErrUnknownWorkload, spec.Workload)

@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ccsvm"
+	"ccsvm/internal/core"
 	"ccsvm/internal/simarena"
+	"ccsvm/internal/xthreads"
 )
 
 // TestRunSpecStringIncludesTag is the regression test for indistinguishable
@@ -284,9 +288,9 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 // TestRunnerWarmCallsBuildNothing checks that a Runner keeps its worker's
 // arena between Run calls: once the first call has built a machine of every
 // shape in the list, the later calls draw every engine, memory, tag array,
-// SWMR checker and directory table from the arena, and its parked message
-// populations and op batches, with their storage, stay at the first call's
-// high-water mark.
+// SWMR checker, directory table and snoop filter map from the arena, and its
+// parked message populations, op batches (with their storage), threads and
+// MTTOP contexts stay at the first call's high-water mark.
 func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
 	var specs []ccsvm.RunSpec
@@ -312,14 +316,15 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 
 	// parts lists each recycled part's builds and reuses.
 	type counts struct{ builds, reuses uint64 }
-	names := []string{"engine", "physical", "array", "checker", "table"}
+	names := []string{"engine", "physical", "array", "checker", "table", "snoop map"}
 	parts := func(s simarena.Stats) map[string]counts {
 		return map[string]counts{
-			"engine":   {s.EngineBuilds, s.EngineReuses},
-			"physical": {s.PhysicalBuilds, s.PhysicalReuses},
-			"array":    {s.ArrayBuilds, s.ArrayReuses},
-			"checker":  {s.CheckerBuilds, s.CheckerReuses},
-			"table":    {s.TableBuilds, s.TableReuses},
+			"engine":    {s.EngineBuilds, s.EngineReuses},
+			"physical":  {s.PhysicalBuilds, s.PhysicalReuses},
+			"array":     {s.ArrayBuilds, s.ArrayReuses},
+			"checker":   {s.CheckerBuilds, s.CheckerReuses},
+			"table":     {s.TableBuilds, s.TableReuses},
+			"snoop map": {s.SnoopMapBuilds, s.SnoopMapReuses},
 		}
 	}
 
@@ -337,8 +342,9 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 		s := parked[0].Stats()
 		if call == 1 {
 			arena, first = parked[0], s
-			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.CohMsgs == 0 || s.NocMsgs == 0 || s.Batches == 0 {
-				t.Fatalf("first call built no checker or table, or parked no messages or batches: %+v", s)
+			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.SnoopMapBuilds == 0 ||
+				s.CohMsgs == 0 || s.NocMsgs == 0 || s.Batches == 0 || s.Threads == 0 || s.Contexts == 0 {
+				t.Fatalf("first call built no checker, table or snoop map, or parked no messages, batches, threads or contexts: %+v", s)
 			}
 		} else {
 			if parked[0] != arena {
@@ -365,9 +371,155 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 				t.Errorf("call %d parked %d batches holding %d ops, want call 1's %d and %d",
 					call, s.Batches, s.BatchOps, first.Batches, first.BatchOps)
 			}
+			// Every thread and context a machine builds is parked at its
+			// Shutdown, so a built one raises these.
+			if s.Threads != first.Threads || s.Contexts != first.Contexts {
+				t.Errorf("call %d parked %d threads and %d MTTOP contexts, want call 1's %d and %d",
+					call, s.Threads, s.Contexts, first.Threads, first.Contexts)
+			}
 		}
 		prev = s
 	}
+}
+
+// panicKind is a system kind only TestRunnerRecoversPanickingRun knows. The
+// test gives matmul a run function for it, so the registry keeps its five
+// workloads and every other test's pairs.
+const panicKind ccsvm.SystemKind = "panic-test"
+
+// runPanicking builds a CCSVM machine in the run's arena and panics in an
+// MTTOP thread while the other threads of its task are mid-run.
+func runPanicking(sys ccsvm.System, _ ccsvm.Params) (ccsvm.Result, error) {
+	m := core.NewMachine(sys.CCSVM)
+	defer m.Shutdown()
+	kernel := m.RegisterKernel(func(c *xthreads.MTTOPContext) {
+		c.Compute(int64(100 * c.TID()))
+		if c.TID() == 3 {
+			panic("kernel bug")
+		}
+		c.Compute(1000)
+	})
+	_, err := m.RunProgram(func(c *xthreads.CPUContext) {
+		c.CreateMThreads(kernel, 0, 0, 7)
+		c.Compute(1 << 20)
+	})
+	return ccsvm.Result{}, err
+}
+
+// TestRunnerRecoversPanickingRun runs a spec that panics mid-run between two
+// matmul specs on two workers. The sweep must survive it: the panicking spec
+// yields an ErrSimulationPanic, in its result and in the joined error, and
+// the other specs' sink output is byte-identical to the same sweep without
+// it.
+func TestRunnerRecoversPanickingRun(t *testing.T) {
+	w, ok := ccsvm.Lookup("matmul")
+	if !ok {
+		t.Fatal("matmul is not registered")
+	}
+	w.Runners[panicKind] = runPanicking
+	t.Cleanup(func() { delete(w.Runners, panicKind) })
+
+	p := ccsvm.Params{N: 8, Seed: 42}
+	a, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, "ccsvm-small", nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ccsvm.BuildSpec("matmul", ccsvm.SystemOpenCL, "apu-base", nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.System{Kind: panicKind, CCSVM: a.System.CCSVM}, Params: p}
+
+	sweep := func(specs ...ccsvm.RunSpec) ([]ccsvm.RunResult, string, error) {
+		var buf bytes.Buffer
+		r := &ccsvm.Runner{Parallel: 2, Sinks: []ccsvm.Sink{ccsvm.NewJSONLSink(&buf)}}
+		results, err := r.Run(specs)
+		return results, buf.String(), err
+	}
+	_, want, err := sweep(a, b)
+	if err != nil {
+		t.Fatalf("sweep without the panicking spec: %v", err)
+	}
+	results, got, err := sweep(a, bad, b)
+	var pe *ccsvm.ErrSimulationPanic
+	if !errors.As(err, &pe) || pe.Spec.System.Kind != panicKind {
+		t.Fatalf("sweep error %v does not carry the panicking spec's ErrSimulationPanic", err)
+	}
+	if !errors.As(results[1].Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "kernel bug") || len(pe.Stack) == 0 {
+		t.Fatalf("panicking spec's result error = %v, want an ErrSimulationPanic with the panic value and a stack", results[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil {
+			t.Errorf("spec %d failed next to the panicking one: %v", i, results[i].Err)
+		}
+	}
+	lines := strings.SplitAfter(got, "\n")
+	if others := lines[0] + lines[2]; others != want {
+		t.Fatalf("other specs' sink output differs from the sweep without the panicking spec:\n--- without\n%s--- with\n%s", want, others)
+	}
+}
+
+// TestRunnerLeavesNoGoroutines: every workload thread is a coroutine of its
+// machine, so once a sweep returns no goroutine of it is left — after runs
+// of xthreads and OpenCL specs, after a run that ends over its
+// simulated-time budget with threads mid-run, and after the Runner, with
+// the threads parked in its arenas, is dropped.
+func TestRunnerLeavesNoGoroutines(t *testing.T) {
+	p := ccsvm.Params{N: 16, Seed: 42}
+	var specs []ccsvm.RunSpec
+	for _, pair := range []struct {
+		workload string
+		kind     ccsvm.SystemKind
+	}{{"vectoradd", ccsvm.SystemCCSVM}, {"matmul", ccsvm.SystemCCSVM}, {"vectoradd", ccsvm.SystemOpenCL}, {"apsp", ccsvm.SystemOpenCL}} {
+		spec, err := ccsvm.BuildSpec(pair.workload, pair.kind, "", nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	// Both budgets end the run with threads mid-run: MTTOP threads, and
+	// work-items once the OpenCL initialization costs are waived.
+	var hung []ccsvm.RunSpec
+	for _, h := range []struct {
+		kind      ccsvm.SystemKind
+		overrides []string
+	}{
+		{ccsvm.SystemCCSVM, []string{"ccsvm.MaxSimulatedTime=2us"}},
+		{ccsvm.SystemOpenCL, []string{"apu.OpenCL.PlatformInit=0ns", "apu.OpenCL.ProgramBuild=0ns", "apu.MaxSimulatedTime=80us"}},
+	} {
+		spec, err := ccsvm.BuildSpec("matmul", h.kind, "", h.overrides, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hung = append(hung, spec)
+	}
+
+	before := runtime.NumGoroutine()
+	// settled polls briefly: the Runner's feeder goroutine may still be
+	// returning when Run does.
+	settled := func(after string) {
+		t.Helper()
+		for start := time.Now(); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("%d goroutines %s, want %d", runtime.NumGoroutine(), after, before)
+			}
+		}
+	}
+	r := &ccsvm.Runner{Parallel: 2}
+	if _, err := r.Run(specs); err != nil {
+		t.Fatal(err)
+	}
+	settled("after a sweep of xthreads and OpenCL specs")
+	results, _ := r.Run(hung)
+	for _, rr := range results {
+		if rr.Err == nil || !strings.Contains(rr.Err.Error(), "budget") {
+			t.Fatalf("%s returned %v, want a simulated-time budget error", rr.Spec, rr.Err)
+		}
+	}
+	settled("after runs over their simulated-time budget")
+	r = nil
+	runtime.GC()
+	settled("after the Runner was dropped")
 }
 
 // TestArenaMessagePopulationIsStable is the regression test for the
