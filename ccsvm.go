@@ -31,8 +31,9 @@ type (
 	// traffic, and whether the functional output was verified.
 	Result = workloads.Result
 	// Arena recycles machine parts (event engine, physical memory, cache tag
-	// arrays, SWMR checker, directory tables, message pools, software
-	// threads and MTTOP contexts) across the runs of one worker; set
+	// arrays, SWMR checker, directory tables, L1 controllers, MMUs, the GPU
+	// memory path, message pools, software threads and MTTOP contexts)
+	// across the runs of one worker; set
 	// System.Arena to use it. A Runner keeps its workers' arenas itself. See
 	// internal/simarena for the reuse contract.
 	Arena = simarena.Arena

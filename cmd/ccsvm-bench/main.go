@@ -24,7 +24,7 @@
 // Regression mode diffs a run against a committed baseline instead of
 // writing one:
 //
-//	ccsvm-bench -compare BENCH_2026-10-19.json             # measure, then diff
+//	ccsvm-bench -compare BENCH_2026-10-19-parts.json       # measure, then diff
 //	ccsvm-bench -compare old.json -input new.json          # diff two files, no run
 //
 // The gate has three tiers per series, matched by name: sim_time_ps,

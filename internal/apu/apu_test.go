@@ -4,10 +4,13 @@ package apu
 // around the unexported snoop filter directly, without a whole Machine.
 
 import (
+	"errors"
 	"testing"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/dram"
+	"ccsvm/internal/exec"
+	"ccsvm/internal/gpumem"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
 )
@@ -171,13 +174,13 @@ func TestFlushAndInvalidateRange(t *testing.T) {
 	}
 }
 
-// gpuRig builds a GPUMemory with a tiny write buffer for FIFO tests.
-func gpuRig(t *testing.T, bufLines int) (*sim.Engine, *GPUMemory) {
+// gpuRig builds a GPU memory path with a tiny write buffer for FIFO tests.
+func gpuRig(t *testing.T, bufLines int) (*sim.Engine, *gpumem.Memory) {
 	t.Helper()
 	engine := sim.NewEngine()
 	d := dram.NewController(engine, dram.DefaultAPUConfig())
 	rdcache := cache.NewArray(cache.Config{SizeBytes: 4 * mem.LineSize, Assoc: 2, Name: "gpu.rdcache"})
-	g := NewGPUMemory(engine, GPUMemConfig{
+	g := gpumem.New(engine, gpumem.Config{
 		ReadCacheBytes:   4 * mem.LineSize,
 		ReadCacheAssoc:   2,
 		ReadHit:          2 * sim.Nanosecond,
@@ -186,7 +189,7 @@ func gpuRig(t *testing.T, bufLines int) (*sim.Engine, *GPUMemory) {
 	return engine, g
 }
 
-func gpuAccess(t *testing.T, engine *sim.Engine, g *GPUMemory, typ mem.AccessType, addr mem.PAddr) {
+func gpuAccess(t *testing.T, engine *sim.Engine, g *gpumem.Memory, typ mem.AccessType, addr mem.PAddr) {
 	t.Helper()
 	done := false
 	g.Access(mem.Request{Type: typ, Addr: addr, Size: 8}, func() { done = true })
@@ -304,5 +307,43 @@ func TestValidateCapsNumCPUs(t *testing.T) {
 	cfg.NumCPUs = 65
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("65 CPUs accepted")
+	}
+}
+
+// TestZeroDelayLoopEndsRun: an engine event that reschedules itself with no
+// delay keeps simulated time from reaching the budget, so the run loop must
+// end the run as making no progress, whether the loop starts at launch or
+// 20 ns in, while the host thread holds the engine between Compute ops (see
+// the core test of the same name).
+func TestZeroDelayLoopEndsRun(t *testing.T) {
+	for _, start := range []sim.Duration{0, 20 * sim.Nanosecond} {
+		m := NewMachine(DefaultConfig())
+		ops, opsAtStart, left := 0, -1, 5_000_000
+		var loop func()
+		loop = func() {
+			if opsAtStart < 0 {
+				opsAtStart = ops
+			}
+			if left--; left > 0 {
+				m.Engine.Schedule(0, loop)
+			}
+		}
+		m.Engine.Schedule(start, loop)
+		_, err := m.RunProgram(func(c *HostContext) {
+			for range 100 {
+				c.Compute(10)
+				ops++
+			}
+		})
+		m.Shutdown()
+		if !errors.Is(err, exec.ErrNoProgress) {
+			t.Fatalf("loop from %v: run returned %v, want exec.ErrNoProgress", start, err)
+		}
+		if left == 0 {
+			t.Fatalf("loop from %v: the run ended only when the loop stopped itself", start)
+		}
+		if start > 0 && (opsAtStart == 0 || opsAtStart == 100) {
+			t.Fatalf("loop from %v started after %d of the host's 100 ops, want mid-run", start, opsAtStart)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"ccsvm/internal/cpu"
 	"ccsvm/internal/dram"
 	"ccsvm/internal/exec"
+	"ccsvm/internal/gpumem"
 	"ccsvm/internal/kernelos"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/mttop"
@@ -39,7 +40,7 @@ type Config struct {
 	// GPUContextsPerUnit is the number of in-flight work-items per SIMD unit.
 	GPUContextsPerUnit int
 	// GPUMem is the GPU-side memory path.
-	GPUMem GPUMemConfig
+	GPUMem gpumem.Config
 
 	// DRAM is the off-chip memory (8 GB DDR3, 72 ns).
 	DRAM dram.Config
@@ -162,7 +163,7 @@ func DefaultConfig() Config {
 		GPUVLIWOpsPerInstr: 2,
 		GPUClockHz:         600e6,
 		GPUContextsPerUnit: 256,
-		GPUMem:             DefaultGPUMemConfig(),
+		GPUMem:             gpumem.DefaultConfig(),
 		DRAM:               dram.DefaultAPUConfig(),
 		OpenCL:             DefaultOpenCLOverheads(),
 		MaxSimulatedTime:   30 * sim.Second,
@@ -181,7 +182,7 @@ type Machine struct {
 	CPUs     []*cpu.Core
 	CPUMem   []*PrivateHierarchy
 	GPUUnits []*mttop.Core
-	GPUMem   *GPUMemory
+	GPUMem   *gpumem.Memory
 	// OpenCL accumulates the driver activity of every OpenCL session on the
 	// machine (see package opencl).
 	OpenCL OpenCLStats
@@ -197,8 +198,9 @@ type Machine struct {
 	filter   *snoopFilter
 
 	// arena, when non-nil, receives the engine, physical memory, cache tag
-	// arrays, snoop filter map, the gate's op batches and threads and the
-	// context pool back at Shutdown so the worker's next machine reuses them.
+	// arrays, snoop filter map, GPU memory path, the gate's op batches and
+	// threads and the context pool back at Shutdown so the worker's next
+	// machine reuses them.
 	arena *simarena.Arena
 	// arrays is every tag array the machine drew (see array).
 	arrays []*cache.Array
@@ -206,8 +208,9 @@ type Machine struct {
 
 // NewMachine builds an APU. When the configuration carries an arena
 // (Config.InArena), the engine, physical memory, cache tag arrays, snoop
-// filter map, the gate's op batches and threads and the GPU units' context
-// pool come from it; reuse is observation-equivalent to fresh construction.
+// filter map, GPU memory path, the gate's op batches and threads and the GPU
+// units' context pool come from it; reuse is observation-equivalent to fresh
+// construction.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
@@ -245,7 +248,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 
 	rdcache := m.array(cache.Config{SizeBytes: cfg.GPUMem.ReadCacheBytes, Assoc: cfg.GPUMem.ReadCacheAssoc, Name: "gpu.rdcache"})
-	m.GPUMem = NewGPUMemory(m.Engine, cfg.GPUMem, rdcache, m.DRAM)
+	m.GPUMem = cfg.arena.GPUMemory(m.Engine, cfg.GPUMem, rdcache, m.DRAM)
 	issueWidth := cfg.GPULanes * cfg.GPUVLIWOpsPerInstr
 	for i := 0; i < cfg.GPUSIMDUnits; i++ {
 		unit := mttop.New(m.Engine, mttop.Config{
@@ -380,7 +383,6 @@ func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 		return 0, fmt.Errorf("apu: %d threads exceed %d CPU cores", len(fns), len(m.CPUs))
 	}
 	start := m.Engine.Now()
-	deadline := start.Add(m.Config.MaxSimulatedTime)
 	remaining := len(fns)
 	for i, fn := range fns {
 		t := m.newHostThread(fmt.Sprintf("host%d", i), fn)
@@ -390,14 +392,11 @@ func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 	// dispatch interleave in completion order (see exec.Gate), and the run
 	// continues past the last host thread's return to drain remaining
 	// activity.
-	overBudget := false
-	m.gate.Drive(func() bool {
-		if m.Engine.Now() > deadline {
-			overBudget = true
-			return false
-		}
-		return m.Engine.Step()
-	})
+	overBudget, err := m.gate.DriveUntil(start.Add(m.Config.MaxSimulatedTime))
+	if err != nil {
+		m.Shutdown()
+		return 0, fmt.Errorf("apu: %w", err)
+	}
 	if overBudget {
 		m.Shutdown()
 		if remaining > 0 {
@@ -428,6 +427,7 @@ func (m *Machine) Shutdown() {
 	a.RecycleThreads(m.gate.DrainThreads())
 	a.RecycleContextPool(m.contexts)
 	a.RecycleSnoopMap(m.filter.holders)
+	a.RecycleGPUMemory(m.GPUMem)
 	a.RecycleBatches(m.gate.DrainBatches())
 	for i := range m.arrays {
 		arr := m.arrays[i]

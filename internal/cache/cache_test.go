@@ -256,7 +256,7 @@ func driveArray(a *Array, rng *rand.Rand, ops int) []arrayEvent {
 			}
 		default:
 			// Drop every stable line's valid bit without zeroing it, as
-			// GPUMemory.InvalidateAll does.
+			// gpumem.Memory.InvalidateAll does.
 			ev.op = 'f'
 			a.ForEach(func(l *Line) {
 				if l.State.Stable() {

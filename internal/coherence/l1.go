@@ -117,6 +117,29 @@ type L1Stats struct {
 // the given node ID.
 func NewL1Controller(engine *sim.Engine, id noc.NodeID, net *noc.Torus, banks BankMapper,
 	cfg L1Config, checker *Checker) *L1Controller {
+	c := &L1Controller{
+		mshrs:     make(map[mem.LineAddr]*mshr),
+		evictions: make(map[mem.LineAddr]cache.State),
+	}
+	c.handleFn = func(a any) {
+		pa := a.(*pendingAccess)
+		p := *pa
+		*pa = pendingAccess{}
+		c.paFree = append(c.paFree, pa)
+		c.handle(p)
+	}
+	c.Reset(engine, id, net, banks, cfg, checker)
+	return c
+}
+
+// Reset rewires the controller into a new machine as NewL1Controller would
+// build it there: no transaction, eviction, stalled request or count
+// survives. It keeps only storage: the MSHR and access-carrier free lists
+// (each MSHR with its coalescing and deferred lists), the stall buffers and
+// the MSHR and eviction maps. The old machine may have stopped mid-run;
+// what was in flight then is dropped with its engine.
+func (c *L1Controller) Reset(engine *sim.Engine, id noc.NodeID, net *noc.Torus, banks BankMapper,
+	cfg L1Config, checker *Checker) {
 	proto := cfg.Protocol
 	if proto == nil {
 		proto = ProtocolMOESI
@@ -127,28 +150,28 @@ func NewL1Controller(engine *sim.Engine, id noc.NodeID, net *noc.Torus, banks Ba
 	if cfg.Pool == nil {
 		panic(fmt.Sprintf("%s: L1Config.Pool is nil", cfg.Name))
 	}
-	c := &L1Controller{
-		engine:    engine,
-		id:        id,
-		net:       net,
-		banks:     banks,
-		cfg:       cfg,
-		proto:     proto,
-		array:     cfg.Cache,
-		checker:   checker,
-		mshrs:     make(map[mem.LineAddr]*mshr),
-		evictions: make(map[mem.LineAddr]cache.State),
-		pool:      cfg.Pool,
-	}
-	c.handleFn = func(a any) {
-		pa := a.(*pendingAccess)
-		p := *pa
-		*pa = pendingAccess{}
-		c.paFree = append(c.paFree, pa)
-		c.handle(p)
+	clear(c.mshrs)
+	clear(c.evictions)
+	clear(c.stalled)
+	*c = L1Controller{
+		engine:       engine,
+		id:           id,
+		net:          net,
+		banks:        banks,
+		cfg:          cfg,
+		proto:        proto,
+		array:        cfg.Cache,
+		checker:      checker,
+		mshrs:        c.mshrs,
+		mshrFree:     c.mshrFree,
+		evictions:    c.evictions,
+		stalled:      c.stalled[:0],
+		stalledSpare: c.stalledSpare,
+		pool:         cfg.Pool,
+		paFree:       c.paFree,
+		handleFn:     c.handleFn,
 	}
 	net.Attach(id, c)
-	return c
 }
 
 // NodeID reports the controller's network node.

@@ -38,6 +38,7 @@ type Machine struct {
 	MTTOPs []*mttop.Core
 
 	l1s   []*coherence.L1Controller
+	mmus  []*vm.MMU
 	banks []*coherence.DirectoryBank
 	// msgs is the protocol-message pool every L1 and bank shares.
 	msgs  coherence.MsgPool
@@ -56,17 +57,18 @@ type Machine struct {
 	contexts *mttop.ContextPool
 
 	// arena, when non-nil, receives the engine, physical memory, tag arrays,
-	// SWMR checker, directory tables, message populations, op batches,
-	// threads and MTTOP contexts back at Shutdown so the worker's next
-	// machine reuses them.
+	// SWMR checker, directory tables, L1 controllers, MMUs, message
+	// populations, op batches, threads and MTTOP contexts back at Shutdown so
+	// the worker's next machine reuses them.
 	arena *simarena.Arena
 }
 
 // NewMachine builds and wires a CCSVM chip from the configuration. When the
 // configuration carries an arena (Config.InArena), the engine, physical
-// memory, cache tag arrays, SWMR checker, directory tables, message-pool
-// populations, the gate's op batches and threads and the MTTOP context pool
-// come from it; reuse is observation-equivalent to fresh construction.
+// memory, cache tag arrays, SWMR checker, directory tables, L1 controllers,
+// MMUs, message-pool populations, the gate's op batches and threads and the
+// MTTOP context pool come from it; reuse is observation-equivalent to fresh
+// construction.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -76,6 +78,8 @@ func NewMachine(cfg Config) *Machine {
 		Engine: cfg.arena.Engine(),
 		arena:  cfg.arena,
 		arrays: make([]*cache.Array, 0, cfg.NumCPUs+cfg.NumMTTOPs+cfg.L2Banks),
+		l1s:    make([]*coherence.L1Controller, 0, cfg.NumCPUs+cfg.NumMTTOPs),
+		mmus:   make([]*vm.MMU, 0, cfg.NumCPUs+cfg.NumMTTOPs),
 		tables: make([]*coherence.DirTable, 0, cfg.L2Banks),
 	}
 	// The trace hash is always on: it costs two integer multiplies per event
@@ -162,15 +166,13 @@ func NewMachine(cfg Config) *Machine {
 		name := fmt.Sprintf("cpu%d", i)
 		l1cfg := cfg.CPUL1
 		l1cfg.Name = name + ".l1"
-		l1 := coherence.NewL1Controller(m.Engine, noc.NodeID(i), m.torus, mapper, coherence.L1Config{
+		l1, mmu := m.l1AndMMU(noc.NodeID(i), mapper, coherence.L1Config{
 			Cache:      m.array(l1cfg),
 			HitLatency: cfg.CPUL1Hit,
 			Protocol:   proto,
 			Pool:       &m.msgs,
 			Name:       name + ".l1",
-		}, m.Checker)
-		m.l1s = append(m.l1s, l1)
-		mmu := vm.NewMMU(vm.TLBConfig{Entries: cfg.TLBEntries}, l1, m.Phys)
+		})
 		core := cpu.New(m.Engine, m.gate, cpu.Config{Clock: cpuClock, CPI: cfg.CPUCPI, Name: name}, l1, mmu, m.Phys, m.Kernel)
 		core.SetSyscallHandler(m.handleSyscall)
 		m.CPUs = append(m.CPUs, core)
@@ -183,15 +185,13 @@ func NewMachine(cfg Config) *Machine {
 		node := noc.NodeID(cfg.NumCPUs + i)
 		l1cfg := cfg.MTTOPL1
 		l1cfg.Name = name + ".l1"
-		l1 := coherence.NewL1Controller(m.Engine, node, m.torus, mapper, coherence.L1Config{
+		l1, mmu := m.l1AndMMU(node, mapper, coherence.L1Config{
 			Cache:      m.array(l1cfg),
 			HitLatency: cfg.MTTOPL1Hit,
 			Protocol:   proto,
 			Pool:       &m.msgs,
 			Name:       name + ".l1",
-		}, m.Checker)
-		m.l1s = append(m.l1s, l1)
-		mmu := vm.NewMMU(vm.TLBConfig{Entries: cfg.TLBEntries}, l1, m.Phys)
+		})
 		core := mttop.New(m.Engine, mttop.Config{
 			Clock:       mttopClock,
 			NumContexts: cfg.MTTOPContexts,
@@ -218,6 +218,17 @@ func (m *Machine) array(cfg cache.Config) *cache.Array {
 	arr := m.arena.Array(cfg)
 	m.arrays = append(m.arrays, arr)
 	return arr
+}
+
+// l1AndMMU draws a core's L1 controller and the MMU that walks through it
+// from the machine's arena (fresh ones without an arena) and records them for
+// Shutdown to hand back.
+func (m *Machine) l1AndMMU(node noc.NodeID, banks coherence.BankMapper, cfg coherence.L1Config) (*coherence.L1Controller, *vm.MMU) {
+	l1 := m.arena.L1Controller(m.Engine, node, m.torus, banks, cfg, m.Checker)
+	mmu := m.arena.MMU(vm.TLBConfig{Entries: m.Config.TLBEntries}, l1, m.Phys)
+	m.l1s = append(m.l1s, l1)
+	m.mmus = append(m.mmus, mmu)
+	return l1, mmu
 }
 
 // handleSyscall is the machine's OS syscall dispatcher; the MIFD driver's
@@ -259,7 +270,6 @@ func (m *Machine) RegisterKernel(k xthreads.KernelFunc) int {
 // until Shutdown.
 func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	start := m.Engine.Now()
-	deadline := start.Add(m.Config.MaxSimulatedTime)
 	mainDone := false
 	t := m.Runtime.NewCPUThread("main", main)
 	m.CPUs[0].Run(t, func() { mainDone = true })
@@ -267,14 +277,11 @@ func (m *Machine) RunProgram(main xthreads.MainFunc) (sim.Duration, error) {
 	// dispatch interleave in completion order (see exec.Gate), and the run
 	// continues past main's return to drain remaining activity (MTTOP threads
 	// main did not wait for, in-flight writebacks, etc.).
-	overBudget := false
-	m.gate.Drive(func() bool {
-		if m.Engine.Now() > deadline {
-			overBudget = true
-			return false
-		}
-		return m.Engine.Step()
-	})
+	overBudget, err := m.gate.DriveUntil(start.Add(m.Config.MaxSimulatedTime))
+	if err != nil {
+		m.gate.KillAll()
+		return 0, fmt.Errorf("core: %w", err)
+	}
 	if overBudget {
 		m.gate.KillAll()
 		if !mainDone {
@@ -323,6 +330,11 @@ func (m *Machine) Shutdown() {
 	m.arena = nil
 	a.RecycleThreads(m.gate.DrainThreads())
 	a.RecycleContextPool(m.contexts)
+	// Parked last to first, so the next machine's node i draws this one's.
+	for i := len(m.l1s) - 1; i >= 0; i-- {
+		a.RecycleL1Controller(m.l1s[i])
+		a.RecycleMMU(m.mmus[i])
+	}
 	a.RecycleCohMsgs(m.msgs.DrainFreeList())
 	a.RecycleNocMsgs(m.torus.DrainFreeList())
 	a.RecycleBatches(m.gate.DrainBatches())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"iter"
 	"math"
 	"runtime"
@@ -614,13 +615,55 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestZeroDelayLoopEndsRun: an engine event that reschedules itself with no
+// delay keeps simulated time from reaching the budget, so the run loop must
+// end the run as making no progress. The loop starts either at launch, while
+// main is parked, or 20 ns in, while main holds the engine between Compute
+// ops, so the bound is reached inside main's own drive loop. The loop stops
+// itself after five million events, so a run loop that lets it through ends
+// instead of hanging, and the test finds the loop run out.
+func TestZeroDelayLoopEndsRun(t *testing.T) {
+	for _, start := range []sim.Duration{0, 20 * sim.Nanosecond} {
+		m := NewMachine(SmallConfig())
+		ops, opsAtStart, left := 0, -1, 5_000_000
+		var loop func()
+		loop = func() {
+			if opsAtStart < 0 {
+				opsAtStart = ops
+			}
+			if left--; left > 0 {
+				m.Engine.Schedule(0, loop)
+			}
+		}
+		m.Engine.Schedule(start, loop)
+		_, err := m.RunProgram(func(c *xthreads.CPUContext) {
+			for range 100 {
+				c.Compute(10)
+				ops++
+			}
+		})
+		m.Shutdown()
+		if !errors.Is(err, exec.ErrNoProgress) {
+			t.Fatalf("loop from %v: run returned %v, want exec.ErrNoProgress", start, err)
+		}
+		if left == 0 {
+			t.Fatalf("loop from %v: the run ended only when the loop stopped itself", start)
+		}
+		if start > 0 && (opsAtStart == 0 || opsAtStart == 100) {
+			t.Fatalf("loop from %v started after %d of main's 100 ops, want mid-run", start, opsAtStart)
+		}
+	}
+}
+
 // TestWarmArenaBuildAllocations bounds the heap objects of a warm
 // arena-backed ccsvm-base build plus Shutdown, the per-run set-up cost of a
-// Runner worker. Counters live in their components and MTTOP contexts and
-// TLB entries are built on first use, so none of them allocates here.
+// Runner worker. Counters live in their components, the L1 controllers and
+// MMUs come from the arena, and MTTOP contexts and TLB entries are built on
+// first use, so none of them allocates here. The build makes 167 objects;
+// the limit leaves 20% headroom.
 func TestWarmArenaBuildAllocations(t *testing.T) {
 	cfg := DefaultConfig().InArena(simarena.New())
-	const limit = 300
+	const limit = 200
 	if got := testing.AllocsPerRun(10, func() { NewMachine(cfg).Shutdown() }); got > limit {
 		t.Fatalf("warm ccsvm-base build allocates %.0f objects, want <= %d", got, limit)
 	}

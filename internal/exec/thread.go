@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 
@@ -331,6 +332,52 @@ func (g *Gate) Drive(step func() bool) {
 			return
 		}
 	}
+}
+
+// maxSameTimeEvents bounds how many events in a row DriveUntil dispatches
+// at one simulated time: it ends a run after at least this many and fewer
+// than twice as many. The longest such run in the 14 paper series is 52
+// events, in code_vectoradd_xthreads; an event that reschedules itself with
+// no delay, which no simulated-time budget can stop, reaches the bound in
+// well under a second.
+const maxSameTimeEvents = 1_000_000
+
+// ErrNoProgress is the error of a run whose simulated time stopped
+// advancing: DriveUntil dispatched a million events in a row at one
+// simulated time.
+var ErrNoProgress = errors.New("simulated time stopped advancing")
+
+// DriveUntil is the machines' run loop: Drive over the bound engine's Step
+// (see Bind) that stops early in two cases. Once simulated time has passed
+// deadline it returns overBudget true, and once maxSameTimeEvents events in
+// a row ran at one simulated time it returns ErrNoProgress. Either way the
+// remaining events stay queued and the threads parked.
+//
+// Time is compared with its reading at a checkpoint once every
+// maxSameTimeEvents events rather than after each one: time never goes
+// back, so equal readings mean every event between them ran at that time.
+// Both stops hold once made, because a refused step runs no event: when a
+// holder's drive loop is refused, its thread parks and Drive's own next
+// step is refused as well.
+func (g *Gate) DriveUntil(deadline sim.Time) (overBudget bool, err error) {
+	eng := g.eng
+	check, checkNow := eng.Executed()+maxSameTimeEvents, eng.Now()
+	g.Drive(func() bool {
+		now := eng.Now()
+		if now > deadline {
+			overBudget = true
+			return false
+		}
+		if eng.Executed() >= check {
+			if now == checkNow {
+				err = ErrNoProgress
+				return false
+			}
+			check, checkNow = eng.Executed()+maxSameTimeEvents, now
+		}
+		return eng.Step()
+	})
+	return overBudget, err
 }
 
 // hold runs the batch of the holder t from Drive: it runs the batch's steps

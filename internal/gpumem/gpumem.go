@@ -1,4 +1,6 @@
-package apu
+// Package gpumem models the GPU side of the APU's memory system, the path
+// the GPU's SIMD units share to DRAM.
+package gpumem
 
 import (
 	"ccsvm/internal/cache"
@@ -7,12 +9,12 @@ import (
 	"ccsvm/internal/sim"
 )
 
-// GPUMemory is the GPU side of the APU's memory system: accesses bypass the
+// Memory is the GPU side of the APU's memory system: accesses bypass the
 // CPU caches and go to DRAM over the high-bandwidth "garlic" path, with a
 // small read cache and a write-combining buffer that model the coalescing a
 // real GPU performs across the lanes of a wavefront. It implements mem.Port
 // and is shared by all SIMD units.
-type GPUMemory struct {
+type Memory struct {
 	engine *sim.Engine
 	dram   *dram.Controller
 
@@ -25,14 +27,14 @@ type GPUMemory struct {
 	writeBuf    map[mem.LineAddr]int
 	writeSeq    int
 	writeBufMax int
-	// freeMisses recycles read-miss carriers (see gpuReadMiss).
-	freeMisses []*gpuReadMiss
+	// freeMisses recycles read-miss carriers (see readMiss).
+	freeMisses []*readMiss
 
-	Stats GPUMemStats
+	Stats Stats
 }
 
-// GPUMemStats are the GPU memory path's event counters.
-type GPUMemStats struct {
+// Stats are the GPU memory path's event counters.
+type Stats struct {
 	// ReadHits and ReadMisses count read-cache lookups by outcome.
 	ReadHits, ReadMisses uint64
 	// CombinedWrites counts writes merged into a buffered line; WriteLines
@@ -40,8 +42,8 @@ type GPUMemStats struct {
 	CombinedWrites, WriteLines uint64
 }
 
-// GPUMemConfig describes the GPU memory path.
-type GPUMemConfig struct {
+// Config describes the GPU memory path.
+type Config struct {
 	// ReadCacheBytes is the small on-GPU read cache (per-chip aggregate).
 	ReadCacheBytes int
 	// ReadCacheAssoc is its associativity.
@@ -52,10 +54,10 @@ type GPUMemConfig struct {
 	WriteBufferLines int
 }
 
-// DefaultGPUMemConfig returns the GPU memory-path parameters used for the
+// DefaultConfig returns the GPU memory-path parameters used for the
 // Llano-like baseline.
-func DefaultGPUMemConfig() GPUMemConfig {
-	return GPUMemConfig{
+func DefaultConfig() Config {
+	return Config{
 		ReadCacheBytes:   32 * 1024,
 		ReadCacheAssoc:   8,
 		ReadHit:          2 * sim.Nanosecond,
@@ -63,22 +65,33 @@ func DefaultGPUMemConfig() GPUMemConfig {
 	}
 }
 
-// NewGPUMemory builds the GPU memory path around an empty read-cache tag
-// array of cfg's ReadCacheBytes and ReadCacheAssoc, built by the caller as
-// for NewPrivateHierarchy.
-func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, readCache *cache.Array, d *dram.Controller) *GPUMemory {
-	return &GPUMemory{
+// New builds the GPU memory path around an empty read-cache tag array of
+// cfg's ReadCacheBytes and ReadCacheAssoc, built by the caller.
+func New(engine *sim.Engine, cfg Config, readCache *cache.Array, d *dram.Controller) *Memory {
+	g := &Memory{writeBuf: make(map[mem.LineAddr]int)}
+	g.Reset(engine, cfg, readCache, d)
+	return g
+}
+
+// Reset rewires the memory path into a new machine as New would build it
+// there, with an empty write buffer and zero Stats, keeping the buffer's map
+// and the read-miss carriers. Misses in flight when the old machine stopped
+// are dropped with its engine.
+func (g *Memory) Reset(engine *sim.Engine, cfg Config, readCache *cache.Array, d *dram.Controller) {
+	clear(g.writeBuf)
+	*g = Memory{
 		engine:      engine,
 		dram:        d,
 		readCache:   readCache,
 		readHit:     cfg.ReadHit,
-		writeBuf:    make(map[mem.LineAddr]int),
+		writeBuf:    g.writeBuf,
 		writeBufMax: cfg.WriteBufferLines,
+		freeMisses:  g.freeMisses,
 	}
 }
 
 // Access implements mem.Port.
-func (g *GPUMemory) Access(req mem.Request, done func()) {
+func (g *Memory) Access(req mem.Request, done func()) {
 	line := req.Line()
 	if req.Type.NeedsExclusive() {
 		// Write-combining: the first write to a line reserves a buffer slot;
@@ -105,30 +118,30 @@ func (g *GPUMemory) Access(req mem.Request, done func()) {
 		return
 	}
 	g.Stats.ReadMisses++
-	var r *gpuReadMiss
+	var r *readMiss
 	if n := len(g.freeMisses); n > 0 {
 		r = g.freeMisses[n-1]
 		g.freeMisses = g.freeMisses[:n-1]
 	} else {
-		r = &gpuReadMiss{g: g}
+		r = &readMiss{g: g}
 		r.fillFn = r.fill
 	}
 	r.line, r.done = line, done
 	g.dram.Read(line, r.fillFn)
 }
 
-// gpuReadMiss carries one read miss to DRAM and back. Carriers are recycled
-// through GPUMemory.freeMisses and their fill callback is bound once, so a
-// miss allocates nothing in steady state.
-type gpuReadMiss struct {
-	g      *GPUMemory
+// readMiss carries one read miss to DRAM and back. Carriers are recycled
+// through Memory.freeMisses and their fill callback is bound once, so a miss
+// allocates nothing in steady state.
+type readMiss struct {
+	g      *Memory
 	line   mem.LineAddr
 	done   func()
 	fillFn func()
 }
 
 // fill installs the line in the read cache and completes the access.
-func (r *gpuReadMiss) fill() {
+func (r *readMiss) fill() {
 	g, line, done := r.g, r.line, r.done
 	r.done = nil
 	g.freeMisses = append(g.freeMisses, r)
@@ -141,7 +154,7 @@ func (r *gpuReadMiss) fill() {
 	g.engine.Schedule(g.readHit, done)
 }
 
-func (g *GPUMemory) flushOneLine() {
+func (g *Memory) flushOneLine() {
 	oldest := mem.LineAddr(0)
 	oldestSeq := g.writeSeq + 1
 	//ccsvm:orderinvariant
@@ -157,9 +170,9 @@ func (g *GPUMemory) flushOneLine() {
 }
 
 // InvalidateAll drops the read cache and write buffer (between kernels).
-func (g *GPUMemory) InvalidateAll() {
+func (g *Memory) InvalidateAll() {
 	g.readCache.ForEach(func(l *cache.Line) { l.Valid = false })
 	clear(g.writeBuf)
 }
 
-var _ mem.Port = (*GPUMemory)(nil)
+var _ mem.Port = (*Memory)(nil)

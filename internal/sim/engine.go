@@ -2,34 +2,28 @@ package sim
 
 import "fmt"
 
-// Event is a unit of scheduled work. Events are ordered by time and, for
+// event is a unit of scheduled work. Events are ordered by time and, for
 // equal times, by the order in which they were scheduled, which makes every
 // simulation fully deterministic.
 //
-// Events are pooled: when an event fires (or a canceled event is drained from
-// the queue) its object goes back on the engine's free list and is reused by
-// a later At/Schedule call. A handle returned by At/Schedule is therefore
-// valid only until the event fires; callers that retain handles must drop
-// them when the callback runs. Cancel on a handle whose event already fired
-// is a no-op as long as the object has not been reused.
-type Event struct {
+// Events are pooled: when an event fires its object goes back on the
+// engine's free list and is reused by a later At/Schedule call, so callers
+// never see one.
+type event struct {
 	when Time
 	seq  uint64
 	// fn is the event's single callback, invoked as fn(arg). AtArg stores the
 	// caller's bound callback and argument directly; At routes plain closures
 	// through the callClosure trampoline with the closure in arg (func values
 	// are pointer-shaped, so neither form boxes on the heap). One callback
-	// word instead of the historical fn/afn pair keeps the Event at 48 bytes —
+	// word instead of the historical fn/afn pair keeps the event at 48 bytes —
 	// under one cache line — with the ordering keys (when, seq) leading the
 	// struct where the sort and heap comparisons touch them.
 	fn  func(any)
 	arg any
-	// canceled marks events removed with Cancel; they stay queued and are
-	// recycled when drained.
-	canceled bool
 	// index is the position in the overflow heap, or one of the sentinel
-	// states below. int32 packs it beside canceled in the struct's last word;
-	// an overflow heap of 2^31 events would be hundreds of gigabytes.
+	// states below. An overflow heap of 2^31 events would be hundreds of
+	// gigabytes.
 	index int32
 }
 
@@ -43,16 +37,13 @@ const (
 	indexBucketed = -3
 )
 
-// When reports the simulated time at which the event fires.
-func (e *Event) When() Time { return e.when }
-
 // callClosure is the trampoline behind At/Schedule: the scheduled closure
 // rides in the event's arg slot, so every event dispatches through one
 // uniform fn(arg) call.
 func callClosure(a any) { a.(func())() }
 
 // eventLess is the engine's total order: (time, seq).
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -77,12 +68,12 @@ const (
 // the first time the bucket is drained; the backing array is reused once the
 // bucket empties.
 type calBucket struct {
-	events []*Event
+	events []*event
 	head   int
 	sorted bool
 }
 
-func (b *calBucket) push(ev *Event) {
+func (b *calBucket) push(ev *event) {
 	if b.head == len(b.events) {
 		b.events = b.events[:0]
 		b.head = 0
@@ -104,14 +95,13 @@ func (b *calBucket) push(ev *Event) {
 // The queue is two-level: near-future events go into a bucketed calendar ring
 // (O(1) insert, cheap pop), far-future events into a binary heap. Both
 // structures drain in the same (time, seq) total order, so the split is
-// invisible to component models. Event objects are free-listed (see Event).
+// invisible to component models. Event objects are free-listed (see event).
 //
 // Dispatch is fused: the engine caches the next-event candidate (next) so the
 // common Step — pop the head of the already-sorted current bucket, run it,
 // promote its successor — never rescans the calendar ring or the heap top.
-// The cache is invalidated by the only operations that can change the front
-// of the queue: scheduling an event earlier than the candidate, and canceling
-// the candidate itself.
+// The cache is invalidated by the only operation that can change the front
+// of the queue: scheduling an event earlier than the candidate.
 type Engine struct {
 	now Time
 	seq uint64
@@ -120,27 +110,26 @@ type Engine struct {
 	// via refill), non-nil means it is the earliest live event and sits at
 	// the front of its container — the head of the sorted bucket at calScan,
 	// or the top of the overflow heap.
-	next *Event
+	next *event
 
 	// overflow is a concrete binary min-heap ordered by eventLess; push/pop
 	// are open-coded (heapPush/heapPopTop) so they inline without the
 	// interface dispatch and any-boxing of container/heap.
-	overflow []*Event
-	stopped  bool
+	overflow []*event
 
 	// cal is the near-future bucket ring; calCount counts the entries that
-	// still sit in buckets (including canceled ones awaiting drain); calScan
-	// is a monotone lower bound on the smallest live bucket index, used to
-	// resume the bucket scan without rescanning known-empty slots.
+	// still sit in buckets; calScan is a monotone lower bound on the smallest
+	// live bucket index, used to resume the bucket scan without rescanning
+	// known-empty slots.
 	cal      [calBuckets]calBucket
 	calCount int
 	calScan  int64
 
 	// free is the event free list; fresh events are allocated in chunks.
-	free []*Event
+	free []*event
 
-	// pending counts non-canceled events still queued, so Pending() — called
-	// from hot monitoring paths — is O(1) instead of a queue scan.
+	// pending counts events still queued, so Pending() — called from hot
+	// monitoring paths — is O(1) instead of a queue scan.
 	pending int
 
 	// executed counts events that have run, for debugging and stats.
@@ -176,15 +165,15 @@ func NewEngine() *Engine {
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports how many scheduled (non-canceled) events remain.
+// Pending reports how many scheduled events remain.
 func (e *Engine) Pending() int { return e.pending }
 
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // LiveEvents reports how many pooled event objects are currently checked out
-// (queued — including canceled-but-undrained — or firing). A drained engine
-// must report zero; anything else is a leak in the event pool.
+// (queued or firing). A drained engine must report zero; anything else is a
+// leak in the event pool.
 func (e *Engine) LiveEvents() int { return e.live }
 
 // EnableTraceHash starts accumulating an order-sensitive hash of every
@@ -216,11 +205,11 @@ func fnvMix(h, v uint64) uint64 {
 	return (h ^ v) * fnvPrime
 }
 
-// eventChunk is how many Event objects one free-list refill allocates.
+// eventChunk is how many event objects one free-list refill allocates.
 const eventChunk = 64
 
 // alloc takes an event from the free list, refilling it a chunk at a time.
-func (e *Engine) alloc() *Event {
+func (e *Engine) alloc() *event {
 	e.live++
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -228,7 +217,7 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	chunk := make([]Event, eventChunk) // amortized chunk refill, 1/64 gets
+	chunk := make([]event, eventChunk) // amortized chunk refill, 1/64 gets
 	for i := range chunk {
 		chunk[i].index = indexPooled
 	}
@@ -239,21 +228,20 @@ func (e *Engine) alloc() *Event {
 }
 
 // release returns a drained event to the free list.
-func (e *Engine) release(ev *Event) {
+func (e *Engine) release(ev *event) {
 	if ev.index == indexPooled {
 		panic("sim: double release of a pooled event")
 	}
 	e.live--
 	ev.fn = nil
 	ev.arg = nil
-	ev.canceled = false
 	ev.index = indexPooled
 	e.free = append(e.free, ev) // free list returns to its high-water mark
 }
 
 // heapPush adds ev to the overflow heap and sifts it up. Open-coded
 // container/heap.Push without the interface dispatch.
-func (e *Engine) heapPush(ev *Event) {
+func (e *Engine) heapPush(ev *event) {
 	h := append(e.overflow, ev) // overflow heap grows to its high-water mark
 	j := len(h) - 1
 	ev.index = int32(j)
@@ -273,7 +261,7 @@ func (e *Engine) heapPush(ev *Event) {
 // heapPopTop removes the heap's minimum (h[0]) and sifts the displaced tail
 // element down. Open-coded container/heap.Pop without the interface dispatch
 // or any-boxing of the removed event.
-func (e *Engine) heapPopTop() *Event {
+func (e *Engine) heapPopTop() *event {
 	h := e.overflow
 	top := h[0]
 	top.index = indexFiring
@@ -314,7 +302,7 @@ func (e *Engine) heapPopTop() *Event {
 // [now>>calShift, now>>calShift + calBuckets), so a ring slot never mixes
 // events from different laps — time only moves forward, and events further
 // out go to the heap.
-func (e *Engine) insert(ev *Event) {
+func (e *Engine) insert(ev *event) {
 	b := int64(ev.when) >> calShift
 	if b-(int64(e.now)>>calShift) < calBuckets {
 		ev.index = indexBucketed
@@ -350,7 +338,7 @@ func (e *Engine) ArmScheduleHook(on bool) { e.hookArmed = on }
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in a component model, so it panics loudly rather than silently
 // reordering time.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if e.hookArmed {
 		e.preSchedule()
 	}
@@ -362,7 +350,6 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	e.seq++
 	e.insert(ev)
 	e.pending++
-	return ev
 }
 
 // AtArg schedules fn(arg) to run at absolute time t. It is the
@@ -370,7 +357,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // bound once at component construction and arg a pooled message, so
 // scheduling builds no closure. Pointer-shaped args do not escape to a fresh
 // allocation when stored in the event.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
+func (e *Engine) AtArg(t Time, fn func(any), arg any) {
 	if e.hookArmed {
 		e.preSchedule()
 	}
@@ -382,47 +369,29 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	e.seq++
 	e.insert(ev)
 	e.pending++
-	return ev
 }
 
 // Schedule schedules fn to run after delay relative to the current time.
-func (e *Engine) Schedule(delay Duration, fn func()) *Event {
+func (e *Engine) Schedule(delay Duration, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return e.At(e.now.Add(delay), fn)
+	e.At(e.now.Add(delay), fn)
 }
 
 // ScheduleArg schedules fn(arg) after delay relative to the current time; it
 // is the allocation-free variant of Schedule (see AtArg).
-func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) *Event {
+func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return e.AtArg(e.now.Add(delay), fn, arg)
-}
-
-// Cancel removes a previously scheduled event. Canceling an already-fired or
-// already-canceled event is a no-op (but see Event: a handle kept after its
-// event fired may be reused by a later schedule, so long-lived holders must
-// drop handles when their callback runs).
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.index == indexPooled || ev.index == indexFiring {
-		return
-	}
-	if ev == e.next {
-		e.next = nil
-	}
-	ev.canceled = true
-	ev.fn = nil
-	ev.arg = nil
-	e.pending--
+	e.AtArg(e.now.Add(delay), fn, arg)
 }
 
 // sortEvents orders a bucket tail by (time, seq) with an allocation-free
 // insertion sort; buckets hold at most a bucket-width of events, so they stay
 // small enough that insertion sort beats the reflective sort.Slice.
-func sortEvents(evs []*Event) {
+func sortEvents(evs []*event) {
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
 		j := i - 1
@@ -434,10 +403,10 @@ func sortEvents(evs []*Event) {
 	}
 }
 
-// peekCal returns the earliest live bucketed event, draining canceled ones,
-// or nil when the calendar is empty. It leaves calScan at the returned
+// peekCal returns the earliest bucketed event, or nil when the calendar is
+// empty. It leaves calScan at the returned
 // event's bucket index so the fused pop can remove it without rescanning.
-func (e *Engine) peekCal() *Event {
+func (e *Engine) peekCal() *event {
 	if e.calCount == 0 {
 		return nil
 	}
@@ -447,48 +416,32 @@ func (e *Engine) peekCal() *Event {
 	for i := 0; i < calBuckets; i++ {
 		b := e.calScan + int64(i)
 		bk := &e.cal[b&calBucketMask]
-		for bk.head < len(bk.events) {
+		if bk.head < len(bk.events) {
 			if !bk.sorted {
 				sortEvents(bk.events[bk.head:])
 				bk.sorted = true
 			}
-			ev := bk.events[bk.head]
-			if ev.canceled {
-				bk.events[bk.head] = nil
-				bk.head++
-				e.calCount--
-				e.release(ev)
-				continue
-			}
 			e.calScan = b
-			return ev
-		}
-		if e.calCount == 0 {
-			return nil
+			return bk.events[bk.head]
 		}
 	}
 	panic("sim: calendar count positive but no event within the window")
 }
 
-// peekOverflow returns the earliest live heap event, draining canceled ones,
-// or nil when the heap is empty.
-func (e *Engine) peekOverflow() *Event {
-	for len(e.overflow) > 0 {
-		ev := e.overflow[0]
-		if !ev.canceled {
-			return ev
-		}
-		e.heapPopTop()
-		e.release(ev)
+// peekOverflow returns the earliest heap event, or nil when the heap is
+// empty.
+func (e *Engine) peekOverflow() *event {
+	if len(e.overflow) == 0 {
+		return nil
 	}
-	return nil
+	return e.overflow[0]
 }
 
 // refill recomputes the cached next candidate from the two queue levels. It
 // runs only when the cache is cold: at the start of a drain, after an
-// insert-before-next or a Cancel of the candidate, and when a bucket empties
+// insert-before-next, and when a bucket empties
 // or goes unsorted under the fused pop.
-func (e *Engine) refill() *Event {
+func (e *Engine) refill() *event {
 	cev := e.peekCal()
 	hev := e.peekOverflow()
 	switch {
@@ -505,10 +458,10 @@ func (e *Engine) refill() *Event {
 // pop removes the cached candidate ev from its container and eagerly promotes
 // its bucket successor when that is provably the global next: the bucket is
 // still sorted from head and its new head precedes the heap minimum (heap[0]
-// lower-bounds every heap event, canceled or not). Anything scheduled or
-// canceled by the subsequent callback that could displace the promoted
-// candidate invalidates the cache through insert/Cancel.
-func (e *Engine) pop(ev *Event) {
+// lower-bounds every heap event). Anything scheduled by the subsequent
+// callback that could displace the promoted candidate invalidates the cache
+// through insert.
+func (e *Engine) pop(ev *event) {
 	e.next = nil
 	if ev.index == indexBucketed {
 		// refill/promotion left calScan at this event's bucket, with the
@@ -519,8 +472,7 @@ func (e *Engine) pop(ev *Event) {
 		e.calCount--
 		ev.index = indexFiring
 		if bk.sorted && bk.head < len(bk.events) {
-			if c := bk.events[bk.head]; !c.canceled &&
-				(len(e.overflow) == 0 || eventLess(c, e.overflow[0])) {
+			if c := bk.events[bk.head]; len(e.overflow) == 0 || eventLess(c, e.overflow[0]) {
 				e.next = c
 			}
 		}
@@ -546,7 +498,7 @@ func (e *Engine) Step() bool {
 	e.traceHash = fnvMix(fnvMix(e.traceHash, uint64(ev.when)), ev.seq)
 	fn, arg := ev.fn, ev.arg
 	// Recycle before dispatch so the callback's own scheduling reuses the
-	// object immediately; the handle contract (see Event) makes this safe.
+	// object immediately.
 	e.release(ev)
 	e.pending--
 	e.executed++
@@ -554,7 +506,7 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 //
 // The loop batch-drains through the cached candidate: while the current
 // bucket stays sorted, each iteration is a pointer load, a pop, and the
@@ -563,9 +515,8 @@ func (e *Engine) Step() bool {
 // during Run may lag; it is exact whenever Run (or Step, which machines
 // drive directly) returns.
 func (e *Engine) Run() {
-	e.stopped = false
 	fired := uint64(0)
-	for !e.stopped {
+	for {
 		ev := e.next
 		if ev == nil {
 			if ev = e.refill(); ev == nil {
@@ -584,50 +535,10 @@ func (e *Engine) Run() {
 	e.executed += fired
 }
 
-// RunUntil executes events with times <= deadline. Events scheduled beyond
-// the deadline remain queued. It returns the number of events executed.
-//
-// The deadline check reads the cached next candidate — maintained across the
-// contained Steps — instead of re-deriving the queue front with a full peek
-// per iteration.
-//
-// When the loop drains normally (queue empty or next event past the
-// deadline), simulated time fast-forwards to the deadline. When Stop ends the
-// run early, time stays where the last event left it: events at or before the
-// deadline may still be queued, and jumping past them would make a later
-// Step move simulated time backwards.
-func (e *Engine) RunUntil(deadline Time) int {
-	e.stopped = false
-	n := 0
-	for !e.stopped {
-		next := e.next
-		if next == nil {
-			if next = e.refill(); next == nil {
-				break
-			}
-		}
-		if next.when > deadline {
-			break
-		}
-		e.Step()
-		n++
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
-	return n
-}
-
-// RunFor executes events for the given duration from the current time.
-func (e *Engine) RunFor(d Duration) int { return e.RunUntil(e.now.Add(d)) }
-
-// Stop makes Run/RunUntil return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Reset returns the engine to its construction state — time zero, empty
 // queue, zero counters, fresh trace fingerprint — while keeping the event
 // free list and the calendar/heap backing arrays at their high-water
-// capacity. Queued events (canceled or not) are recycled onto the free list.
+// capacity. Queued events are recycled onto the free list.
 // It is the engine half of cross-run arena reuse: a Reset engine schedules
 // its first warmup-sized burst of events without allocating, yet is
 // observationally identical to a NewEngine. Reset panics if an event is
@@ -656,7 +567,6 @@ func (e *Engine) Reset() {
 	}
 	e.now, e.seq = 0, 0
 	e.next = nil
-	e.stopped = false
 	e.calCount, e.calScan = 0, 0
 	e.pending = 0
 	e.executed = 0

@@ -6,96 +6,31 @@ import (
 	"testing/quick"
 )
 
-// TestEngineRunUntilStopRegression is the regression test for the time-travel
-// bug: RunUntil used to fast-forward now to the deadline even when Stop ended
-// the run early, so events still queued before the deadline later executed
-// with when < now and Step moved simulated time backwards.
-func TestEngineRunUntilStopRegression(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() { fired = append(fired, e.Now()) })
-	e.Schedule(20, func() {
-		fired = append(fired, e.Now())
-		e.Stop()
-	})
-	e.Schedule(30, func() { fired = append(fired, e.Now()) })
-
-	n := e.RunUntil(100)
-	if n != 2 {
-		t.Fatalf("RunUntil executed %d events before Stop, want 2", n)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("after Stop mid-run Now() = %v, want 20 (not fast-forwarded to the deadline)", e.Now())
-	}
-
-	// The remaining event must run at its own time with time moving forward.
-	e.Run()
-	if len(fired) != 3 || fired[2] != 30 {
-		t.Fatalf("fired = %v, want final event at 30", fired)
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("simulated time moved backwards: %v", fired)
-		}
-	}
-	if e.Now() != 30 {
-		t.Fatalf("final Now() = %v, want 30", e.Now())
-	}
-}
-
-// TestEngineRunUntilStopThenResume checks that a second RunUntil after an
-// early Stop picks up the events the first call left behind.
-func TestEngineRunUntilStopThenResume(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(5, func() {
-		count++
-		e.Stop()
-	})
-	e.Schedule(15, func() { count++ })
-	if n := e.RunUntil(50); n != 1 {
-		t.Fatalf("first RunUntil executed %d, want 1", n)
-	}
-	if n := e.RunUntil(50); n != 1 {
-		t.Fatalf("second RunUntil executed %d, want 1", n)
-	}
-	if count != 2 || e.Now() != 50 {
-		t.Fatalf("count = %d, Now() = %v; want 2 events and fast-forward to 50", count, e.Now())
-	}
-}
-
 // refEngine is a deliberately naive event queue — a flat slice scanned for
 // the (time, seq) minimum on every step — used as the specification the
-// calendar-queue/pooled engine must match, including RunUntil/Stop semantics
-// and the (time, seq) trace hash.
+// calendar-queue/pooled engine must match, including the (time, seq) trace
+// hash.
 type refEngine struct {
-	now     Time
-	seq     uint64
-	evs     []*refEvent
-	stopped bool
-	hash    uint64
+	now  Time
+	seq  uint64
+	evs  []*refEvent
+	hash uint64
 }
 
 type refEvent struct {
-	when     Time
-	seq      uint64
-	fn       func()
-	canceled bool
+	when Time
+	seq  uint64
+	fn   func()
 }
 
-func (r *refEngine) schedule(d Duration, fn func()) *refEvent {
-	ev := &refEvent{when: r.now.Add(d), seq: r.seq, fn: fn}
+func (r *refEngine) schedule(d Duration, fn func()) {
+	r.evs = append(r.evs, &refEvent{when: r.now.Add(d), seq: r.seq, fn: fn})
 	r.seq++
-	r.evs = append(r.evs, ev)
-	return ev
 }
 
 func (r *refEngine) step() bool {
 	best := -1
 	for i, ev := range r.evs {
-		if ev.canceled {
-			continue
-		}
 		if best < 0 || ev.when < r.evs[best].when ||
 			(ev.when == r.evs[best].when && ev.seq < r.evs[best].seq) {
 			best = i
@@ -112,50 +47,15 @@ func (r *refEngine) step() bool {
 	return true
 }
 
-// peek returns the earliest live event without firing it, or nil.
-func (r *refEngine) peek() *refEvent {
-	var best *refEvent
-	for _, ev := range r.evs {
-		if ev.canceled {
-			continue
-		}
-		if best == nil || ev.when < best.when || (ev.when == best.when && ev.seq < best.seq) {
-			best = ev
-		}
-	}
-	return best
-}
-
-// runUntil mirrors Engine.RunUntil: execute events with times <= deadline,
-// fast-forward to the deadline on a normal drain, and stay put when a Stop
-// ends the run early.
-func (r *refEngine) runUntil(deadline Time) int {
-	r.stopped = false
-	n := 0
-	for !r.stopped {
-		next := r.peek()
-		if next == nil || next.when > deadline {
-			break
-		}
-		r.step()
-		n++
-	}
-	if !r.stopped && r.now < deadline {
-		r.now = deadline
-	}
-	return n
-}
-
 // TestEngineMatchesReferenceModel drives the production engine and the naive
 // reference through the same randomized workload — a mix of near-future
-// (calendar) and far-future (overflow heap) delays, nested scheduling from
-// callbacks, and cancellations — and requires the exact same execution order.
+// (calendar) and far-future (overflow heap) delays and nested scheduling from
+// callbacks — and requires the exact same execution order.
 func TestEngineMatchesReferenceModel(t *testing.T) {
-	// Both runs draw identical schedule/cancel decisions from the same rng
+	// Both runs draw identical schedule decisions from the same rng
 	// as long as execution order matches; any divergence desynchronizes the
 	// streams and fails the comparison, which is exactly what we want.
 	type driver struct {
-		rng    *rand.Rand
 		order  []int
 		nextID int
 	}
@@ -168,37 +68,22 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		return Duration(rng.Intn(3_000)) // near future: calendar buckets
 	}
 
-	// Handles are dropped (nilled) when their event fires or is canceled, per
-	// the pooled-handle contract documented on sim.Event: a retained stale
-	// handle may alias a recycled event.
 	runReal := func(seed int64) []int {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		d := &driver{rng: rng}
-		var handles []*Event
+		d := &driver{}
 		var fire func(id int) func()
 		fire = func(id int) func() {
 			return func() {
-				handles[id] = nil
 				d.order = append(d.order, id)
 				for k := rng.Intn(3); k > 0 && d.nextID < 400; k-- {
-					id := d.nextID
+					e.Schedule(randomDelay(rng), fire(d.nextID))
 					d.nextID++
-					handles = append(handles, e.Schedule(randomDelay(rng), fire(id)))
-				}
-				if len(handles) > 0 && rng.Intn(4) == 0 {
-					i := rng.Intn(len(handles))
-					if handles[i] != nil {
-						e.Cancel(handles[i])
-						handles[i] = nil
-					}
 				}
 			}
 		}
-		for i := 0; i < 50; i++ {
-			id := d.nextID
-			d.nextID++
-			handles = append(handles, e.Schedule(randomDelay(rng), fire(id)))
+		for ; d.nextID < 50; d.nextID++ {
+			e.Schedule(randomDelay(rng), fire(d.nextID))
 		}
 		e.Run()
 		return d.order
@@ -206,31 +91,19 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 	runRef := func(seed int64) []int {
 		rng := rand.New(rand.NewSource(seed))
 		r := &refEngine{}
-		d := &driver{rng: rng}
-		var handles []*refEvent
+		d := &driver{}
 		var fire func(id int) func()
 		fire = func(id int) func() {
 			return func() {
-				handles[id] = nil
 				d.order = append(d.order, id)
 				for k := rng.Intn(3); k > 0 && d.nextID < 400; k-- {
-					id := d.nextID
+					r.schedule(randomDelay(rng), fire(d.nextID))
 					d.nextID++
-					handles = append(handles, r.schedule(randomDelay(rng), fire(id)))
-				}
-				if len(handles) > 0 && rng.Intn(4) == 0 {
-					i := rng.Intn(len(handles))
-					if handles[i] != nil {
-						handles[i].canceled = true
-						handles[i] = nil
-					}
 				}
 			}
 		}
-		for i := 0; i < 50; i++ {
-			id := d.nextID
-			d.nextID++
-			handles = append(handles, r.schedule(randomDelay(rng), fire(id)))
+		for ; d.nextID < 50; d.nextID++ {
+			r.schedule(randomDelay(rng), fire(d.nextID))
 		}
 		for r.step() {
 		}
@@ -287,27 +160,5 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocated %v objects/op, want 0", allocs)
-	}
-}
-
-// TestEventPoolRecyclesObjects checks fired events are reused rather than
-// reallocated, and that a stale handle to a fired (pooled, not yet reused)
-// event cannot cancel anything.
-func TestEventPoolRecyclesObjects(t *testing.T) {
-	e := NewEngine()
-	first := e.Schedule(10, func() {})
-	e.Run()
-	// first has fired and sits on the free list; canceling it is a no-op.
-	e.Cancel(first)
-	second := e.Schedule(5, func() {})
-	if first != second {
-		t.Fatal("fired event was not recycled from the free list")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1 (stale Cancel must not affect the recycled event)", e.Pending())
-	}
-	e.Run()
-	if e.Executed() != 2 {
-		t.Fatalf("Executed() = %d, want 2", e.Executed())
 	}
 }

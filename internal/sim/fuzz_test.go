@@ -7,57 +7,36 @@ import (
 
 // queueUnderTest abstracts the production engine and the naive reference
 // model so one script interpreter can drive both and demand bit-identical
-// behaviour: same firing order, same per-RunUntil event counts, same final
-// time, same trace hash.
+// behaviour: same firing order, same final time, same trace hash.
 type queueUnderTest interface {
-	schedule(d Duration, fn func()) (cancel func())
-	scheduleArg(d Duration, fn func(int), id int) (cancel func())
-	runUntil(deadline Time) int
-	stop()
-	drain()
+	schedule(d Duration, fn func())
+	scheduleArg(d Duration, fn func(int), id int)
+	step() bool
 	now() Time
 	hash() uint64
 }
 
 type realQueue struct{ e *Engine }
 
-func (q realQueue) schedule(d Duration, fn func()) func() {
-	ev := q.e.Schedule(d, fn)
-	return func() { q.e.Cancel(ev) }
+func (q realQueue) schedule(d Duration, fn func()) { q.e.Schedule(d, fn) }
+
+func (q realQueue) scheduleArg(d Duration, fn func(int), id int) {
+	q.e.ScheduleArg(d, func(a any) { fn(a.(int)) }, id)
 }
 
-func (q realQueue) scheduleArg(d Duration, fn func(int), id int) func() {
-	ev := q.e.ScheduleArg(d, func(a any) { fn(a.(int)) }, id)
-	return func() { q.e.Cancel(ev) }
-}
-
-func (q realQueue) runUntil(deadline Time) int { return q.e.RunUntil(deadline) }
-func (q realQueue) stop()                      { q.e.Stop() }
-func (q realQueue) drain() {
-	for q.e.Step() {
-	}
-}
+func (q realQueue) step() bool   { return q.e.Step() }
 func (q realQueue) now() Time    { return q.e.Now() }
 func (q realQueue) hash() uint64 { return q.e.TraceHash() }
 
 type refQueue struct{ r *refEngine }
 
-func (q refQueue) schedule(d Duration, fn func()) func() {
-	ev := q.r.schedule(d, fn)
-	return func() { ev.canceled = true }
+func (q refQueue) schedule(d Duration, fn func()) { q.r.schedule(d, fn) }
+
+func (q refQueue) scheduleArg(d Duration, fn func(int), id int) {
+	q.r.schedule(d, func() { fn(id) })
 }
 
-func (q refQueue) scheduleArg(d Duration, fn func(int), id int) func() {
-	ev := q.r.schedule(d, func() { fn(id) })
-	return func() { ev.canceled = true }
-}
-
-func (q refQueue) runUntil(deadline Time) int { return q.r.runUntil(deadline) }
-func (q refQueue) stop()                      { q.r.stopped = true }
-func (q refQueue) drain() {
-	for q.r.step() {
-	}
-}
+func (q refQueue) step() bool   { return q.r.step() }
 func (q refQueue) now() Time    { return q.r.now }
 func (q refQueue) hash() uint64 { return q.r.hash }
 
@@ -65,19 +44,18 @@ func (q refQueue) hash() uint64 { return q.r.hash }
 // implementations must produce equal results for the same script.
 type scriptResult struct {
 	order []int
-	runs  []int
 	now   Time
 	hash  uint64
 }
 
 // runQueueScript interprets a byte script against q. Each script byte is one
-// action — schedule a closure or an arg-carrying event, cancel a previous
-// handle, RunUntil a near deadline, or schedule an event that calls Stop
-// mid-run — so fuzzing interleaves every public queue entry point with the
-// fused dispatch path. Every fired event additionally consumes the next
-// unconsumed script byte (if any) to decide whether to schedule a nested
-// event, so nested scheduling replays identically on both engines as long as
-// the firing order matches — which is the property under test.
+// action — schedule a closure or an arg-carrying event, in the calendar
+// window or beyond it, or step one event — so fuzzing interleaves every
+// public queue entry point with the fused dispatch path. Every fired event
+// additionally consumes the next unconsumed script byte (if any) to decide
+// whether to schedule a nested event, so nested scheduling replays
+// identically on both engines as long as the firing order matches — which is
+// the property under test.
 func runQueueScript(t *testing.T, script []byte, q queueUnderTest) scriptResult {
 	t.Helper()
 	res := scriptResult{}
@@ -92,13 +70,8 @@ func runQueueScript(t *testing.T, script []byte, q queueUnderTest) scriptResult 
 		return b, true
 	}
 
-	// cancels is indexed by event id and nilled when the event fires, per the
-	// pooled-handle contract documented on sim.Event: a retained stale handle
-	// may alias a recycled event.
-	var cancels []func()
 	var scheduleClosure func(d Duration)
 	rec := func(id int) {
-		cancels[id] = nil
 		res.order = append(res.order, id)
 		if b, ok := nextByte(); ok && b&3 == 3 {
 			scheduleClosure(scriptDelay(b))
@@ -107,21 +80,12 @@ func runQueueScript(t *testing.T, script []byte, q queueUnderTest) scriptResult 
 	scheduleClosure = func(d Duration) {
 		id := nextID
 		nextID++
-		cancels = append(cancels, q.schedule(d, func() { rec(id) }))
+		q.schedule(d, func() { rec(id) })
 	}
 	scheduleArg := func(d Duration) {
 		id := nextID
 		nextID++
-		cancels = append(cancels, q.scheduleArg(d, rec, id))
-	}
-	scheduleStop := func(d Duration) {
-		id := nextID
-		nextID++
-		cancels = append(cancels, q.schedule(d, func() {
-			cancels[id] = nil
-			res.order = append(res.order, id)
-			q.stop()
-		}))
+		q.scheduleArg(d, rec, id)
 	}
 
 	for pos < len(script) {
@@ -131,22 +95,16 @@ func runQueueScript(t *testing.T, script []byte, q queueUnderTest) scriptResult 
 			scheduleClosure(scriptDelay(b))
 		case 1:
 			scheduleArg(scriptDelay(b))
-		case 2:
-			if len(cancels) > 0 {
-				if c := cancels[int(b>>3)%len(cancels)]; c != nil {
-					c()
-					cancels[int(b>>3)%len(cancels)] = nil
-				}
-			}
-		case 4:
-			res.runs = append(res.runs, q.runUntil(q.now().Add(scriptDelay(b))))
+		case 2, 4:
+			q.step()
 		case 5:
-			scheduleStop(scriptDelay(b))
+			scheduleArg(scriptDelay(b | 0x80)) // force the overflow heap
 		case 6:
-			scheduleClosure(scriptDelay(b | 0x80)) // force the overflow heap
+			scheduleClosure(scriptDelay(b | 0x80))
 		}
 	}
-	q.drain()
+	for q.step() {
+	}
 	res.now = q.now()
 	res.hash = q.hash()
 	return res
@@ -162,14 +120,6 @@ func diffScriptResults(t *testing.T, real, ref scriptResult) {
 	for i := range real.order {
 		if real.order[i] != ref.order[i] {
 			t.Fatalf("firing order diverges at %d: engine %v, reference %v", i, real.order, ref.order)
-		}
-	}
-	if len(real.runs) != len(ref.runs) {
-		t.Fatalf("RunUntil call counts differ: %v vs %v", real.runs, ref.runs)
-	}
-	for i := range real.runs {
-		if real.runs[i] != ref.runs[i] {
-			t.Fatalf("RunUntil #%d executed %d events on the engine, %d on the reference", i, real.runs[i], ref.runs[i])
 		}
 	}
 	if real.now != ref.now {
@@ -193,20 +143,19 @@ func runScriptBothWays(t *testing.T, script []byte) {
 }
 
 // FuzzEngineQueue feeds a byte-encoded script — interleaved schedule (At),
-// AtArg, Cancel, RunUntil and Stop actions plus nested scheduling from
-// callbacks — to the production engine (calendar ring + overflow heap + event
-// pool + cached next candidate) and to the naive refEngine specification, and
-// requires bit-identical execution: the same (time, seq) firing order, the
-// same per-RunUntil event counts, the same final simulated time, and the same
-// trace hash. It also asserts the event pool's live-object count returns to
-// zero once the queue drains.
+// AtArg and Step actions plus nested scheduling from callbacks — to the
+// production engine (calendar ring + overflow heap + event pool + cached next
+// candidate) and to the naive refEngine specification, and requires
+// bit-identical execution: the same (time, seq) firing order, the same final
+// simulated time, and the same trace hash. It also asserts the event pool's
+// live-object count returns to zero once the queue drains.
 func FuzzEngineQueue(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x01, 0x42, 0x81, 0xc3, 0x07, 0xff, 0x10})
 	f.Add([]byte{0x03, 0x03, 0x03, 0x80, 0x80, 0x41, 0x02, 0x9f, 0x60, 0x33})
-	// RunUntil slicing a schedule into segments, with a Stop landing mid-run.
+	// Steps slicing a schedule into segments, with far-future arg events.
 	f.Add([]byte{0x00, 0x09, 0x85, 0x0c, 0x11, 0x04, 0x30, 0x2c, 0x06, 0x84})
-	// Cancel racing the cached candidate: schedule, cancel, reschedule, run.
+	// Scheduling ahead of the cached candidate between steps.
 	f.Add([]byte{0x08, 0x02, 0x10, 0x0a, 0x04, 0x12, 0x86, 0x05, 0x44})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 512 {
@@ -218,8 +167,8 @@ func FuzzEngineQueue(f *testing.F) {
 
 // TestEngineQueueScriptProperty is the deterministic (go test) face of the
 // fuzz harness: randomized scripts through testing/quick must hold the same
-// engine-equals-reference property, so the interleaved At/AtArg/Cancel/
-// RunUntil/Stop coverage runs on every CI test pass, not just fuzz runs.
+// engine-equals-reference property, so the interleaved At/AtArg/Step
+// coverage runs on every CI test pass, not just fuzz runs.
 func TestEngineQueueScriptProperty(t *testing.T) {
 	prop := func(script []byte) bool {
 		if len(script) > 512 {
@@ -244,22 +193,20 @@ func scriptDelay(b byte) Duration {
 }
 
 // TestEngineLiveEventsAccounting pins the live-event pool accounting: queued
-// and canceled-but-undrained events count as live, and a fully drained queue
-// returns to zero.
+// events count as live, and a fully drained queue returns to zero.
 func TestEngineLiveEventsAccounting(t *testing.T) {
 	e := NewEngine()
 	if e.LiveEvents() != 0 {
 		t.Fatalf("fresh engine has %d live events", e.LiveEvents())
 	}
-	a := e.Schedule(10, func() {})
+	e.Schedule(10, func() {})
 	e.Schedule(20, func() {})
 	if e.LiveEvents() != 2 {
 		t.Fatalf("live = %d after two schedules, want 2", e.LiveEvents())
 	}
-	// A canceled event stays checked out until the queue drains past it.
-	e.Cancel(a)
-	if e.LiveEvents() != 2 {
-		t.Fatalf("live = %d after cancel (undrained), want 2", e.LiveEvents())
+	e.Step()
+	if e.LiveEvents() != 1 {
+		t.Fatalf("live = %d after one step, want 1", e.LiveEvents())
 	}
 	e.Run()
 	if e.LiveEvents() != 0 {

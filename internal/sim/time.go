@@ -87,27 +87,3 @@ func NewClock(name string, hz float64) Clock {
 
 // Cycles converts a cycle count in this domain into a duration.
 func (c Clock) Cycles(n int64) Duration { return Duration(n) * c.Period }
-
-// CyclesAt reports how many full cycles of this clock have elapsed at time t.
-func (c Clock) CyclesAt(t Time) int64 {
-	if c.Period == 0 {
-		return 0
-	}
-	return int64(t) / int64(c.Period)
-}
-
-// NextEdge returns the first clock edge at or after t.
-func (c Clock) NextEdge(t Time) Time {
-	p := Time(c.Period)
-	if p == 0 {
-		return t
-	}
-	rem := t % p
-	if rem == 0 {
-		return t
-	}
-	return t + p - rem
-}
-
-// Hz reports the clock frequency in hertz.
-func (c Clock) Hz() float64 { return float64(Second) / float64(c.Period) }

@@ -9,6 +9,15 @@
 // empty), and the harvested free lists of the coherence and network message
 // pools and of the exec gate's op batches.
 //
+// Whole controllers come back too, each reset to what its constructor
+// builds but keeping its storage: the CCSVM chip's L1 coherence controllers
+// (their MSHR and access-carrier free lists, each MSHR with its coalescing
+// and deferred lists, their stall buffers and their MSHR and eviction maps),
+// its MMUs (their page-walk carriers and TLB entry storage) and the APU's
+// GPU memory path (its write-buffer map and read-miss carriers). A part
+// parked mid-run, as a run over its budget leaves it, drops whatever was in
+// flight with the old machine's engine.
+//
 // The arena also carries the per-thread host objects, which a machine that
 // starts a software thread per xthreads MTTOP thread or OpenCL work-item
 // would otherwise build a thousand at a time: the exec gate's threads, each
@@ -39,7 +48,9 @@
 // their LRU clock at zero, checker enabled with no line held and no
 // violation, directory tables and snoop maps with no entry, messages
 // indistinguishable from pool-miss allocations, threads and contexts reset
-// to unused, with each thread's records overwritten before their next use),
+// to unused, with each thread's records overwritten before their next use,
+// controllers, MMUs and the GPU memory path rewired with no transaction,
+// translation or buffered write and zero counts),
 // so a sweep over a reused arena produces
 // bit-identical Results — the runner's byte-identity test enforces this.
 package simarena
@@ -47,11 +58,14 @@ package simarena
 import (
 	"ccsvm/internal/cache"
 	"ccsvm/internal/coherence"
+	"ccsvm/internal/dram"
 	"ccsvm/internal/exec"
+	"ccsvm/internal/gpumem"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/mttop"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
+	"ccsvm/internal/vm"
 )
 
 // Stats counts the arena's traffic: how many component requests were served
@@ -78,6 +92,12 @@ type Stats struct {
 	// Threads counts the exec threads parked likewise, and Contexts the
 	// MTTOP hardware contexts of the parked context pools.
 	Threads, Contexts int
+	// L1Reuses/L1Builds count L1Controller() calls served from the arena
+	// versus constructed, MMUReuses/MMUBuilds MMU() calls, and
+	// GPUMemReuses/GPUMemBuilds GPUMemory() calls.
+	L1Reuses, L1Builds, MMUReuses, MMUBuilds, GPUMemReuses, GPUMemBuilds uint64
+	// L1s, MMUs and GPUMems count those parts parked likewise.
+	L1s, MMUs, GPUMems int
 	// SnoopMapReuses/SnoopMapBuilds count SnoopMap() calls served from the
 	// arena versus constructed.
 	SnoopMapReuses, SnoopMapBuilds uint64
@@ -98,6 +118,9 @@ type Arena struct {
 	threads  []*exec.Thread
 	pools    []*mttop.ContextPool
 	snoops   []map[mem.LineAddr]uint64
+	l1s      []*coherence.L1Controller
+	mmus     []*vm.MMU
+	gpuMems  []*gpumem.Memory
 	stats    Stats
 }
 
@@ -401,6 +424,87 @@ func (a *Arena) RecycleSnoopMap(m map[mem.LineAddr]uint64) {
 	}
 	clear(m)
 	a.snoops = append(a.snoops, m)
+}
+
+// L1Controller returns an L1 controller wired as
+// coherence.NewL1Controller(engine, id, net, banks, cfg, checker) builds
+// one: a parked one when the arena has one (Reset, which keeps its pools,
+// maps and stall buffers), otherwise a new one.
+func (a *Arena) L1Controller(engine *sim.Engine, id noc.NodeID, net *noc.Torus, banks coherence.BankMapper,
+	cfg coherence.L1Config, checker *coherence.Checker) *coherence.L1Controller {
+	if a != nil {
+		if c, ok := pop(&a.l1s); ok {
+			a.stats.L1s--
+			c.Reset(engine, id, net, banks, cfg, checker)
+			a.stats.L1Reuses++
+			return c
+		}
+		a.stats.L1Builds++
+	}
+	return coherence.NewL1Controller(engine, id, net, banks, cfg, checker)
+}
+
+// RecycleL1Controller parks an L1 controller for the next machine, whose
+// L1Controller() call resets it. No-op on a nil arena or controller.
+func (a *Arena) RecycleL1Controller(c *coherence.L1Controller) {
+	if a == nil || c == nil {
+		return
+	}
+	a.l1s = append(a.l1s, c)
+	a.stats.L1s++
+}
+
+// MMU returns an MMU as vm.NewMMU(tlbCfg, port, phys) builds one: a parked
+// one when the arena has one (Reset, which keeps its page-walk carriers and
+// TLB entry storage), otherwise a new one.
+func (a *Arena) MMU(tlbCfg vm.TLBConfig, port mem.Port, phys *mem.Physical) *vm.MMU {
+	if a != nil {
+		if m, ok := pop(&a.mmus); ok {
+			a.stats.MMUs--
+			m.Reset(tlbCfg, port, phys)
+			a.stats.MMUReuses++
+			return m
+		}
+		a.stats.MMUBuilds++
+	}
+	return vm.NewMMU(tlbCfg, port, phys)
+}
+
+// RecycleMMU parks an MMU for the next machine, whose MMU() call resets it.
+// No-op on a nil arena or MMU.
+func (a *Arena) RecycleMMU(m *vm.MMU) {
+	if a == nil || m == nil {
+		return
+	}
+	a.mmus = append(a.mmus, m)
+	a.stats.MMUs++
+}
+
+// GPUMemory returns an APU GPU memory path as gpumem.New(engine, cfg,
+// readCache, d) builds one: a parked one when the arena has one (Reset,
+// which keeps its write-buffer map and read-miss carriers), otherwise a new
+// one.
+func (a *Arena) GPUMemory(engine *sim.Engine, cfg gpumem.Config, readCache *cache.Array, d *dram.Controller) *gpumem.Memory {
+	if a != nil {
+		if g, ok := pop(&a.gpuMems); ok {
+			a.stats.GPUMems--
+			g.Reset(engine, cfg, readCache, d)
+			a.stats.GPUMemReuses++
+			return g
+		}
+		a.stats.GPUMemBuilds++
+	}
+	return gpumem.New(engine, cfg, readCache, d)
+}
+
+// RecycleGPUMemory parks a GPU memory path for the next machine, whose
+// GPUMemory() call resets it. No-op on a nil arena or path.
+func (a *Arena) RecycleGPUMemory(g *gpumem.Memory) {
+	if a == nil || g == nil {
+		return
+	}
+	a.gpuMems = append(a.gpuMems, g)
+	a.stats.GPUMems++
 }
 
 // Stats reports the arena's reuse accounting. Nil arenas report zeroes.

@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"ccsvm/internal/cache"
+	"ccsvm/internal/dram"
+	"ccsvm/internal/gpumem"
 	"ccsvm/internal/mem"
+	"ccsvm/internal/sim"
+	"ccsvm/internal/vm"
 )
 
 func TestNilArenaBuildsFresh(t *testing.T) {
@@ -32,6 +36,12 @@ func TestNilArenaBuildsFresh(t *testing.T) {
 	if m := a.SnoopMap(); m == nil || len(m) != 0 {
 		t.Fatal("nil arena returned no empty snoop map")
 	}
+	if m := a.MMU(vm.TLBConfig{Entries: 4}, nil, nil); m == nil || m.TLB().Occupancy() != 0 {
+		t.Fatal("nil arena returned no MMU with an empty TLB")
+	}
+	if g := a.GPUMemory(a.Engine(), gpumem.DefaultConfig(), arr, nil); g == nil || g.Stats != (gpumem.Stats{}) {
+		t.Fatal("nil arena returned no GPU memory path with zero counts")
+	}
 	// Recycling into a nil arena drops the parts; nothing is kept or counted.
 	a.RecycleArray(arr)
 	a.RecycleEngine(a.Engine())
@@ -39,6 +49,8 @@ func TestNilArenaBuildsFresh(t *testing.T) {
 	a.RecycleDirTable(a.DirTable())
 	a.RecycleContextPool(a.ContextPool())
 	a.RecycleSnoopMap(a.SnoopMap())
+	a.RecycleMMU(a.MMU(vm.TLBConfig{Entries: 4}, nil, nil))
+	a.RecycleGPUMemory(a.GPUMemory(a.Engine(), gpumem.DefaultConfig(), arr, nil))
 	if a.TakeCohMsgs() != nil || a.TakeNocMsgs() != nil || a.TakeThreads() != nil {
 		t.Fatal("nil arena handed out parked messages or threads")
 	}
@@ -133,5 +145,64 @@ func TestSnoopMapReuseIsCleared(t *testing.T) {
 	}
 	if s := a.Stats(); s.SnoopMapReuses != 1 || s.SnoopMapBuilds != 1 {
 		t.Fatalf("stats = %+v, want one snoop map built and one reused", s)
+	}
+}
+
+// TestMMUReuseIsReset: a parked MMU comes back with no root, no count and an
+// empty TLB sized for the new machine.
+func TestMMUReuseIsReset(t *testing.T) {
+	a := New()
+	m := a.MMU(vm.TLBConfig{Entries: 4}, nil, nil)
+	m.SetRoot(0x1000)
+	m.TLB().Insert(0x2000, 5, true)
+	a.RecycleMMU(m)
+	got := a.MMU(vm.TLBConfig{Entries: 8}, nil, nil)
+	if got != m {
+		t.Fatal("MMU built a new MMU with one parked")
+	}
+	if got.Root() != 0 || got.Walks() != 0 || got.TLB().Occupancy() != 0 || got.TLB().Hits() != 0 {
+		t.Fatalf("reused MMU not reset: root %#x, walks %d, TLB occupancy %d", got.Root(), got.Walks(), got.TLB().Occupancy())
+	}
+	for i := range 8 {
+		got.TLB().Insert(mem.VAddr(i)*mem.PageSize, 1, false)
+	}
+	if got.TLB().Occupancy() != 8 {
+		t.Fatalf("reused TLB holds %d entries, want the new capacity of 8", got.TLB().Occupancy())
+	}
+	if s := a.Stats(); s.MMUReuses != 1 || s.MMUBuilds != 1 || s.MMUs != 0 {
+		t.Fatalf("stats = %+v, want one MMU built, one reused and none parked", s)
+	}
+}
+
+// TestGPUMemoryReuseIsReset: a parked GPU memory path comes back wired to
+// the new engine and DRAM with zero counts and no buffered line, so a write
+// to a line buffered before it was parked takes a fresh slot.
+func TestGPUMemoryReuseIsReset(t *testing.T) {
+	a := New()
+	cfg := gpumem.DefaultConfig()
+	rd := cache.Config{SizeBytes: cfg.ReadCacheBytes, Assoc: cfg.ReadCacheAssoc, Name: "gpu.rdcache"}
+	write := func(g *gpumem.Memory, engine *sim.Engine) {
+		done := false
+		g.Access(mem.Request{Type: mem.Write, Addr: 0x1000, Size: 8}, func() { done = true })
+		engine.Run()
+		if !done {
+			t.Fatal("GPU write never completed on its machine's engine")
+		}
+	}
+	engine := sim.NewEngine()
+	g := a.GPUMemory(engine, cfg, a.Array(rd), dram.NewController(engine, dram.DefaultAPUConfig()))
+	write(g, engine)
+	a.RecycleGPUMemory(g)
+	engine = sim.NewEngine()
+	got := a.GPUMemory(engine, cfg, a.Array(rd), dram.NewController(engine, dram.DefaultAPUConfig()))
+	if got != g || got.Stats != (gpumem.Stats{}) {
+		t.Fatalf("reused GPU memory path: same %v, stats %+v, want the parked one with zero counts", got == g, got.Stats)
+	}
+	write(got, engine)
+	if got.Stats.WriteLines != 1 || got.Stats.CombinedWrites != 0 {
+		t.Fatalf("write after reuse: stats %+v, want a fresh line", got.Stats)
+	}
+	if s := a.Stats(); s.GPUMemReuses != 1 || s.GPUMemBuilds != 1 || s.GPUMems != 0 {
+		t.Fatalf("stats = %+v, want one GPU memory path built, one reused and none parked", s)
 	}
 }

@@ -47,6 +47,15 @@ func NewMMU(tlbCfg TLBConfig, port mem.Port, phys *mem.Physical) *MMU {
 	return &MMU{tlb: NewTLB(tlbCfg), port: port, phys: phys}
 }
 
+// Reset readies the MMU for a new machine as NewMMU(tlbCfg, port, phys)
+// would build it, with no root loaded and no count, keeping its page-walk
+// carriers and its TLB's entry storage. Walks in flight when the old
+// machine stopped are dropped with its engine.
+func (m *MMU) Reset(tlbCfg TLBConfig, port mem.Port, phys *mem.Physical) {
+	m.tlb.reset(tlbCfg)
+	*m = MMU{tlb: m.tlb, port: port, phys: phys, walkFree: m.walkFree}
+}
+
 // SetRoot loads the CR3 equivalent: the physical address of the current
 // process's page-table root. Changing the root flushes the TLB.
 func (m *MMU) SetRoot(root mem.PAddr) {

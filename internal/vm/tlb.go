@@ -36,10 +36,18 @@ type TLB struct {
 
 // NewTLB builds a TLB.
 func NewTLB(cfg TLBConfig) *TLB {
+	t := &TLB{}
+	t.reset(cfg)
+	return t
+}
+
+// reset empties the TLB and zeroes its counts as NewTLB(cfg) would build
+// it, keeping its entry storage.
+func (t *TLB) reset(cfg TLBConfig) {
 	if cfg.Entries <= 0 {
 		panic("vm: TLB needs at least one entry")
 	}
-	return &TLB{cfg: cfg}
+	*t = TLB{cfg: cfg, entries: t.entries[:0]}
 }
 
 // find returns the entry caching page, or nil.

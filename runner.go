@@ -96,8 +96,9 @@ type Sink interface {
 //
 // Each worker draws a machine-part Arena from the Runner for the length of a
 // Run call: the engine, physical memory, tag arrays, SWMR checker,
-// directory tables, message populations, software threads and MTTOP
-// contexts of a finished run are recycled into the worker's next machine,
+// directory tables, L1 controllers, MMUs, GPU memory path, message
+// populations, software threads and MTTOP contexts of a finished run are
+// recycled into the worker's next machine,
 // so a long sweep stops paying construction and GC cost per run. Workers hand their arenas back to the Runner when
 // the call ends, so a reused Runner's later calls build nothing their
 // predecessors already built. A Runner holds at most as many arenas as it

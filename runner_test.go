@@ -288,9 +288,10 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 // TestRunnerWarmCallsBuildNothing checks that a Runner keeps its worker's
 // arena between Run calls: once the first call has built a machine of every
 // shape in the list, the later calls draw every engine, memory, tag array,
-// SWMR checker, directory table and snoop filter map from the arena, and its
-// parked message populations, op batches (with their storage), threads and
-// MTTOP contexts stay at the first call's high-water mark.
+// SWMR checker, directory table, snoop filter map, L1 controller, MMU and
+// GPU memory path from the arena, and its parked message populations, op
+// batches (with their storage), threads and MTTOP contexts stay at the first
+// call's high-water mark.
 func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
 	var specs []ccsvm.RunSpec
@@ -316,15 +317,18 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 
 	// parts lists each recycled part's builds and reuses.
 	type counts struct{ builds, reuses uint64 }
-	names := []string{"engine", "physical", "array", "checker", "table", "snoop map"}
+	names := []string{"engine", "physical", "array", "checker", "table", "snoop map", "L1 controller", "MMU", "GPU memory"}
 	parts := func(s simarena.Stats) map[string]counts {
 		return map[string]counts{
-			"engine":    {s.EngineBuilds, s.EngineReuses},
-			"physical":  {s.PhysicalBuilds, s.PhysicalReuses},
-			"array":     {s.ArrayBuilds, s.ArrayReuses},
-			"checker":   {s.CheckerBuilds, s.CheckerReuses},
-			"table":     {s.TableBuilds, s.TableReuses},
-			"snoop map": {s.SnoopMapBuilds, s.SnoopMapReuses},
+			"engine":        {s.EngineBuilds, s.EngineReuses},
+			"physical":      {s.PhysicalBuilds, s.PhysicalReuses},
+			"array":         {s.ArrayBuilds, s.ArrayReuses},
+			"checker":       {s.CheckerBuilds, s.CheckerReuses},
+			"table":         {s.TableBuilds, s.TableReuses},
+			"snoop map":     {s.SnoopMapBuilds, s.SnoopMapReuses},
+			"L1 controller": {s.L1Builds, s.L1Reuses},
+			"MMU":           {s.MMUBuilds, s.MMUReuses},
+			"GPU memory":    {s.GPUMemBuilds, s.GPUMemReuses},
 		}
 	}
 
@@ -343,8 +347,9 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 		if call == 1 {
 			arena, first = parked[0], s
 			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.SnoopMapBuilds == 0 ||
-				s.CohMsgs == 0 || s.NocMsgs == 0 || s.Batches == 0 || s.Threads == 0 || s.Contexts == 0 {
-				t.Fatalf("first call built no checker, table or snoop map, or parked no messages, batches, threads or contexts: %+v", s)
+				s.CohMsgs == 0 || s.NocMsgs == 0 || s.Batches == 0 || s.Threads == 0 || s.Contexts == 0 ||
+				s.L1s == 0 || s.MMUs == 0 || s.GPUMems == 0 {
+				t.Fatalf("first call built no checker, table or snoop map, or parked no messages, batches, threads, contexts, L1 controllers, MMUs or GPU memory paths: %+v", s)
 			}
 		} else {
 			if parked[0] != arena {
@@ -520,6 +525,45 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	r = nil
 	runtime.GC()
 	settled("after the Runner was dropped")
+}
+
+// TestRunnerReusesPartsOfOverBudgetRuns: a run that ends over its
+// simulated-time budget parks its L1 controllers, MMUs and GPU memory path
+// mid-run. On the same worker, the matmul runs after a CCSVM and an OpenCL
+// run that end so must return what they return on a fresh Runner.
+func TestRunnerReusesPartsOfOverBudgetRuns(t *testing.T) {
+	spec := func(kind ccsvm.SystemKind, overrides ...string) ccsvm.RunSpec {
+		t.Helper()
+		s, err := ccsvm.BuildSpec("matmul", kind, "", overrides, ccsvm.Params{N: 16, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// With four-line L1s the CCSVM run ends with 13 transactions, 5
+	// writebacks and 2 stalled requests in flight. The matmul after it gets a
+	// budget that a leaked stall or eviction exceeds quickly.
+	hung := []ccsvm.RunSpec{
+		spec(ccsvm.SystemCCSVM, "ccsvm.MaxSimulatedTime=6us", "ccsvm.CPUL1.SizeBytes=256", "ccsvm.CPUL1.Assoc=2",
+			"ccsvm.MTTOPL1.SizeBytes=256", "ccsvm.MTTOPL1.Assoc=2"),
+		spec(ccsvm.SystemOpenCL, "apu.OpenCL.PlatformInit=0ns", "apu.OpenCL.ProgramBuild=0ns", "apu.MaxSimulatedTime=80us"),
+	}
+	after := []ccsvm.RunSpec{spec(ccsvm.SystemCCSVM, "ccsvm.MaxSimulatedTime=1ms"), spec(ccsvm.SystemOpenCL)}
+	want, err := (&ccsvm.Runner{Parallel: 1}).Run(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := (&ccsvm.Runner{Parallel: 1}).Run(append(hung, after...))
+	for _, rr := range got[:len(hung)] {
+		if rr.Err == nil || !strings.Contains(rr.Err.Error(), "budget") {
+			t.Fatalf("%s returned %v, want a simulated-time budget error", rr.Spec, rr.Err)
+		}
+	}
+	for i, rr := range got[len(hung):] {
+		if rr.Err != nil || !reflect.DeepEqual(rr.Result, want[i].Result) {
+			t.Errorf("%s after over-budget runs: %v, %+v; a fresh Runner's: %+v", rr.Spec, rr.Err, rr.Result, want[i].Result)
+		}
+	}
 }
 
 // TestArenaMessagePopulationIsStable is the regression test for the
