@@ -41,8 +41,9 @@ func benchRun(b *testing.B, s experiments.Series) {
 	// One arena across iterations, like a sweep worker: an untimed first run
 	// warms it, so every timed iteration measures the steady state the
 	// Runner and the bench CLI operate in. Results are bit-identical with or
-	// without it.
+	// without it. Its parked coroutines end with the benchmark.
 	sys.Arena = ccsvm.NewArena()
+	defer sys.Arena.StopCoroutines()
 	p := s.Params(benchSeed)
 	if _, err := w.Run(sys, p); err != nil {
 		b.Fatal(err)

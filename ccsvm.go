@@ -32,14 +32,20 @@ type (
 	Result = workloads.Result
 	// Arena recycles machine parts (event engine, physical memory, cache tag
 	// arrays, SWMR checker, directory tables, L1 controllers, MMUs, the GPU
-	// memory path, message pools, software threads and MTTOP contexts)
-	// across the runs of one worker; set
-	// System.Arena to use it. A Runner keeps its workers' arenas itself. See
-	// internal/simarena for the reuse contract.
+	// memory path, message pools, software threads, their coroutines and
+	// MTTOP contexts) across the runs of one worker; set System.Arena to use
+	// it. A Runner keeps its workers' arenas itself. A coroutine outlives
+	// its thread but not its owner's runs: the arena keeps the coroutines of
+	// finished threads parked, as live goroutines, for the next machine, so
+	// whoever sets System.Arena calls StopCoroutines once its runs are done.
+	// See internal/simarena for the reuse contract.
 	Arena = simarena.Arena
 )
 
 // NewArena returns an empty machine-part arena for a single worker's runs.
+// Its owner ends the arena's parked coroutines with Arena.StopCoroutines
+// when its runs are done, typically deferred; a forgotten call leaks at
+// most one machine's peak of live threads as parked goroutines.
 func NewArena() *Arena { return simarena.New() }
 
 // The four systems of the paper's evaluation.

@@ -24,7 +24,7 @@
 // Regression mode diffs a run against a committed baseline instead of
 // writing one:
 //
-//	ccsvm-bench -compare BENCH_2026-10-19-parts.json       # measure, then diff
+//	ccsvm-bench -compare BENCH_2026-10-20.json             # measure, then diff
 //	ccsvm-bench -compare old.json -input new.json          # diff two files, no run
 //
 // The gate has three tiers per series, matched by name: sim_time_ps,
@@ -43,7 +43,8 @@
 // The series are experiments.PaperSeries, the list bench_test.go's `go test
 // -bench` harness runs too: the (workload, system, size) points the paper's
 // figures use, resolved through the ccsvm registry. The scaling_w<N> series
-// sweep that whole list through the Runner at a fixed worker-pool size; their
+// sweep that whole list through the Runner at a fixed worker-pool size, each
+// spec on a warm arena of its own (see measureSweep); their
 // efficiency field is the measured speedup over the smallest pool divided by
 // the ideal speedup (workers beyond GOMAXPROCS cannot add cores). Timing here
 // is wall-clock on the current host — the numbers are comparable across
@@ -55,7 +56,6 @@ package main
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -64,10 +64,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ccsvm"
@@ -421,8 +421,10 @@ func measure(s experiments.Series, iters int) (record, error) {
 	}
 	// The production sweep path gives every Runner worker a machine-part
 	// arena; measure the same way. The warmup run populates the arena, so the
-	// measured iterations pay reuse cost, not construction cost.
+	// measured iterations pay reuse cost, not construction cost. Its parked
+	// coroutines end with the series.
 	sys.Arena = ccsvm.NewArena()
+	defer sys.Arena.StopCoroutines()
 	p := s.Params(benchSeed)
 
 	if _, err := w.Run(sys, p); err != nil {
@@ -498,37 +500,30 @@ func measureScaling(iters int, workerCounts []int) ([]record, error) {
 	return recs, nil
 }
 
-// measureSweep measures one Runner pool size: a warmup that fills one arena
-// per worker, then iters measured sweeps of the whole spec list.
+// measureSweep measures one Runner pool size: a warmup sweep that fills one
+// arena per spec, then iters measured sweeps of the whole spec list.
 func measureSweep(specs []ccsvm.RunSpec, workers, iters int) (record, error) {
 	rec := record{
 		Series:  experiments.Series{Name: fmt.Sprintf("scaling_w%d", workers), Workload: "all", System: "runner"},
 		Iters:   iters,
 		Workers: workers,
 	}
-	// Concurrent Run calls never share an arena, so each one-worker call
-	// below fills its own with the parts, threads and MTTOP contexts of every
-	// spec, and the measured sweeps build nothing whichever worker runs which
-	// spec. After a single warmup sweep, an arena would hold only what its
-	// worker happened to run, and allocs/op would depend on scheduling. Each
-	// call starts at another spec, so the calls do not all run the specs
-	// that start a thousand threads at once.
-	runner := &ccsvm.Runner{Parallel: 1}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			k := w % len(specs)
-			_, errs[w] = runner.Run(append(specs[k:len(specs):len(specs)], specs[:k]...))
-		}()
+	// Each spec runs on an arena of its own, as measure gives each series
+	// one, so the measured sweeps build nothing and start no coroutine
+	// whichever worker runs which spec. On its workers' arenas the Runner
+	// starts the parked coroutines again in every call, since none outlives
+	// the call that started it: as many as the most threads live in the
+	// specs a worker happened to run, so allocs/op would depend on
+	// scheduling.
+	specs = slices.Clone(specs)
+	for i := range specs {
+		specs[i].System.Arena = ccsvm.NewArena()
+		defer specs[i].System.Arena.StopCoroutines()
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	runner := &ccsvm.Runner{Parallel: workers}
+	if _, err := runner.Run(specs); err != nil {
 		return rec, err
 	}
-	runner.Parallel = workers
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -145,8 +145,9 @@ func TestFacadeOverrideErrors(t *testing.T) {
 	}
 
 	// A structurally valid value for each declared type (the " type" suffix
-	// of OverridePaths entries); integer kinds take "2", and the protocol
-	// enum needs a real member.
+	// of OverridePaths entries); integer kinds take "2", byte sizes a size
+	// every cache geometry and the APU's heap accept, and the protocol enum
+	// needs a real member.
 	values := map[string]string{"bool": "true", "duration": "5ns", "float64": "0.5", "string": "golden"}
 	p := ccsvm.DefaultParams()
 	for _, machine := range []struct {
@@ -162,8 +163,13 @@ func TestFacadeOverrideErrors(t *testing.T) {
 			if !ok {
 				value = "2"
 			}
-			if strings.HasSuffix(path, ".Coherence.Protocol") {
+			switch {
+			case strings.HasSuffix(path, ".Coherence.Protocol"):
 				value = "mesi"
+			case strings.HasSuffix(path, ".DRAM.SizeBytes"):
+				value = "4294967296"
+			case strings.HasSuffix(path, "Bytes"):
+				value = "65536"
 			}
 			override := path + "=" + value
 			if _, err := ccsvm.BuildSpec("matmul", machine.sys, "", []string{override}, p); err != nil {
@@ -180,6 +186,66 @@ func TestFacadeOverrideErrors(t *testing.T) {
 			if _, err := ccsvm.BuildSpec("matmul", ccsvm.SystemCCSVM, pr.Name, []string{override}, p); err != nil {
 				t.Errorf("%s on preset %s does not resolve: %v", override, pr.Name, err)
 			}
+		}
+	}
+}
+
+// TestSmallNumericOverridesNeverPanic sweeps the values 1, 2, 3 and 5 over
+// every numeric override path of both machines, on every workload and
+// system the path's machine runs, at N = 8 and under a 2-ms simulated
+// budget (the OpenCL runs with their platform set-up costs waived, so their
+// kernels run). Validate must reject every value that makes a machine
+// panic, such as a cache too small for one line or a line count its
+// associativity does not divide: each spec BuildSpec accepts ends in a
+// result or a typed error, never an ErrSimulationPanic.
+func TestSmallNumericOverridesNeverPanic(t *testing.T) {
+	numeric := map[string]bool{"int": true, "int64": true, "uint64": true, "float64": true}
+	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
+	var specs []ccsvm.RunSpec
+	rejected := 0
+	for _, machine := range []struct {
+		kind    ccsvm.MachineKind
+		systems []ccsvm.SystemKind
+		budget  []string
+	}{
+		{ccsvm.MachineCCSVM, []ccsvm.SystemKind{ccsvm.SystemCCSVM}, []string{"ccsvm.MaxSimulatedTime=2ms"}},
+		{ccsvm.MachineAPU, []ccsvm.SystemKind{ccsvm.SystemCPU, ccsvm.SystemOpenCL, ccsvm.SystemPthreads},
+			[]string{"apu.MaxSimulatedTime=2ms", "apu.OpenCL.PlatformInit=0ns", "apu.OpenCL.ProgramBuild=0ns"}},
+	} {
+		for _, pathType := range ccsvm.OverridePaths(machine.kind) {
+			path, typ, _ := strings.Cut(pathType, " ")
+			if !numeric[typ] {
+				continue
+			}
+			for _, v := range []string{"1", "2", "3", "5"} {
+				overrides := append([]string{path + "=" + v}, machine.budget...)
+				for _, w := range ccsvm.Workloads() {
+					for _, kind := range machine.systems {
+						if !w.Supports(kind) {
+							continue
+						}
+						spec, err := ccsvm.BuildSpec(w.Name, kind, "", overrides, p)
+						if errors.Is(err, ccsvm.ErrOutOfRange) {
+							rejected++
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s on %s/%s: %v", overrides, w.Name, kind, err)
+						}
+						specs = append(specs, spec)
+					}
+				}
+			}
+		}
+	}
+	if len(specs) == 0 || rejected == 0 {
+		t.Fatalf("sweep built %d specs and rejected %d, want some of each", len(specs), rejected)
+	}
+	results, _ := (&ccsvm.Runner{Parallel: 2}).Run(specs)
+	for _, rr := range results {
+		var pe *ccsvm.ErrSimulationPanic
+		if errors.As(rr.Err, &pe) {
+			t.Errorf("%s panicked: %v", rr.Spec, pe.Value)
 		}
 	}
 }

@@ -142,6 +142,24 @@ func (c Config) Validate() error {
 			return &ConfigError{Field: chk.name}
 		}
 	}
+	// Each tag array needs whole sets of lines, or building it panics.
+	for _, arr := range []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"CPUCaches.L1", c.CPUCaches.L1},
+		{"CPUCaches.L2", c.CPUCaches.L2},
+		{"GPUMem.ReadCacheBytes/ReadCacheAssoc", cache.Config{SizeBytes: c.GPUMem.ReadCacheBytes, Assoc: c.GPUMem.ReadCacheAssoc}},
+	} {
+		if err := arr.cfg.CheckGeometry(); err != nil {
+			return &ConfigError{Field: fmt.Sprintf("%s (%v)", arr.name, err)}
+		}
+	}
+	// The heap starts at heapBase, so a DRAM no larger has no room for the
+	// first Malloc.
+	if c.DRAM.SizeBytes <= heapBase {
+		return &ConfigError{Field: fmt.Sprintf("DRAM.SizeBytes (%d bytes leave no heap above %#x)", c.DRAM.SizeBytes, uint64(heapBase))}
+	}
 	return nil
 }
 
@@ -169,6 +187,10 @@ func DefaultConfig() Config {
 		MaxSimulatedTime:   30 * sim.Second,
 	}
 }
+
+// heapBase is where the identity-mapped flat heap starts, clear of the page
+// tables.
+const heapBase = 0x4000_0000
 
 // Machine is one APU instance: CPU cores with private caches, a VLIW GPU
 // behind a non-coherent DRAM path, and a flat (physically addressed) heap for
@@ -198,9 +220,9 @@ type Machine struct {
 	filter   *snoopFilter
 
 	// arena, when non-nil, receives the engine, physical memory, cache tag
-	// arrays, snoop filter map, GPU memory path, the gate's op batches and
-	// threads and the context pool back at Shutdown so the worker's next
-	// machine reuses them.
+	// arrays, snoop filter map, GPU memory path, the gate's op batches,
+	// threads and coroutines and the context pool back at Shutdown so the
+	// worker's next machine reuses them.
 	arena *simarena.Arena
 	// arrays is every tag array the machine drew (see array).
 	arrays []*cache.Array
@@ -208,9 +230,9 @@ type Machine struct {
 
 // NewMachine builds an APU. When the configuration carries an arena
 // (Config.InArena), the engine, physical memory, cache tag arrays, snoop
-// filter map, GPU memory path, the gate's op batches and threads and the GPU
-// units' context pool come from it; reuse is observation-equivalent to fresh
-// construction.
+// filter map, GPU memory path, the gate's op batches, threads and coroutines
+// and the GPU units' context pool come from it; reuse is
+// observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
@@ -231,7 +253,7 @@ func NewMachine(cfg Config) *Machine {
 	m.gate.SeedBatches(cfg.arena.TakeBatches())
 	m.gate.SeedThreads(cfg.arena.TakeThreads())
 	m.contexts = cfg.arena.ContextPool()
-	m.heapPtr = 0x4000_0000 // identity-mapped flat heap, clear of page tables
+	m.heapPtr = heapBase
 
 	cpuClock := sim.NewClock("apu.cpu", cfg.CPUClockHz)
 	gpuClock := sim.NewClock("apu.gpu", cfg.GPUClockHz)
@@ -259,6 +281,8 @@ func NewMachine(cfg Config) *Machine {
 		}, m.GPUMem, nil, m.Phys, nil, m.contexts)
 		m.GPUUnits = append(m.GPUUnits, unit)
 	}
+	// Drawn last, as in core.NewMachine.
+	m.gate.SeedCoroutines(cfg.arena.TakeCoroutines())
 	return m
 }
 
@@ -415,16 +439,19 @@ func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 }
 
 // Shutdown tears down any unfinished software threads. A machine built in an
-// arena also hands its recyclable parts back here, after which the machine
-// must not be used again; arena-less machines remain readable.
+// arena also hands its recyclable parts back here, its parked coroutines
+// included, after which the machine must not be used again; an arena-less
+// machine ends its parked coroutines and remains readable.
 func (m *Machine) Shutdown() {
 	a := m.arena
 	if a == nil {
 		m.gate.KillAll()
+		m.gate.StopCoroutines()
 		return
 	}
 	m.arena = nil
 	a.RecycleThreads(m.gate.DrainThreads())
+	a.RecycleCoroutines(m.gate.DrainCoroutines())
 	a.RecycleContextPool(m.contexts)
 	a.RecycleSnoopMap(m.filter.holders)
 	a.RecycleGPUMemory(m.GPUMem)

@@ -32,13 +32,25 @@ type Config struct {
 	Name string
 }
 
-// NumSets returns the number of sets implied by the configuration.
-func (c Config) NumSets() int {
+// CheckGeometry reports why no array of c's geometry can be built, or nil
+// when one can: it needs at least one line, and its lines must fill whole
+// sets of Assoc ways. Machine configurations run it on each of their tag
+// arrays, so a bad geometry is a configuration error, not a panic.
+func (c Config) CheckGeometry() error {
 	lines := c.SizeBytes / mem.LineSize
 	if c.Assoc <= 0 || lines <= 0 || lines%c.Assoc != 0 {
-		panic(fmt.Sprintf("cache: invalid geometry for %s: %d bytes, %d-way", c.Name, c.SizeBytes, c.Assoc))
+		return fmt.Errorf("%d bytes, %d-way: not whole sets of %d-byte lines", c.SizeBytes, c.Assoc, mem.LineSize)
 	}
-	return lines / c.Assoc
+	return nil
+}
+
+// NumSets returns the number of sets implied by the configuration. It
+// panics on a geometry CheckGeometry rejects.
+func (c Config) NumSets() int {
+	if err := c.CheckGeometry(); err != nil {
+		panic(fmt.Sprintf("cache: invalid geometry for %s: %v", c.Name, err))
+	}
+	return c.SizeBytes / mem.LineSize / c.Assoc
 }
 
 // Array is a set-associative structure with LRU replacement. It stores no

@@ -12,6 +12,7 @@ import (
 	"ccsvm/internal/coherence"
 	"ccsvm/internal/dram"
 	"ccsvm/internal/kernelos"
+	"ccsvm/internal/mem"
 	"ccsvm/internal/mifd"
 	"ccsvm/internal/sim"
 	"ccsvm/internal/simarena"
@@ -208,6 +209,25 @@ func (c Config) Validate() error {
 		if !chk.ok {
 			return &ConfigError{Field: chk.name}
 		}
+	}
+	// Each tag array needs whole sets of lines, or building it panics.
+	for _, arr := range []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"CPUL1", c.CPUL1},
+		{"MTTOPL1", c.MTTOPL1},
+		{"L2BankBytes/L2Assoc", cache.Config{SizeBytes: c.L2BankBytes, Assoc: c.L2Assoc}},
+	} {
+		if err := arr.cfg.CheckGeometry(); err != nil {
+			return &ConfigError{Field: fmt.Sprintf("%s (%v)", arr.name, err)}
+		}
+	}
+	// The process's root page table takes the first frame above the
+	// kernel's reserved ones when the machine is built.
+	if c.DRAM.SizeBytes/mem.PageSize <= reservedFrames {
+		return &ConfigError{Field: fmt.Sprintf("DRAM.SizeBytes (%d bytes hold no page frame above the kernel's %d reserved ones)",
+			c.DRAM.SizeBytes, reservedFrames)}
 	}
 	// The protocol must be registered (empty means MOESI); an unknown name
 	// would otherwise only surface as a panic deep inside NewMachine.

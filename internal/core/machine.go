@@ -20,6 +20,10 @@ import (
 	"ccsvm/internal/xthreads"
 )
 
+// reservedFrames is how many page frames at the bottom of physical memory
+// the kernel keeps for itself, as firmware and kernel images do.
+const reservedFrames = 16
+
 // Machine is one instance of the CCSVM chip plus its software environment
 // (kernel, process, xthreads runtime). Build it with NewMachine, register
 // MTTOP kernels, then RunProgram an xthreads main function.
@@ -58,17 +62,17 @@ type Machine struct {
 
 	// arena, when non-nil, receives the engine, physical memory, tag arrays,
 	// SWMR checker, directory tables, L1 controllers, MMUs, message
-	// populations, op batches, threads and MTTOP contexts back at Shutdown so
-	// the worker's next machine reuses them.
+	// populations, op batches, threads, coroutines and MTTOP contexts back at
+	// Shutdown so the worker's next machine reuses them.
 	arena *simarena.Arena
 }
 
 // NewMachine builds and wires a CCSVM chip from the configuration. When the
 // configuration carries an arena (Config.InArena), the engine, physical
 // memory, cache tag arrays, SWMR checker, directory tables, L1 controllers,
-// MMUs, message-pool populations, the gate's op batches and threads and the
-// MTTOP context pool come from it; reuse is observation-equivalent to fresh
-// construction.
+// MMUs, message-pool populations, the gate's op batches, threads and
+// coroutines and the MTTOP context pool come from it; reuse is
+// observation-equivalent to fresh construction.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -145,7 +149,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 
 	// Kernel and process.
-	m.Kernel = kernelos.NewKernel(m.Phys, 16, cfg.KernelCosts)
+	m.Kernel = kernelos.NewKernel(m.Phys, reservedFrames, cfg.KernelCosts)
 	m.Process = m.Kernel.NewProcess()
 	m.gate = exec.NewGate()
 	// Pending thread activations must schedule before anything an event
@@ -209,6 +213,9 @@ func NewMachine(cfg Config) *Machine {
 	for _, c := range m.CPUs {
 		c.MMU().SetRoot(m.Process.Root())
 	}
+	// Drawn last: a build that panics leaves the parked coroutines in the
+	// arena, whose owner ends them.
+	m.gate.SeedCoroutines(cfg.arena.TakeCoroutines())
 	return m
 }
 
@@ -318,17 +325,19 @@ func (m *Machine) DirectoryBanks() []*coherence.DirectoryBank { return m.banks }
 
 // Shutdown tears down any software threads that are still running (used by
 // tests and by callers that abandon a machine mid-run). A machine built in an
-// arena also hands its recyclable parts back here, after which the machine
-// must not be used again; arena-less machines are unaffected and remain
-// readable.
+// arena also hands its recyclable parts back here, its parked coroutines
+// included, after which the machine must not be used again; an arena-less
+// machine ends its parked coroutines and remains readable.
 func (m *Machine) Shutdown() {
 	a := m.arena
 	if a == nil {
 		m.gate.KillAll()
+		m.gate.StopCoroutines()
 		return
 	}
 	m.arena = nil
 	a.RecycleThreads(m.gate.DrainThreads())
+	a.RecycleCoroutines(m.gate.DrainCoroutines())
 	a.RecycleContextPool(m.contexts)
 	// Parked last to first, so the next machine's node i draws this one's.
 	for i := len(m.l1s) - 1; i >= 0; i-- {

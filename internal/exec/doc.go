@@ -1,6 +1,6 @@
 // Package exec provides the execution-driven bridge between workload code
 // (ordinary Go functions) and the timing models of the simulated cores. Each
-// software thread runs as an iter.Pull coroutine and communicates with the
+// software thread runs on an iter.Pull coroutine and communicates with the
 // single-threaded simulation engine through a strict, deterministic
 // handshake: the thread produces one operation at a time (a load, store,
 // atomic, compute delay, or syscall) and is resumed only once the core model
@@ -15,12 +15,20 @@
 // use ended before it builds one: the gate takes every thread back when a
 // run ends with all of them finished (RecycleThreads), and machines carry
 // the threads to their next machine through their arena (DrainThreads,
-// SeedThreads). A recycled thread keeps its coroutine body, bound once, and
-// the records its runtimes attached (RecordOf), one per runtime, which each
-// runtime refills, so starting it allocates only its coroutine and its name. The coroutine
-// itself is not recycled: a parked coroutine is a live goroutine, and none
-// may outlive the machine that started it, so each launch calls iter.Pull
-// and Kill or the thread's return ends it.
+// SeedThreads). A recycled thread keeps the records its runtimes attached
+// (RecordOf), one per runtime, which each runtime refills.
+//
+// The coroutines are kept apart from the threads, in a pool per gate (see
+// Coroutine). A launch borrows the coroutine handed back last and calls
+// iter.Pull only when the pool is empty; a coroutine hands itself back once
+// its thread's function has returned and its exit path has run, and Kill
+// ends it instead. Machines carry the pool to their next machine through
+// their arena (DrainCoroutines, SeedCoroutines), and a device runtime's
+// thread formats its name only when read (NewNumberedThread), so starting
+// a thread on a warm machine allocates nothing. A parked coroutine is a
+// live goroutine: it outlives its thread, but not the arena owner's run or
+// the Shutdown of a machine without an arena, which end it
+// (Coroutine.Stop, StopCoroutines).
 //
 // The gate also runs op sequences on a thread's behalf. A Batch holds loads,
 // stores and computes the thread already knows (a kernel's argument

@@ -85,7 +85,7 @@ func driveRaw(t *testing.T, th *Thread, respond func(Op) Result) []Op {
 
 func TestThreadBasicOps(t *testing.T) {
 	var observed uint64
-	th := NewThread(NewGate(), 7, "worker", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 7, "worker", func(ctx *Context) {
 		if ctx.ThreadID() != 7 {
 			t.Error("wrong thread id")
 		}
@@ -121,7 +121,7 @@ func TestThreadBasicOps(t *testing.T) {
 
 func TestContextTypedAccessors(t *testing.T) {
 	memory := map[mem.VAddr]uint64{}
-	th := NewThread(NewGate(), 0, "typed", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "typed", func(ctx *Context) {
 		ctx.Store64(0x10, 0xdeadbeef12345678)
 		ctx.Store8(0x20, 0xab)
 		ctx.StoreFloat64(0x30, 3.5)
@@ -153,7 +153,7 @@ func TestContextTypedAccessors(t *testing.T) {
 
 func TestContextAtomics(t *testing.T) {
 	val := uint64(10)
-	th := NewThread(NewGate(), 0, "atomics", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "atomics", func(ctx *Context) {
 		if old := ctx.AtomicAdd64(0x100, 5); old != 10 {
 			t.Errorf("AtomicAdd64 old = %d", old)
 		}
@@ -181,7 +181,7 @@ func TestContextAtomics(t *testing.T) {
 }
 
 func TestContextSyscall(t *testing.T) {
-	th := NewThread(NewGate(), 0, "sys", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "sys", func(ctx *Context) {
 		if ret := ctx.Syscall(3, 1, 2); ret != 42 {
 			t.Errorf("syscall returned %d", ret)
 		}
@@ -201,7 +201,7 @@ func TestContextSyscall(t *testing.T) {
 }
 
 func TestComputeZeroIsFree(t *testing.T) {
-	th := NewThread(NewGate(), 0, "zero", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "zero", func(ctx *Context) {
 		ctx.Compute(0)
 		ctx.Compute(-5)
 	})
@@ -212,7 +212,7 @@ func TestComputeZeroIsFree(t *testing.T) {
 }
 
 func TestThreadPanicIsCaptured(t *testing.T) {
-	th := NewThread(NewGate(), 0, "boom", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "boom", func(ctx *Context) {
 		ctx.Compute(1)
 		panic("workload bug")
 	})
@@ -229,7 +229,7 @@ func TestThreadPanicIsCaptured(t *testing.T) {
 }
 
 func TestThreadKill(t *testing.T) {
-	th := NewThread(NewGate(), 0, "spin", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "spin", func(ctx *Context) {
 		for {
 			ctx.Compute(10)
 		}
@@ -256,7 +256,7 @@ func TestThreadKill(t *testing.T) {
 }
 
 func TestThreadDoubleStartPanics(t *testing.T) {
-	th := NewThread(NewGate(), 0, "x", func(ctx *Context) {})
+	th := NewThread(newTestGate(t), 0, "x", func(ctx *Context) {})
 	driveRaw(t, th, func(Op) Result { return Result{} })
 	defer func() {
 		if recover() == nil {
@@ -277,7 +277,7 @@ func TestOpKindString(t *testing.T) {
 
 func TestThreadKillBeforeLaunch(t *testing.T) {
 	ran := false
-	th := NewThread(NewGate(), 0, "parked", func(ctx *Context) {
+	th := NewThread(newTestGate(t), 0, "parked", func(ctx *Context) {
 		ran = true
 		ctx.Compute(10)
 	})
@@ -302,7 +302,7 @@ func TestThreadKillBeforeLaunch(t *testing.T) {
 // event completes several threads' operations, their between-ops code runs
 // in completion order.
 func TestGateCrossThreadCompletionOrder(t *testing.T) {
-	g := NewGate()
+	g := newTestGate(t)
 	eng := &microQ{}
 	var order []int
 	threads := make([]*Thread, 3)
@@ -350,7 +350,7 @@ func TestGateCrossThreadCompletionOrder(t *testing.T) {
 func TestGateRecyclesThreads(t *testing.T) {
 	type counter struct{ n int }
 	type label struct{ s string }
-	g := NewGate()
+	g := newTestGate(t)
 	first := NewThread(g, 1, "first", func(c *Context) {
 		c.Record().(*counter).n++
 		c.Compute(1)
@@ -396,9 +396,27 @@ func TestGateRecyclesThreads(t *testing.T) {
 	if len(parked) != 2 || g.Threads() != 0 {
 		t.Fatalf("DrainThreads returned %d threads and left %d handed out, want 2 and 0", len(parked), g.Threads())
 	}
-	next := NewGate()
+	next := newTestGate(t)
 	next.SeedThreads(parked)
 	if NewThread(next, 4, "seeded", func(*Context) {}) != parked[0] {
 		t.Fatal("a seeded gate built a thread with drained ones to reuse")
+	}
+}
+
+// TestNumberedThreadName: a numbered thread's name is its prefix and its id,
+// formatted when read, and a thread reused under NewThread reads its plain
+// name again.
+func TestNumberedThreadName(t *testing.T) {
+	g := newTestGate(t)
+	th := NewNumberedThread(g, 42, "cl-k1-wi", func(*Context) {})
+	if got := th.Name(); got != "cl-k1-wi42" {
+		t.Fatalf("numbered thread is named %q, want %q", got, "cl-k1-wi42")
+	}
+	drive(t, th, func(Op) Result { return Result{} })
+	if !g.RecycleThreads() {
+		t.Fatal("RecycleThreads kept a finished thread")
+	}
+	if again := NewThread(g, 7, "main", func(*Context) {}); again != th || again.Name() != "main" {
+		t.Fatalf("reused thread is named %q, want %q", again.Name(), "main")
 	}
 }

@@ -22,8 +22,8 @@ type pollMachine struct {
 	log []string
 }
 
-func newPollMachine() *pollMachine {
-	m := &pollMachine{eng: sim.NewEngine(), g: NewGate(), mem: map[mem.VAddr]uint32{}}
+func newPollMachine(t *testing.T) *pollMachine {
+	m := &pollMachine{eng: sim.NewEngine(), g: newTestGate(t), mem: map[mem.VAddr]uint32{}}
 	m.g.Bind(m.eng)
 	m.eng.EnableTraceHash()
 	return m
@@ -112,15 +112,19 @@ func (c *pollCore) fetch() {
 	})
 }
 
-// countActivations wraps the launched coroutine's next, so every later
-// activation is counted and one made inside a poll loop is recorded.
+// countActivations wraps the next of the coroutine the thread launched on,
+// so every later activation of the thread is counted and one made inside a
+// poll loop is recorded.
 func (c *pollCore) countActivations() {
 	c.counting = true
-	next := c.th.next
-	c.th.next = func() (struct{}, bool) {
-		c.activations++
-		if c.th.stepping {
-			c.midLoop = true
+	co := c.th.co
+	next := co.next
+	co.next = func() (struct{}, bool) {
+		if co.t == c.th {
+			c.activations++
+			if c.th.stepping {
+				c.midLoop = true
+			}
 		}
 		return next()
 	}
@@ -183,7 +187,7 @@ const (
 // run plays the scenario with P's loop either as Poll32 or open-coded.
 func (pc pollCase) run(t *testing.T, gateRun bool) pollRun {
 	t.Helper()
-	m := newPollMachine()
+	m := newPollMachine(t)
 	var r pollRun
 	p := m.core(0, "P", func(ctx *Context) {
 		if pc.lead {
@@ -481,7 +485,7 @@ func TestPollStepKeepsHolderHandOver(t *testing.T) {
 func TestPoll32ReturnsOnFirstLoad(t *testing.T) {
 	for _, cond := range []PollCond{UntilEqual, UntilNotEqual, UntilAtLeast} {
 		var got uint32
-		th := NewThread(NewGate(), 0, "p", func(ctx *Context) {
+		th := NewThread(newTestGate(t), 0, "p", func(ctx *Context) {
 			got = ctx.Poll32(0x10, cond, 5, 64)
 		})
 		value := map[PollCond]uint64{UntilEqual: 5, UntilNotEqual: 6, UntilAtLeast: 9}[cond]
@@ -503,7 +507,7 @@ func TestPoll32ReturnsOnFirstLoad(t *testing.T) {
 // TestPoll32RejectsUnknownCondition: an undefined PollCond is a workload bug
 // and panics in the thread before any op is issued.
 func TestPoll32RejectsUnknownCondition(t *testing.T) {
-	th := NewThread(NewGate(), 0, "p", func(ctx *Context) { ctx.Poll32(0x10, UntilAtLeast+1, 0, 0) })
+	th := NewThread(newTestGate(t), 0, "p", func(ctx *Context) { ctx.Poll32(0x10, UntilAtLeast+1, 0, 0) })
 	if ops := driveRaw(t, th, func(Op) Result { return Result{} }); len(ops) != 0 {
 		t.Fatalf("ops = %+v, want none", ops)
 	}
@@ -560,6 +564,7 @@ func TestPoll32AllocatesNothingPerIteration(t *testing.T) {
 			r.loads, r.target = 0, target
 			r.eng.ScheduleArg(0, start, nil)
 			g.Drive(r.eng.Step)
+			g.StopCoroutines()
 			if !r.th.Finished() || r.loads != target {
 				t.Fatalf("finished %v after %d loads, want %d", r.th.Finished(), r.loads, target)
 			}
@@ -609,6 +614,7 @@ func TestBatchAllocatesNothingPerOp(t *testing.T) {
 			r.loads = 0
 			r.eng.ScheduleArg(0, start, nil)
 			g.Drive(r.eng.Step)
+			g.StopCoroutines()
 			if !r.th.Finished() || r.th.Err() != nil || r.loads != n {
 				t.Fatalf("finished %v (err %v) after %d loads, want %d", r.th.Finished(), r.th.Err(), r.loads, n)
 			}
@@ -623,12 +629,12 @@ func TestBatchAllocatesNothingPerOp(t *testing.T) {
 	}
 }
 
-// TestThreadSizeClass pins Thread to the 192-byte allocation size class: the
-// flags share the id's word, the runtimes' records hang off one pointer and
-// the batch and poll state behind another, where inline state would have
-// moved every thread to the next class.
+// TestThreadSizeClass pins Thread to the 176-byte allocation size class: the
+// flags share the id's word, and the runtimes' records, the batch and poll
+// state and the coroutine each hang off one pointer, where inline state
+// would have moved every thread to the next class.
 func TestThreadSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 192 {
-		t.Fatalf("Thread is %d bytes, want at most 192", n)
+	if n := unsafe.Sizeof(Thread{}); n > 176 {
+		t.Fatalf("Thread is %d bytes, want at most 176", n)
 	}
 }

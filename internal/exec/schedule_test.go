@@ -73,7 +73,7 @@ func launchAll(eng *sim.Engine, cores ...*engCore) {
 // (A activating B directly) would schedule the marker first.
 func TestHolderHandsOverThroughDrive(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGate()
+	g := newTestGate(t)
 	g.Bind(eng)
 	var log []string
 	a := newEngCore(g, eng, &log, 0, "A", func(ctx *Context) {
@@ -120,7 +120,7 @@ func TestHolderHandsOverThroughDrive(t *testing.T) {
 // holder thread dispatches is not the workload's; it must leave Drive with
 // its original value instead of being swallowed into the thread's Err.
 func TestHandlerPanicReachesDrive(t *testing.T) {
-	g := NewGate()
+	g := newTestGate(t)
 	th := NewThread(g, 0, "victim", func(ctx *Context) {
 		ctx.Compute(1)
 		ctx.Compute(2)
@@ -153,7 +153,7 @@ func TestHandlerPanicReachesDrive(t *testing.T) {
 // unwind through the holder and leave Drive.
 func TestDrainedWorkloadPanicReachesDrive(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGate()
+	g := newTestGate(t)
 	g.Bind(eng)
 	var log []string
 	a := newEngCore(g, eng, &log, 0, "A", func(ctx *Context) {
@@ -204,10 +204,19 @@ func coroutines() int {
 	}
 }
 
+// newTestGate returns a gate whose pooled coroutines end with the test.
+func newTestGate(t *testing.T) *Gate {
+	g := NewGate()
+	t.Cleanup(g.StopCoroutines)
+	return g
+}
+
 // TestKillLeavesNoCoroutines: after Drive returns, Kill unwinds every parked
 // coroutine — one parked at its first op, one parked as the holder when the
-// engine ran dry — and never-launched threads own none, so the coroutine
-// count returns to where it started.
+// engine ran dry — and never-launched threads own none. The finished
+// thread's coroutine stays parked in the gate's pool until the gate's
+// teardown ends it, so the coroutine count then returns to where it
+// started.
 func TestKillLeavesNoCoroutines(t *testing.T) {
 	before := coroutines()
 	eng := sim.NewEngine()
@@ -236,8 +245,8 @@ func TestKillLeavesNoCoroutines(t *testing.T) {
 	if !done.th.Finished() {
 		t.Fatal("finishing thread did not finish")
 	}
-	if n := coroutines(); n != before+2 {
-		t.Fatalf("%d coroutines while two threads are parked, want %d", n, before+2)
+	if n := coroutines(); n != before+3 {
+		t.Fatalf("%d coroutines while two threads are parked and one is pooled, want %d", n, before+3)
 	}
 	for _, th := range []*Thread{done.th, firstOp.th, holder.th, unlaunched, unstarted} {
 		th.Kill()
@@ -248,7 +257,133 @@ func TestKillLeavesNoCoroutines(t *testing.T) {
 			t.Fatalf("%s: Kill reported %v", th.Name(), th.Err())
 		}
 	}
+	if n := coroutines(); n != before+1 {
+		t.Fatalf("%d coroutines after Kill, want %d: the pooled one", n, before+1)
+	}
+	g.StopCoroutines()
 	if n := coroutines(); n != before {
-		t.Fatalf("%d coroutines after Kill, want %d", n, before)
+		t.Fatalf("%d coroutines after the gate's teardown, want %d", n, before)
+	}
+}
+
+// TestFinishedThreadLendsItsCoroutine: a thread launched after another
+// finished runs on the finished thread's coroutine, with no iter.Pull (no
+// new goroutine), and a thread killed mid-run ends its coroutine instead of
+// handing it back, so the next launch starts a new one.
+func TestFinishedThreadLendsItsCoroutine(t *testing.T) {
+	before := coroutines()
+	eng := sim.NewEngine()
+	g := newTestGate(t)
+	g.Bind(eng)
+	var log []string
+	var lent *Coroutine
+	running := 0 // coroutines while the second thread runs
+	first := newEngCore(g, eng, &log, 0, "first", func(ctx *Context) {
+		lent = ctx.thread.co
+		ctx.Compute(1)
+	})
+	second := newEngCore(g, eng, &log, 1, "second", func(ctx *Context) {
+		if ctx.thread.co != lent {
+			t.Error("second thread did not run on the finished thread's coroutine")
+		}
+		running = coroutines()
+		ctx.Compute(1)
+		ctx.Compute(100)
+	})
+	second.stallAt = 100
+	launchAll(eng, first)
+	eng.Schedule(10, func() {
+		if n := len(g.coroutines); n != 1 || g.coroutines[0] != lent {
+			t.Errorf("pool holds %d coroutines after the first thread finished, want its one", n)
+		}
+		second.th.Start()
+		second.fetch()
+	})
+	g.Drive(eng.Step)
+	if !first.th.Finished() || second.th.Finished() {
+		t.Fatalf("first finished %v, second finished %v; want the first only", first.th.Finished(), second.th.Finished())
+	}
+	if running != before+1 {
+		t.Fatalf("%d coroutines while the second thread ran, want %d: one lent twice", running, before+1)
+	}
+	if len(g.coroutines) != 0 {
+		t.Fatalf("pool holds %d coroutines while its one is lent to a parked thread", len(g.coroutines))
+	}
+
+	// The killed thread's coroutine ends and stays out of the pool.
+	second.th.Kill()
+	if len(g.coroutines) != 0 || coroutines() != before {
+		t.Fatalf("after Kill the pool holds %d coroutines and %d run, want 0 and %d", len(g.coroutines), coroutines(), before)
+	}
+	third := newEngCore(g, eng, &log, 2, "third", func(ctx *Context) {
+		if ctx.thread.co == lent {
+			t.Error("a killed thread's coroutine was lent again")
+		}
+		ctx.Compute(1)
+	})
+	launchAll(eng, third)
+	g.Drive(eng.Step)
+	if !third.th.Finished() || len(g.coroutines) != 1 || coroutines() != before+1 {
+		t.Fatalf("third finished %v; pool holds %d coroutines and %d run, want its new one pooled", third.th.Finished(), len(g.coroutines), coroutines()-before)
+	}
+}
+
+// TestStoppedCoroutineStartsAgain: a coroutine stopped in the pool keeps its
+// record, which the next launch starts again, and no pool holds more
+// coroutines than the most threads live at once: here two at a time, run
+// in three waves.
+func TestStoppedCoroutineStartsAgain(t *testing.T) {
+	before := coroutines()
+	eng := sim.NewEngine()
+	g := newTestGate(t)
+	g.Bind(eng)
+	var log []string
+	var stopped []*Coroutine
+	for wave := 0; wave < 3; wave++ {
+		a := newEngCore(g, eng, &log, 2*wave, "a", func(ctx *Context) { ctx.Compute(3) })
+		b := newEngCore(g, eng, &log, 2*wave+1, "b", func(ctx *Context) { ctx.Compute(1); ctx.Compute(1) })
+		launchAll(eng, a, b)
+		g.Drive(eng.Step)
+		if !a.th.Finished() || !b.th.Finished() {
+			t.Fatalf("wave %d: threads did not finish", wave)
+		}
+		if len(g.coroutines) != 2 {
+			t.Fatalf("wave %d: pool holds %d coroutines, want the 2 threads live at once", wave, len(g.coroutines))
+		}
+		if wave == 2 {
+			for _, c := range stopped {
+				if c != g.coroutines[0] && c != g.coroutines[1] {
+					t.Fatal("the wave after StopCoroutines built a coroutine with stopped records to start again")
+				}
+			}
+		}
+		if wave == 1 {
+			stopped = append(stopped, g.coroutines...)
+			g.StopCoroutines()
+			for _, c := range g.coroutines {
+				if c.Live() {
+					t.Fatal("a stopped coroutine is live")
+				}
+			}
+			if n := coroutines(); n != before {
+				t.Fatalf("%d coroutines after StopCoroutines, want %d", n, before)
+			}
+		}
+		if !g.RecycleThreads() {
+			t.Fatalf("wave %d: gate kept its finished threads", wave)
+		}
+	}
+	if n := coroutines(); n != before+2 {
+		t.Fatalf("%d coroutines after the last wave, want %d", n, before+2)
+	}
+	cs := g.DrainCoroutines()
+	if len(cs) != 2 || len(g.coroutines) != 0 {
+		t.Fatalf("DrainCoroutines returned %d and left %d, want 2 and 0", len(cs), len(g.coroutines))
+	}
+	for _, c := range cs {
+		c.Stop()
+	}
+	if n := coroutines(); n != before {
+		t.Fatalf("%d coroutines after stopping the drained pool, want %d", n, before)
 	}
 }

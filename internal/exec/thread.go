@@ -3,7 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"iter"
+	"strconv"
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
@@ -135,7 +135,7 @@ const (
 type killSignal struct{}
 
 // Gate is the cooperative scheduler shared by every software thread of one
-// machine. Each thread is an iter.Pull coroutine, so exactly one piece of
+// machine. Each thread runs on an iter.Pull coroutine, so exactly one piece of
 // code runs at any instant — Drive's loop or one thread — and control moves
 // between them by direct coroutine switches, never through the Go
 // scheduler's run queues.
@@ -160,7 +160,10 @@ type killSignal struct{}
 //     Thread.step).
 //
 // The gate is not safe for concurrent use; the coroutine hand-over is the
-// synchronization. Machines must not share gates.
+// synchronization. Machines must not share gates. A gate keeps the
+// coroutines of finished threads parked for later threads (see Coroutine):
+// its owner ends them with StopCoroutines, or hands them on with
+// DrainCoroutines, before it drops the gate.
 type Gate struct {
 	// step dispatches one engine event under the host's run policy; installed
 	// by Drive for the duration of the run.
@@ -204,6 +207,10 @@ type Gate struct {
 	threads []*Thread
 	live    int
 	killed  bool
+	// coroutines is the pool of coroutines no thread runs: the parked
+	// coroutines of finished threads and records whose goroutine was ended
+	// (see Coroutine). A launch takes the one handed back last.
+	coroutines []*Coroutine
 }
 
 // NewGate returns the scheduler for one machine's software threads.
@@ -266,7 +273,7 @@ func (g *Gate) pop() *Thread {
 func (g *Gate) activate(t *Thread) {
 	prev := g.running
 	g.running = t
-	t.next()
+	t.co.next()
 	g.running = prev
 }
 
@@ -426,8 +433,8 @@ func (g *Gate) popOwn(t *Thread) bool {
 // operation costs zero switches; a nested activation yields straight back.
 //
 // The gate owns its threads and hands each out again once its use has ended
-// (see NewThread). The layout fits the 192-byte size class: the flags share
-// the id's word.
+// (see NewThread). The layout fits the 176-byte size class: the flags share
+// the id's word and the coroutine is one pointer.
 type Thread struct {
 	id int32
 	// hasOp marks the publication slot full. stepping marks a thread whose
@@ -435,6 +442,9 @@ type Thread struct {
 	// the coroutine. started records Start. finished flips when fn returns,
 	// or when the thread is killed or discarded before launch.
 	hasOp, stepping, started, finished bool
+	// numbered marks a name that is a prefix for the id to complete (see
+	// NewNumberedThread).
+	numbered bool
 
 	name string
 	fn   func(*Context)
@@ -454,15 +464,10 @@ type Thread struct {
 	// registered by TryNext when the op was not ready (NextWait).
 	resume func()
 
-	// seq is the coroutine's body (Thread.body), bound once when the thread
-	// is built. next runs the coroutine until it yields (its next op is
-	// published or it handed the holder role back to Drive) or returns; stop
-	// unwinds a parked coroutine; yield is the coroutine's side of next. All
-	// three come from iter.Pull at launch, and next is nil until then.
-	seq   iter.Seq[struct{}]
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	// co is the coroutine the thread runs on, lent by the gate at launch
+	// and handed back once the thread's exit path has run: nil before
+	// launch and after.
+	co *Coroutine
 
 	// err is the workload's panic value. batch is the thread's Batch, nil
 	// until its first use.
@@ -488,11 +493,20 @@ func NewThread(g *Gate, id int, name string, fn func(*Context)) *Thread {
 	} else {
 		t = &Thread{}
 		t.ctx.thread = t
-		t.seq = t.body
 		g.threads = append(g.threads, t) // grows to the most threads one run has started
 	}
 	g.live++
 	t.id, t.name, t.fn, t.gate = int32(id), name, fn, g
+	return t
+}
+
+// NewNumberedThread is NewThread for a thread named prefix followed by its
+// id in decimal, as a device runtime names the threads of one kernel. Name
+// formats the name only when asked, so starting the thread allocates
+// nothing for it.
+func NewNumberedThread(g *Gate, id int, prefix string, fn func(*Context)) *Thread {
+	t := NewThread(g, id, prefix, fn)
+	t.numbered = true
 	return t
 }
 
@@ -561,7 +575,7 @@ func (g *Gate) SeedThreads(ts []*Thread) {
 }
 
 // DrainThreads kills every unfinished thread, then removes and returns all
-// the gate's threads, each holding only its coroutine body and its records.
+// the gate's threads, each holding only its records.
 // The machine must not run threads afterwards: its cores may still hold
 // killed ones.
 func (g *Gate) DrainThreads() []*Thread {
@@ -575,16 +589,21 @@ func (g *Gate) DrainThreads() []*Thread {
 }
 
 // reset readies a finished thread for its next use: it drops everything but
-// the body bound when the thread was built, its Context and its records.
+// its Context and its records.
 func (t *Thread) reset() {
-	*t = Thread{ctx: t.ctx, seq: t.seq, recs: t.recs}
+	*t = Thread{ctx: t.ctx, recs: t.recs}
 }
 
 // ID reports the thread's identifier.
 func (t *Thread) ID() int { return int(t.id) }
 
 // Name reports the thread's debug name.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string {
+	if t.numbered {
+		return t.name + strconv.Itoa(int(t.id))
+	}
+	return t.name
+}
 
 // Start marks the thread runnable. It must be called exactly once, before
 // the first TryNext. The workload coroutine itself launches lazily on the
@@ -600,38 +619,20 @@ func (t *Thread) Start() {
 	t.started = true
 }
 
-// launch creates the workload coroutine and runs it nested until it has
-// either published its first operation or returned. Cores start threads from
-// event handlers and from other threads' between-ops code, and in both places
-// the new thread's prologue (and the scheduling of its first operation) must
-// complete before the caller proceeds, exactly as it did when the op fetch
-// was a blocking receive.
+// launch lends the thread a coroutine and runs it nested until the thread
+// has either published its first operation or returned. Cores start threads
+// from event handlers and from other threads' between-ops code, and in both
+// places the new thread's prologue (and the scheduling of its first
+// operation) must complete before the caller proceeds, exactly as it did
+// when the op fetch was a blocking receive.
 func (t *Thread) launch() (Op, NextStatus) {
-	t.next, t.stop = iter.Pull(t.seq)
+	t.gate.lend(t)
 	t.gate.activate(t)
 	if t.hasOp {
 		t.hasOp = false
 		return t.op, NextOp
 	}
 	return Op{}, NextDone
-}
-
-// body is the coroutine: the thread function, then the exit path that tells
-// the owning core the thread is finished (it observes NextDone and runs its
-// exit processing, as core code through consume). Returning hands control
-// back to whoever activated the thread: Drive, which carries on with the next
-// pending thread or event, or the nested activator. A killed thread unwinds
-// without touching the core.
-func (t *Thread) body(yield func(struct{}) bool) {
-	t.yield = yield
-	if killed := t.run(); killed {
-		return
-	}
-	t.finished = true
-	t.releaseBatch()
-	if t.resume != nil {
-		t.consume()
-	}
 }
 
 // run calls the thread function and keeps a panic of the workload's own in
@@ -685,7 +686,7 @@ func (t *Thread) consume() {
 // which always means its result was delivered; a false yield means the
 // machine is tearing the thread down.
 func (t *Thread) park() {
-	if !t.yield(struct{}{}) {
+	if !t.co.yield(struct{}{}) {
 		panic(killSignal{})
 	}
 }
@@ -704,7 +705,7 @@ func (t *Thread) TryNext(resume func()) (Op, NextStatus) {
 	if t.finished {
 		return Op{}, NextDone
 	}
-	if t.next == nil {
+	if t.co == nil {
 		if !t.started {
 			panic("exec: Next before Start")
 		}
@@ -725,19 +726,21 @@ func (t *Thread) Complete(r Result) {
 
 // Kill tears the thread down. It must be called with the thread parked
 // (machines call it after Drive has returned): the coroutine's stop unwinds
-// it with an internal panic. Safe to call on finished threads and on threads
-// that never launched, which have no coroutine to unwind.
+// it with an internal panic, which ends the coroutine's goroutine, so the
+// coroutine never goes back to the pool. Safe to call on finished threads
+// and on threads that never launched, which have no coroutine to unwind.
 func (t *Thread) Kill() {
 	if t.finished {
 		return
 	}
 	g := t.gate
 	g.killed = true
-	if t.next != nil {
+	if c := t.co; c != nil {
 		prev := g.running
 		g.running = t
-		t.stop()
+		c.stop()
 		g.running = prev
+		t.co = nil
 	}
 	t.finished = true
 	t.releaseBatch()

@@ -52,8 +52,12 @@ type Session struct {
 	m       *apu.Machine
 	over    apu.OpenCLOverheads
 	kernels []WorkItemFunc
-	inited  bool
-	built   bool
+	// prefixes holds each kernel's work-item name prefix, which a
+	// work-item's name completes with its global ID (see
+	// exec.NewNumberedThread).
+	prefixes []string
+	inited   bool
+	built    bool
 	// pending holds the enqueued NDRanges with work-items not yet on a SIMD
 	// unit, one entry per launch, oldest first.
 	pending []ndRange
@@ -113,8 +117,10 @@ func (s *Session) BuildProgram(ctx *apu.HostContext) {
 // CreateKernel registers a kernel body and returns its handle
 // (clCreateKernel).
 func (s *Session) CreateKernel(fn WorkItemFunc) int {
+	id := len(s.kernels)
 	s.kernels = append(s.kernels, fn)
-	return len(s.kernels) - 1
+	s.prefixes = append(s.prefixes, fmt.Sprintf("cl-k%d-wi", id))
+	return id
 }
 
 // CreateBuffer allocates a pinned zero-copy buffer (clCreateBuffer with
@@ -192,7 +198,7 @@ func (s *Session) dispatch() {
 		}
 		s.m.OpenCL.WorkItems++
 		s.running++
-		t := exec.NewThread(s.m.ExecGate(), gid, fmt.Sprintf("cl-k%d-wi%d", r.kernel, gid), runWorkItem)
+		t := exec.NewNumberedThread(s.m.ExecGate(), gid, s.prefixes[r.kernel], runWorkItem)
 		*exec.RecordOf[WorkItemContext](t) = WorkItemContext{globalID: gid, args: r.args, kernel: s.kernels[r.kernel]}
 		units[unit].StartThread(t, 0, s.doneFn)
 	}

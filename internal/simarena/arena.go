@@ -22,12 +22,13 @@
 // starts a software thread per xthreads MTTOP thread or OpenCL work-item
 // would otherwise build a thousand at a time: the exec gate's threads, each
 // with the records its runtimes attached (an xthreads MTTOPContext, an
-// OpenCL WorkItemContext), which are refilled for the next task, and the
-// pool of MTTOP hardware contexts the cores of one machine share. Thread coroutines are
-// not carried: a parked coroutine is a live goroutine, and no goroutine may
-// outlive the machine that started it, so every launch calls iter.Pull
-// afresh and a machine's teardown, a panicking run's included, ends them
-// all.
+// OpenCL WorkItemContext), which are refilled for the next task, the pool
+// of MTTOP hardware contexts the cores of one machine share, and the gate's
+// pool of workload coroutines. A coroutine outlives its thread, parked for
+// the next one, but not the arena owner's run: a parked coroutine is a live
+// goroutine, so the owner ends the arena's coroutines (StopCoroutines) once
+// its runs are done, and must before it drops the arena. A stopped
+// coroutine keeps its record, and a later launch only starts it again.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
@@ -92,6 +93,10 @@ type Stats struct {
 	// Threads counts the exec threads parked likewise, and Contexts the
 	// MTTOP hardware contexts of the parked context pools.
 	Threads, Contexts int
+	// Coroutines counts the workload coroutines parked likewise, and
+	// LiveCoroutines those of them whose goroutine has not been ended (see
+	// StopCoroutines).
+	Coroutines, LiveCoroutines int
 	// L1Reuses/L1Builds count L1Controller() calls served from the arena
 	// versus constructed, MMUReuses/MMUBuilds MMU() calls, and
 	// GPUMemReuses/GPUMemBuilds GPUMemory() calls.
@@ -116,6 +121,7 @@ type Arena struct {
 	nocMsgs  []*noc.Message
 	batches  []*exec.Batch
 	threads  []*exec.Thread
+	cos      []*exec.Coroutine
 	pools    []*mttop.ContextPool
 	snoops   []map[mem.LineAddr]uint64
 	l1s      []*coherence.L1Controller
@@ -379,6 +385,44 @@ func (a *Arena) RecycleThreads(ts []*exec.Thread) {
 	a.stats.Threads = len(a.threads)
 }
 
+// TakeCoroutines hands the parked workload coroutines to the caller (to
+// seed a new machine's gate) and empties the arena's list. Returns nil when
+// the arena is nil or empty.
+func (a *Arena) TakeCoroutines() []*exec.Coroutine {
+	if a == nil || len(a.cos) == 0 {
+		return nil
+	}
+	cs := a.cos
+	a.cos = nil
+	return cs
+}
+
+// RecycleCoroutines parks a drained gate's coroutine pool for the next
+// machine. The live ones stay parked goroutines until StopCoroutines.
+func (a *Arena) RecycleCoroutines(cs []*exec.Coroutine) {
+	if a == nil || len(cs) == 0 {
+		return
+	}
+	if a.cos == nil {
+		a.cos = cs
+	} else {
+		a.cos = append(a.cos, cs...)
+	}
+}
+
+// StopCoroutines ends the goroutine of every parked coroutine and keeps the
+// records, which later machines start again. The arena's owner calls it
+// once its runs are done: a forgotten call leaks the parked goroutines, at
+// most one machine's peak of live threads. No-op on a nil arena.
+func (a *Arena) StopCoroutines() {
+	if a == nil {
+		return
+	}
+	for _, c := range a.cos {
+		c.Stop()
+	}
+}
+
 // ContextPool returns a pool of MTTOP hardware contexts: a parked one, with
 // the contexts an earlier machine built, when the arena has one, otherwise
 // an empty one.
@@ -512,5 +556,12 @@ func (a *Arena) Stats() Stats {
 	if a == nil {
 		return Stats{}
 	}
-	return a.stats
+	s := a.stats
+	s.Coroutines = len(a.cos)
+	for _, c := range a.cos {
+		if c.Live() {
+			s.LiveCoroutines++
+		}
+	}
+	return s
 }

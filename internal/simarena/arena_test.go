@@ -5,6 +5,7 @@ import (
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/dram"
+	"ccsvm/internal/exec"
 	"ccsvm/internal/gpumem"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
@@ -205,4 +206,39 @@ func TestGPUMemoryReuseIsReset(t *testing.T) {
 	if s := a.Stats(); s.GPUMemReuses != 1 || s.GPUMemBuilds != 1 || s.GPUMems != 0 {
 		t.Fatalf("stats = %+v, want one GPU memory path built, one reused and none parked", s)
 	}
+}
+
+// TestCoroutinesParkUntilStopped: a gate's drained coroutine pool parks in
+// the arena live, as Stats counts it, until StopCoroutines ends it. The
+// record stays parked, and the next gate starts it again.
+func TestCoroutinesParkUntilStopped(t *testing.T) {
+	finish := func(g *exec.Gate) {
+		t.Helper()
+		th := exec.NewThread(g, 0, "t", func(*exec.Context) {})
+		th.Start()
+		if _, st := th.TryNext(nil); st != exec.NextDone {
+			t.Fatalf("thread with no op reported %v, want NextDone", st)
+		}
+	}
+	a := New()
+	g := exec.NewGate()
+	finish(g)
+	a.RecycleCoroutines(g.DrainCoroutines())
+	if s := a.Stats(); s.Coroutines != 1 || s.LiveCoroutines != 1 {
+		t.Fatalf("arena parks %d coroutines, %d live, want 1 live", s.Coroutines, s.LiveCoroutines)
+	}
+	a.StopCoroutines()
+	if s := a.Stats(); s.Coroutines != 1 || s.LiveCoroutines != 0 {
+		t.Fatalf("after StopCoroutines the arena parks %d coroutines, %d live, want 1 ended", s.Coroutines, s.LiveCoroutines)
+	}
+	cs := a.TakeCoroutines()
+	next := exec.NewGate()
+	next.SeedCoroutines(cs)
+	finish(next)
+	if d := next.DrainCoroutines(); len(d) != 1 || d[0] != cs[0] || !d[0].Live() {
+		t.Fatal("the next gate did not start the parked record again")
+	}
+	cs[0].Stop()
+	var none *Arena
+	none.StopCoroutines()
 }

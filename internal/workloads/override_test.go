@@ -120,6 +120,54 @@ func TestSetTypedErrors(t *testing.T) {
 	}
 }
 
+// TestSetRejectsUnbuildableMachines: a cache with no whole set of 64-byte
+// lines (too small for one line, or a line count its associativity does
+// not divide), a CCSVM DRAM with no page frame above the kernel's reserved
+// ones and an APU DRAM that ends at or below the heap base would make every
+// run panic, so Set rejects each as out of range. Values just inside the
+// bounds resolve.
+func TestSetRejectsUnbuildableMachines(t *testing.T) {
+	cases := []struct {
+		path, value string
+		onAPU, ok   bool
+	}{
+		{"ccsvm.CPUL1.SizeBytes", "32", false, false},
+		{"ccsvm.CPUL1.SizeBytes", "1", false, false},
+		{"ccsvm.CPUL1.Assoc", "3", false, false},
+		{"ccsvm.MTTOPL1.SizeBytes", "96", false, false},
+		{"ccsvm.MTTOPL1.Assoc", "5", false, false},
+		{"ccsvm.L2BankBytes", "2", false, false},
+		{"ccsvm.L2Assoc", "3", false, false},
+		{"ccsvm.DRAM.SizeBytes", "5", false, false},
+		{"ccsvm.DRAM.SizeBytes", "69631", false, false},
+		{"ccsvm.DRAM.SizeBytes", "69632", false, true},
+		{"ccsvm.CPUL1.SizeBytes", "256", false, true},
+		{"apu.CPUCaches.L1.SizeBytes", "2", true, false},
+		{"apu.CPUCaches.L1.Assoc", "3", true, false},
+		{"apu.CPUCaches.L2.SizeBytes", "5", true, false},
+		{"apu.CPUCaches.L2.Assoc", "5", true, false},
+		{"apu.GPUMem.ReadCacheBytes", "3", true, false},
+		{"apu.GPUMem.ReadCacheAssoc", "3", true, false},
+		{"apu.DRAM.SizeBytes", "1", true, false},
+		{"apu.DRAM.SizeBytes", "1073741824", true, false},
+		{"apu.DRAM.SizeBytes", "1073741825", true, true},
+		{"apu.GPUMem.ReadCacheAssoc", "2", true, true},
+	}
+	for _, c := range cases {
+		sys := ccsvmSys(t)
+		if c.onAPU {
+			sys = openclSys(t)
+		}
+		err := Set(&sys, c.path, c.value)
+		if c.ok && err != nil {
+			t.Errorf("Set(%s=%s) = %v, want it accepted", c.path, c.value, err)
+		}
+		if !c.ok && !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("Set(%s=%s) = %v, want ErrOutOfRange", c.path, c.value, err)
+		}
+	}
+}
+
 // TestTorusDimensionOverrides covers the torus-geometry rules: one explicit
 // dimension reshapes the grid (the other is derived at machine build), while
 // an explicit grid too small for the chip's nodes is a typed error instead

@@ -51,7 +51,10 @@ type Runtime struct {
 	clockFn func() sim.Time
 	gate    *exec.Gate
 	kernels []KernelFunc
-	nextID  int
+	// prefixes holds each kernel's thread-name prefix, which a thread's
+	// name completes with its tid (see exec.NewNumberedThread).
+	prefixes []string
+	nextID   int
 }
 
 // NewRuntime creates the runtime for one process. now exposes the machine's
@@ -68,8 +71,10 @@ func (r *Runtime) Process() *kernelos.Process { return r.proc }
 // RegisterKernel adds a kernel to the table and returns its ID, the value the
 // task descriptor carries in place of a program counter.
 func (r *Runtime) RegisterKernel(k KernelFunc) int {
+	id := len(r.kernels)
 	r.kernels = append(r.kernels, k)
-	return len(r.kernels) - 1
+	r.prefixes = append(r.prefixes, fmt.Sprintf("mttop-k%d-t", id))
+	return id
 }
 
 // Kernel returns a registered kernel.
@@ -86,7 +91,7 @@ func (r *Runtime) Kernel(id int) KernelFunc {
 // task.
 func (r *Runtime) NewMTTOPThread(kernelID, tid int, args mem.VAddr) *exec.Thread {
 	k := r.Kernel(kernelID)
-	t := exec.NewThread(r.gate, tid, fmt.Sprintf("mttop-k%d-t%d", kernelID, tid), runMTTOP)
+	t := exec.NewNumberedThread(r.gate, tid, r.prefixes[kernelID], runMTTOP)
 	*exec.RecordOf[MTTOPContext](t) = MTTOPContext{rt: r, tid: tid, args: args, kernel: k}
 	return t
 }

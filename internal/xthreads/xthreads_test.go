@@ -182,8 +182,8 @@ func TestRuntimeKernelTableAndThreads(t *testing.T) {
 	}()
 
 	tt := rt.NewMTTOPThread(k0, 7, 0)
-	if tt == nil || tt.ID() != 7 {
-		t.Fatalf("NewMTTOPThread returned %v, want thread 7", tt)
+	if tt == nil || tt.ID() != 7 || tt.Name() != "mttop-k0-t7" {
+		t.Fatalf("NewMTTOPThread returned %v, want thread 7 named mttop-k0-t7", tt)
 	}
 	// Shutdown must not hang on the never-started thread.
 	m.Shutdown()

@@ -97,19 +97,23 @@ type Sink interface {
 // Each worker draws a machine-part Arena from the Runner for the length of a
 // Run call: the engine, physical memory, tag arrays, SWMR checker,
 // directory tables, L1 controllers, MMUs, GPU memory path, message
-// populations, software threads and MTTOP contexts of a finished run are
-// recycled into the worker's next machine,
-// so a long sweep stops paying construction and GC cost per run. Workers hand their arenas back to the Runner when
-// the call ends, so a reused Runner's later calls build nothing their
-// predecessors already built. A Runner holds at most as many arenas as it
-// ever ran workers at once; dropping the Runner releases them. Concurrent
-// Run calls never share an arena. Reuse is observation-equivalent — results
-// and sink bytes are identical to fresh-machine-per-run at any Parallel
-// setting and on any call (see TestRunnerArenaReuse).
+// populations, software threads, their coroutines and MTTOP contexts of a
+// finished run are recycled into the worker's next machine, so a long sweep
+// stops paying construction and GC cost per run. Workers hand their arenas
+// back to the Runner when the call ends, so a reused Runner's later calls
+// build nothing their predecessors already built. A coroutine outlives its
+// thread but not the Run call that started it: a worker ends its arena's
+// parked coroutines before it hands the arena back, and a later call starts
+// their records again. A Runner holds at most as many arenas as it ever ran
+// workers at once; dropping the Runner releases them. Concurrent Run calls
+// never share an arena. Reuse is observation-equivalent — results and sink
+// bytes are identical to fresh-machine-per-run at any Parallel setting and
+// on any call (see TestRunnerArenaReuse).
 //
-// A run that panics yields an *ErrSimulationPanic. Its worker drops its
-// arena, which the panicking machine may have left holding parts of an
-// unfinished run, and carries on with a fresh one.
+// A run that panics yields an *ErrSimulationPanic. Its worker ends the
+// coroutines of its arena, which the panicking machine may have left
+// holding parts of an unfinished run, drops it and carries on with a fresh
+// one.
 //
 // The zero value is ready to use. A Runner must not be copied after its
 // first Run.
@@ -173,16 +177,19 @@ func (r *Runner) Run(specs []RunSpec) ([]RunResult, error) {
 			// One arena per worker: machines built for consecutive jobs on
 			// this goroutine reuse each other's parts; workers share nothing.
 			// A run that panicked may have left its arena half used, so the
-			// worker replaces it rather than park it.
+			// worker replaces it rather than park it. Either way its parked
+			// coroutines end here.
 			arena := r.takeArena()
 			for i := range jobs {
 				results[i] = r.runOne(specs[i], i, arena)
 				var p *ErrSimulationPanic
 				if errors.As(results[i].Err, &p) {
+					arena.StopCoroutines()
 					arena = simarena.New()
 				}
 				done <- i
 			}
+			arena.StopCoroutines()
 			r.parkArena(arena)
 		}()
 	}

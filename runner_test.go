@@ -196,6 +196,7 @@ func TestRunnerArenaReuse(t *testing.T) {
 				if freshPerRun {
 					for i := range batch {
 						batch[i].System.Arena = ccsvm.NewArena()
+						defer batch[i].System.Arena.StopCoroutines()
 					}
 				}
 				var buf bytes.Buffer
@@ -253,6 +254,7 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 	copy(fresh, specs)
 	for i := range fresh {
 		fresh[i].System.Arena = ccsvm.NewArena()
+		defer fresh[i].System.Arena.StopCoroutines()
 	}
 	want, err := (&ccsvm.Runner{Parallel: 1}).Run(fresh)
 	if err != nil {
@@ -290,8 +292,9 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 // shape in the list, the later calls draw every engine, memory, tag array,
 // SWMR checker, directory table, snoop filter map, L1 controller, MMU and
 // GPU memory path from the arena, and its parked message populations, op
-// batches (with their storage), threads and MTTOP contexts stay at the first
-// call's high-water mark.
+// batches (with their storage), threads, coroutines and MTTOP contexts stay
+// at the first call's high-water mark. After every call the parked
+// coroutines are all ended: none outlives the call that started it.
 func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
 	var specs []ccsvm.RunSpec
@@ -344,12 +347,15 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 			t.Fatalf("call %d: Runner holds %d arenas, want its one worker's", call, len(parked))
 		}
 		s := parked[0].Stats()
+		if s.LiveCoroutines != 0 {
+			t.Fatalf("call %d: the parked arena holds %d live coroutines of its %d, want none", call, s.LiveCoroutines, s.Coroutines)
+		}
 		if call == 1 {
 			arena, first = parked[0], s
 			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.SnoopMapBuilds == 0 ||
 				s.CohMsgs == 0 || s.NocMsgs == 0 || s.Batches == 0 || s.Threads == 0 || s.Contexts == 0 ||
-				s.L1s == 0 || s.MMUs == 0 || s.GPUMems == 0 {
-				t.Fatalf("first call built no checker, table or snoop map, or parked no messages, batches, threads, contexts, L1 controllers, MMUs or GPU memory paths: %+v", s)
+				s.Coroutines == 0 || s.L1s == 0 || s.MMUs == 0 || s.GPUMems == 0 {
+				t.Fatalf("first call built no checker, table or snoop map, or parked no messages, batches, threads, contexts, coroutines, L1 controllers, MMUs or GPU memory paths: %+v", s)
 			}
 		} else {
 			if parked[0] != arena {
@@ -381,6 +387,10 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 			if s.Threads != first.Threads || s.Contexts != first.Contexts {
 				t.Errorf("call %d parked %d threads and %d MTTOP contexts, want call 1's %d and %d",
 					call, s.Threads, s.Contexts, first.Threads, first.Contexts)
+			}
+			// A launch starts a parked record before it builds one.
+			if s.Coroutines != first.Coroutines {
+				t.Errorf("call %d parked %d coroutines, want call 1's %d", call, s.Coroutines, first.Coroutines)
 			}
 		}
 		prev = s
@@ -450,8 +460,8 @@ func TestRunnerRecoversPanickingRun(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Spec.System.Kind != panicKind {
 		t.Fatalf("sweep error %v does not carry the panicking spec's ErrSimulationPanic", err)
 	}
-	if !errors.As(results[1].Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "kernel bug") || len(pe.Stack) == 0 {
-		t.Fatalf("panicking spec's result error = %v, want an ErrSimulationPanic with the panic value and a stack", results[1].Err)
+	if !errors.As(results[1].Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), `"mttop-k0-t3" failed: kernel bug`) || len(pe.Stack) == 0 {
+		t.Fatalf("panicking spec's result error = %v, want an ErrSimulationPanic naming the failed thread, with the panic value and a stack", results[1].Err)
 	}
 	for _, i := range []int{0, 2} {
 		if results[i].Err != nil {
@@ -464,12 +474,20 @@ func TestRunnerRecoversPanickingRun(t *testing.T) {
 	}
 }
 
-// TestRunnerLeavesNoGoroutines: every workload thread is a coroutine of its
-// machine, so once a sweep returns no goroutine of it is left — after runs
-// of xthreads and OpenCL specs, after a run that ends over its
-// simulated-time budget with threads mid-run, and after the Runner, with
+// TestRunnerLeavesNoGoroutines: every workload thread runs on a coroutine
+// its machine's arena keeps for later threads, and no coroutine outlives
+// the Run call that started it, so once a sweep returns no goroutine of it
+// is left — after runs of xthreads and OpenCL specs, after a run that ends
+// over its simulated-time budget with threads mid-run, after a run that
+// panics mid-run, whose arena its worker drops, and after the Runner, with
 // the threads parked in its arenas, is dropped.
 func TestRunnerLeavesNoGoroutines(t *testing.T) {
+	w, ok := ccsvm.Lookup("matmul")
+	if !ok {
+		t.Fatal("matmul is not registered")
+	}
+	w.Runners[panicKind] = runPanicking
+	t.Cleanup(func() { delete(w.Runners, panicKind) })
 	p := ccsvm.Params{N: 16, Seed: 42}
 	var specs []ccsvm.RunSpec
 	for _, pair := range []struct {
@@ -522,6 +540,16 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	settled("after runs over their simulated-time budget")
+	// The panicking run follows a clean one on the same worker, so the arena
+	// its worker drops holds the clean run's parked coroutines.
+	bad := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.System{Kind: panicKind, CCSVM: specs[1].System.CCSVM}, Params: p}
+	results, _ = (&ccsvm.Runner{Parallel: 1}).Run([]ccsvm.RunSpec{specs[1], bad, specs[0]})
+	var pe *ccsvm.ErrSimulationPanic
+	if results[0].Err != nil || !errors.As(results[1].Err, &pe) || results[2].Err != nil {
+		t.Fatalf("sweep around a panicking run returned %v, %v and %v, want only the middle one's ErrSimulationPanic",
+			results[0].Err, results[1].Err, results[2].Err)
+	}
+	settled("after a run that panicked")
 	r = nil
 	runtime.GC()
 	settled("after the Runner was dropped")
@@ -579,6 +607,7 @@ func TestArenaMessagePopulationIsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	arena := ccsvm.NewArena()
+	defer arena.StopCoroutines()
 	spec.System.Arena = arena
 	var parked []int
 	for i := 0; i < 4; i++ {
@@ -596,6 +625,32 @@ func TestArenaMessagePopulationIsStable(t *testing.T) {
 	}
 	if parked[1] != parked[2] || parked[2] != parked[3] {
 		t.Fatalf("parked coherence messages after runs 1-4: %v, want the same after runs 2, 3 and 4", parked)
+	}
+}
+
+// TestArenaParksAtMostPeakCoroutines: a coroutine goes back to its gate's
+// pool only once its thread has finished, and the next launch takes it, so
+// an arena parks at most its machine's peak of live threads, not one
+// coroutine per thread. apsp on OpenCL at V = 20 starts 400 work-items, 20
+// per launch, next to the host thread: 401 threads, at most 21 live.
+func TestArenaParksAtMostPeakCoroutines(t *testing.T) {
+	spec, err := ccsvm.BuildSpec("apsp", ccsvm.SystemOpenCL, "", nil, ccsvm.Params{N: 20, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := ccsvm.NewArena()
+	defer arena.StopCoroutines()
+	spec.System.Arena = arena
+	w, _ := ccsvm.Lookup("apsp")
+	r, err := w.Run(spec.System, spec.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Metrics["opencl.work_items"]; n != 400 {
+		t.Fatalf("apsp at V = 20 ran %v work-items, want 400", n)
+	}
+	if s := arena.Stats(); s.Coroutines == 0 || s.Coroutines > 21 || s.LiveCoroutines != s.Coroutines {
+		t.Fatalf("arena parks %d coroutines, %d of them live, want 1 to 21, all live", s.Coroutines, s.LiveCoroutines)
 	}
 }
 
