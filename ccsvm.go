@@ -34,18 +34,22 @@ type (
 	// arrays, SWMR checker, directory tables, L1 controllers, MMUs, the GPU
 	// memory path, message pools, software threads, their coroutines and
 	// MTTOP contexts) across the runs of one worker; set System.Arena to use
-	// it. A Runner keeps its workers' arenas itself. A coroutine outlives
-	// its thread but not its owner's runs: the arena keeps the coroutines of
-	// finished threads parked, as live goroutines, for the next machine, so
-	// whoever sets System.Arena calls StopCoroutines once its runs are done.
-	// See internal/simarena for the reuse contract.
+	// it. The arena keeps the coroutines of finished threads parked, as
+	// live goroutines, for the next machine: a coroutine outlives its
+	// thread and its Run call, but not the arena's owner. A Runner keeps
+	// its workers' arenas itself, and a GC cleanup ends their coroutines
+	// once the Runner is dropped; whoever sets System.Arena calls
+	// StopCoroutines once it is done with the arena. See internal/simarena
+	// for the reuse contract.
 	Arena = simarena.Arena
 )
 
 // NewArena returns an empty machine-part arena for a single worker's runs.
 // Its owner ends the arena's parked coroutines with Arena.StopCoroutines
-// when its runs are done, typically deferred; a forgotten call leaks at
-// most one machine's peak of live threads as parked goroutines.
+// once it is done with the arena, typically deferred; a forgotten call
+// leaks at most one machine's peak of live threads as parked goroutines.
+// (A Runner's own arenas need no call: a GC cleanup ends their coroutines
+// once the Runner is dropped.)
 func NewArena() *Arena { return simarena.New() }
 
 // The four systems of the paper's evaluation.

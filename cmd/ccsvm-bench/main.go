@@ -510,11 +510,10 @@ func measureSweep(specs []ccsvm.RunSpec, workers, iters int) (record, error) {
 	}
 	// Each spec runs on an arena of its own, as measure gives each series
 	// one, so the measured sweeps build nothing and start no coroutine
-	// whichever worker runs which spec. On its workers' arenas the Runner
-	// starts the parked coroutines again in every call, since none outlives
-	// the call that started it: as many as the most threads live in the
-	// specs a worker happened to run, so allocs/op would depend on
-	// scheduling.
+	// whichever worker runs which spec. The Runner's own worker arenas keep
+	// their coroutines parked between calls too, but which parts and
+	// coroutines a worker's arena holds depends on which specs that worker
+	// happened to run, so allocs/op would depend on scheduling.
 	specs = slices.Clone(specs)
 	for i := range specs {
 		specs[i].System.Arena = ccsvm.NewArena()

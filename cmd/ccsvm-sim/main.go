@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -41,107 +42,124 @@ func (s *setFlags) Set(v string) error {
 }
 
 func main() {
-	workload := flag.String("workload", "matmul", "workload name (see -list)")
-	system := flag.String("system", "", "system kind: ccsvm, cpu, opencl, or pthreads (default: the preset's first kind, or ccsvm)")
-	preset := flag.String("preset", "", "machine preset to start from (see -list); default is the system's Table 2 configuration")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status: 2 for a bad command
+// line or an unsupported pair, 1 for a run that failed or panicked.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccsvm-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "matmul", "workload name (see -list)")
+	system := fs.String("system", "", "system kind: ccsvm, cpu, opencl, or pthreads (default: the preset's first kind, or ccsvm)")
+	preset := fs.String("preset", "", "machine preset to start from (see -list); default is the system's Table 2 configuration")
 	var sets setFlags
-	flag.Var(&sets, "set", "override one configuration field, e.g. -set ccsvm.MTTOPIssueWidth=16 (repeatable; see -list-paths)")
-	n := flag.Int("n", 32, "problem size (matrix dimension, vertices, bodies, or elements)")
-	density := flag.Float64("density", 0.01, "non-zero density for the sparse workload")
-	seed := flag.Int64("seed", 42, "input seed")
-	includeInit := flag.Bool("opencl-init", false, "include OpenCL platform init and JIT in the measured region")
-	list := flag.Bool("list", false, "list every runnable (workload, system) pair and machine preset, then exit")
-	listPaths := flag.Bool("list-paths", false, "list every -set'able configuration path, then exit")
-	asJSON := flag.Bool("json", false, "emit the result as one JSON line instead of text")
-	flag.Parse()
+	fs.Var(&sets, "set", "override one configuration field, e.g. -set ccsvm.MTTOPIssueWidth=16 (repeatable; see -list-paths)")
+	n := fs.Int("n", 32, "problem size (matrix dimension, vertices, bodies, or elements)")
+	density := fs.Float64("density", 0.01, "non-zero density for the sparse workload")
+	seed := fs.Int64("seed", 42, "input seed")
+	includeInit := fs.Bool("opencl-init", false, "include OpenCL platform init and JIT in the measured region")
+	list := fs.Bool("list", false, "list every runnable (workload, system) pair and machine preset, then exit")
+	listPaths := fs.Bool("list-paths", false, "list every -set'able configuration path, then exit")
+	asJSON := fs.Bool("json", false, "emit the result as one JSON line instead of text")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		fmt.Println("workloads:")
+		fmt.Fprintln(stdout, "workloads:")
 		for _, w := range ccsvm.Workloads() {
-			fmt.Printf("  %-10s %s\n", w.Name, w.Description)
+			fmt.Fprintf(stdout, "  %-10s %s\n", w.Name, w.Description)
 			for _, kind := range w.SystemKinds() {
-				fmt.Printf("               %s/%s\n", w.Name, kind)
+				fmt.Fprintf(stdout, "               %s/%s\n", w.Name, kind)
 			}
 		}
-		fmt.Println("presets:")
+		fmt.Fprintln(stdout, "presets:")
 		for _, p := range ccsvm.Presets() {
-			fmt.Printf("  %-18s [%s] %s\n", p.Name, p.Machine, p.Description)
+			fmt.Fprintf(stdout, "  %-18s [%s] %s\n", p.Name, p.Machine, p.Description)
 		}
-		fmt.Println("coherence protocols (-set ccsvm.coherence.protocol=...):")
+		fmt.Fprintln(stdout, "coherence protocols (-set ccsvm.coherence.protocol=...):")
 		for _, name := range ccsvm.Protocols() {
-			fmt.Printf("  %s\n", name)
+			fmt.Fprintf(stdout, "  %s\n", name)
 		}
-		return
+		return 0
 	}
 	if *listPaths {
 		for _, machine := range []ccsvm.MachineKind{ccsvm.MachineCCSVM, ccsvm.MachineAPU} {
 			for _, p := range ccsvm.OverridePaths(machine) {
-				fmt.Println(p)
+				fmt.Fprintln(stdout, p)
 			}
 		}
-		return
+		return 0
 	}
 
 	w, ok := ccsvm.Lookup(*workload)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "ccsvm-sim: unknown workload %q; -list shows the registry\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ccsvm-sim: unknown workload %q; -list shows the registry\n", *workload)
+		return 2
 	}
 	sys, err := buildSystem(*system, *preset)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccsvm-sim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
+		return 2
 	}
 	if err := ccsvm.ApplyOverrides(&sys, sets); err != nil {
-		fmt.Fprintf(os.Stderr, "ccsvm-sim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
+		return 2
 	}
 	params := ccsvm.Params{N: *n, Density: *density, Seed: *seed, IncludeInit: *includeInit}
+	// The tag records the full configuration provenance — preset and
+	// overrides — so JSONL lines from different sweep points are
+	// distinguishable downstream.
+	tag := strings.Join(append(presetTag(*preset), sets...), " ")
+	spec := ccsvm.RunSpec{Workload: w.Name, System: sys, Params: params, Tag: tag}
 
-	res, err := w.Run(sys, params)
+	// A one-worker Runner recovers a run that panics into an error naming
+	// the spec, as it does in a sweep.
+	results, err := (&ccsvm.Runner{Parallel: 1}).Run([]ccsvm.RunSpec{spec})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccsvm-sim: %v\n", err)
+		fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
 		if errors.Is(err, ccsvm.ErrUnsupportedPair) {
-			os.Exit(2)
+			return 2
 		}
-		os.Exit(1)
+		return 1
 	}
 
 	if *asJSON {
-		sink := ccsvm.NewJSONLSink(os.Stdout)
-		// The tag records the full configuration provenance — preset and
-		// overrides — so JSONL lines from different sweep points are
-		// distinguishable downstream.
-		tag := strings.Join(append(presetTag(*preset), sets...), " ")
-		spec := ccsvm.RunSpec{Workload: w.Name, System: sys, Params: params, Tag: tag}
-		if err := sink.Emit(ccsvm.RunResult{Spec: spec, Result: res}); err != nil {
-			fmt.Fprintf(os.Stderr, "ccsvm-sim: %v\n", err)
-			os.Exit(1)
+		if err := ccsvm.NewJSONLSink(stdout).Emit(results[0]); err != nil {
+			fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	fmt.Printf("workload:      %s (n=%d)\n", w.Name, *n)
-	fmt.Printf("system:        %s\n", res.Label)
+	res := results[0].Result
+	fmt.Fprintf(stdout, "workload:      %s (n=%d)\n", w.Name, *n)
+	fmt.Fprintf(stdout, "system:        %s\n", res.Label)
 	if *preset != "" {
-		fmt.Printf("preset:        %s\n", *preset)
+		fmt.Fprintf(stdout, "preset:        %s\n", *preset)
 	}
 	for _, s := range sets {
-		fmt.Printf("override:      %s\n", s)
+		fmt.Fprintf(stdout, "override:      %s\n", s)
 	}
-	fmt.Printf("measured time: %v\n", res.Time)
-	fmt.Printf("DRAM accesses: %d\n", res.DRAMAccesses)
-	fmt.Printf("verified:      %v\n", res.Checked)
+	fmt.Fprintf(stdout, "measured time: %v\n", res.Time)
+	fmt.Fprintf(stdout, "DRAM accesses: %d\n", res.DRAMAccesses)
+	fmt.Fprintf(stdout, "verified:      %v\n", res.Checked)
 	if len(res.Metrics) > 0 {
-		fmt.Println("machine metrics:")
+		fmt.Fprintln(stdout, "machine metrics:")
 		keys := make([]string, 0, len(res.Metrics))
 		for k := range res.Metrics {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("  %-24s %.6g\n", k, res.Metrics[k])
+			fmt.Fprintf(stdout, "  %-24s %.6g\n", k, res.Metrics[k])
 		}
 	}
+	return 0
 }
 
 // presetTag wraps a non-empty preset name in a one-element slice for tag

@@ -10,37 +10,29 @@ import "iter"
 // peak of live threads. A killed thread's coroutine ends with it and never
 // comes back.
 //
-// A parked coroutine is a live goroutine, so it outlives its thread but must
-// not outlive its owner: a machine without an arena ends its pool at
-// Shutdown (Gate.StopCoroutines), and one with an arena hands the pool on
-// (DrainCoroutines, SeedCoroutines), whose owner ends it (Stop) once its
-// runs are done. An ended coroutine keeps its record and its body, bound
-// once, and a launch that draws it starts it again with iter.Pull.
+// A parked coroutine is a live goroutine. It outlives its thread, and its
+// machine too when an arena carries the pool on to the next machine
+// (DrainCoroutines, SeedCoroutines), but not the pool's owner. A machine
+// without an arena ends its pool at Shutdown (Gate.StopCoroutines). An
+// arena's owner ends the arena's pool once it is done with the arena; for a
+// ccsvm.Runner that is when a GC cleanup finds the Runner dropped, so a
+// coroutine outlives the Run call that started it but not its Runner. An
+// ended coroutine leaves its pool and is never lent again.
 type Coroutine struct {
 	// t is the thread the coroutine runs, nil while it is in a pool.
 	t *Thread
-	// seq is the coroutine's body (Coroutine.body), bound when the record is
-	// built. next runs the coroutine until it yields (its thread published
-	// its next op, handed the holder role back to Drive or finished);
-	// stop unwinds a parked coroutine; yield is the coroutine's side of
-	// next. All three come from iter.Pull and are nil once it has ended.
-	seq   iter.Seq[struct{}]
+	// next runs the coroutine until it yields (its thread published its next
+	// op, handed the holder role back to Drive or finished); stop unwinds a
+	// parked coroutine; yield is the coroutine's side of next. next and stop
+	// come from iter.Pull.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 }
 
-// Live reports whether c's goroutine runs: it has not been ended.
-func (c *Coroutine) Live() bool { return c.next != nil }
-
-// Stop ends the goroutine of c, which must be in a pool, and keeps the
-// record. No-op on an ended coroutine.
-func (c *Coroutine) Stop() {
-	if c.stop != nil {
-		c.stop()
-		c.next, c.stop, c.yield = nil, nil, nil
-	}
-}
+// Stop ends the goroutine of c, which must be parked with no thread: in a
+// pool, or drained from one. No-op on an ended coroutine.
+func (c *Coroutine) Stop() { c.stop() }
 
 // body is the coroutine: the lent thread's function, then the exit path
 // that tells the owning core the thread is finished (it observes NextDone
@@ -71,8 +63,8 @@ func (c *Coroutine) body(yield func(struct{}) bool) {
 	}
 }
 
-// lend gives t a coroutine: the one the pool took back last, started again
-// if it was ended, or a new one when the pool is empty.
+// lend gives t a coroutine: the one the pool took back last, or a new one
+// when the pool is empty.
 func (g *Gate) lend(t *Thread) {
 	var c *Coroutine
 	if n := len(g.coroutines); n > 0 {
@@ -81,10 +73,7 @@ func (g *Gate) lend(t *Thread) {
 		g.coroutines = g.coroutines[:n-1]
 	} else {
 		c = &Coroutine{}
-		c.seq = c.body
-	}
-	if c.next == nil {
-		c.next, c.stop = iter.Pull(c.seq)
+		c.next, c.stop = iter.Pull(c.body)
 	}
 	c.t, t.co = t, c
 }
@@ -100,8 +89,8 @@ func (g *Gate) SeedCoroutines(cs []*Coroutine) {
 	g.coroutines = append(g.coroutines, cs...)
 }
 
-// DrainCoroutines removes and returns the gate's coroutine pool. The live
-// ones stay parked goroutines: the caller owns them, and must end them (see
+// DrainCoroutines removes and returns the gate's coroutine pool. They stay
+// parked goroutines: the caller owns them, and must end them (see
 // Coroutine.Stop) or seed a gate with them.
 func (g *Gate) DrainCoroutines() []*Coroutine {
 	cs := g.coroutines
@@ -109,11 +98,12 @@ func (g *Gate) DrainCoroutines() []*Coroutine {
 	return cs
 }
 
-// StopCoroutines ends the goroutine of every coroutine in the gate's pool;
-// the records stay for later launches. Threads still parked keep theirs
-// (see KillAll).
+// StopCoroutines ends the goroutine of every coroutine in the gate's pool
+// and empties the pool, so a later launch starts a new one. Threads still
+// parked keep theirs (see KillAll).
 func (g *Gate) StopCoroutines() {
 	for _, c := range g.coroutines {
 		c.Stop()
 	}
+	g.coroutines = nil
 }

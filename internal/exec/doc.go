@@ -26,9 +26,11 @@
 // their arena (DrainCoroutines, SeedCoroutines), and a device runtime's
 // thread formats its name only when read (NewNumberedThread), so starting
 // a thread on a warm machine allocates nothing. A parked coroutine is a
-// live goroutine: it outlives its thread, but not the arena owner's run or
-// the Shutdown of a machine without an arena, which end it
-// (Coroutine.Stop, StopCoroutines).
+// live goroutine: it outlives its thread and the Run call that started it,
+// but not its owner. A ccsvm.Runner's coroutines end in a GC cleanup once
+// the Runner is dropped; any other arena owner ends them with the arena's
+// StopCoroutines, and a machine without an arena at Shutdown
+// (StopCoroutines). An ended coroutine leaves its pool for good.
 //
 // The gate also runs op sequences on a thread's behalf. A Batch holds loads,
 // stores and computes the thread already knows (a kernel's argument

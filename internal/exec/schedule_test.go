@@ -215,8 +215,8 @@ func newTestGate(t *testing.T) *Gate {
 // coroutine — one parked at its first op, one parked as the holder when the
 // engine ran dry — and never-launched threads own none. The finished
 // thread's coroutine stays parked in the gate's pool until the gate's
-// teardown ends it, so the coroutine count then returns to where it
-// started.
+// teardown ends it and empties the pool, so the coroutine count then
+// returns to where it started.
 func TestKillLeavesNoCoroutines(t *testing.T) {
 	before := coroutines()
 	eng := sim.NewEngine()
@@ -261,8 +261,8 @@ func TestKillLeavesNoCoroutines(t *testing.T) {
 		t.Fatalf("%d coroutines after Kill, want %d: the pooled one", n, before+1)
 	}
 	g.StopCoroutines()
-	if n := coroutines(); n != before {
-		t.Fatalf("%d coroutines after the gate's teardown, want %d", n, before)
+	if n := coroutines(); n != before || len(g.coroutines) != 0 {
+		t.Fatalf("%d coroutines after the gate's teardown and %d left in its pool, want %d and none", n, len(g.coroutines), before)
 	}
 }
 
@@ -325,65 +325,5 @@ func TestFinishedThreadLendsItsCoroutine(t *testing.T) {
 	g.Drive(eng.Step)
 	if !third.th.Finished() || len(g.coroutines) != 1 || coroutines() != before+1 {
 		t.Fatalf("third finished %v; pool holds %d coroutines and %d run, want its new one pooled", third.th.Finished(), len(g.coroutines), coroutines()-before)
-	}
-}
-
-// TestStoppedCoroutineStartsAgain: a coroutine stopped in the pool keeps its
-// record, which the next launch starts again, and no pool holds more
-// coroutines than the most threads live at once: here two at a time, run
-// in three waves.
-func TestStoppedCoroutineStartsAgain(t *testing.T) {
-	before := coroutines()
-	eng := sim.NewEngine()
-	g := newTestGate(t)
-	g.Bind(eng)
-	var log []string
-	var stopped []*Coroutine
-	for wave := 0; wave < 3; wave++ {
-		a := newEngCore(g, eng, &log, 2*wave, "a", func(ctx *Context) { ctx.Compute(3) })
-		b := newEngCore(g, eng, &log, 2*wave+1, "b", func(ctx *Context) { ctx.Compute(1); ctx.Compute(1) })
-		launchAll(eng, a, b)
-		g.Drive(eng.Step)
-		if !a.th.Finished() || !b.th.Finished() {
-			t.Fatalf("wave %d: threads did not finish", wave)
-		}
-		if len(g.coroutines) != 2 {
-			t.Fatalf("wave %d: pool holds %d coroutines, want the 2 threads live at once", wave, len(g.coroutines))
-		}
-		if wave == 2 {
-			for _, c := range stopped {
-				if c != g.coroutines[0] && c != g.coroutines[1] {
-					t.Fatal("the wave after StopCoroutines built a coroutine with stopped records to start again")
-				}
-			}
-		}
-		if wave == 1 {
-			stopped = append(stopped, g.coroutines...)
-			g.StopCoroutines()
-			for _, c := range g.coroutines {
-				if c.Live() {
-					t.Fatal("a stopped coroutine is live")
-				}
-			}
-			if n := coroutines(); n != before {
-				t.Fatalf("%d coroutines after StopCoroutines, want %d", n, before)
-			}
-		}
-		if !g.RecycleThreads() {
-			t.Fatalf("wave %d: gate kept its finished threads", wave)
-		}
-	}
-	if n := coroutines(); n != before+2 {
-		t.Fatalf("%d coroutines after the last wave, want %d", n, before+2)
-	}
-	cs := g.DrainCoroutines()
-	if len(cs) != 2 || len(g.coroutines) != 0 {
-		t.Fatalf("DrainCoroutines returned %d and left %d, want 2 and 0", len(cs), len(g.coroutines))
-	}
-	for _, c := range cs {
-		c.Stop()
-	}
-	if n := coroutines(); n != before {
-		t.Fatalf("%d coroutines after stopping the drained pool, want %d", n, before)
 	}
 }

@@ -24,11 +24,14 @@
 // with the records its runtimes attached (an xthreads MTTOPContext, an
 // OpenCL WorkItemContext), which are refilled for the next task, the pool
 // of MTTOP hardware contexts the cores of one machine share, and the gate's
-// pool of workload coroutines. A coroutine outlives its thread, parked for
-// the next one, but not the arena owner's run: a parked coroutine is a live
-// goroutine, so the owner ends the arena's coroutines (StopCoroutines) once
-// its runs are done, and must before it drops the arena. A stopped
-// coroutine keeps its record, and a later launch only starts it again.
+// pool of workload coroutines. A parked coroutine is a live goroutine: it
+// outlives its thread, parked for the next one, and the Run call that
+// started it, but not the arena's owner. The ccsvm.Runner keeps its
+// workers' arenas with their coroutines parked and ends them in a GC
+// cleanup once the Runner is dropped; any other owner ends them
+// (StopCoroutines) once it is done with the arena, and must before it drops
+// the arena. StopCoroutines empties the pool, so later machines start new
+// coroutines.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
@@ -93,10 +96,9 @@ type Stats struct {
 	// Threads counts the exec threads parked likewise, and Contexts the
 	// MTTOP hardware contexts of the parked context pools.
 	Threads, Contexts int
-	// Coroutines counts the workload coroutines parked likewise, and
-	// LiveCoroutines those of them whose goroutine has not been ended (see
-	// StopCoroutines).
-	Coroutines, LiveCoroutines int
+	// Coroutines counts the workload coroutines parked likewise, each a
+	// live goroutine until StopCoroutines.
+	Coroutines int
 	// L1Reuses/L1Builds count L1Controller() calls served from the arena
 	// versus constructed, MMUReuses/MMUBuilds MMU() calls, and
 	// GPUMemReuses/GPUMemBuilds GPUMemory() calls.
@@ -398,7 +400,7 @@ func (a *Arena) TakeCoroutines() []*exec.Coroutine {
 }
 
 // RecycleCoroutines parks a drained gate's coroutine pool for the next
-// machine. The live ones stay parked goroutines until StopCoroutines.
+// machine. They stay parked goroutines until StopCoroutines.
 func (a *Arena) RecycleCoroutines(cs []*exec.Coroutine) {
 	if a == nil || len(cs) == 0 {
 		return
@@ -410,10 +412,11 @@ func (a *Arena) RecycleCoroutines(cs []*exec.Coroutine) {
 	}
 }
 
-// StopCoroutines ends the goroutine of every parked coroutine and keeps the
-// records, which later machines start again. The arena's owner calls it
-// once its runs are done: a forgotten call leaks the parked goroutines, at
-// most one machine's peak of live threads. No-op on a nil arena.
+// StopCoroutines ends the goroutine of every parked coroutine and empties
+// the pool, so later machines start new ones. The arena's owner calls it
+// once it is done with the arena: a forgotten call leaks the parked
+// goroutines, at most one machine's peak of live threads. No-op on a nil
+// arena.
 func (a *Arena) StopCoroutines() {
 	if a == nil {
 		return
@@ -421,6 +424,7 @@ func (a *Arena) StopCoroutines() {
 	for _, c := range a.cos {
 		c.Stop()
 	}
+	a.cos = nil
 }
 
 // ContextPool returns a pool of MTTOP hardware contexts: a parked one, with
@@ -558,10 +562,5 @@ func (a *Arena) Stats() Stats {
 	}
 	s := a.stats
 	s.Coroutines = len(a.cos)
-	for _, c := range a.cos {
-		if c.Live() {
-			s.LiveCoroutines++
-		}
-	}
 	return s
 }

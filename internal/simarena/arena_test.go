@@ -1,6 +1,8 @@
 package simarena
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"ccsvm/internal/cache"
@@ -208,9 +210,22 @@ func TestGPUMemoryReuseIsReset(t *testing.T) {
 	}
 }
 
+// coroutines counts the goroutines parked in a coroutine switch: the exec
+// threads' coroutines.
+func coroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), " [coroutine")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestCoroutinesParkUntilStopped: a gate's drained coroutine pool parks in
-// the arena live, as Stats counts it, until StopCoroutines ends it. The
-// record stays parked, and the next gate starts it again.
+// the arena, live, for the next gate to draw, until StopCoroutines ends it
+// and empties the pool.
 func TestCoroutinesParkUntilStopped(t *testing.T) {
 	finish := func(g *exec.Gate) {
 		t.Helper()
@@ -220,25 +235,29 @@ func TestCoroutinesParkUntilStopped(t *testing.T) {
 			t.Fatalf("thread with no op reported %v, want NextDone", st)
 		}
 	}
+	before := coroutines()
 	a := New()
 	g := exec.NewGate()
 	finish(g)
-	a.RecycleCoroutines(g.DrainCoroutines())
-	if s := a.Stats(); s.Coroutines != 1 || s.LiveCoroutines != 1 {
-		t.Fatalf("arena parks %d coroutines, %d live, want 1 live", s.Coroutines, s.LiveCoroutines)
+	cs := g.DrainCoroutines()
+	a.RecycleCoroutines(cs)
+	if s := a.Stats(); s.Coroutines != 1 || coroutines() != before+1 {
+		t.Fatalf("arena parks %d coroutines and %d run, want 1 and 1", s.Coroutines, coroutines()-before)
 	}
-	a.StopCoroutines()
-	if s := a.Stats(); s.Coroutines != 1 || s.LiveCoroutines != 0 {
-		t.Fatalf("after StopCoroutines the arena parks %d coroutines, %d live, want 1 ended", s.Coroutines, s.LiveCoroutines)
-	}
-	cs := a.TakeCoroutines()
 	next := exec.NewGate()
-	next.SeedCoroutines(cs)
+	next.SeedCoroutines(a.TakeCoroutines())
 	finish(next)
-	if d := next.DrainCoroutines(); len(d) != 1 || d[0] != cs[0] || !d[0].Live() {
-		t.Fatal("the next gate did not start the parked record again")
+	if d := next.DrainCoroutines(); len(d) != 1 || d[0] != cs[0] || coroutines() != before+1 {
+		t.Fatal("the next gate did not run its thread on the parked coroutine")
 	}
-	cs[0].Stop()
+	a.RecycleCoroutines(cs)
+	a.StopCoroutines()
+	if s := a.Stats(); s.Coroutines != 0 || coroutines() != before {
+		t.Fatalf("after StopCoroutines the arena parks %d coroutines and %d run, want none", s.Coroutines, coroutines()-before)
+	}
+	if cs := a.TakeCoroutines(); cs != nil {
+		t.Fatalf("after StopCoroutines the arena hands out %d coroutines, want none", len(cs))
+	}
 	var none *Arena
 	none.StopCoroutines()
 }

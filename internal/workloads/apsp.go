@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/core"
@@ -19,7 +18,8 @@ import (
 // memory — the paper's Figure 6 attributes CCSVM's advantage on this
 // benchmark to exactly this (no per-phase relaunches).
 func APSPXthreads(cfg core.Config, n int, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	adj := randomAdjacency(rng, n, 0.3)
 	want := apspRef(adj, n)
 
@@ -86,7 +86,8 @@ func APSPXthreads(cfg core.Config, n int, seed int64) (Result, error) {
 
 // APSPCPU runs Floyd–Warshall single-threaded on one APU CPU core.
 func APSPCPU(cfg apu.Config, n int, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	adj := randomAdjacency(rng, n, 0.3)
 	want := apspRef(adj, n)
 
@@ -130,7 +131,8 @@ func APSPCPU(cfg apu.Config, n int, seed int64) (Result, error) {
 // exactly the synchronization cost that keeps the APU below the plain CPU in
 // Figure 6.
 func APSPOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	adj := randomAdjacency(rng, n, 0.3)
 	want := apspRef(adj, n)
 

@@ -278,7 +278,8 @@ func bhCheck(read func(va mem.VAddr) float64, b bhBodies) error {
 // the tree and updates bodies, the MTTOP threads compute forces each step
 // (Figure 7's CCSVM/xthreads series).
 func BarnesHutXthreads(cfg core.Config, nBodies int, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	init := bhRefInit(rng, nBodies)
 
 	m := core.NewMachine(cfg)
@@ -356,7 +357,8 @@ func BarnesHutPthreads(cfg apu.Config, nBodies int, seed int64) (Result, error) 
 }
 
 func barnesHutHost(cfg apu.Config, nBodies int, seed int64, nThreads int) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	init := bhRefInit(rng, nBodies)
 
 	m := apu.NewMachine(cfg)

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/core"
@@ -18,7 +17,8 @@ import (
 // elements, then waits on per-thread done flags (Figure 5's CCSVM/xthreads
 // series). The measured region is the offload: launch through completion.
 func MatMulXthreads(cfg core.Config, n int, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	a := randomMatrix(rng, n)
 	b := randomMatrix(rng, n)
 	want := matMulRef(a, b, n)
@@ -87,7 +87,8 @@ func MatMulXthreads(cfg core.Config, n int, seed int64) (Result, error) {
 // MatMulCPU runs the single-threaded CPU version on one APU CPU core — the
 // common baseline every figure normalizes against.
 func MatMulCPU(cfg apu.Config, n int, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	a := randomMatrix(rng, n)
 	b := randomMatrix(rng, n)
 	want := matMulRef(a, b, n)
@@ -136,7 +137,8 @@ func MatMulCPU(cfg apu.Config, n int, seed int64) (Result, error) {
 // whether the one-time platform initialization and program build (JIT) are
 // inside the measured region — Figure 5 plots both variants.
 func MatMulOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	a := randomMatrix(rng, n)
 	b := randomMatrix(rng, n)
 	want := matMulRef(a, b, n)

@@ -128,7 +128,8 @@ func smCompute(ctx *exec.Context, alloc func(uint64) mem.VAddr,
 // each produce a set of output rows, allocating output nodes through
 // mttop_malloc served by the CPU thread.
 func SparseMMXthreads(cfg core.Config, n int, density float64, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	aDense := randomSparse(rng, n, density)
 	bDense := randomSparse(rng, n, density)
 	want := matMulRef(aDense, bDense, n)
@@ -208,7 +209,8 @@ func SparseMMXthreads(cfg core.Config, n int, density float64, seed int64) (Resu
 // SparseMMCPU runs the same pointer-based algorithm single-threaded on one
 // APU CPU core (the baseline of Figure 8).
 func SparseMMCPU(cfg apu.Config, n int, density float64, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	aDense := randomSparse(rng, n, density)
 	bDense := randomSparse(rng, n, density)
 	want := matMulRef(aDense, bDense, n)

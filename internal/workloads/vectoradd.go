@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/core"
@@ -16,7 +15,8 @@ import (
 // vector addition, spawning one MTTOP thread per element and waiting on
 // per-element done flags. It doubles as the repository's quickstart example.
 func VectorAddXthreads(cfg core.Config, n int, seed int64) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	v1 := make([]int32, n)
 	v2 := make([]int32, n)
 	for i := range v1 {
@@ -82,7 +82,8 @@ func VectorAddXthreads(cfg core.Config, n int, seed int64) (Result, error) {
 // vector addition on the APU baseline, with all the buffer and launch
 // boilerplate the figure is making a point about.
 func VectorAddOpenCL(cfg apu.Config, n int, seed int64, includeInit bool) (Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := inputRand(seed)
+	defer inputRands.Put(rng)
 	v1 := make([]int32, n)
 	v2 := make([]int32, n)
 	for i := range v1 {

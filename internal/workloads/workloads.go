@@ -12,6 +12,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
@@ -51,6 +52,19 @@ func (r Result) Speedup(baseline Result) float64 {
 		return 0
 	}
 	return float64(baseline.Time) / float64(r.Time)
+}
+
+// inputRands recycles the generators that draw the runs' inputs: each
+// math/rand source is a 4.9 KB table, which rand.NewSource would build again
+// for every run.
+var inputRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// inputRand returns a generator in the state rand.New(rand.NewSource(seed))
+// starts in. The caller puts it back in inputRands once it is done drawing.
+func inputRand(seed int64) *rand.Rand {
+	rng := inputRands.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
 }
 
 // randomMatrix fills an n x n int32 matrix with small random values from a

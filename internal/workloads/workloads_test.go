@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math/rand"
 	"testing"
 
 	"ccsvm/internal/apu"
@@ -197,5 +198,31 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestInputRandMatchesNewSource: a pooled generator reseeded for a run draws
+// what a new rand.NewSource of that seed draws, also after the pool has
+// served another seed.
+func TestInputRandMatchesNewSource(t *testing.T) {
+	used := inputRand(7)
+	for i := 0; i < 1000; i++ {
+		used.Int63()
+	}
+	inputRands.Put(used)
+	for _, seed := range []int64{42, 1042, -3} {
+		got, want := inputRand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 10000; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d, draw %d: Int63 = %d, want %d", seed, i, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d, draw %d: Float64 = %v, want %v", seed, i, g, w)
+			}
+			if g, w := got.Intn(1000), want.Intn(1000); g != w {
+				t.Fatalf("seed %d, draw %d: Intn = %d, want %d", seed, i, g, w)
+			}
+		}
+		inputRands.Put(got)
 	}
 }

@@ -101,14 +101,15 @@ type Sink interface {
 // finished run are recycled into the worker's next machine, so a long sweep
 // stops paying construction and GC cost per run. Workers hand their arenas
 // back to the Runner when the call ends, so a reused Runner's later calls
-// build nothing their predecessors already built. A coroutine outlives its
-// thread but not the Run call that started it: a worker ends its arena's
-// parked coroutines before it hands the arena back, and a later call starts
-// their records again. A Runner holds at most as many arenas as it ever ran
-// workers at once; dropping the Runner releases them. Concurrent Run calls
-// never share an arena. Reuse is observation-equivalent — results and sink
-// bytes are identical to fresh-machine-per-run at any Parallel setting and
-// on any call (see TestRunnerArenaReuse).
+// build nothing their predecessors already built. A parked coroutine is a
+// live goroutine: it outlives its thread and the Run call that started it,
+// so a later call's machines take it without starting one, but not its
+// Runner. Once the Runner is unreachable, a GC cleanup ends the coroutines
+// of every arena it holds. A Runner holds at most as many arenas as it ever
+// ran workers at once. Concurrent Run calls never share an arena. Reuse is
+// observation-equivalent — results and sink bytes are identical to
+// fresh-machine-per-run at any Parallel setting and on any call (see
+// TestRunnerArenaReuse).
 //
 // A run that panics yields an *ErrSimulationPanic. Its worker ends the
 // coroutines of its arena, which the panicking machine may have left
@@ -123,31 +124,62 @@ type Runner struct {
 	// Sinks receive every result, in spec order. Optional.
 	Sinks []Sink
 
-	// mu guards arenas, the parked arenas of workers that have finished.
+	// once makes shelf, and registers the cleanup that ends its
+	// coroutines, when a worker first draws an arena.
+	once  sync.Once
+	shelf *arenaShelf
+}
+
+// arenaShelf holds the arenas of a Runner's finished workers, their
+// coroutines still parked. It is apart from the Runner so that the cleanup
+// registered on the Runner can reach it once the Runner is unreachable.
+type arenaShelf struct {
 	mu     sync.Mutex
 	arenas []*simarena.Arena
+}
+
+// stopCoroutines ends the coroutines of every shelved arena: the Runner's
+// cleanup.
+func (s *arenaShelf) stopCoroutines() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range s.arenas {
+		a.StopCoroutines()
+	}
+}
+
+// parked returns the Runner's shelf, made on first use.
+func (r *Runner) parked() *arenaShelf {
+	r.once.Do(func() {
+		r.shelf = new(arenaShelf)
+		runtime.AddCleanup(r, (*arenaShelf).stopCoroutines, r.shelf)
+	})
+	return r.shelf
 }
 
 // takeArena hands a worker a parked arena, or a new one when none is
 // parked.
 func (r *Runner) takeArena() *simarena.Arena {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.arenas)
+	s := r.parked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.arenas)
 	if n == 0 {
 		return simarena.New()
 	}
-	a := r.arenas[n-1]
-	r.arenas[n-1] = nil
-	r.arenas = r.arenas[:n-1]
+	a := s.arenas[n-1]
+	s.arenas[n-1] = nil
+	s.arenas = s.arenas[:n-1]
 	return a
 }
 
-// parkArena takes back a worker's arena for the Runner's next Run call.
+// parkArena takes back a worker's arena, its coroutines parked, for the
+// Runner's next Run call.
 func (r *Runner) parkArena(a *simarena.Arena) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.arenas = append(r.arenas, a)
+	s := r.parked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arenas = append(s.arenas, a)
 }
 
 // Run executes every spec and returns the results indexed like specs. The
@@ -177,8 +209,7 @@ func (r *Runner) Run(specs []RunSpec) ([]RunResult, error) {
 			// One arena per worker: machines built for consecutive jobs on
 			// this goroutine reuse each other's parts; workers share nothing.
 			// A run that panicked may have left its arena half used, so the
-			// worker replaces it rather than park it. Either way its parked
-			// coroutines end here.
+			// worker ends its coroutines and replaces it rather than park it.
 			arena := r.takeArena()
 			for i := range jobs {
 				results[i] = r.runOne(specs[i], i, arena)
@@ -189,7 +220,6 @@ func (r *Runner) Run(specs []RunSpec) ([]RunResult, error) {
 				}
 				done <- i
 			}
-			arena.StopCoroutines()
 			r.parkArena(arena)
 		}()
 	}

@@ -293,8 +293,9 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 // SWMR checker, directory table, snoop filter map, L1 controller, MMU and
 // GPU memory path from the arena, and its parked message populations, op
 // batches (with their storage), threads, coroutines and MTTOP contexts stay
-// at the first call's high-water mark. After every call the parked
-// coroutines are all ended: none outlives the call that started it.
+// at the first call's high-water mark. The parked coroutines stay live
+// between calls, so calls 2 and 3 start none: every coroutine a call's
+// threads ran on was parked, so a started one would raise the count.
 func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 	p := ccsvm.Params{N: 8, Density: 0.1, Seed: 42}
 	var specs []ccsvm.RunSpec
@@ -347,9 +348,6 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 			t.Fatalf("call %d: Runner holds %d arenas, want its one worker's", call, len(parked))
 		}
 		s := parked[0].Stats()
-		if s.LiveCoroutines != 0 {
-			t.Fatalf("call %d: the parked arena holds %d live coroutines of its %d, want none", call, s.LiveCoroutines, s.Coroutines)
-		}
 		if call == 1 {
 			arena, first = parked[0], s
 			if s.CheckerBuilds == 0 || s.TableBuilds == 0 || s.SnoopMapBuilds == 0 ||
@@ -388,7 +386,7 @@ func TestRunnerWarmCallsBuildNothing(t *testing.T) {
 				t.Errorf("call %d parked %d threads and %d MTTOP contexts, want call 1's %d and %d",
 					call, s.Threads, s.Contexts, first.Threads, first.Contexts)
 			}
-			// A launch starts a parked record before it builds one.
+			// A launch takes a parked coroutine before it starts one.
 			if s.Coroutines != first.Coroutines {
 				t.Errorf("call %d parked %d coroutines, want call 1's %d", call, s.Coroutines, first.Coroutines)
 			}
@@ -475,12 +473,14 @@ func TestRunnerRecoversPanickingRun(t *testing.T) {
 }
 
 // TestRunnerLeavesNoGoroutines: every workload thread runs on a coroutine
-// its machine's arena keeps for later threads, and no coroutine outlives
-// the Run call that started it, so once a sweep returns no goroutine of it
-// is left — after runs of xthreads and OpenCL specs, after a run that ends
-// over its simulated-time budget with threads mid-run, after a run that
-// panics mid-run, whose arena its worker drops, and after the Runner, with
-// the threads parked in its arenas, is dropped.
+// its machine's arena keeps for later threads, and a Runner keeps its
+// workers' arenas, their coroutines parked, from one Run call to the next.
+// So once a sweep returns, the goroutines left are exactly the coroutines
+// parked in the Runner's arenas — after runs of xthreads and OpenCL specs
+// and after a run that ends over its simulated-time budget with threads
+// mid-run. A run that panics mid-run leaves none of its arena's coroutines,
+// since its worker ends them and drops the arena, and once a Runner is
+// dropped, a GC ends the coroutines of every arena it held.
 func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	w, ok := ccsvm.Lookup("matmul")
 	if !ok {
@@ -517,14 +517,34 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		hung = append(hung, spec)
 	}
 
+	// Runners dropped by earlier tests end their coroutines only once a GC
+	// has found them unreachable, on the runtime's cleanup goroutine: let
+	// the count stop changing before reading it.
+	runtime.GC()
 	before := runtime.NumGoroutine()
-	// settled polls briefly: the Runner's feeder goroutine may still be
-	// returning when Run does.
-	settled := func(after string) {
+	for still := 0; still < 50; {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != before {
+			before, still = n, 0
+		} else {
+			still++
+		}
+	}
+	// settled polls briefly, since the Runner's feeder goroutine may still
+	// be returning when Run does and a cleanup ends coroutines after the GC
+	// that queued it, until the count is the baseline plus the coroutines
+	// parked in the Runners' arenas.
+	settled := func(after string, runners ...*ccsvm.Runner) {
 		t.Helper()
-		for start := time.Now(); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		want := before
+		for _, r := range runners {
+			for _, a := range r.ParkedArenas() {
+				want += a.Stats().Coroutines
+			}
+		}
+		for start := time.Now(); runtime.NumGoroutine() != want; time.Sleep(time.Millisecond) {
 			if time.Since(start) > 5*time.Second {
-				t.Fatalf("%d goroutines %s, want %d", runtime.NumGoroutine(), after, before)
+				t.Fatalf("%d goroutines %s, want %d: %d and the parked coroutines", runtime.NumGoroutine(), after, want, before)
 			}
 		}
 	}
@@ -532,27 +552,32 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	if _, err := r.Run(specs); err != nil {
 		t.Fatal(err)
 	}
-	settled("after a sweep of xthreads and OpenCL specs")
+	settled("after a sweep of xthreads and OpenCL specs", r)
 	results, _ := r.Run(hung)
 	for _, rr := range results {
 		if rr.Err == nil || !strings.Contains(rr.Err.Error(), "budget") {
 			t.Fatalf("%s returned %v, want a simulated-time budget error", rr.Spec, rr.Err)
 		}
 	}
-	settled("after runs over their simulated-time budget")
+	settled("after runs over their simulated-time budget", r)
+	if n := len(r.ParkedArenas()); n != 2 {
+		t.Fatalf("Runner holds %d arenas after two calls at Parallel 2, want 2", n)
+	}
 	// The panicking run follows a clean one on the same worker, so the arena
 	// its worker drops holds the clean run's parked coroutines.
 	bad := ccsvm.RunSpec{Workload: "matmul", System: ccsvm.System{Kind: panicKind, CCSVM: specs[1].System.CCSVM}, Params: p}
-	results, _ = (&ccsvm.Runner{Parallel: 1}).Run([]ccsvm.RunSpec{specs[1], bad, specs[0]})
+	one := &ccsvm.Runner{Parallel: 1}
+	results, _ = one.Run([]ccsvm.RunSpec{specs[1], bad, specs[0]})
 	var pe *ccsvm.ErrSimulationPanic
 	if results[0].Err != nil || !errors.As(results[1].Err, &pe) || results[2].Err != nil {
 		t.Fatalf("sweep around a panicking run returned %v, %v and %v, want only the middle one's ErrSimulationPanic",
 			results[0].Err, results[1].Err, results[2].Err)
 	}
-	settled("after a run that panicked")
-	r = nil
+	settled("after a run that panicked", r, one)
+	runtime.KeepAlive(one)
+	r, one = nil, nil
 	runtime.GC()
-	settled("after the Runner was dropped")
+	settled("after the Runners were dropped")
 }
 
 // TestRunnerReusesPartsOfOverBudgetRuns: a run that ends over its
@@ -649,8 +674,8 @@ func TestArenaParksAtMostPeakCoroutines(t *testing.T) {
 	if n := r.Metrics["opencl.work_items"]; n != 400 {
 		t.Fatalf("apsp at V = 20 ran %v work-items, want 400", n)
 	}
-	if s := arena.Stats(); s.Coroutines == 0 || s.Coroutines > 21 || s.LiveCoroutines != s.Coroutines {
-		t.Fatalf("arena parks %d coroutines, %d of them live, want 1 to 21, all live", s.Coroutines, s.LiveCoroutines)
+	if s := arena.Stats(); s.Coroutines == 0 || s.Coroutines > 21 {
+		t.Fatalf("arena parks %d coroutines, want 1 to 21", s.Coroutines)
 	}
 }
 
