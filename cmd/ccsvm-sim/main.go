@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"ccsvm"
 )
@@ -47,7 +46,8 @@ func main() {
 
 // run is the command: it parses args, writes the report to stdout and
 // diagnostics to stderr, and returns the exit status: 2 for a bad command
-// line or an unsupported pair, 1 for a run that failed or panicked.
+// line or a spec that does not resolve (an unknown name, an unsupported
+// pair, a bad override), 1 for a run that failed or panicked.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccsvm-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -97,35 +97,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	w, ok := ccsvm.Lookup(*workload)
-	if !ok {
-		fmt.Fprintf(stderr, "ccsvm-sim: unknown workload %q; -list shows the registry\n", *workload)
-		return 2
+	kind := ccsvm.SystemKind(*system)
+	if kind == "" && *preset == "" {
+		kind = ccsvm.SystemCCSVM
 	}
-	sys, err := buildSystem(*system, *preset)
+	params := ccsvm.Params{N: *n, Seed: *seed, IncludeInit: *includeInit}
+	if w, ok := ccsvm.Lookup(*workload); ok && w.UsesDensity {
+		params.Density = *density
+	}
+	spec, err := ccsvm.BuildSpec(*workload, kind, *preset, sets, params)
 	if err != nil {
-		fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
+		hint := ""
+		if errors.Is(err, ccsvm.ErrUnknownWorkload) || errors.Is(err, ccsvm.ErrUnknownPreset) {
+			hint = "; -list shows the registry"
+		}
+		fmt.Fprintf(stderr, "ccsvm-sim: %v%s\n", err, hint)
 		return 2
 	}
-	if err := ccsvm.ApplyOverrides(&sys, sets); err != nil {
-		fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
-		return 2
-	}
-	params := ccsvm.Params{N: *n, Density: *density, Seed: *seed, IncludeInit: *includeInit}
-	// The tag records the full configuration provenance — preset and
-	// overrides — so JSONL lines from different sweep points are
-	// distinguishable downstream.
-	tag := strings.Join(append(presetTag(*preset), sets...), " ")
-	spec := ccsvm.RunSpec{Workload: w.Name, System: sys, Params: params, Tag: tag}
 
 	// A one-worker Runner recovers a run that panics into an error naming
 	// the spec, as it does in a sweep.
 	results, err := (&ccsvm.Runner{Parallel: 1}).Run([]ccsvm.RunSpec{spec})
 	if err != nil {
 		fmt.Fprintf(stderr, "ccsvm-sim: %v\n", err)
-		if errors.Is(err, ccsvm.ErrUnsupportedPair) {
-			return 2
-		}
 		return 1
 	}
 
@@ -137,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	res := results[0].Result
-	fmt.Fprintf(stdout, "workload:      %s (n=%d)\n", w.Name, *n)
+	fmt.Fprintf(stdout, "workload:      %s (n=%d)\n", spec.Workload, *n)
 	fmt.Fprintf(stdout, "system:        %s\n", res.Label)
 	if *preset != "" {
 		fmt.Fprintf(stdout, "preset:        %s\n", *preset)
@@ -160,49 +154,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// presetTag wraps a non-empty preset name in a one-element slice for tag
-// assembly.
-func presetTag(preset string) []string {
-	if preset == "" {
-		return nil
-	}
-	return []string{preset}
-}
-
-// buildSystem resolves the -system and -preset flags into a configured
-// System: a preset's configuration when one is named (with -system picking
-// the kind, defaulting to the preset's first), otherwise the named system's
-// Table 2 default.
-func buildSystem(system, preset string) (ccsvm.System, error) {
-	if preset == "" {
-		if system == "" {
-			system = string(ccsvm.SystemCCSVM)
-		}
-		return ccsvm.NewSystem(ccsvm.SystemKind(system))
-	}
-	p, ok := ccsvm.LookupPreset(preset)
-	if !ok {
-		return ccsvm.System{}, fmt.Errorf("unknown preset %q; -list shows the registry", preset)
-	}
-	kind := p.DefaultKind()
-	if system != "" {
-		kind = ccsvm.SystemKind(system)
-		// Diagnose a typo as an unknown kind, not as a machine mismatch.
-		if !knownKind(kind) {
-			return ccsvm.System{}, fmt.Errorf("unknown system %q (have %v)", system, ccsvm.Systems())
-		}
-	}
-	return p.System(kind)
-}
-
-// knownKind reports whether kind names one of the registered system kinds.
-func knownKind(kind ccsvm.SystemKind) bool {
-	for _, k := range ccsvm.Systems() {
-		if k == kind {
-			return true
-		}
-	}
-	return false
 }

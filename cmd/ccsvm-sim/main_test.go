@@ -12,7 +12,7 @@ import (
 // TestPanickingRunFailsWithOneLine: a machine whose DRAM passes validation
 // but is too small for the workload's data panics mid-run. The command must
 // report it as one error line naming the spec, with no stack trace, and
-// exit 1.
+// exit 1. matmul takes no density, so the spec names none.
 func TestPanickingRunFailsWithOneLine(t *testing.T) {
 	for _, c := range []struct {
 		system, set, panic string
@@ -22,32 +22,35 @@ func TestPanickingRunFailsWithOneLine(t *testing.T) {
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-workload", "matmul", "-system", c.system, "-n", "32", "-set", c.set}, &stdout, &stderr)
-		msg := stderr.String()
-		want := "ccsvm-sim: matmul/" + c.system + "("
-		if code != 1 || stdout.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, want) ||
-			!strings.HasSuffix(msg, "): simulation panicked: "+c.panic+"\n") || strings.Contains(msg, "goroutine ") {
-			t.Errorf("-system %s -set %s: exit %d, stdout %q, stderr %q; want exit 1, no output and one line %q...%q",
-				c.system, c.set, code, stdout.String(), msg, want, "simulation panicked: "+c.panic)
+		want := "ccsvm-sim: matmul/" + c.system + "(n=32 seed=42 " + c.set + "): simulation panicked: " + c.panic + "\n"
+		if code != 1 || stdout.Len() != 0 || stderr.String() != want {
+			t.Errorf("-system %s -set %s: exit %d, stdout %q, stderr %q; want exit 1, no output and %q",
+				c.system, c.set, code, stdout.String(), stderr.String(), want)
 		}
 	}
 }
 
 // TestCleanRunPrintsTheDirectRun: run goes through a one-worker Runner, so
 // its machine draws on an arena; a clean run must print what the workload
-// returns when called directly on a fresh machine, as JSON and in text.
+// returns when called directly on a fresh machine, as JSON and in text. The
+// spec carries the -density default only for a workload that takes a
+// density, and the overrides as provenance.
 func TestCleanRunPrintsTheDirectRun(t *testing.T) {
 	for _, c := range []struct {
-		kind ccsvm.SystemKind
-		sets []string
+		workload string
+		kind     ccsvm.SystemKind
+		sets     []string
+		density  float64
 	}{
-		{ccsvm.SystemCCSVM, []string{"ccsvm.MTTOPIssueWidth=16"}},
-		{ccsvm.SystemOpenCL, nil},
+		{"matmul", ccsvm.SystemCCSVM, []string{"ccsvm.MTTOPIssueWidth=16"}, 0},
+		{"matmul", ccsvm.SystemOpenCL, nil, 0},
+		{"sparse", ccsvm.SystemCPU, nil, 0.01},
 	} {
-		args := []string{"-workload", "matmul", "-system", string(c.kind), "-n", "8"}
+		args := []string{"-workload", c.workload, "-system", string(c.kind), "-n", "8"}
 		for _, s := range c.sets {
 			args = append(args, "-set", s)
 		}
-		w, _ := ccsvm.Lookup("matmul")
+		w, _ := ccsvm.Lookup(c.workload)
 		sys, err := ccsvm.NewSystem(c.kind)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +58,7 @@ func TestCleanRunPrintsTheDirectRun(t *testing.T) {
 		if err := ccsvm.ApplyOverrides(&sys, c.sets); err != nil {
 			t.Fatal(err)
 		}
-		params := ccsvm.Params{N: 8, Density: 0.01, Seed: 42}
+		params := ccsvm.Params{N: 8, Density: c.density, Seed: 42}
 		res, err := w.Run(sys, params)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +69,7 @@ func TestCleanRunPrintsTheDirectRun(t *testing.T) {
 			t.Fatalf("%v -json: exit %d, stderr %q", args, code, stderr.String())
 		}
 		var want bytes.Buffer
-		spec := ccsvm.RunSpec{Workload: "matmul", System: sys, Params: params, Tag: strings.Join(c.sets, " ")}
+		spec := ccsvm.RunSpec{Workload: c.workload, System: sys, Params: params, Overrides: c.sets}
 		if err := ccsvm.NewJSONLSink(&want).Emit(ccsvm.RunResult{Spec: spec, Result: res}); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +81,7 @@ func TestCleanRunPrintsTheDirectRun(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d, stderr %q", args, code, stderr.String())
 		}
-		head := fmt.Sprintf("workload:      matmul (n=8)\nsystem:        %s\n", res.Label)
+		head := fmt.Sprintf("workload:      %s (n=8)\nsystem:        %s\n", c.workload, res.Label)
 		for _, s := range c.sets {
 			head += "override:      " + s + "\n"
 		}

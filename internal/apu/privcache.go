@@ -10,8 +10,6 @@
 // — off-chip staging of all CPU↔GPU communication, expensive kernel launches
 // and synchronization, large driver/JIT constants — and the APU's structural
 // advantages (higher CPU IPC, wider VLIW GPU, coalesced GPU memory accesses).
-//
-//ccsvm:deterministic
 package apu
 
 import (

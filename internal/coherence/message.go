@@ -5,8 +5,6 @@
 // directory embedded with the shared, inclusive L2, treating CPU and MTTOP
 // cores identically, and maintaining the single-writer/multiple-reader (SWMR)
 // invariant.
-//
-//ccsvm:deterministic
 package coherence
 
 import (

@@ -5,8 +5,6 @@
 // executes software threads provided by the exec package, translates their
 // addresses through an optional MMU, services page faults through the kernel,
 // and accepts interrupts raised on behalf of MTTOP cores by the MIFD.
-//
-//ccsvm:deterministic
 package cpu
 
 import (

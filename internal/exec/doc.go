@@ -42,6 +42,4 @@
 //
 // This is the same execution-driven style the paper's gem5 evaluation uses,
 // with Go functions standing in for the x86/Alpha-like binaries.
-//
-//ccsvm:deterministic
 package exec

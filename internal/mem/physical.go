@@ -155,6 +155,7 @@ func (p *Physical) TouchedFrames() int {
 // panic on access anyway.
 func (p *Physical) Reset(size uint64) {
 	p.size = size
+	//ccsvm:orderinvariant // each frame is dropped or zeroed on its own
 	for f, fr := range p.frames {
 		if uint64(f.Addr()) >= size {
 			delete(p.frames, f)

@@ -275,8 +275,11 @@ func checkLine(m *core.Machine, h *harness, proto *coherence.Protocol, round int
 		h.fail("quiesce round %d line %v: "+format, append([]any{round, la}, args...)...)
 	}
 
-	// Gather the actual stable L1 states.
+	// Gather the actual stable L1 states. The checks below walk the holders
+	// in L1 order, so the failures of one line list in the same order on
+	// every run; the map prints them sorted.
 	holders := make(map[noc.NodeID]cache.State)
+	var held []noc.NodeID
 	owners := 0
 	writers := 0
 	readers := 0
@@ -296,6 +299,7 @@ func checkLine(m *core.Machine, h *harness, proto *coherence.Protocol, round int
 			fail("l1 %d holds Owned under protocol %s, which has no O state", i, proto.Name)
 		}
 		holders[c.NodeID()] = l.State
+		held = append(held, c.NodeID())
 		if l.State.IsOwnerState() {
 			owners++
 		}
@@ -343,8 +347,8 @@ func checkLine(m *core.Machine, h *harness, proto *coherence.Protocol, round int
 	case dirState == coherence.DirShared:
 		// Silent S evictions make the sharer vector conservative: actual
 		// holders must be a subset, all in S.
-		for n, st := range holders {
-			if st != cache.Shared {
+		for _, n := range held {
+			if st := holders[n]; st != cache.Shared {
 				fail("Dir-S but l1 node %d holds %v", n, st)
 			}
 			if !sharerSet[n] {
@@ -368,11 +372,11 @@ func checkLine(m *core.Machine, h *harness, proto *coherence.Protocol, round int
 		if !ok || st != cache.Owned {
 			fail("Dir-O owner %d actually holds %v", dirOwner, st)
 		}
-		for n, hst := range holders {
+		for _, n := range held {
 			if n == dirOwner {
 				continue
 			}
-			if hst != cache.Shared {
+			if hst := holders[n]; hst != cache.Shared {
 				fail("Dir-O but non-owner node %d holds %v", n, hst)
 			}
 			if !sharerSet[n] {

@@ -8,6 +8,4 @@
 // shared issue-bandwidth limit; this preserves the peak throughput of 8
 // operations per cycle per core and the memory-system behaviour the
 // evaluation measures.
-//
-//ccsvm:deterministic
 package mttop

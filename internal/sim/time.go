@@ -2,8 +2,6 @@
 // timing model in this repository: a deterministic event queue, a picosecond
 // time base, and clock-domain helpers for the CPU (2.9 GHz) and MTTOP
 // (600 MHz) domains described in Table 2 of the paper.
-//
-//ccsvm:deterministic
 package sim
 
 import "fmt"

@@ -101,6 +101,7 @@ func Presets() []Preset {
 	presetRegistry.mu.RLock()
 	defer presetRegistry.mu.RUnlock()
 	out := make([]Preset, 0, len(presetRegistry.byName))
+	//ccsvm:orderinvariant // sorted by unique name below
 	for _, p := range presetRegistry.byName {
 		out = append(out, p)
 	}

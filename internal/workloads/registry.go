@@ -210,6 +210,7 @@ func All() []*Workload {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	out := make([]*Workload, 0, len(registry.byName))
+	//ccsvm:orderinvariant // sorted by unique name below
 	for _, w := range registry.byName {
 		out = append(out, w)
 	}

@@ -3,6 +3,7 @@ package ccsvm
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Typed failures of spec resolution (BuildSpec, and Runner.Run for an
@@ -27,8 +28,15 @@ func BuildSpec(workload string, kind SystemKind, preset string, overrides []stri
 	if !ok {
 		return RunSpec{}, fmt.Errorf("%w %q", ErrUnknownWorkload, workload)
 	}
+	// Diagnose a typo as an unknown kind, not as a preset's machine
+	// mismatch.
+	if kind != "" && !slices.Contains(Systems(), kind) {
+		return RunSpec{}, fmt.Errorf("%w %q (have %v)", ErrUnknownSystem, kind, Systems())
+	}
 	var sys System
-	if preset != "" {
+	var err error
+	switch {
+	case preset != "":
 		pr, ok := LookupPreset(preset)
 		if !ok {
 			return RunSpec{}, fmt.Errorf("%w %q", ErrUnknownPreset, preset)
@@ -36,18 +44,14 @@ func BuildSpec(workload string, kind SystemKind, preset string, overrides []stri
 		if kind == "" {
 			kind = pr.DefaultKind()
 		}
-		var err error
-		if sys, err = pr.System(kind); err != nil {
-			return RunSpec{}, err
-		}
-	} else {
-		if kind == "" {
-			return RunSpec{}, fmt.Errorf("%w: empty (name a system or a preset)", ErrUnknownSystem)
-		}
-		var err error
-		if sys, err = NewSystem(kind); err != nil {
-			return RunSpec{}, fmt.Errorf("%w %q", ErrUnknownSystem, kind)
-		}
+		sys, err = pr.System(kind)
+	case kind == "":
+		return RunSpec{}, fmt.Errorf("%w: empty (name a system or a preset)", ErrUnknownSystem)
+	default:
+		sys, err = NewSystem(kind)
+	}
+	if err != nil {
+		return RunSpec{}, err
 	}
 	if !w.Supports(kind) {
 		return RunSpec{}, fmt.Errorf("%s on %s: %w (supported: %v)",

@@ -21,6 +21,7 @@ func TestBuildSpecTypedErrors(t *testing.T) {
 		{name: "unknown workload", workload: "nope", kind: ccsvm.SystemCCSVM, want: ccsvm.ErrUnknownWorkload},
 		{name: "unknown preset", workload: "matmul", preset: "nope", want: ccsvm.ErrUnknownPreset},
 		{name: "unknown system", workload: "matmul", kind: "vax", want: ccsvm.ErrUnknownSystem},
+		{name: "unknown system with a preset", workload: "matmul", preset: "apu-base", kind: "vax", want: ccsvm.ErrUnknownSystem},
 		{name: "empty system no preset", workload: "matmul", want: ccsvm.ErrUnknownSystem},
 		{name: "unsupported pair", workload: "sparse", kind: ccsvm.SystemOpenCL, want: ccsvm.ErrUnsupportedPair},
 		{name: "bad override path", workload: "matmul", kind: ccsvm.SystemCCSVM,
